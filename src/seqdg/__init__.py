@@ -18,7 +18,6 @@ from seqdg.data import (
     SequenceWindow,
     SeqMixPool,
     SeqMixStats,
-    aggregate_clips,
     build_windows,
     import_csv_dataset,
     seqmix,
@@ -63,7 +62,6 @@ __all__ = [
     "Tensor",
     "TrainConfig",
     "accuracy",
-    "aggregate_clips",
     "build_windows",
     "classify",
     "composite_loss",

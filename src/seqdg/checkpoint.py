@@ -28,6 +28,11 @@ __all__ = [
 
 MAGIC = b"SEQDGCKP"
 VERSION = 1
+# model settings that no longer exist, with the one value the code keeps
+RETIRED_MODEL_KEYS = {"cross_attention_values": "query_stream",
+                      "decoder_self_attention": True,
+                      "clip_agg": "mean",
+                      "relational_clips": None}
 
 
 class CheckpointError(Exception):
@@ -68,29 +73,51 @@ def save_checkpoint(path, params: ModelParams, *, rng_state: dict | None = None,
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    """Read a checkpoint back into ModelParams plus its header metadata."""
+    """Read a checkpoint back into ModelParams plus its header metadata.
+    Any truncated, malformed or inconsistent file raises CheckpointError."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
+    if len(raw) < 20:
+        raise CheckpointError(f"{path}: truncated before the header")
     version = struct.unpack("<I", raw[8:12])[0]
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     header_len = struct.unpack("<Q", raw[12:20])[0]
-    header = json.loads(raw[20:20 + header_len].decode("utf-8"))
+    if 20 + header_len > len(raw):
+        raise CheckpointError(f"{path}: header of {header_len} bytes runs past the "
+                              f"end of the {len(raw)}-byte file")
     body = raw[20 + header_len:]
-    arrays = {}
-    for entry in header["params"]:
-        start = entry["offset"]
-        count = entry["size"]
-        arr = np.frombuffer(body, dtype="<f8", count=count, offset=start)
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
-    config = ModelConfig.from_dict(header["config"])
     try:
+        header = json.loads(raw[20:20 + header_len].decode("utf-8"))
+        arrays = {}
+        for entry in header["params"]:
+            start, count = entry["offset"], entry["size"]
+            if start < 0 or start + 8 * count > len(body):
+                raise CheckpointError(f"{path}: parameter {entry['name']!r} runs past "
+                                      f"the end of the payload (truncated file?)")
+            arr = np.frombuffer(body, dtype="<f8", count=count, offset=start)
+            arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
+        config = ModelConfig.from_dict(_current_keys(path, header["config"]))
         params = ModelParams.from_named(config, arrays)
-    except KeyError as exc:
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError covers undecodable bytes and JSON, and configs that
+        # ModelConfig rejects
         raise CheckpointError(f"{path}: {exc}") from exc
     return params, header
+
+
+def _current_keys(path, config: dict) -> dict:
+    """A header config without the retired model keys, which headers
+    written before their retirement carry; each must hold the value that
+    every such model was built with."""
+    config = dict(config)
+    for key, value in RETIRED_MODEL_KEYS.items():
+        if key in config and config.pop(key) != value:
+            raise CheckpointError(f"{path}: model setting {key!r} is retired; only "
+                                  f"{value!r}, the model that remains, loads")
+    return config
 
 
 def load_model(path) -> SeqDGModel:

@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from seqdg import tensor as T
 from seqdg.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from seqdg.config import ConfigError, file_sha256, load_run_config
 from seqdg.data import (
@@ -35,8 +34,14 @@ from seqdg.evaluate import accuracy, sliding_window_predict
 from seqdg.model import ModelConfig, SeqDGModel
 from seqdg.seqstats import count_all_categories, format_table, table_to_dict
 from seqdg.synth import generate_to
-from seqdg.tensor import NonFiniteError, grad_check
-from seqdg.train import DivergenceError, TrainConfig, fit
+from seqdg.tensor import NonFiniteError
+from seqdg.train import (
+    DivergenceError,
+    TrainConfig,
+    fit,
+    objective_grad_check,
+    train_and_score,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -226,12 +231,7 @@ def cmd_ablate(args) -> int:
                                 and cell.model.vocab_size is None):
                             cell.model.vocab_size = len(store.vocab)
                         _check_labels(store, cell.model)
-                        model = SeqDGModel.init(cell.model, seed=seed)
-                        fit(store, model, cell)
-                        preds = sliding_window_predict(store, model)
-                        labels = [(r.verb, r.noun)
-                                  for r in store.records_for(store.split.target)]
-                        accs.append(accuracy(preds, labels, k=1)[2])
+                        accs.append(train_and_score(store, cell))
                     rows.append({"W": w, "p_mix": p_mix, "lambda_rv": lam_v,
                                  "lambda_rt": lam_t,
                                  "target_action_top1": round(float(np.mean(accs)), 2),
@@ -257,36 +257,14 @@ def cmd_seq_stats(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    config = ModelConfig(W=3, D=8, D_V=6, D_T=8, n_enc_layers=1, n_dec_layers=1,
-                         n_heads=2, n_verbs=5, n_nouns=5, d_ff=16, vocab_size=10)
     out = _out_dir(args)
-    rng = np.random.default_rng(args.seed or 0)
-    model = SeqDGModel.init(config, seed=args.seed or 0)
-    visual = rng.standard_normal((2, 3, 6))
-    text = rng.standard_normal((2, 3, 8))
-    verbs = rng.integers(0, 5, size=2)
-    nouns = rng.integers(0, 5, size=2)
-    tokens = tuple((int(rng.integers(10)), int(rng.integers(10))) for _ in range(2))
-    with T.no_grad():
-        frozen_out = model.forward_train(visual, text, recon_v=True, recon_t=True)
-        frozen = (frozen_out.target_v.data.copy(), frozen_out.target_t.data.copy())
-    from seqdg.train import composite_loss
-
+    seed = args.seed or 0
     reports = {}
     elapsed = {}
     for kind in ("mse", "token_cross_entropy"):
-        cfg = TrainConfig(model=config, lambda_rv=1.0, lambda_rt=1.0,
-                          text_loss=kind, epochs=0)
-
-        def loss():
-            outp = model.forward_train(visual, text, recon_v=True, recon_t=True,
-                                       token_text=kind == "token_cross_entropy",
-                                       frozen_targets=frozen)
-            total, _ = composite_loss(outp, verbs, nouns, cfg, tokens)
-            return total
-
         start = time.monotonic()
-        reports[kind] = grad_check(loss, model.params.named(), h=args.h, tol=args.tol)
+        reports[kind] = objective_grad_check(kind, seed=seed, data_seed=seed,
+                                             h=args.h, tol=args.tol)
         elapsed[kind] = time.monotonic() - start
         print(f"[{kind}] {reports[kind].summary()}  ({elapsed[kind]:.1f}s)")
     _write_json(out / "grad_check.json", {
@@ -294,8 +272,7 @@ def cmd_grad_check(args) -> int:
                "worst_param": r.worst_param, "tol": r.tol, "h": r.h,
                "seconds": round(elapsed[kind], 2)}
         for kind, r in reports.items()})
-    _write_provenance(out, "grad-check", {"tol": args.tol, "h": args.h},
-                      seed=args.seed or 0)
+    _write_provenance(out, "grad-check", {"tol": args.tol, "h": args.h}, seed=seed)
     return EXIT_OK if all(r.passed for r in reports.values()) else EXIT_NUMERIC
 
 

@@ -4,7 +4,8 @@ A dataset on disk is a JSON manifest plus a flat little-endian float32
 feature blob (clips-major per action), optionally joined by a second blob
 of precomputed per-action text features. In memory it becomes a
 `FeatureStore`; training and evaluation slice it into `SequenceWindow`s
-of W consecutive actions and materialize dense batches from those.
+of W consecutive actions and assemble dense batches from those through a
+`FeatureCache`, the one place where an action's clips are averaged.
 
 SeqMix lives here too: with a configured probability, one slot of a
 window is swapped for a same-label action from a different source
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -32,10 +34,7 @@ __all__ = [
     "Batch",
     "FeatureCache",
     "build_windows",
-    "sample_clip_indices",
-    "aggregate_clips",
     "seqmix",
-    "materialize",
     "read_annotation_csv",
     "write_annotation_csv",
     "import_csv_dataset",
@@ -49,6 +48,14 @@ ANNOTATION_COLUMNS = ["video_id", "domain_id", "temporal_index",
 
 class DataError(Exception):
     """Malformed or inconsistent dataset input."""
+
+
+# every key of a manifest action, in ActionRecord's field order, and the
+# exact JSON type of its value (a JSON true is not an int)
+_ACTION_KEYS = ("action_id", "video_id", "domain_id", "verb", "noun", "narration",
+                "temporal_index", "blob_offset", "n_clips")
+_ACTION_TYPES = (int, str, str, int, int, list, int, int, int)
+_action_values = operator.itemgetter(*_ACTION_KEYS)
 
 
 @dataclass(frozen=True)
@@ -125,7 +132,17 @@ class FeatureStore:
         if self.visual.size != expected:
             raise DataError(f"feature blob holds {self.visual.size} floats, "
                             f"manifest expects {expected}")
+        # ids index the text blob and the feature cache, so they must be
+        # exactly 0 .. n-1
+        seen = set()
         for r in self.records:
+            if not 0 <= r.action_id < len(self.records):
+                raise DataError(f"action id {r.action_id} outside [0, {len(self.records)})")
+            if r.action_id in seen:
+                raise DataError(f"duplicate action id {r.action_id}")
+            seen.add(r.action_id)
+            if r.n_clips < 1:
+                raise DataError(f"action {r.action_id}: needs at least one clip")
             if r.blob_offset < 0 or r.blob_offset + r.n_clips * d_v > self.visual.size:
                 raise DataError(f"action {r.action_id}: feature handle out of bounds")
             if any(t < 0 or t >= len(self.vocab) for t in r.narration):
@@ -198,26 +215,50 @@ class FeatureStore:
             manifest_path = manifest_path / "manifest.json"
         if not manifest_path.exists():
             raise DataError(f"no manifest at {manifest_path}")
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        try:
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{manifest_path}: not valid JSON: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise DataError(f"{manifest_path}: manifest must be a JSON object")
         if manifest.get("format") != MANIFEST_FORMAT:
             raise DataError(f"unrecognized manifest format {manifest.get('format')!r}")
         if manifest.get("version") != MANIFEST_VERSION:
             raise DataError(f"unsupported manifest version {manifest.get('version')!r}")
         base = manifest_path.parent
-        records = [ActionRecord(
-            action_id=a["action_id"], video_id=a["video_id"], domain_id=a["domain_id"],
-            verb=a["verb"], noun=a["noun"], narration=tuple(a["narration"]),
-            temporal_index=a["temporal_index"], blob_offset=a["blob_offset"],
-            n_clips=a["n_clips"]) for a in manifest["actions"]]
-        split = DatasetSplit(
-            source=tuple(d["id"] for d in manifest["domains"] if d["split"] == "source"),
-            target=tuple(d["id"] for d in manifest["domains"] if d["split"] == "target"))
-        visual = np.fromfile(base / manifest["feature_blob"], dtype="<f4")
-        text = None
-        if manifest.get("text_blob"):
-            text = np.fromfile(base / manifest["text_blob"], dtype="<f4")
-        meta = {k: manifest[k] for k in ("name", "d_v", "d_t", "clips_per_action")}
-        return cls(meta, records, list(manifest["vocab"]), split, visual, text)
+        try:
+            records = [_action_record(i, a) for i, a in enumerate(manifest["actions"])]
+            split = DatasetSplit(
+                source=tuple(d["id"] for d in manifest["domains"] if d["split"] == "source"),
+                target=tuple(d["id"] for d in manifest["domains"] if d["split"] == "target"))
+            visual = np.fromfile(base / manifest["feature_blob"], dtype="<f4")
+            text = None
+            if manifest.get("text_blob"):
+                text = np.fromfile(base / manifest["text_blob"], dtype="<f4")
+            meta = {k: manifest[k] for k in ("name", "d_v", "d_t", "clips_per_action")}
+            vocab = list(manifest["vocab"])
+        except (KeyError, TypeError) as exc:
+            raise DataError(f"{manifest_path}: malformed manifest: {exc!r}") from exc
+        return cls(meta, records, vocab, split, visual, text)
+
+
+def _action_record(index: int, action) -> ActionRecord:
+    """One manifest action, every key present with its exact type and every
+    narration token an int."""
+    if type(action) is not dict:
+        raise DataError(f"manifest action {index} is not an object")
+    try:
+        values = _action_values(action)
+    except KeyError as exc:
+        raise DataError(f"manifest action {index} has no {exc}") from None
+    if tuple(map(type, values)) != _ACTION_TYPES:
+        key, kind, value = next(entry for entry in zip(_ACTION_KEYS, _ACTION_TYPES, values)
+                                if type(entry[2]) is not entry[1])
+        raise DataError(f"manifest action {index}: {key!r} must be {kind.__name__}, "
+                        f"got {value!r}")
+    if not {int}.issuperset(map(type, values[5])):
+        raise DataError(f"manifest action {index}: narration tokens must be ints")
+    return ActionRecord(*values[:5], tuple(values[5]), *values[6:])
 
 
 # ---------------------------------------------------------------------------
@@ -254,42 +295,6 @@ def build_windows(records, W: int) -> list[SequenceWindow]:
             windows.append(SequenceWindow(records=tuple(slots), padding=tuple(pads),
                                           center=half))
     return windows
-
-
-# ---------------------------------------------------------------------------
-# clip aggregation
-
-
-def sample_clip_indices(n_clips: int, k: int, rng=None) -> np.ndarray:
-    """k of n clips: uniform without replacement (order kept) given an rng,
-    or deterministic evenly spaced indices for evaluation."""
-    if not (1 <= k <= n_clips):
-        raise DataError(f"cannot sample {k} of {n_clips} clips")
-    if rng is None:
-        return np.round(np.linspace(0, n_clips - 1, k)).astype(np.int64)
-    return np.sort(rng.choice(n_clips, size=k, replace=False))
-
-
-def aggregate_clips(clips: np.ndarray, mode: str = "mean",
-                    weight: np.ndarray | None = None,
-                    bias: np.ndarray | None = None) -> np.ndarray:
-    """Summarize (n_clips, D_V) into one vector.
-
-    "mean" averages the clips; "relational" applies an affine map to the
-    ordered concatenation of the clips (identity weight = passthrough).
-    """
-    clips = np.asarray(clips)
-    if clips.ndim != 2 or clips.shape[0] < 1:
-        raise DataError(f"clip stack must be (n_clips, D_V), got {clips.shape}")
-    if mode == "mean":
-        return clips.mean(axis=0)
-    if mode == "relational":
-        flat = clips.reshape(-1)
-        if weight is None or weight.shape[0] != flat.size:
-            raise DataError(f"relational aggregation needs a ({flat.size}, out) weight")
-        out = flat @ weight
-        return out + bias if bias is not None else out
-    raise DataError(f"unknown clip aggregation mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +359,6 @@ class SeqMixPool:
 
 
 def seqmix(window: SequenceWindow, pool: SeqMixPool, p_mix: float, rng,
-           exclude_center: bool = False,
            stats: SeqMixStats | None = None) -> SequenceWindow:
     """With probability `p_mix`, swap one non-padding slot for a same-label
     action from a different source domain. The swap carries features,
@@ -365,10 +369,6 @@ def seqmix(window: SequenceWindow, pool: SeqMixPool, p_mix: float, rng,
     if rng.random() >= p_mix:
         return window
     slots = [i for i, pad in enumerate(window.padding) if not pad]
-    if exclude_center:
-        slots = [i for i in slots if i != window.center]
-    if not slots:
-        return window
     slot = slots[int(rng.integers(len(slots)))]
     current = window.records[slot]
     cands = pool.candidates(current.label, current.domain_id)
@@ -392,7 +392,7 @@ def seqmix(window: SequenceWindow, pool: SeqMixPool, p_mix: float, rng,
 class Batch:
     """Dense, model-ready arrays for a list of windows."""
 
-    visual: np.ndarray                    # (B, W, D_V) or (B, W, k, D_V)
+    visual: np.ndarray                    # (B, W, D_V), clip means
     text: np.ndarray | None               # (B, W, D_T)
     verbs: np.ndarray                     # (B,) center labels
     nouns: np.ndarray
@@ -404,80 +404,20 @@ class Batch:
         return self.visual.shape[0]
 
 
-def materialize(store: FeatureStore, windows, *, embedder: NarrationEmbedder | None = None,
-                with_text: bool = False, rng=None, n_clips_sample: int | None = None,
-                keep_clips: bool = False) -> Batch:
-    """Turn windows into dense arrays.
-
-    Clip handling: with `rng` the sample of `n_clips_sample` clips is drawn
-    uniformly without replacement (training); without it the indices are
-    evenly spaced (evaluation). `keep_clips` returns the sampled stack for
-    learned aggregation instead of the mean.
-    """
-    b, w = len(windows), windows[0].W if windows else 0
-    if b == 0:
-        raise DataError("cannot materialize an empty batch")
-    visual = None
-    text = np.empty((b, w, store.d_t)) if with_text else None
-    verbs = np.empty(b, dtype=np.int64)
-    nouns = np.empty(b, dtype=np.int64)
-    pads = np.zeros((b, w), dtype=bool)
-    tokens = []
-    domains = []
-    for i, win in enumerate(windows):
-        verbs[i] = win.center_record.verb
-        nouns[i] = win.center_record.noun
-        tokens.append(win.center_record.narration)
-        domains.append(tuple(r.domain_id for r in win.records))
-        pads[i] = win.padding
-        for j, rec in enumerate(win.records):
-            clips = store.clips(rec)
-            k = n_clips_sample if n_clips_sample is not None else clips.shape[0]
-            idx = sample_clip_indices(clips.shape[0], k, rng)
-            picked = clips[idx].astype(np.float64)
-            if visual is None:
-                shape = (b, w, k, store.d_v) if keep_clips else (b, w, store.d_v)
-                visual = np.empty(shape)
-            visual[i, j] = picked if keep_clips else picked.mean(axis=0)
-            if with_text:
-                stored = store.text_feature(rec)
-                if stored is not None:
-                    text[i, j] = stored.astype(np.float64)
-                elif embedder is not None:
-                    text[i, j] = embedder.embed(rec.narration)
-                else:
-                    raise DataError("text requested but the store has no text "
-                                    "features and no embedder was given")
-    return Batch(visual=visual, text=text, verbs=verbs, nouns=nouns,
-                 center_tokens=tuple(tokens), domains=tuple(domains), padding=pads)
-
-
 class FeatureCache:
-    """Per-action dense features for fast batch assembly.
+    """Dense per-action features of the records it serves.
 
-    Clip aggregation and narration embedding are per-action, so they are
-    computed once over the store and batches become fancy indexing. With
-    stochastic clip sampling, rebuild the cache each epoch with that
-    epoch's rng.
+    Each action's stored clips are averaged, and its narration embedded,
+    once; batches then become fancy indexing.
     """
 
-    def __init__(self, store: FeatureStore, *, embedder: NarrationEmbedder | None = None,
-                 with_text: bool = False, rng=None, n_clips_sample: int | None = None,
-                 keep_clips: bool = False):
-        n = len(store.records)
-        self._row: dict[int, int] = {}
-        self.visual = None
-        self.text = np.empty((n, store.d_t)) if with_text else None
-        for row, rec in enumerate(store.records):
-            self._row[rec.action_id] = row
-            clips = store.clips(rec)
-            k = n_clips_sample if n_clips_sample is not None else clips.shape[0]
-            idx = sample_clip_indices(clips.shape[0], k, rng)
-            picked = clips[idx].astype(np.float64)
-            if self.visual is None:
-                shape = (n, k, store.d_v) if keep_clips else (n, store.d_v)
-                self.visual = np.empty(shape)
-            self.visual[row] = picked if keep_clips else picked.mean(axis=0)
+    def __init__(self, store: FeatureStore, records, *,
+                 embedder: NarrationEmbedder | None = None, with_text: bool = False):
+        self._row = {rec.action_id: row for row, rec in enumerate(records)}
+        self.visual = np.empty((len(records), store.d_v))
+        self.text = np.empty((len(records), store.d_t)) if with_text else None
+        for row, rec in enumerate(records):
+            self.visual[row] = store.clips(rec).astype(np.float64).mean(axis=0)
             if with_text:
                 stored = store.text_feature(rec)
                 if stored is not None:
@@ -491,7 +431,10 @@ class FeatureCache:
     def batch(self, windows) -> Batch:
         if not windows:
             raise DataError("cannot materialize an empty batch")
-        ids = np.array([[self._row[r.action_id] for r in w.records] for w in windows])
+        try:
+            ids = np.array([[self._row[r.action_id] for r in w.records] for w in windows])
+        except KeyError as exc:
+            raise DataError(f"action {exc.args[0]} is not among the cached records") from None
         return Batch(
             visual=self.visual[ids],
             text=self.text[ids] if self.text is not None else None,

@@ -19,9 +19,10 @@ from seqdg.model import SeqDGModel
 __all__ = [
     "Prediction",
     "topk_indices",
+    "predict_windows",
     "sliding_window_predict",
+    "topk_accuracy",
     "accuracy",
-    "top1_action_accuracy",
 ]
 
 
@@ -43,6 +44,15 @@ def topk_indices(logits: np.ndarray, k: int) -> np.ndarray:
     return order[:k]
 
 
+def predict_windows(cache: FeatureCache, model: SeqDGModel, windows,
+                    batch_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked verb and noun logits of `windows`, in batches of `batch_size`."""
+    parts = [model.predict_logits(cache.batch(windows[start:start + batch_size]).visual)
+             for start in range(0, len(windows), batch_size)]
+    return (np.concatenate([verb for verb, _noun in parts]),
+            np.concatenate([noun for _verb, noun in parts]))
+
+
 def sliding_window_predict(store: FeatureStore, model: SeqDGModel, *,
                            domains=None, k: int = 5, batch_size: int = 256,
                            W: int | None = None) -> list[Prediction]:
@@ -56,22 +66,39 @@ def sliding_window_predict(store: FeatureStore, model: SeqDGModel, *,
         domains = store.split.target
     records = store.records_for(domains)
     windows = build_windows(records, cfg.W)
-    keep_clips = cfg.clip_agg == "relational"
-    n_sample = cfg.relational_clips if keep_clips else None
-    cache = FeatureCache(store, with_text=False, n_clips_sample=n_sample,
-                         keep_clips=keep_clips)
-    preds: list[Prediction] = []
-    for start in range(0, len(windows), batch_size):
-        chunk = windows[start:start + batch_size]
-        batch = cache.batch(chunk)
-        verb_logits, noun_logits = model.predict_logits(batch.visual)
-        for i, win in enumerate(chunk):
-            preds.append(Prediction(
-                action_id=win.center_record.action_id,
-                verb_logits=verb_logits[i], noun_logits=noun_logits[i],
-                topk_verbs=topk_indices(verb_logits[i], min(k, cfg.n_verbs)),
-                topk_nouns=topk_indices(noun_logits[i], min(k, cfg.n_nouns))))
-    return preds
+    if not windows:
+        return []
+    verb_logits, noun_logits = predict_windows(FeatureCache(store, records), model,
+                                               windows, batch_size)
+    return [Prediction(action_id=win.center_record.action_id,
+                       verb_logits=verb_logits[i], noun_logits=noun_logits[i],
+                       topk_verbs=topk_indices(verb_logits[i], min(k, cfg.n_verbs)),
+                       topk_nouns=topk_indices(noun_logits[i], min(k, cfg.n_nouns)))
+            for i, win in enumerate(windows)]
+
+
+def _in_topk(logits: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Whether each row's label ranks among its k largest logits, ties
+    ranked toward the smaller class id as in `topk_indices`. A label
+    outside the class range is never in the top k."""
+    n_classes = logits.shape[-1]
+    if k > n_classes:
+        raise ValueError(f"top-{k} of {n_classes} classes")
+    valid = (labels >= 0) & (labels < n_classes)
+    own = logits[np.arange(len(labels)), np.where(valid, labels, 0)][:, None]
+    ahead = (logits > own) | ((logits == own) & (np.arange(n_classes) < labels[:, None]))
+    return valid & (ahead.sum(axis=-1) < k)
+
+
+def topk_accuracy(verb_logits: np.ndarray, noun_logits: np.ndarray, verbs, nouns,
+                  k: int = 1) -> tuple[float, float, float]:
+    """Top-k verb%, noun%, and action% (both heads correct) of stacked
+    logits, shape (N, classes), against N (verb, noun) labels."""
+    v_ok = _in_topk(verb_logits, np.asarray(verbs), k)
+    n_ok = _in_topk(noun_logits, np.asarray(nouns), k)
+    n = len(v_ok)
+    return (100.0 * int(v_ok.sum()) / n, 100.0 * int(n_ok.sum()) / n,
+            100.0 * int((v_ok & n_ok).sum()) / n)
 
 
 def accuracy(predictions, labels, k: int = 1) -> tuple[float, float, float]:
@@ -81,23 +108,6 @@ def accuracy(predictions, labels, k: int = 1) -> tuple[float, float, float]:
         raise ValueError(f"{len(predictions)} predictions vs {len(labels)} labels")
     if not predictions:
         raise ValueError("empty prediction set")
-    verb_hits = noun_hits = action_hits = 0
-    for pred, (verb, noun) in zip(predictions, labels):
-        vk = topk_indices(pred.verb_logits, k)
-        nk = topk_indices(pred.noun_logits, k)
-        v_ok = verb in vk
-        n_ok = noun in nk
-        verb_hits += v_ok
-        noun_hits += n_ok
-        action_hits += v_ok and n_ok
-    n = len(predictions)
-    return (100.0 * verb_hits / n, 100.0 * noun_hits / n, 100.0 * action_hits / n)
-
-
-def top1_action_accuracy(verb_logits: np.ndarray, noun_logits: np.ndarray,
-                         verbs: np.ndarray, nouns: np.ndarray) -> tuple[float, float, float]:
-    """Fast batched top-1 metrics used by the per-epoch training log."""
-    v_ok = verb_logits.argmax(axis=-1) == verbs
-    n_ok = noun_logits.argmax(axis=-1) == nouns
-    return (100.0 * v_ok.mean(), 100.0 * n_ok.mean(),
-            100.0 * (v_ok & n_ok).mean())
+    return topk_accuracy(np.stack([p.verb_logits for p in predictions]),
+                         np.stack([p.noun_logits for p in predictions]),
+                         [verb for verb, _noun in labels], [noun for _verb, noun in labels], k)

@@ -14,7 +14,7 @@ of the sublayer output and its input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 CROSS_ATTENTION_MODES = ("query_stream", "context_stream")
-CLIP_AGG_MODES = ("mean", "relational")
 
 
 @dataclass
@@ -58,10 +57,6 @@ class ModelConfig:
     d_ff: int | None = None
     vocab_size: int | None = None
     layer_norm_eps: float = 1e-5
-    cross_attention_values: str = "query_stream"
-    decoder_self_attention: bool = True
-    clip_agg: str = "mean"
-    relational_clips: int | None = None
 
     @property
     def ff_width(self) -> int:
@@ -91,14 +86,6 @@ class ModelConfig:
             errs.append(f"vocab_size must be >= 1, got {self.vocab_size}")
         if self.layer_norm_eps <= 0:
             errs.append(f"layer_norm_eps must be > 0, got {self.layer_norm_eps}")
-        if self.cross_attention_values not in CROSS_ATTENTION_MODES:
-            errs.append(f"cross_attention_values must be one of {CROSS_ATTENTION_MODES}, "
-                        f"got {self.cross_attention_values!r}")
-        if self.clip_agg not in CLIP_AGG_MODES:
-            errs.append(f"clip_agg must be one of {CLIP_AGG_MODES}, got {self.clip_agg!r}")
-        if self.clip_agg == "relational" and (self.relational_clips is None
-                                              or self.relational_clips < 1):
-            errs.append("relational clip aggregation needs relational_clips >= 1")
         return errs
 
     def check(self) -> "ModelConfig":
@@ -154,141 +141,119 @@ class EncoderLayerParams:
 
 @dataclass
 class DecoderLayerParams:
+    self_attn: AttentionParams
+    ln_self: LayerNormParams
     cross: AttentionParams
     ln_cross: LayerNormParams
     ff_in: Affine
     ff_out: Affine
     ln_ff: LayerNormParams
-    self_attn: AttentionParams | None = None
-    ln_self: LayerNormParams | None = None
 
 
-def _uniform(rng, fan_in: int, shape) -> np.ndarray:
+# Layouts are built with an initialiser in every tensor slot, a function of
+# the rng that returns the slot's initial array; `ModelParams` then fills
+# the slots in walk order, so that order is also the order of the draws.
+
+def _uniform(fan_in: int, shape):
     bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+    return lambda rng: rng.uniform(-bound, bound, size=shape)
 
 
-def _new_affine(rng, fan_in: int, fan_out: int) -> Affine:
-    return Affine(weight=Tensor(_uniform(rng, fan_in, (fan_in, fan_out)), requires_grad=True),
-                  bias=Tensor(np.zeros(fan_out), requires_grad=True))
+def _constant(value: float, d: int):
+    return lambda rng: np.full(d, value)
+
+
+def _new_affine(fan_in: int, fan_out: int) -> Affine:
+    return Affine(weight=_uniform(fan_in, (fan_in, fan_out)), bias=_constant(0.0, fan_out))
 
 
 def _new_ln(d: int) -> LayerNormParams:
-    return LayerNormParams(gain=Tensor(np.ones(d), requires_grad=True),
-                           bias=Tensor(np.zeros(d), requires_grad=True))
+    return LayerNormParams(gain=_constant(1.0, d), bias=_constant(0.0, d))
 
 
-def _new_attention(rng, d: int) -> AttentionParams:
-    return AttentionParams(q=_new_affine(rng, d, d), k=_new_affine(rng, d, d),
-                           v=_new_affine(rng, d, d), out=_new_affine(rng, d, d))
+def _new_attention(d: int) -> AttentionParams:
+    return AttentionParams(q=_new_affine(d, d), k=_new_affine(d, d), v=_new_affine(d, d),
+                           out=_new_affine(d, d))
 
 
-def _new_encoder_layer(rng, d: int, d_ff: int) -> EncoderLayerParams:
-    return EncoderLayerParams(attn=_new_attention(rng, d), ln1=_new_ln(d),
-                              ff_in=_new_affine(rng, d, d_ff),
-                              ff_out=_new_affine(rng, d_ff, d), ln2=_new_ln(d))
+def _new_encoder_layer(d: int, d_ff: int) -> EncoderLayerParams:
+    return EncoderLayerParams(attn=_new_attention(d), ln1=_new_ln(d),
+                              ff_in=_new_affine(d, d_ff), ff_out=_new_affine(d_ff, d),
+                              ln2=_new_ln(d))
 
 
-def _new_decoder_layer(rng, d: int, d_ff: int, with_self: bool) -> DecoderLayerParams:
-    self_attn = _new_attention(rng, d) if with_self else None
-    ln_self = _new_ln(d) if with_self else None
-    return DecoderLayerParams(cross=_new_attention(rng, d), ln_cross=_new_ln(d),
-                              ff_in=_new_affine(rng, d, d_ff),
-                              ff_out=_new_affine(rng, d_ff, d), ln_ff=_new_ln(d),
-                              self_attn=self_attn, ln_self=ln_self)
+def _new_decoder_layer(d: int, d_ff: int) -> DecoderLayerParams:
+    return DecoderLayerParams(self_attn=_new_attention(d), ln_self=_new_ln(d),
+                              cross=_new_attention(d), ln_cross=_new_ln(d),
+                              ff_in=_new_affine(d, d_ff), ff_out=_new_affine(d_ff, d),
+                              ln_ff=_new_ln(d))
+
+
+# dotted-name segments that differ from the attribute they stand for
+_SEGMENT = {"encoder": "enc", "dec_visual": "dec_v", "dec_text": "dec_t", "self_attn": "self"}
+
+
+def _slots(owner, attrs, prefix: str = ""):
+    """(dotted name, owner, attribute) of every tensor slot under the
+    attributes `attrs` of `owner`, depth first in declaration order."""
+    for attr in attrs:
+        node = getattr(owner, attr)
+        name = prefix + _SEGMENT.get(attr, attr)
+        if isinstance(node, list):
+            for i, item in enumerate(node):
+                yield from _slots(item, [f.name for f in fields(item)], f"{name}.{i}.")
+        elif is_dataclass(node):
+            yield from _slots(node, [f.name for f in fields(node)], name + ".")
+        elif node is not None:
+            yield name, owner, attr
 
 
 class ModelParams:
     """All learnable state, addressable by dotted names for checkpoints.
 
-    Decoder stacks, the text output head, and the relational clip
-    aggregator are optional groups: a checkpoint stripped of them still
-    loads into an inference-capable model.
+    One walk over the layout (`_slots`) names every tensor for `named`,
+    `tensors` and `from_named` and orders the initial draws. The decoder
+    stacks and the text output head are optional groups: a checkpoint
+    stripped of them still loads into an inference-capable model.
     """
 
-    def __init__(self, config: ModelConfig, seed: int | None = 0, _empty: bool = False):
-        self.config = config.check()
-        self.proj: Affine | None = None
-        self.pos: Tensor | None = None
-        self.cls_verb: Tensor | None = None
-        self.cls_noun: Tensor | None = None
-        self.encoder: list[EncoderLayerParams] = []
-        self.dec_visual: list[DecoderLayerParams] | None = None
-        self.dec_text: list[DecoderLayerParams] | None = None
-        self.head_verb: Affine | None = None
-        self.head_noun: Affine | None = None
-        self.text_head: Affine | None = None
-        self.clip_agg: Affine | None = None
-        if _empty:
-            return
-        cfg = self.config
+    GROUPS = ("proj", "pos", "cls_verb", "cls_noun", "encoder", "dec_visual", "dec_text",
+              "head_verb", "head_noun", "text_head")
+    OPTIONAL = ("dec_visual", "dec_text", "text_head")
+
+    def __init__(self, config: ModelConfig, seed: int | None = 0):
+        self._lay_out(config)
         rng = np.random.default_rng(seed)
+        self._fill(lambda name, init: init(rng))
+
+    def _lay_out(self, config: ModelConfig):
+        self.config = cfg = config.check()
         d, d_ff = cfg.D, cfg.ff_width
-        if cfg.clip_agg == "relational":
-            k = cfg.relational_clips
-            self.clip_agg = _new_affine(rng, k * cfg.D_V, cfg.D_V)
-        self.proj = _new_affine(rng, cfg.D_V, d)
+        self.proj = _new_affine(cfg.D_V, d)
         # positions must be separable from feature content right away, so
         # the positional table starts at feature scale, not at weight scale
-        self.pos = Tensor(rng.uniform(-1.0, 1.0, (cfg.W, d)), requires_grad=True)
-        self.cls_verb = Tensor(_uniform(rng, d, (d,)), requires_grad=True)
-        self.cls_noun = Tensor(_uniform(rng, d, (d,)), requires_grad=True)
-        self.encoder = [_new_encoder_layer(rng, d, d_ff) for _ in range(cfg.n_enc_layers)]
-        self.dec_visual = [_new_decoder_layer(rng, d, d_ff, cfg.decoder_self_attention)
-                           for _ in range(cfg.n_dec_layers)]
-        self.dec_text = [_new_decoder_layer(rng, d, d_ff, cfg.decoder_self_attention)
-                         for _ in range(cfg.n_dec_layers)]
-        self.head_verb = _new_affine(rng, d, cfg.n_verbs)
-        self.head_noun = _new_affine(rng, d, cfg.n_nouns)
-        if cfg.vocab_size is not None:
-            self.text_head = _new_affine(rng, d, cfg.vocab_size)
+        self.pos = lambda rng: rng.uniform(-1.0, 1.0, (cfg.W, d))
+        self.cls_verb = _uniform(d, (d,))
+        self.cls_noun = _uniform(d, (d,))
+        self.encoder: list[EncoderLayerParams] = [
+            _new_encoder_layer(d, d_ff) for _ in range(cfg.n_enc_layers)]
+        self.dec_visual: list[DecoderLayerParams] | None = [
+            _new_decoder_layer(d, d_ff) for _ in range(cfg.n_dec_layers)]
+        self.dec_text: list[DecoderLayerParams] | None = [
+            _new_decoder_layer(d, d_ff) for _ in range(cfg.n_dec_layers)]
+        self.head_verb = _new_affine(d, cfg.n_verbs)
+        self.head_noun = _new_affine(d, cfg.n_nouns)
+        self.text_head = _new_affine(d, cfg.vocab_size) if cfg.vocab_size is not None else None
+
+    def _fill(self, value):
+        """Replace each slot's initialiser by a tensor of `value(name, init)`."""
+        for name, owner, attr in list(_slots(self, self.GROUPS)):
+            setattr(owner, attr, Tensor(value(name, getattr(owner, attr)), requires_grad=True))
 
     # -- naming ------------------------------------------------------------
 
     def named(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-
-        def put_affine(prefix, aff):
-            out[f"{prefix}.weight"] = aff.weight
-            out[f"{prefix}.bias"] = aff.bias
-
-        def put_ln(prefix, ln):
-            out[f"{prefix}.gain"] = ln.gain
-            out[f"{prefix}.bias"] = ln.bias
-
-        def put_attn(prefix, attn):
-            for part in ("q", "k", "v", "out"):
-                put_affine(f"{prefix}.{part}", getattr(attn, part))
-
-        if self.clip_agg is not None:
-            put_affine("clip_agg", self.clip_agg)
-        put_affine("proj", self.proj)
-        out["pos"] = self.pos
-        out["cls_verb"] = self.cls_verb
-        out["cls_noun"] = self.cls_noun
-        for i, layer in enumerate(self.encoder):
-            put_attn(f"enc.{i}.attn", layer.attn)
-            put_ln(f"enc.{i}.ln1", layer.ln1)
-            put_affine(f"enc.{i}.ff_in", layer.ff_in)
-            put_affine(f"enc.{i}.ff_out", layer.ff_out)
-            put_ln(f"enc.{i}.ln2", layer.ln2)
-        for tag, stack in (("dec_v", self.dec_visual), ("dec_t", self.dec_text)):
-            if stack is None:
-                continue
-            for i, layer in enumerate(stack):
-                if layer.self_attn is not None:
-                    put_attn(f"{tag}.{i}.self", layer.self_attn)
-                    put_ln(f"{tag}.{i}.ln_self", layer.ln_self)
-                put_attn(f"{tag}.{i}.cross", layer.cross)
-                put_ln(f"{tag}.{i}.ln_cross", layer.ln_cross)
-                put_affine(f"{tag}.{i}.ff_in", layer.ff_in)
-                put_affine(f"{tag}.{i}.ff_out", layer.ff_out)
-                put_ln(f"{tag}.{i}.ln_ff", layer.ln_ff)
-        put_affine("head_verb", self.head_verb)
-        put_affine("head_noun", self.head_noun)
-        if self.text_head is not None:
-            put_affine("text_head", self.text_head)
-        return out
+        return {name: getattr(owner, attr) for name, owner, attr in _slots(self, self.GROUPS)}
 
     def tensors(self) -> list[Tensor]:
         return list(self.named().values())
@@ -300,63 +265,20 @@ class ModelParams:
     @classmethod
     def from_named(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "ModelParams":
         """Rebuild from name->array pairs; optional groups may be absent."""
-        params = cls(config, _empty=True)
+        params = cls.__new__(cls)
+        params._lay_out(config)
+        for attr in cls.OPTIONAL:
+            if getattr(params, attr) and not any(
+                    name in arrays for name, _owner, _attr in _slots(params, (attr,))):
+                setattr(params, attr, None)
         remaining = dict(arrays)
 
-        def take(name) -> Tensor:
+        def take(name, _init):
             if name not in remaining:
                 raise KeyError(f"checkpoint is missing parameter {name!r}")
-            return Tensor(remaining.pop(name), requires_grad=True)
+            return remaining.pop(name)
 
-        def take_affine(prefix) -> Affine:
-            return Affine(weight=take(f"{prefix}.weight"), bias=take(f"{prefix}.bias"))
-
-        def take_ln(prefix) -> LayerNormParams:
-            return LayerNormParams(gain=take(f"{prefix}.gain"), bias=take(f"{prefix}.bias"))
-
-        def take_attn(prefix) -> AttentionParams:
-            return AttentionParams(q=take_affine(f"{prefix}.q"), k=take_affine(f"{prefix}.k"),
-                                   v=take_affine(f"{prefix}.v"), out=take_affine(f"{prefix}.out"))
-
-        def group_present(prefix) -> bool:
-            return any(n.startswith(prefix + ".") or n == prefix for n in remaining)
-
-        if group_present("clip_agg"):
-            params.clip_agg = take_affine("clip_agg")
-        params.proj = take_affine("proj")
-        params.pos = take("pos")
-        params.cls_verb = take("cls_verb")
-        params.cls_noun = take("cls_noun")
-        params.encoder = []
-        for i in range(config.n_enc_layers):
-            params.encoder.append(EncoderLayerParams(
-                attn=take_attn(f"enc.{i}.attn"), ln1=take_ln(f"enc.{i}.ln1"),
-                ff_in=take_affine(f"enc.{i}.ff_in"), ff_out=take_affine(f"enc.{i}.ff_out"),
-                ln2=take_ln(f"enc.{i}.ln2")))
-        for tag in ("dec_v", "dec_t"):
-            if not group_present(f"{tag}.0") and config.n_dec_layers > 0:
-                stack = None  # stripped checkpoint: decoders absent
-            else:
-                stack = []
-                for i in range(config.n_dec_layers):
-                    with_self = group_present(f"{tag}.{i}.self")
-                    layer = DecoderLayerParams(
-                        cross=take_attn(f"{tag}.{i}.cross"),
-                        ln_cross=take_ln(f"{tag}.{i}.ln_cross"),
-                        ff_in=take_affine(f"{tag}.{i}.ff_in"),
-                        ff_out=take_affine(f"{tag}.{i}.ff_out"),
-                        ln_ff=take_ln(f"{tag}.{i}.ln_ff"),
-                        self_attn=take_attn(f"{tag}.{i}.self") if with_self else None,
-                        ln_self=take_ln(f"{tag}.{i}.ln_self") if with_self else None)
-                    stack.append(layer)
-            if tag == "dec_v":
-                params.dec_visual = stack
-            else:
-                params.dec_text = stack
-        params.head_verb = take_affine("head_verb")
-        params.head_noun = take_affine("head_noun")
-        if group_present("text_head"):
-            params.text_head = take_affine("text_head")
+        params._fill(take)
         if remaining:
             raise KeyError(f"checkpoint has unexpected parameters: {sorted(remaining)[:5]}")
         return params
@@ -472,12 +394,10 @@ def encoder_layer(h: Tensor, params: EncoderLayerParams, n_heads: int,
 
 
 def decoder_layer(h: Tensor, context: Tensor, params: DecoderLayerParams,
-                  n_heads: int, eps: float = 1e-5,
-                  values_from: str = "query_stream") -> Tensor:
-    if params.self_attn is not None:
-        attn = self_attention(h, params.self_attn, n_heads)
-        h = T.layer_norm(T.add(attn, h), params.ln_self.gain, params.ln_self.bias, eps)
-    cross = cross_attention(h, context, params.cross, n_heads, values_from)
+                  n_heads: int, eps: float = 1e-5) -> Tensor:
+    attn = self_attention(h, params.self_attn, n_heads)
+    h = T.layer_norm(T.add(attn, h), params.ln_self.gain, params.ln_self.bias, eps)
+    cross = cross_attention(h, context, params.cross, n_heads)
     h = T.layer_norm(T.add(cross, h), params.ln_cross.gain, params.ln_cross.bias, eps)
     ff = _feed_forward(h, params.ff_in, params.ff_out)
     return T.layer_norm(T.add(ff, h), params.ln_ff.gain, params.ln_ff.bias, eps)
@@ -552,8 +472,7 @@ def decode(masked: EncodedSequence, context: EncodedSequence, params: ModelParam
     cfg = params.config
     h = masked.positions
     for layer in stack:
-        h = decoder_layer(h, context.positions, layer, cfg.n_heads,
-                          cfg.layer_norm_eps, cfg.cross_attention_values)
+        h = decoder_layer(h, context.positions, layer, cfg.n_heads, cfg.layer_norm_eps)
     return h
 
 
@@ -587,30 +506,18 @@ class SeqDGModel:
     def init(cls, config: ModelConfig, seed: int = 0) -> "SeqDGModel":
         return cls(config, ModelParams(config, seed=seed))
 
-    def _aggregate(self, visual: Tensor) -> Tensor:
-        # relational mode consumes raw clip stacks (..., W, k, D_V)
-        if self.config.clip_agg != "relational":
-            return visual
-        if visual.ndim < 3 or visual.shape[-2] != self.config.relational_clips:
-            raise ShapeError(f"expected {self.config.relational_clips} clips per "
-                             f"action, got shape {visual.shape}")
-        *lead, w, k, d_v = visual.shape
-        flat = T.reshape(visual, tuple(lead) + (w, k * d_v))
-        return _linear(flat, self.params.clip_agg)
-
     def forward_train(self, visual, text=None, *, recon_v: bool = False,
                       recon_t: bool = False, token_text: bool = False,
                       frozen_targets: tuple | None = None) -> TrainForward:
         """Full training forward.
 
-        `visual` is (..., W, D_V), or (..., W, k, D_V) under relational clip
-        aggregation; `text` is (..., W, D_T) and is required whenever a
+        `visual` is (..., W, D_V); `text` is (..., W, D_T) and is required whenever a
         reconstruction path runs (each decoder needs the other stream).
         `frozen_targets` substitutes precomputed reconstruction targets,
         which is how the gradient checker pins the stop-gradient branch.
         """
         x = visual if isinstance(visual, Tensor) else Tensor(visual)
-        enc = encode_sequence(self._aggregate(x), self.params)
+        enc = encode_sequence(x, self.params)
         verb_logits, noun_logits = classify(enc.cls_slots, self.params)
         out = TrainForward(verb_logits=verb_logits, noun_logits=noun_logits, encoded=enc)
         if not (recon_v or recon_t):
@@ -640,6 +547,6 @@ class SeqDGModel:
         """Inference: encode and classify. No masking, no decoders, no text."""
         with T.no_grad():
             x = visual if isinstance(visual, Tensor) else Tensor(visual)
-            enc = encode_sequence(self._aggregate(x), self.params)
+            enc = encode_sequence(x, self.params)
             verb, noun = classify(enc.cls_slots, self.params)
         return verb.data, noun.data

@@ -6,6 +6,10 @@ SGD (momentum opt-in, default off) with a piecewise-constant learning
 rate that drops by a fixed factor at the configured epochs. Every source
 of randomness is a named stream derived from (seed, purpose, epoch,
 index), so identical inputs give bitwise-identical checkpoints.
+
+Two library entry points wrap the loop: `train_and_score`, one cell of an
+ablation (train, then target-split action top-1), and
+`objective_grad_check`, the finite-difference check of the full objective.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ from seqdg.data import (
     build_windows,
     seqmix,
 )
+from seqdg.evaluate import accuracy, predict_windows, sliding_window_predict, topk_accuracy
 from seqdg.model import ModelConfig, SeqDGModel, TrainForward
-from seqdg.tensor import NonFiniteError, Tensor
+from seqdg.tensor import GradCheckReport, NonFiniteError, Tensor
 
 __all__ = [
     "TrainConfig",
@@ -37,9 +42,12 @@ __all__ = [
     "composite_loss",
     "lr_at",
     "fit",
+    "train_and_score",
+    "objective_grad_check",
 ]
 
 TEXT_LOSS_KINDS = ("mse", "token_cross_entropy")
+LOSS_KEYS = ("l_c", "l_rv", "l_rt", "total")
 
 
 class DivergenceError(RuntimeError):
@@ -61,14 +69,12 @@ class TrainConfig:
     lambda_rt: float = 1.0
     text_loss: str = "mse"
     p_mix: float = 0.5
-    seqmix_exclude_center: bool = False
     batch_size: int = 32
     lr: float = 0.005
     lr_decay_epochs: tuple[int, ...] = (50, 75)
     lr_decay_factor: float = 10.0
     epochs: int = 100
     momentum: float = 0.0
-    n_clips_sample: int | None = None   # None = aggregate all stored clips
     seed: int = 0
 
     @property
@@ -97,8 +103,6 @@ class TrainConfig:
             errs.append("epochs must be >= 0")
         if self.momentum < 0 or self.momentum >= 1:
             errs.append(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.n_clips_sample is not None and self.n_clips_sample < 1:
-            errs.append("n_clips_sample must be >= 1 or null")
         return errs
 
     def check(self) -> "TrainConfig":
@@ -192,6 +196,9 @@ def composite_loss(outputs: TrainForward, verbs: np.ndarray, nouns: np.ndarray,
 
 @dataclass
 class EpochMetrics:
+    """One epoch: its learning rate, the window-weighted means of the batch
+    loss breakdowns, and source-split top-1 accuracy after the epoch."""
+
     epoch: int
     lr: float
     l_c: float
@@ -239,20 +246,6 @@ def _stream(*key) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(tuple(int(k) for k in key)))
 
 
-def _source_accuracy(cache, model, windows, batch_size=512):
-    verb_hits = noun_hits = act_hits = 0
-    for start in range(0, len(windows), batch_size):
-        batch = cache.batch(windows[start:start + batch_size])
-        verb_logits, noun_logits = model.predict_logits(batch.visual)
-        v_ok = verb_logits.argmax(axis=-1) == batch.verbs
-        n_ok = noun_logits.argmax(axis=-1) == batch.nouns
-        verb_hits += int(v_ok.sum())
-        noun_hits += int(n_ok.sum())
-        act_hits += int((v_ok & n_ok).sum())
-    n = len(windows)
-    return 100.0 * verb_hits / n, 100.0 * noun_hits / n, 100.0 * act_hits / n
-
-
 def fit(store: FeatureStore, model: SeqDGModel, config: TrainConfig, *,
         embedder: NarrationEmbedder | None = None,
         metrics_path=None) -> TrainResult:
@@ -273,11 +266,9 @@ def fit(store: FeatureStore, model: SeqDGModel, config: TrainConfig, *,
     if needs_text and embedder is None and store.text is None:
         embedder = NarrationEmbedder(len(store.vocab), store.d_t, seed=config.seed)
 
-    keep_clips = config.model.clip_agg == "relational"
-    stochastic_clips = (config.n_clips_sample is not None
-                        and config.n_clips_sample < store.clips_per_action)
-    cache = FeatureCache(store, embedder=embedder, with_text=needs_text,
-                         n_clips_sample=config.n_clips_sample, keep_clips=keep_clips)
+    cache = FeatureCache(store, records, embedder=embedder, with_text=needs_text)
+    verbs = np.array([w.center_record.verb for w in windows])
+    nouns = np.array([w.center_record.noun for w in windows])
     optimizer = _SGD(model.params.tensors(), config.momentum)
     metrics: list[EpochMetrics] = []
     metrics_file = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
@@ -285,20 +276,12 @@ def fit(store: FeatureStore, model: SeqDGModel, config: TrainConfig, *,
         for epoch in range(config.epochs):
             lr = lr_at(epoch, config)
             order = _stream(config.seed, 3, epoch).permutation(len(windows))
-            epoch_cache = cache
-            if stochastic_clips:
-                epoch_cache = FeatureCache(
-                    store, embedder=embedder, with_text=needs_text,
-                    rng=_stream(config.seed, 4, epoch),
-                    n_clips_sample=config.n_clips_sample, keep_clips=keep_clips)
-            last = LossBreakdown(0.0, 0.0, 0.0, 0.0)
+            loss_sums = dict.fromkeys(LOSS_KEYS, 0.0)
             for b_index, start in enumerate(range(0, len(order), config.batch_size)):
                 chunk = [windows[j] for j in order[start:start + config.batch_size]]
                 if config.p_mix > 0:
                     chunk = [seqmix(win, pool, config.p_mix,
-                                    _stream(config.seed, 5, epoch, j),
-                                    exclude_center=config.seqmix_exclude_center,
-                                    stats=stats)
+                                    _stream(config.seed, 5, epoch, j), stats=stats)
                              for win, j in zip(chunk, order[start:start + config.batch_size])]
                 for win in chunk:
                     for rec in win.records:
@@ -307,21 +290,24 @@ def fit(store: FeatureStore, model: SeqDGModel, config: TrainConfig, *,
                                              f"{rec.domain_id!r} reached the "
                                              "training loop")
                 try:
-                    batch = epoch_cache.batch(chunk)
+                    batch = cache.batch(chunk)
                     out = model.forward_train(batch.visual, batch.text,
                                               recon_v=need_recon_v,
                                               recon_t=need_recon_t,
                                               token_text=token_text)
-                    total, last = composite_loss(out, batch.verbs, batch.nouns,
-                                                 config, batch.center_tokens)
+                    total, parts = composite_loss(out, batch.verbs, batch.nouns,
+                                                  config, batch.center_tokens)
                     optimizer.zero()
                     total.backward()
                 except NonFiniteError as exc:
                     raise DivergenceError(epoch, b_index, str(exc)) from exc
                 optimizer.step(lr)
-            accs = _source_accuracy(cache, model, windows)
-            entry = EpochMetrics(epoch=epoch, lr=lr, l_c=last.l_c, l_rv=last.l_rv,
-                                 l_rt=last.l_rt, total=last.total,
+                for key in LOSS_KEYS:
+                    loss_sums[key] += len(chunk) * getattr(parts, key)
+            verb_logits, noun_logits = predict_windows(cache, model, windows, 512)
+            accs = topk_accuracy(verb_logits, noun_logits, verbs, nouns)
+            entry = EpochMetrics(epoch=epoch, lr=lr,
+                                 **{k: v / len(windows) for k, v in loss_sums.items()},
                                  source_verb_acc=accs[0], source_noun_acc=accs[1],
                                  source_action_acc=accs[2])
             metrics.append(entry)
@@ -334,3 +320,45 @@ def fit(store: FeatureStore, model: SeqDGModel, config: TrainConfig, *,
     rng_state = _stream(config.seed, 6, config.epochs).bit_generator.state
     return TrainResult(model=model, metrics=metrics, seqmix_stats=stats,
                        rng_state=rng_state)
+
+
+def train_and_score(store: FeatureStore, config: TrainConfig) -> float:
+    """One ablation cell: initialise a model from `config` (seeded by its
+    seed), fit it on the source split and return its target-split action
+    top-1 (%)."""
+    model = SeqDGModel.init(config.model, seed=config.seed)
+    fit(store, model, config)
+    preds = sliding_window_predict(store, model)
+    labels = [r.label for r in store.records_for(store.split.target)]
+    return accuracy(preds, labels, k=1)[2]
+
+
+def objective_grad_check(text_loss: str, *, seed: int = 0, data_seed: int = 0,
+                         h: float = 1e-5, tol: float = 1e-3) -> GradCheckReport:
+    """Finite-difference check of every parameter's gradient of the full
+    objective (classification plus both reconstructions, the text term as
+    `text_loss`) on a tiny model initialised from `seed` and a random
+    batch of two windows drawn from `data_seed`. The reconstruction
+    targets are frozen so that the stop-gradient branch is held fixed."""
+    config = ModelConfig(W=3, D=8, D_V=6, D_T=8, n_enc_layers=1, n_dec_layers=1,
+                         n_heads=2, n_verbs=5, n_nouns=5, d_ff=16, vocab_size=10)
+    model = SeqDGModel.init(config, seed=seed)
+    rng = np.random.default_rng(data_seed)
+    visual = rng.standard_normal((2, 3, 6))
+    text = rng.standard_normal((2, 3, 8))
+    verbs = rng.integers(0, 5, size=2)
+    nouns = rng.integers(0, 5, size=2)
+    tokens = tuple((int(rng.integers(10)), int(rng.integers(10))) for _ in range(2))
+    with T.no_grad():
+        frozen_out = model.forward_train(visual, text, recon_v=True, recon_t=True)
+        frozen = (frozen_out.target_v.data.copy(), frozen_out.target_t.data.copy())
+    cfg = TrainConfig(model=config, lambda_rv=1.0, lambda_rt=1.0, text_loss=text_loss,
+                      epochs=0)
+
+    def loss():
+        out = model.forward_train(visual, text, recon_v=True, recon_t=True,
+                                  token_text=text_loss == "token_cross_entropy",
+                                  frozen_targets=frozen)
+        return composite_loss(out, verbs, nouns, cfg, tokens)[0]
+
+    return T.grad_check(loss, model.params.named(), h=h, tol=tol)

@@ -15,7 +15,7 @@ import pytest
 import seqdg.tensor as T
 from seqdg.checkpoint import load_model, save_checkpoint, strip_text_parameters
 from seqdg.data import SeqMixPool, SeqMixStats, build_windows, seqmix
-from seqdg.evaluate import accuracy, sliding_window_predict
+from seqdg.evaluate import sliding_window_predict
 from seqdg.model import (
     ModelConfig,
     SeqDGModel,
@@ -25,8 +25,8 @@ from seqdg.model import (
 )
 from seqdg.seqstats import count_all_categories, count_repeats, format_table
 from seqdg.synth import SynthConfig, generate
-from seqdg.tensor import Tensor, grad_check
-from seqdg.train import TrainConfig, composite_loss, fit, lr_at
+from seqdg.tensor import Tensor
+from seqdg.train import TrainConfig, fit, lr_at, objective_grad_check, train_and_score
 
 from test_data import mixing_setup
 from test_seqstats import CRAFTED, brute_force_counts, corpus_from_label_rows
@@ -65,11 +65,7 @@ def bench_run(seed: int, W: int, lam: float, p_mix: float) -> float:
     train_cfg = TrainConfig(model=model_cfg, lambda_rv=lam, lambda_rt=lam,
                             p_mix=p_mix, batch_size=16, lr=0.1,
                             lr_decay_epochs=(9, 12), epochs=15, seed=seed)
-    model = SeqDGModel.init(model_cfg, seed=seed)
-    fit(store, model, train_cfg)
-    preds = sliding_window_predict(store, model)
-    labels = [(r.verb, r.noun) for r in store.records_for(store.split.target)]
-    return accuracy(preds, labels, k=1)[2]
+    return train_and_score(store, train_cfg)
 
 
 @pytest.fixture(scope="session")
@@ -91,33 +87,10 @@ def bench_grid():
 
 
 def test_criterion_1_gradient_fidelity():
-    config = ModelConfig(W=3, D=8, D_V=6, D_T=8, n_enc_layers=1, n_dec_layers=1,
-                         n_heads=2, n_verbs=5, n_nouns=5, d_ff=16, vocab_size=10)
-    model = SeqDGModel.init(config, seed=0)
-    rng = np.random.default_rng(1)
-    visual = rng.standard_normal((2, 3, 6))
-    text = rng.standard_normal((2, 3, 8))
-    verbs = rng.integers(0, 5, size=2)
-    nouns = rng.integers(0, 5, size=2)
-    tokens = tuple((int(rng.integers(10)), int(rng.integers(10))) for _ in range(2))
-    with T.no_grad():
-        frozen_out = model.forward_train(visual, text, recon_v=True, recon_t=True)
-        frozen = (frozen_out.target_v.data.copy(), frozen_out.target_t.data.copy())
-
     start = time.monotonic()
     worst = {}
     for kind in ("mse", "token_cross_entropy"):
-        cfg = TrainConfig(model=config, lambda_rv=1.0, lambda_rt=1.0,
-                          text_loss=kind, epochs=0)
-
-        def loss():
-            out = model.forward_train(visual, text, recon_v=True, recon_t=True,
-                                      token_text=kind == "token_cross_entropy",
-                                      frozen_targets=frozen)
-            total, _ = composite_loss(out, verbs, nouns, cfg, tokens)
-            return total
-
-        report = grad_check(loss, model.params.named(), h=1e-5, tol=1e-3)
+        report = objective_grad_check(kind, seed=0, data_seed=1, h=1e-5, tol=1e-3)
         assert report.passed, f"{kind}: {report.summary()}"
         worst[kind] = report.max_rel_err
     elapsed = time.monotonic() - start

@@ -1,13 +1,16 @@
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from seqdg.checkpoint import save_checkpoint
 from seqdg.cli import main
 from seqdg.config import ConfigError, load_run_config
 from seqdg.data import write_annotation_csv
+from seqdg.model import ModelConfig, ModelParams
 
 SMALL_SYNTH = {
     "synth": {"n_source_domains": 2, "n_target_domains": 1,
@@ -37,6 +40,13 @@ def dataset_dir(tmp_path, config_path):
     assert main(["synth-gen", "--config", str(config_path),
                  "--out", str(out)]) == 0
     return out
+
+
+@pytest.fixture
+def checkpoint_path(tmp_path):
+    """An untrained checkpoint that fits the `dataset_dir` dataset."""
+    params = ModelParams(ModelConfig(**SMALL_SYNTH["model"]), seed=0)
+    return save_checkpoint(tmp_path / "model.ckpt", params)
 
 
 def sha(path):
@@ -90,6 +100,19 @@ class TestSynthGen:
         bad.write_text(json.dumps({"synth": {"nope": 1}}))
         assert main(["synth-gen", "--config", str(bad),
                      "--out", str(tmp_path / "x")]) == 2
+
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "clip_agg", "mean"), ("model", "relational_clips", None),
+        ("model", "cross_attention_values", "query_stream"),
+        ("model", "decoder_self_attention", True),
+        ("train", "seqmix_exclude_center", False), ("train", "n_clips_sample", None)])
+    def test_retired_keys_are_config_errors(self, tmp_path, section, key, value):
+        cfg = json.loads(json.dumps(SMALL_SYNTH))
+        cfg[section][key] = value
+        path = tmp_path / "retired.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["synth-gen", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
 
 
 class TestTrainEval:
@@ -217,3 +240,86 @@ class TestGradCheckCommand:
         report = json.loads((out / "grad_check.json").read_text())
         assert set(report) == {"mse", "token_cross_entropy"}
         assert all(r["passed"] for r in report.values())
+
+
+def split_checkpoint(raw: bytes):
+    """(header dict, payload bytes) of a checkpoint file's contents."""
+    n = struct.unpack("<Q", raw[12:20])[0]
+    return json.loads(raw[20:20 + n]), raw[20 + n:]
+
+
+def with_header(raw: bytes, edit) -> bytes:
+    """The checkpoint bytes `raw` with `edit` applied to the JSON header."""
+    header, payload = split_checkpoint(raw)
+    edit(header)
+    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+    return raw[:12] + struct.pack("<Q", len(encoded)) + encoded + payload
+
+
+def header_length(raw: bytes) -> int:
+    return struct.unpack("<Q", raw[12:20])[0]
+
+
+CORRUPT_CHECKPOINTS = {
+    "truncated_payload": lambda raw: raw[:-100],
+    "half_length": lambda raw: raw[:len(raw) // 2],
+    "header_past_end": lambda raw: raw[:12] + struct.pack("<Q", len(raw)) + raw[20:],
+    "undecodable_header": lambda raw: (raw[:20] + b"\xff" * header_length(raw)
+                                       + raw[20 + header_length(raw):]),
+    "unknown_config_key": lambda raw: with_header(
+        raw, lambda h: h["config"].update(mystery=1)),
+    "invalid_config_value": lambda raw: with_header(raw, lambda h: h["config"].update(W=4)),
+    "retired_key_changed": lambda raw: with_header(
+        raw, lambda h: h["config"].update(decoder_self_attention=False)),
+}
+
+RETIRED_DEFAULTS = {"cross_attention_values": "query_stream",
+                    "decoder_self_attention": True, "clip_agg": "mean",
+                    "relational_clips": None}
+
+
+class TestCheckpointInputErrors:
+    def eval(self, tmp_path, ckpt, dataset_dir):
+        return main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset_dir),
+                     "--out", str(tmp_path / "ev")])
+
+    @pytest.mark.parametrize("case", sorted(CORRUPT_CHECKPOINTS))
+    def test_malformed_checkpoint_is_data_error(self, case, tmp_path, dataset_dir,
+                                                checkpoint_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(CORRUPT_CHECKPOINTS[case](checkpoint_path.read_bytes()))
+        assert self.eval(tmp_path, bad, dataset_dir) == 3
+        assert "data error" in capsys.readouterr().err
+
+    def test_retired_keys_at_their_old_defaults_still_load(self, tmp_path, dataset_dir,
+                                                           checkpoint_path):
+        # checkpoints written before the keys were retired echo all four
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(with_header(checkpoint_path.read_bytes(),
+                                    lambda h: h["config"].update(RETIRED_DEFAULTS)))
+        assert self.eval(tmp_path, old, dataset_dir) == 0
+        assert main(["eval", "--checkpoint", str(checkpoint_path), "--data",
+                     str(dataset_dir), "--out", str(tmp_path / "ev_current")]) == 0
+        assert ((tmp_path / "ev" / "results.json").read_bytes()
+                == (tmp_path / "ev_current" / "results.json").read_bytes())
+
+
+CORRUPT_MANIFESTS = {
+    "missing_key": lambda actions: actions[0].pop("verb"),
+    "wrong_type": lambda actions: actions[0].update(verb="3"),
+    "duplicate_id": lambda actions: actions[1].update(action_id=actions[0]["action_id"]),
+    "id_out_of_range": lambda actions: actions[0].update(action_id=len(actions)),
+}
+
+
+class TestManifestInputErrors:
+    @pytest.mark.parametrize("case", sorted(CORRUPT_MANIFESTS))
+    def test_malformed_action_is_data_error(self, case, tmp_path, dataset_dir,
+                                            checkpoint_path, capsys):
+        path = dataset_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        CORRUPT_MANIFESTS[case](manifest["actions"])
+        path.write_text(json.dumps(manifest))
+        assert main(["eval", "--checkpoint", str(checkpoint_path), "--data",
+                     str(dataset_dir), "--out", str(tmp_path / "ev")]) == 3
+        assert "data error" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,16 +9,14 @@ from seqdg.data import (
     ActionRecord,
     DataError,
     DatasetSplit,
+    FeatureCache,
     FeatureStore,
     NarrationEmbedder,
     SeqMixPool,
     SeqMixStats,
-    aggregate_clips,
     build_windows,
     import_csv_dataset,
-    materialize,
     read_annotation_csv,
-    sample_clip_indices,
     seqmix,
     write_annotation_csv,
 )
@@ -70,6 +70,13 @@ class TestFeatureStore:
     def test_split_domains_must_be_disjoint(self):
         with pytest.raises(DataError, match="overlap"):
             DatasetSplit(source=("S0", "S1"), target=("S1",))
+
+    @pytest.mark.parametrize("ids", [(0, 0, 2, 3, 4, 5), (0, 1, 2, 3, 4, 6), (-1, 1, 2, 3, 4, 5)])
+    def test_action_ids_must_be_dense_and_unique(self, ids):
+        store = make_store()
+        records = [replace(r, action_id=i) for r, i in zip(store.records, ids)]
+        with pytest.raises(DataError, match="action id"):
+            FeatureStore(store.meta, records, store.vocab, store.split, store.visual)
 
     def test_clips_shape(self):
         store = make_store()
@@ -125,40 +132,26 @@ class TestBuildWindows:
         assert [win.center_record.action_id for win in windows] == list(range(n))
 
 
+def single_action_store(clips):
+    """A store holding one action with the given (n_clips, D_V) clip stack."""
+    clips = np.asarray(clips, dtype="<f4")
+    record = ActionRecord(action_id=0, video_id="v0", domain_id="S0", verb=0, noun=0,
+                          narration=(0,), temporal_index=0, blob_offset=0,
+                          n_clips=clips.shape[0])
+    meta = {"name": "one", "d_v": clips.shape[1], "d_t": 2,
+            "clips_per_action": clips.shape[0]}
+    return FeatureStore(meta, [record], ["a"], DatasetSplit(("S0",), ()), clips.reshape(-1))
+
+
 class TestClipAggregation:
     def test_mean_of_identical_clips(self):
         c = np.array([1.5, -2.0, 0.5])
-        clips = np.stack([c] * 5)
-        np.testing.assert_array_equal(aggregate_clips(clips, "mean"), c)
+        store = single_action_store(np.stack([c] * 5))
+        np.testing.assert_array_equal(FeatureCache(store, store.records).visual[0], c)
 
     def test_mean_of_simple_clips(self):
-        clips = np.array([[1.0], [2.0], [3.0]])
-        assert aggregate_clips(clips, "mean").tolist() == [2.0]
-
-    def test_relational_identity_init_is_concatenation(self):
-        clips = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = aggregate_clips(clips, "relational", weight=np.eye(4))
-        assert out.tolist() == [1.0, 2.0, 3.0, 4.0]
-
-    def test_relational_requires_matching_weight(self):
-        with pytest.raises(DataError):
-            aggregate_clips(np.ones((2, 2)), "relational", weight=np.eye(3))
-
-    def test_eval_indices_evenly_spaced_and_deterministic(self):
-        idx = sample_clip_indices(25, 5)
-        assert idx.tolist() == [0, 6, 12, 18, 24]
-        assert sample_clip_indices(25, 5).tolist() == idx.tolist()
-
-    def test_train_sampling_without_replacement(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            idx = sample_clip_indices(25, 5, rng)
-            assert len(set(idx.tolist())) == 5
-            assert sorted(idx.tolist()) == idx.tolist()
-
-    def test_oversampling_rejected(self):
-        with pytest.raises(DataError):
-            sample_clip_indices(3, 4)
+        store = single_action_store([[1.0], [2.0], [3.0]])
+        assert FeatureCache(store, store.records).visual[0].tolist() == [2.0]
 
 
 class TestNarrationEmbedder:
@@ -277,22 +270,14 @@ class TestSeqMix:
         assert 0.48 <= rate <= 0.52
         assert stats.no_candidate == 0
 
-    def test_exclude_center_flag(self):
-        records = mixing_setup()
-        pool = SeqMixPool(records, ["S0", "S1", "S2"])
-        window = build_windows([r for r in records if r.domain_id == "S0"], W=3)[1]
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            out = seqmix(window, pool, 1.0, rng, exclude_center=True)
-            assert out.records[window.center] is window.records[window.center]
 
-
-class TestMaterialize:
+class TestFeatureCache:
     def test_mean_aggregated_batch_shapes(self):
         store = make_store(with_text=False)
         windows = build_windows(store.records, W=3)
         emb = NarrationEmbedder(len(store.vocab), store.d_t, seed=0)
-        batch = materialize(store, windows[:4], embedder=emb, with_text=True)
+        cache = FeatureCache(store, store.records, embedder=emb, with_text=True)
+        batch = cache.batch(windows[:4])
         assert batch.visual.shape == (4, 3, 4)
         assert batch.text.shape == (4, 3, 3)
         assert batch.verbs.shape == (4,)
@@ -301,25 +286,21 @@ class TestMaterialize:
     def test_store_text_features_take_precedence(self):
         store = make_store(with_text=True)
         windows = build_windows(store.records, W=1)
-        batch = materialize(store, windows[:1], with_text=True)
+        batch = FeatureCache(store, store.records, with_text=True).batch(windows[:1])
         expected = store.text_feature(windows[0].center_record)
         np.testing.assert_allclose(batch.visual[0, 0],
                                    store.clips(windows[0].center_record)
                                    .astype(np.float64).mean(axis=0))
         np.testing.assert_allclose(batch.text[0, 0], expected.astype(np.float64))
 
-    def test_keep_clips_returns_stack(self):
+    def test_serves_only_its_records(self):
         store = make_store()
-        windows = build_windows(store.records, W=1)
-        batch = materialize(store, windows[:2], keep_clips=True)
-        assert batch.visual.shape == (2, 1, 2, 4)
-
-    def test_clip_sampling_deterministic_without_rng(self):
-        store = make_store()
-        windows = build_windows(store.records, W=3)
-        a = materialize(store, windows[:3], n_clips_sample=1)
-        b = materialize(store, windows[:3], n_clips_sample=1)
-        assert a.visual.tobytes() == b.visual.tobytes()
+        first_video = [r for r in store.records if r.video_id == "v0"]
+        cache = FeatureCache(store, first_video)
+        assert cache.visual.shape == (len(first_video), store.d_v)
+        other = build_windows([r for r in store.records if r.video_id == "v1"], W=1)
+        with pytest.raises(DataError, match="not among the cached records"):
+            cache.batch(other[:1])
 
 
 class TestAnnotationCSV:

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqdg.evaluate import Prediction, accuracy, sliding_window_predict, topk_indices
+from seqdg.evaluate import (
+    Prediction,
+    accuracy,
+    sliding_window_predict,
+    topk_accuracy,
+    topk_indices,
+)
 from seqdg.model import ModelConfig, SeqDGModel
 from test_train import toy_store
 
@@ -57,6 +63,24 @@ class TestAccuracy:
         labels = [(int(rng.integers(6)), int(rng.integers(5))) for _ in range(40)]
         verb, noun, action = accuracy(preds, labels, k=k)
         assert action <= min(verb, noun)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=99))
+    def test_stacked_logits_rank_ties_like_topk_indices(self, k, seed):
+        # few distinct values, so ties are common
+        rng = np.random.default_rng(seed)
+        verb = rng.integers(0, 3, size=(30, 6)).astype(float)
+        noun = rng.integers(0, 3, size=(30, 5)).astype(float)
+        verbs, nouns = rng.integers(6, size=30), rng.integers(5, size=30)
+        v_ok = [v in topk_indices(row, k) for row, v in zip(verb, verbs)]
+        n_ok = [n in topk_indices(row, k) for row, n in zip(noun, nouns)]
+        want = (100.0 * sum(v_ok) / 30, 100.0 * sum(n_ok) / 30,
+                100.0 * sum(a and b for a, b in zip(v_ok, n_ok)) / 30)
+        assert topk_accuracy(verb, noun, verbs, nouns, k) == want
+
+    def test_label_outside_class_range_is_a_miss(self):
+        preds = [pred_from([0.0, 1.0], [1.0, 0.0])]
+        assert accuracy(preds, [(7, 0)], k=1) == (0.0, 100.0, 0.0)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -437,46 +437,6 @@ class TestForwardTrain:
         assert enc.cls_slots is None
         assert enc.total_length == 3
 
-    def test_decoder_without_self_attention(self):
-        # the literal reading: cross-attention replaces self-attention
-        model = tiny_model(decoder_self_attention=False)
-        layer = model.params.dec_visual[0]
-        assert layer.self_attn is None
-        rng = np.random.default_rng(40)
-        out = model.forward_train(rng.standard_normal((1, 3, 6)),
-                                  rng.standard_normal((1, 3, 8)),
-                                  recon_v=True, recon_t=True)
-        assert out.recon_v.shape == (1, 3, 8)
-        assert "dec_v.0.self.q.weight" not in model.params.named()
-
-    def test_relational_clip_aggregation_path(self):
-        cfg = tiny_config(clip_agg="relational", relational_clips=2)
-        model = SeqDGModel.init(cfg, seed=3)
-        # identity-initialized aggregation reproduces clip concatenation
-        model.params.clip_agg.weight.data[:] = 0.0
-        model.params.clip_agg.weight.data[:6, :] = np.eye(12)[:6, :6]
-        rng = np.random.default_rng(32)
-        clips = rng.standard_normal((1, 3, 2, 6))
-        out = model.forward_train(clips)
-        assert out.verb_logits.shape == (1, 5)
-
-    def test_relational_aggregator_receives_gradients(self):
-        cfg = tiny_config(clip_agg="relational", relational_clips=2)
-        model = SeqDGModel.init(cfg, seed=4)
-        rng = np.random.default_rng(33)
-        clips = rng.standard_normal((2, 3, 2, 6))
-        verbs = np.array([0, 1])
-
-        def f():
-            out = model.forward_train(clips)
-            return T.cross_entropy(out.verb_logits, verbs)
-
-        subset = {k: v for k, v in model.params.named().items()
-                  if k.startswith("clip_agg.")}
-        assert subset
-        report = T.grad_check(f, subset, h=1e-5, tol=1e-4)
-        assert report.passed, report.summary()
-
     def test_spot_gradcheck_through_full_loss(self):
         model = tiny_model(seed=33)
         rng = np.random.default_rng(34)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import seqdg.tensor as T
+import seqdg.train
 from seqdg.data import DatasetSplit, FeatureStore
 from seqdg.model import ModelConfig, SeqDGModel
 from seqdg.train import (
@@ -224,6 +225,27 @@ class TestFit:
         for key in ("epoch", "lr", "l_c", "l_rv", "l_rt", "total",
                     "source_action_acc"):
             assert key in entry
+
+    def test_epoch_losses_are_window_weighted_batch_means(self, monkeypatch):
+        # 16 windows in batches of 5: the last batch holds one window
+        calls = []
+
+        def recording(outputs, verbs, *args, **kwargs):
+            total, parts = composite_loss(outputs, verbs, *args, **kwargs)
+            calls.append((len(verbs), parts))
+            return total, parts
+
+        monkeypatch.setattr(seqdg.train, "composite_loss", recording)
+        store = toy_store()
+        config = toy_train_config(epochs=2, batch_size=5)
+        res = fit(store, SeqDGModel.init(config.model, seed=0), config)
+        assert [n for n, _ in calls] == [5, 5, 5, 1] * 2
+        for epoch, entry in enumerate(res.metrics):
+            batches = calls[4 * epoch:4 * epoch + 4]
+            for key in ("l_c", "l_rv", "l_rt", "total"):
+                mean = sum(n * getattr(parts, key) for n, parts in batches) / 16
+                assert getattr(entry, key) == pytest.approx(mean, rel=1e-12), key
+        assert res.metrics[0].l_c != calls[3][1].l_c  # not the last batch's value
 
     def test_seqmix_stats_populated(self):
         store = toy_store()
