@@ -98,6 +98,9 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
                 raise CheckpointError(f"{path}: parameter {entry['name']!r} runs past "
                                       f"the end of the payload (truncated file?)")
             arr = np.frombuffer(body, dtype="<f8", count=count, offset=start)
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: parameter {entry['name']!r} holds "
+                                      "NaN or Inf")
             arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
         config = ModelConfig.from_dict(_current_keys(path, header["config"]))
         params = ModelParams.from_named(config, arrays)

@@ -323,36 +323,14 @@ class TrainForward:
 
 
 def _linear(x: Tensor, aff: Affine) -> Tensor:
-    return T.add(T.matmul(x, aff.weight), aff.bias)
-
-
-def _split_heads(x: Tensor, n_heads: int) -> Tensor:
-    *lead, length, d = x.shape
-    y = T.reshape(x, tuple(lead) + (length, n_heads, d // n_heads))
-    axes = tuple(range(y.ndim - 3)) + (y.ndim - 2, y.ndim - 3, y.ndim - 1)
-    return T.permute(y, axes)
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    axes = tuple(range(x.ndim - 3)) + (x.ndim - 2, x.ndim - 3, x.ndim - 1)
-    y = T.permute(x, axes)
-    *lead, length, heads, dh = y.shape
-    return T.reshape(y, tuple(lead) + (length, heads * dh))
-
-
-def _attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int):
-    d_head = q.shape[-1] // n_heads
-    qh, kh, vh = (_split_heads(t, n_heads) for t in (q, k, v))
-    scores = T.scale(T.matmul(qh, T.transpose_last(kh)), 1.0 / math.sqrt(d_head))
-    weights = T.softmax_rows(scores)
-    return _merge_heads(T.matmul(weights, vh)), weights
+    return T.linear(x, aff.weight, aff.bias)
 
 
 def self_attention(h: Tensor, params: AttentionParams, n_heads: int,
                    with_weights: bool = False):
     """Multi-head scaled dot-product attention of a stream over itself."""
-    ctx, weights = _attention(_linear(h, params.q), _linear(h, params.k),
-                              _linear(h, params.v), n_heads)
+    ctx, weights = T.attention(_linear(h, params.q), _linear(h, params.k),
+                               _linear(h, params.v), n_heads)
     out = _linear(ctx, params.out)
     return (out, weights) if with_weights else out
 
@@ -375,8 +353,8 @@ def cross_attention(query_stream: Tensor, context: Tensor, params: AttentionPara
             f"query_stream values need equal stream lengths, got "
             f"{query_stream.shape[-2]} and {context.shape[-2]}")
     value_src = query_stream if values_from == "query_stream" else context
-    ctx, weights = _attention(_linear(query_stream, params.q), _linear(context, params.k),
-                              _linear(value_src, params.v), n_heads)
+    ctx, weights = T.attention(_linear(query_stream, params.q), _linear(context, params.k),
+                               _linear(value_src, params.v), n_heads)
     out = _linear(ctx, params.out)
     return (out, weights) if with_weights else out
 
@@ -388,19 +366,19 @@ def _feed_forward(h: Tensor, ff_in: Affine, ff_out: Affine) -> Tensor:
 def encoder_layer(h: Tensor, params: EncoderLayerParams, n_heads: int,
                   eps: float = 1e-5) -> Tensor:
     attn = self_attention(h, params.attn, n_heads)
-    h = T.layer_norm(T.add(attn, h), params.ln1.gain, params.ln1.bias, eps)
+    h = T.add_layer_norm(attn, h, params.ln1.gain, params.ln1.bias, eps)
     ff = _feed_forward(h, params.ff_in, params.ff_out)
-    return T.layer_norm(T.add(ff, h), params.ln2.gain, params.ln2.bias, eps)
+    return T.add_layer_norm(ff, h, params.ln2.gain, params.ln2.bias, eps)
 
 
 def decoder_layer(h: Tensor, context: Tensor, params: DecoderLayerParams,
                   n_heads: int, eps: float = 1e-5) -> Tensor:
     attn = self_attention(h, params.self_attn, n_heads)
-    h = T.layer_norm(T.add(attn, h), params.ln_self.gain, params.ln_self.bias, eps)
+    h = T.add_layer_norm(attn, h, params.ln_self.gain, params.ln_self.bias, eps)
     cross = cross_attention(h, context, params.cross, n_heads)
-    h = T.layer_norm(T.add(cross, h), params.ln_cross.gain, params.ln_cross.bias, eps)
+    h = T.add_layer_norm(cross, h, params.ln_cross.gain, params.ln_cross.bias, eps)
     ff = _feed_forward(h, params.ff_in, params.ff_out)
-    return T.layer_norm(T.add(ff, h), params.ln_ff.gain, params.ln_ff.bias, eps)
+    return T.add_layer_norm(ff, h, params.ln_ff.gain, params.ln_ff.bias, eps)
 
 
 def encode_sequence(x, params: ModelParams) -> EncodedSequence:

@@ -8,6 +8,13 @@ eagerly; `backward()` on a scalar walks them once in reverse topological
 order. Tensors are immutable after creation except for gradient
 accumulation, so separate graphs can run on separate threads.
 
+A training step costs Python work per graph node more than arithmetic,
+so the model's three recurring patterns are fused ops, one node each:
+`linear` (affine map), `attention` (multi-head scaled dot-product
+attention, head split and merge included) and `add_layer_norm` (post-norm
+residual). Each equals a composition of the primitive ops, which stay
+public.
+
 An optional leading batch axis (or several) is supported everywhere:
 matmul broadcasts over leading axes and reduces gradients back, and `add`
 accepts a trailing-shape operand (bias vectors, positional tables). Ops
@@ -30,6 +37,8 @@ __all__ = [
     "NonDeterministicError",
     "no_grad",
     "matmul",
+    "linear",
+    "attention",
     "transpose_last",
     "permute",
     "reshape",
@@ -45,6 +54,7 @@ __all__ = [
     "relu",
     "softmax_rows",
     "layer_norm",
+    "add_layer_norm",
     "mse",
     "cross_entropy",
     "sum_all",
@@ -123,14 +133,7 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """Same values, no graph, no gradient requirement."""
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.requires_grad = False
-        out.grad = None
-        out._parents = ()
-        out._backward = None
-        out._op = "detach"
-        return out
+        return _graph_free(self.data, "detach")
 
     def backward(self):
         """Reverse-mode sweep from a scalar; accumulates into leaf grads."""
@@ -185,6 +188,18 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _graph_free(data: np.ndarray, op: str) -> Tensor:
+    """A tensor over `data` (taken as is, not copied) outside any graph."""
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.requires_grad = False
+    out.grad = None
+    out._parents = ()
+    out._backward = None
+    out._op = op
+    return out
+
+
 def _node(data: np.ndarray, parents: tuple, op: str, backward) -> Tensor:
     data = np.asarray(data, dtype=np.float64)
     if not data.flags["C_CONTIGUOUS"]:
@@ -208,8 +223,11 @@ def _node(data: np.ndarray, parents: tuple, op: str, backward) -> Tensor:
 
 def _acc(t: Tensor, delta: np.ndarray):
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += delta
+        # a copy, never `delta` itself: it may be a view of another
+        # node's gradient, which a later `+=` here would then overwrite
+        t.grad = np.array(delta, dtype=np.float64, order="C")
+    else:
+        t.grad += delta
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -326,9 +344,91 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             _acc(a, _unbroadcast(dout @ np.swapaxes(b.data, -1, -2), a.shape))
         if b.requires_grad:
-            _acc(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ dout, b.shape))
+            if b.ndim == 2:
+                _acc(b, _weight_grad(a.data, dout))
+            else:
+                _acc(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ dout, b.shape))
 
     return _node(out, (a, b), "matmul", backward)
+
+
+def _weight_grad(x: np.ndarray, dout: np.ndarray) -> np.ndarray:
+    """Gradient of a 2-D right operand of `x @ w`: one GEMM over the
+    flattened leading axes, never a per-batch-element stack."""
+    return x.reshape(-1, x.shape[-1]).T @ dout.reshape(-1, dout.shape[-1])
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map `x @ w + b` over the last axis of `x`, as one node.
+
+    `w` is (fan_in, fan_out) and `b` is (fan_out,); `x` may carry any
+    leading axes. Equals `add(matmul(x, w), b)`.
+    """
+    if w.ndim != 2 or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: weight {w.shape} / bias {b.shape} are not "
+                         "(fan_in, fan_out) / (fan_out,)")
+    if x.ndim < 1 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear: input {x.shape} does not match weight {w.shape}")
+    out = x.data @ w.data
+    out += b.data
+
+    def backward(dout):
+        if x.requires_grad:
+            _acc(x, dout @ w.data.T)
+        if w.requires_grad:
+            _acc(w, _weight_grad(x.data, dout))
+        if b.requires_grad:
+            _acc(b, dout.reshape(-1, dout.shape[-1]).sum(axis=0))
+
+    return _node(out, (x, w, b), "linear", backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> tuple[Tensor, Tensor]:
+    """Multi-head scaled dot-product attention, as one node.
+
+    `q` is (..., Lq, D); `k` and `v` are (..., Lk, D) with the same
+    leading axes. Each head reads its own D / n_heads columns; the heads'
+    contexts are concatenated back to (..., Lq, D). Returns the context
+    and the attention weights (..., n_heads, Lq, Lk); the weights are
+    outside the graph, so no gradient flows through them.
+    """
+    fits = (q.ndim >= 2 and k.shape == v.shape
+            and q.shape[:-2] == k.shape[:-2] and q.shape[-1] == k.shape[-1])
+    if not fits:
+        raise ShapeError(f"attention: query {q.shape}, key {k.shape} and value "
+                         f"{v.shape} do not fit together")
+    d = q.shape[-1]
+    if n_heads < 1 or d % n_heads:
+        raise ShapeError(f"attention: width {d} does not split into {n_heads} heads")
+    d_head = d // n_heads
+    c = 1.0 / np.sqrt(d_head)
+
+    def split(x: np.ndarray) -> np.ndarray:       # (..., L, D) -> (..., H, L, dh)
+        return np.swapaxes(x.reshape(x.shape[:-1] + (n_heads, d_head)), -2, -3)
+
+    def merge(x: np.ndarray) -> np.ndarray:       # (..., H, L, dh) -> (..., L, D)
+        x = np.swapaxes(x, -2, -3)
+        return x.reshape(x.shape[:-2] + (d,))
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scores = (qh @ np.swapaxes(kh, -1, -2)) * c
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    out = merge(weights @ vh)
+
+    def backward(dout):
+        dctx = split(dout)
+        if v.requires_grad:
+            _acc(v, merge(np.swapaxes(weights, -1, -2) @ dctx))
+        if q.requires_grad or k.requires_grad:
+            dw = dctx @ np.swapaxes(vh, -1, -2)
+            dscores = (dw - (dw * weights).sum(axis=-1, keepdims=True)) * weights * c
+            if q.requires_grad:
+                _acc(q, merge(dscores @ kh))
+            if k.requires_grad:
+                _acc(k, merge(np.swapaxes(dscores, -1, -2) @ qh))
+
+    return _node(out, (q, k, v), "attention", backward), _graph_free(weights, "attention_weights")
 
 
 def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -474,12 +574,27 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Standardize the last axis (biased variance + eps), then affine."""
-    d = x.shape[-1]
+    return _normalize(x.data, (x,), gain, bias, eps, "layer_norm")
+
+
+def add_layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor,
+                   eps: float = 1e-5) -> Tensor:
+    """Post-norm residual `layer_norm(x + residual)`, as one node."""
+    if x.shape != residual.shape:
+        raise ShapeError(f"add_layer_norm: shapes {x.shape} and {residual.shape} differ")
+    return _normalize(x.data + residual.data, (x, residual), gain, bias, eps,
+                      "add_layer_norm")
+
+
+def _normalize(s: np.ndarray, inputs: tuple, gain: Tensor, bias: Tensor, eps: float,
+               op: str) -> Tensor:
+    """Layer norm of `s`, the sum of `inputs`; each input gets its gradient."""
+    d = s.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(f"layer_norm: gain {gain.shape} / bias {bias.shape} "
+        raise ShapeError(f"{op}: gain {gain.shape} / bias {bias.shape} "
                          f"do not match feature width {d}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
+    mu = s.mean(axis=-1, keepdims=True)
+    centered = s - mu
     var = np.mean(centered * centered, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
@@ -490,13 +605,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             _acc(gain, (dout * xhat).reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
             _acc(bias, dout.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
+        if any(t.requires_grad for t in inputs):
             dy = dout * gain.data
             m1 = dy.mean(axis=-1, keepdims=True)
             m2 = (dy * xhat).mean(axis=-1, keepdims=True)
-            _acc(x, inv * (dy - m1 - xhat * m2))
+            ds = inv * (dy - m1 - xhat * m2)
+            for t in inputs:
+                if t.requires_grad:
+                    _acc(t, ds)
 
-    return _node(out, (x, gain, bias), "layer_norm", backward)
+    return _node(out, inputs + (gain, bias), op, backward)
 
 
 def mse(pred: Tensor, target: Tensor) -> Tensor:

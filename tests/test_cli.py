@@ -271,6 +271,7 @@ CORRUPT_CHECKPOINTS = {
     "invalid_config_value": lambda raw: with_header(raw, lambda h: h["config"].update(W=4)),
     "retired_key_changed": lambda raw: with_header(
         raw, lambda h: h["config"].update(decoder_self_attention=False)),
+    "nan_in_payload": lambda raw: raw[:-8] + struct.pack("<d", float("nan")),
 }
 
 RETIRED_DEFAULTS = {"cross_attention_values": "query_stream",

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,9 @@ from seqdg.model import (
     self_attention,
 )
 from seqdg.tensor import ShapeError, Tensor
+from seqdg.train import TrainConfig, composite_loss
+
+BENCH_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "bench_config.json"
 
 
 def tiny_config(**kw):
@@ -462,3 +468,20 @@ class TestForwardTrain:
                               "head_noun.weight")}
         report = T.grad_check(f, subset, h=1e-5, tol=1e-4)
         assert report.passed, report.summary()
+
+
+def test_bench_width_step_graph_size():
+    """A training step's cost is mostly Python work per graph node: with
+    one node per affine map, attention and residual norm, the bench-width
+    full objective builds 77 interior nodes (194 from primitive ops)."""
+    config = ModelConfig(**json.loads(BENCH_CONFIG.read_text())["model"])
+    model = SeqDGModel.init(config, seed=0)
+    rng = np.random.default_rng(0)
+    visual = rng.standard_normal((16, config.W, config.D_V))
+    text = rng.standard_normal((16, config.W, config.D_T))
+    out = model.forward_train(visual, text, recon_v=True, recon_t=True)
+    total, _ = composite_loss(out, rng.integers(0, config.n_verbs, 16),
+                              rng.integers(0, config.n_nouns, 16),
+                              TrainConfig(model=config, lambda_rv=1.0, lambda_rt=1.0))
+    interior = [node for node in T._toposort(total) if node._parents]
+    assert len(interior) <= 80, f"{len(interior)} interior nodes"

@@ -178,6 +178,12 @@ OPS = {
     "expand_leading": lambda p: T.expand_leading(p["a"], (3,)),
     "softmax_rows": lambda p: T.softmax_rows(p["a"]),
     "layer_norm": lambda p: T.layer_norm(p["a"], p["gain"], p["bias_d"], eps=1e-5),
+    "linear": lambda p: T.linear(p["a"], p["w"], p["bias_o"]),
+    "linear_batched": lambda p: T.linear(p["a3"], p["w"], p["bias_o"]),
+    "attention_self": lambda p: T.attention(p["a3"], p["a3"], p["a3"], 2)[0],
+    "attention_cross": lambda p: T.attention(p["a3"], p["k3"], p["v3"], 2)[0],
+    "add_layer_norm": lambda p: T.add_layer_norm(p["a"], p["b"], p["gain"], p["bias_d"],
+                                                 eps=1e-5),
     # target is a fresh constant: perturbing a checked param must not move it
     "mse": lambda p: T.mse(p["a"], Tensor(np.linspace(-1.0, 1.0, 12).reshape(3, 4))),
     "cross_entropy": lambda p: T.cross_entropy(p["a"], np.array([0, 3, 1])),
@@ -196,6 +202,10 @@ def test_every_op_passes_gradcheck(name, seed):
         "bias": Tensor(rng.standard_normal(4), requires_grad=True),
         "gain": Tensor(1.0 + 0.1 * rng.standard_normal(4), requires_grad=True),
         "bias_d": Tensor(rng.standard_normal(4), requires_grad=True),
+        "bias_o": Tensor(rng.standard_normal(5), requires_grad=True),
+        # keys and values of a cross-attention: 5 positions against 3 queries
+        "k3": Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True),
+        "v3": Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True),
     }
     op = OPS[name]
 
@@ -209,6 +219,102 @@ def test_every_op_passes_gradcheck(name, seed):
     used = {k: v for k, v in params.items()}
     report = grad_check(f, used, h=1e-5, tol=1e-6)
     assert report.passed, f"{name}: {report.summary()}"
+
+
+def split_heads(x, n_heads):
+    *lead, length, d = x.shape
+    y = T.reshape(x, tuple(lead) + (length, n_heads, d // n_heads))
+    return T.permute(y, tuple(range(y.ndim - 3)) + (y.ndim - 2, y.ndim - 3, y.ndim - 1))
+
+
+def merge_heads(x):
+    y = T.permute(x, tuple(range(x.ndim - 3)) + (x.ndim - 2, x.ndim - 3, x.ndim - 1))
+    *lead, length, heads, d_head = y.shape
+    return T.reshape(y, tuple(lead) + (length, heads * d_head))
+
+
+def composed_attention(q, k, v, n_heads):
+    """Multi-head attention from the primitive ops, the fused op's oracle."""
+    d_head = q.shape[-1] // n_heads
+    qh, kh, vh = (split_heads(t, n_heads) for t in (q, k, v))
+    scores = T.scale(T.matmul(qh, T.transpose_last(kh)), 1.0 / np.sqrt(d_head))
+    weights = T.softmax_rows(scores)
+    return merge_heads(T.matmul(weights, vh)), weights
+
+
+# fused op -> (fused, composed from primitives, input shapes)
+FUSED = {
+    "linear": (lambda x, w, b: T.linear(x, w, b),
+               lambda x, w, b: T.add(T.matmul(x, w), b),
+               [(4, 7, 6), (6, 5), (5,)]),
+    "linear_2d": (lambda x, w, b: T.linear(x, w, b),
+                  lambda x, w, b: T.add(T.matmul(x, w), b),
+                  [(7, 6), (6, 5), (5,)]),
+    "attention_self": (lambda q, k, v: T.attention(q, k, v, 4)[0],
+                       lambda q, k, v: composed_attention(q, k, v, 4)[0],
+                       [(3, 7, 8), (3, 7, 8), (3, 7, 8)]),
+    "attention_cross": (lambda q, k, v: T.attention(q, k, v, 2)[0],
+                        lambda q, k, v: composed_attention(q, k, v, 2)[0],
+                        [(2, 3, 3, 6), (2, 3, 5, 6), (2, 3, 5, 6)]),
+    "add_layer_norm": (lambda x, r, g, b: T.add_layer_norm(x, r, g, b, eps=1e-5),
+                       lambda x, r, g, b: T.layer_norm(T.add(x, r), g, b, eps=1e-5),
+                       [(4, 7, 6), (4, 7, 6), (6,), (6,)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSED))
+@pytest.mark.parametrize("seed", range(3))
+def test_fused_op_matches_primitive_composition(name, seed):
+    fused, composed, shapes = FUSED[name]
+    rng = np.random.default_rng(seed)
+    values = [rng.standard_normal(shape) for shape in shapes]
+    upstream = None
+    results = []
+    for build in (fused, composed):
+        inputs = [Tensor(v, requires_grad=True) for v in values]
+        out = build(*inputs)
+        if upstream is None:
+            upstream = Tensor(rng.standard_normal(out.shape))
+        T.sum_all(T.mul(out, upstream)).backward()
+        results.append([out.data] + [t.grad for t in inputs])
+    for got, want in zip(*results):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestFusedOps:
+    def test_attention_weights_are_graph_free_softmax_rows(self):
+        q, k = rand((2, 3, 4), 61), rand((2, 5, 4), 62)
+        out, weights = T.attention(q, k, k, 2)
+        assert out.shape == (2, 3, 4)
+        assert weights.shape == (2, 2, 3, 5)
+        assert not weights.requires_grad and weights._parents == ()
+        np.testing.assert_allclose(weights.data.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+
+    def test_attention_rejects_mismatched_streams(self):
+        with pytest.raises(ShapeError):
+            T.attention(rand((3, 4), 0), rand((5, 4), 1), rand((4, 4), 2), 2)
+        with pytest.raises(ShapeError):
+            T.attention(rand((3, 4), 0), rand((5, 4), 1), rand((5, 4), 2), 3)
+
+    def test_linear_rejects_mismatched_shapes(self):
+        with pytest.raises(ShapeError):
+            T.linear(rand((3, 4), 0), rand((5, 2), 1), rand((2,), 2))
+        with pytest.raises(ShapeError):
+            T.linear(rand((3, 4), 0), rand((4, 2), 1), rand((4,), 2))
+
+    def test_add_layer_norm_rejects_unequal_shapes(self):
+        with pytest.raises(ShapeError):
+            T.add_layer_norm(rand((3, 4), 0), rand((4,), 1), rand((4,), 2), rand((4,), 3))
+
+    def test_first_accumulation_does_not_alias_the_delta(self):
+        # `add` hands the same upstream array to both operands
+        a, b = rand((2, 3), 71), rand((2, 3), 72)
+        delta = np.ones((2, 3))
+        T._acc(a, delta)
+        T._acc(b, delta)
+        T._acc(a, delta)
+        assert (a.grad == 2.0).all()
+        assert (b.grad == 1.0).all() and (delta == 1.0).all()
 
 
 class TestGraphProperties:
