@@ -14,10 +14,12 @@ that directory alone. Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +39,6 @@ from seqdg.synth import generate_to
 from seqdg.tensor import NonFiniteError
 from seqdg.train import (
     DivergenceError,
-    TrainConfig,
     fit,
     objective_grad_check,
     train_and_score,
@@ -83,10 +84,6 @@ def _data_hashes(data_dir: Path) -> dict:
     return hashes
 
 
-def _load_store(data_dir) -> FeatureStore:
-    return FeatureStore.load(Path(data_dir))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -123,11 +120,20 @@ def cmd_import(args) -> int:
 
 
 def _train_config_for(store: FeatureStore, args):
+    """The run config of `train` and `ablate`: the config file, then the
+    flags, then what the dataset dictates (its feature widths and, for a
+    token-level text loss the file leaves unsized, its vocabulary size);
+    checked, also against the dataset's labels."""
     overrides = {"seed": args.seed, "W": args.W, "lambda_rv": args.lambda_rv,
                  "lambda_rt": args.lambda_rt, "p_mix": args.p_mix,
                  "epochs": args.epochs}
     patch = {"D_V": store.d_v, "D_T": store.d_t}
-    return load_run_config(args.config, overrides, model_patch=patch)
+    run = load_run_config(args.config, overrides, model_patch=patch)
+    if run.train.text_loss == "token_cross_entropy" and run.model.vocab_size is None:
+        run.model.vocab_size = len(store.vocab)
+    run.train.check()
+    _check_labels(store, run.model)
+    return run
 
 
 def _check_labels(store: FeatureStore, model_config: ModelConfig):
@@ -141,14 +147,9 @@ def _check_labels(store: FeatureStore, model_config: ModelConfig):
 
 
 def cmd_train(args) -> int:
-    store = _load_store(args.data)
+    store = FeatureStore.load(args.data)
     run = _train_config_for(store, args)
     config = run.train
-    if (config.text_loss == "token_cross_entropy"
-            and config.model.vocab_size is None):
-        config.model.vocab_size = len(store.vocab)
-    config.check()
-    _check_labels(store, config.model)
     out = _out_dir(args)
     _write_provenance(out, "train", run.to_dict(), config.seed,
                       _data_hashes(Path(args.data)))
@@ -174,7 +175,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    store = _load_store(args.data)
+    store = FeatureStore.load(args.data)
     params, header = load_checkpoint(args.checkpoint)
     model = SeqDGModel(params.config, params)
     domains = store.split.target if args.split == "target" else store.split.source
@@ -209,35 +210,24 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    store = _load_store(args.data)
+    store = FeatureStore.load(args.data)
     run = _train_config_for(store, args)
     out = _out_dir(args)
     _write_provenance(out, "ablate", run.to_dict(), run.train.seed,
                       _data_hashes(Path(args.data)))
     grid = run.ablate
     rows = []
-    for w in grid["W"]:
-        for p_mix in grid["p_mix"]:
-            for lam_v in grid["lambda_rv"]:
-                for lam_t in grid["lambda_rt"]:
-                    accs = []
-                    for seed in grid["seeds"]:
-                        cell = TrainConfig.from_dict({
-                            **run.train.to_dict(),
-                            "model": {**run.model.to_dict(), "W": w},
-                            "p_mix": p_mix, "lambda_rv": lam_v,
-                            "lambda_rt": lam_t, "seed": seed})
-                        if (cell.text_loss == "token_cross_entropy"
-                                and cell.model.vocab_size is None):
-                            cell.model.vocab_size = len(store.vocab)
-                        _check_labels(store, cell.model)
-                        accs.append(train_and_score(store, cell))
-                    rows.append({"W": w, "p_mix": p_mix, "lambda_rv": lam_v,
-                                 "lambda_rt": lam_t,
-                                 "target_action_top1": round(float(np.mean(accs)), 2),
-                                 "per_seed": [round(a, 2) for a in accs]})
-                    print(f"W={w} p_mix={p_mix} lrv={lam_v} lrt={lam_t}: "
-                          f"{rows[-1]['target_action_top1']:.2f}")
+    for w, p_mix, lam_v, lam_t in itertools.product(
+            grid["W"], grid["p_mix"], grid["lambda_rv"], grid["lambda_rt"]):
+        accs = [train_and_score(store, replace(
+                    run.train, model=replace(run.model, W=w), p_mix=p_mix,
+                    lambda_rv=lam_v, lambda_rt=lam_t, seed=seed).check())
+                for seed in grid["seeds"]]
+        rows.append({"W": w, "p_mix": p_mix, "lambda_rv": lam_v, "lambda_rt": lam_t,
+                     "target_action_top1": round(float(np.mean(accs)), 2),
+                     "per_seed": [round(a, 2) for a in accs]})
+        print(f"W={w} p_mix={p_mix} lrv={lam_v} lrt={lam_t}: "
+              f"{rows[-1]['target_action_top1']:.2f}")
     _write_json(out / "ablation.json", {"grid": grid, "rows": rows})
     return EXIT_OK
 
@@ -355,10 +345,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         # invalid configs assembled programmatically surface as ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

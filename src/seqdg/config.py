@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from seqdg.model import ModelConfig
@@ -20,7 +20,9 @@ from seqdg.train import TrainConfig
 __all__ = ["ConfigError", "RunConfig", "load_run_config", "file_sha256"]
 
 SECTIONS = ("synth", "model", "train", "ablate")
-ABLATE_KEYS = {"W", "p_mix", "lambda_rv", "lambda_rt", "seeds"}
+# each grid axis and the model or train field it sweeps
+ABLATE_FIELDS = {"W": "W", "p_mix": "p_mix", "lambda_rv": "lambda_rv",
+                 "lambda_rt": "lambda_rt", "seeds": "seed"}
 DEFAULT_ABLATE = {"W": [1, 5], "p_mix": [0.0, 0.5], "lambda_rv": [0.0, 1.0],
                   "lambda_rt": [0.0, 1.0], "seeds": [0]}
 
@@ -38,7 +40,6 @@ class RunConfig:
     synth: SynthConfig
     train: TrainConfig
     ablate: dict
-    source_file: str | None = None
 
     @property
     def model(self) -> ModelConfig:
@@ -51,10 +52,32 @@ class RunConfig:
                 "ablate": self.ablate}
 
 
-def _check_keys(section: str, payload: dict, allowed, problems: list[str]):
-    for key in payload:
-        if key not in allowed:
+def _defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls)}
+
+
+def _fits(default, value) -> bool:
+    """Whether a JSON value may set a field whose default is `default`: a
+    number for a float, a list of ints for a tuple, an int or null where
+    the default is null, the exact type otherwise (a bool is no number)."""
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    if isinstance(default, tuple):
+        return type(value) is list and all(type(v) is int for v in value)
+    if default is None:
+        return value is None or type(value) is int
+    return type(value) is type(default)
+
+
+def _check_section(section: str, payload, defaults: dict, problems: list[str]):
+    if type(payload) is not dict:
+        problems.append(f"{section} must be a JSON object")
+        return
+    for key, value in payload.items():
+        if key not in defaults:
             problems.append(f"{section}: unknown key {key!r}")
+        elif not _fits(defaults[key], value):
+            problems.append(f"{section}: {key} cannot be {value!r}")
 
 
 def load_run_config(path=None, overrides: dict | None = None,
@@ -81,17 +104,27 @@ def load_run_config(path=None, overrides: dict | None = None,
                 problems.append(f"unknown section {section!r} "
                                 f"(expected one of {list(SECTIONS)})")
 
-    synth_raw = dict(raw.get("synth", {}))
-    model_raw = dict(raw.get("model", {}))
-    train_raw = dict(raw.get("train", {}))
-    ablate_raw = dict(raw.get("ablate", {}))
-    _check_keys("synth", synth_raw, SynthConfig.__dataclass_fields__, problems)
-    _check_keys("model", model_raw, ModelConfig.__dataclass_fields__, problems)
-    train_allowed = set(TrainConfig.__dataclass_fields__) - {"model"}
-    _check_keys("train", train_raw, train_allowed, problems)
-    _check_keys("ablate", ablate_raw, ABLATE_KEYS, problems)
+    model_defaults = _defaults(ModelConfig)
+    train_defaults = _defaults(TrainConfig)
+    del train_defaults["model"]
+    synth_raw = raw.get("synth", {})
+    model_raw = raw.get("model", {})
+    train_raw = raw.get("train", {})
+    ablate_raw = raw.get("ablate", {})
+    _check_section("synth", synth_raw, _defaults(SynthConfig), problems)
+    _check_section("model", model_raw, model_defaults, problems)
+    _check_section("train", train_raw, train_defaults, problems)
+    # every grid axis holds a list, each element typed as the field it sweeps
+    _check_section("ablate", ablate_raw, dict.fromkeys(ABLATE_FIELDS, []), problems)
     if problems:
         raise ConfigError(problems)
+    ablate = {**DEFAULT_ABLATE, **ablate_raw}
+    swept = {**model_defaults, **train_defaults}
+    for key, values in ablate.items():
+        if not values:
+            problems.append(f"ablate: {key} must be a non-empty list")
+        elif not all(_fits(swept[ABLATE_FIELDS[key]], v) for v in values):
+            problems.append(f"ablate: {key} cannot hold {values!r}")
 
     overrides = overrides or {}
     seed = overrides.get("seed")
@@ -107,31 +140,15 @@ def load_run_config(path=None, overrides: dict | None = None,
     if model_patch:
         model_raw.update(model_patch)
 
-    try:
-        synth = SynthConfig(**synth_raw)
-    except TypeError as exc:
-        raise ConfigError([f"synth: {exc}"])
-    try:
-        model = ModelConfig(**model_raw)
-    except TypeError as exc:
-        raise ConfigError([f"model: {exc}"])
+    synth = SynthConfig(**synth_raw)
     if "lr_decay_epochs" in train_raw:
         train_raw["lr_decay_epochs"] = tuple(train_raw["lr_decay_epochs"])
-    try:
-        train = TrainConfig(model=model, **train_raw)
-    except TypeError as exc:
-        raise ConfigError([f"train: {exc}"])
-
+    train = TrainConfig(model=ModelConfig(**model_raw), **train_raw)
     problems.extend(f"synth: {e}" for e in synth.validate())
     problems.extend(f"model/train: {e}" for e in train.validate())
-    ablate = {**DEFAULT_ABLATE, **ablate_raw}
-    for key, values in ablate.items():
-        if not isinstance(values, list) or not values:
-            problems.append(f"ablate: {key} must be a non-empty list")
     if problems:
         raise ConfigError(problems)
-    return RunConfig(synth=synth, train=train, ablate=ablate,
-                     source_file=str(path) if path else None)
+    return RunConfig(synth=synth, train=train, ablate=ablate)
 
 
 def file_sha256(path) -> str:

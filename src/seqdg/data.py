@@ -239,6 +239,9 @@ class FeatureStore:
             vocab = list(manifest["vocab"])
         except (KeyError, TypeError) as exc:
             raise DataError(f"{manifest_path}: malformed manifest: {exc!r}") from exc
+        for key in ("d_v", "d_t", "clips_per_action"):
+            if type(meta[key]) is not int:
+                raise DataError(f"{manifest_path}: {key!r} must be int, got {meta[key]!r}")
         return cls(meta, records, vocab, split, visual, text)
 
 
@@ -313,22 +316,16 @@ class NarrationEmbedder:
         self.table = rng.standard_normal((vocab_size, dim))
         self.vocab_size = vocab_size
         self.dim = dim
-        self._cache: dict[tuple[int, ...], np.ndarray] = {}
 
     def embed(self, tokens) -> np.ndarray:
-        tokens = tuple(int(t) for t in tokens)
+        tokens = [int(t) for t in tokens]
         if not tokens:
             raise DataError("cannot embed an empty narration")
-        hit = self._cache.get(tokens)
-        if hit is not None:
-            return hit
         for t in tokens:
             if t < 0 or t >= self.vocab_size:
                 raise DataError(f"narration token {t} outside vocab of "
                                 f"{self.vocab_size}")
-        out = self.table[list(tokens)].mean(axis=0)
-        self._cache[tokens] = out
-        return out
+        return self.table[tokens].mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +394,6 @@ class Batch:
     verbs: np.ndarray                     # (B,) center labels
     nouns: np.ndarray
     center_tokens: tuple[tuple[int, ...], ...]
-    domains: tuple[tuple[str, ...], ...]  # per-slot domain ids, for auditing
-    padding: np.ndarray                   # (B, W) bool
 
     def __len__(self):
         return self.visual.shape[0]
@@ -440,9 +435,7 @@ class FeatureCache:
             text=self.text[ids] if self.text is not None else None,
             verbs=np.array([w.center_record.verb for w in windows], dtype=np.int64),
             nouns=np.array([w.center_record.noun for w in windows], dtype=np.int64),
-            center_tokens=tuple(w.center_record.narration for w in windows),
-            domains=tuple(tuple(r.domain_id for r in w.records) for w in windows),
-            padding=np.array([w.padding for w in windows]))
+            center_tokens=tuple(w.center_record.narration for w in windows))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from seqdg.data import DataError, read_annotation_csv
+from seqdg.data import DataError
 
 __all__ = ["SeqCountTable", "count_repeats", "count_all_categories",
            "format_table", "table_to_dict"]
@@ -101,7 +101,3 @@ def format_table(tables: dict[str, SeqCountTable]) -> str:
 def table_to_dict(tables: dict[str, SeqCountTable]) -> dict:
     return {c: {"distinct": t.distinct, "occurrences": t.occurrences}
             for c, t in tables.items()}
-
-
-def run_seq_stats(csv_path, max_length: int = 5) -> dict[str, SeqCountTable]:
-    return count_all_categories(read_annotation_csv(csv_path), max_length)

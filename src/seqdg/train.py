@@ -117,14 +117,6 @@ class TrainConfig:
         d["model"] = self.model.to_dict()
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        model = ModelConfig.from_dict(d.pop("model"))
-        if "lr_decay_epochs" in d:
-            d["lr_decay_epochs"] = tuple(d["lr_decay_epochs"])
-        return cls(model=model, **d).check()
-
 
 @dataclass
 class LossBreakdown:
@@ -247,7 +239,6 @@ def _stream(*key) -> np.random.Generator:
 
 
 def fit(store: FeatureStore, model: SeqDGModel, config: TrainConfig, *,
-        embedder: NarrationEmbedder | None = None,
         metrics_path=None) -> TrainResult:
     """Train on the source split only; deterministic given (seed, config,
     data). Aborts with DivergenceError if the loss goes non-finite."""
@@ -263,8 +254,8 @@ def fit(store: FeatureStore, model: SeqDGModel, config: TrainConfig, *,
     need_recon_t = config.lambda_rt > 0
     token_text = need_recon_t and config.text_loss == "token_cross_entropy"
     needs_text = need_recon_v or need_recon_t
-    if needs_text and embedder is None and store.text is None:
-        embedder = NarrationEmbedder(len(store.vocab), store.d_t, seed=config.seed)
+    embedder = (NarrationEmbedder(len(store.vocab), store.d_t, seed=config.seed)
+                if needs_text and store.text is None else None)
 
     cache = FeatureCache(store, records, embedder=embedder, with_text=needs_text)
     verbs = np.array([w.center_record.verb for w in windows])
@@ -304,7 +295,7 @@ def fit(store: FeatureStore, model: SeqDGModel, config: TrainConfig, *,
                 optimizer.step(lr)
                 for key in LOSS_KEYS:
                     loss_sums[key] += len(chunk) * getattr(parts, key)
-            verb_logits, noun_logits = predict_windows(cache, model, windows, 512)
+            verb_logits, noun_logits = predict_windows(cache, model, windows)
             accs = topk_accuracy(verb_logits, noun_logits, verbs, nouns)
             entry = EpochMetrics(epoch=epoch, lr=lr,
                                  **{k: v / len(windows) for k, v in loss_sums.items()},

@@ -115,6 +115,35 @@ class TestSynthGen:
         assert main(["synth-gen", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
 
 
+WRONG_TYPED_CONFIGS = {
+    "model_W_str": ({"model": {"W": "5"}}, "W"),
+    "model_W_float": ({"model": {"W": 5.0}}, "W"),
+    "train_lr_str": ({"train": {"lr": "0.1"}}, "lr"),
+    "train_epochs_null": ({"train": {"epochs": None}}, "epochs"),
+    "train_decay_not_list": ({"train": {"lr_decay_epochs": 5}}, "lr_decay_epochs"),
+    "train_batch_bool": ({"train": {"batch_size": True}}, "batch_size"),
+    "model_not_object": ({"model": [1]}, "model"),
+    "ablate_W_str": ({"ablate": {"W": ["3"]}}, "W"),
+    "ablate_seed_null": ({"ablate": {"seeds": [None]}}, "seeds"),
+    "ablate_p_mix_str": ({"ablate": {"p_mix": ["0.5"]}}, "p_mix"),
+}
+
+
+@pytest.mark.parametrize("command", ["synth-gen", "ablate"])
+@pytest.mark.parametrize("case", sorted(WRONG_TYPED_CONFIGS))
+def test_wrong_typed_config_value_is_config_error(case, command, tmp_path, dataset_dir,
+                                                  capsys):
+    config, key = WRONG_TYPED_CONFIGS[case]
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(config))
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "x")]
+    if command == "ablate":
+        argv += ["--data", str(dataset_dir)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
 class TestTrainEval:
     def test_train_then_eval_roundtrip(self, tmp_path, config_path, dataset_dir):
         run_dir = tmp_path / "run"
@@ -180,10 +209,28 @@ class TestTrainEval:
                            sha(run_dir / "metrics.jsonl")))
         assert hashes[0] == hashes[1]
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_is_config_error(self, k, tmp_path, dataset_dir, checkpoint_path):
+        assert main(["eval", "--checkpoint", str(checkpoint_path), "--data",
+                     str(dataset_dir), "--out", str(tmp_path / "ev"), f"--k={k}"]) == 2
+
     def test_missing_data_dir_is_data_error(self, tmp_path, config_path):
         assert main(["train", "--config", str(config_path), "--data",
                      str(tmp_path / "nowhere"), "--out",
                      str(tmp_path / "r")]) == 3
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_label_beyond_n_verbs_is_data_error(self, command, tmp_path, dataset_dir,
+                                                capsys):
+        cfg = json.loads(json.dumps(SMALL_SYNTH))
+        cfg["model"]["n_verbs"] = 4  # the dataset has 8 verbs
+        path = tmp_path / "few_verbs.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert main([command, "--config", str(path), "--data", str(dataset_dir),
+                     "--out", str(out)]) == 3
+        assert "n_verbs=4" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_divergent_lr_exit_code(self, tmp_path, config_path, dataset_dir):
         cfg = json.loads(Path(config_path).read_text())
@@ -208,6 +255,22 @@ class TestAblate:
         assert any(r["W"] == 1 and r["p_mix"] == 0.0 and r["lambda_rv"] == 0.0
                    for r in rows)
         assert len(rows) == 2  # W in {1, 3}, all other axes single-valued
+
+    def test_token_text_loss_records_the_vocab_size_it_trains_with(self, tmp_path,
+                                                                   dataset_dir):
+        cfg = json.loads(json.dumps(SMALL_SYNTH))
+        del cfg["model"]["vocab_size"]
+        cfg["train"]["text_loss"] = "token_cross_entropy"
+        cfg["ablate"] = {"W": [3], "p_mix": [0.0], "lambda_rv": [0.0],
+                         "lambda_rt": [1.0], "seeds": [0]}
+        path = tmp_path / "token.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--config", str(path), "--data", str(dataset_dir),
+                     "--out", str(out), "--epochs", "1"]) == 0
+        vocab = json.loads((dataset_dir / "manifest.json").read_text())["vocab"]
+        prov = json.loads((out / "config_resolved.json").read_text())
+        assert prov["config"]["model"]["vocab_size"] == len(vocab)
 
 
 class TestSeqStats:
@@ -306,10 +369,14 @@ class TestCheckpointInputErrors:
 
 
 CORRUPT_MANIFESTS = {
-    "missing_key": lambda actions: actions[0].pop("verb"),
-    "wrong_type": lambda actions: actions[0].update(verb="3"),
-    "duplicate_id": lambda actions: actions[1].update(action_id=actions[0]["action_id"]),
-    "id_out_of_range": lambda actions: actions[0].update(action_id=len(actions)),
+    "missing_key": lambda m: m["actions"][0].pop("verb"),
+    "wrong_type": lambda m: m["actions"][0].update(verb="3"),
+    "duplicate_id": lambda m: m["actions"][1].update(
+        action_id=m["actions"][0]["action_id"]),
+    "id_out_of_range": lambda m: m["actions"][0].update(action_id=len(m["actions"])),
+    "d_v_str": lambda m: m.update(d_v="x"),
+    "d_t_float": lambda m: m.update(d_t=16.0),
+    "clips_per_action_null": lambda m: m.update(clips_per_action=None),
 }
 
 
@@ -319,7 +386,7 @@ class TestManifestInputErrors:
                                             checkpoint_path, capsys):
         path = dataset_dir / "manifest.json"
         manifest = json.loads(path.read_text())
-        CORRUPT_MANIFESTS[case](manifest["actions"])
+        CORRUPT_MANIFESTS[case](manifest)
         path.write_text(json.dumps(manifest))
         assert main(["eval", "--checkpoint", str(checkpoint_path), "--data",
                      str(dataset_dir), "--out", str(tmp_path / "ev")]) == 3
