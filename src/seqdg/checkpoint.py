@@ -11,11 +11,13 @@ reproduces the file byte for byte.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from seqdg.config import field_defaults, field_problems
 from seqdg.model import ModelConfig, ModelParams, SeqDGModel
 
 __all__ = [
@@ -74,7 +76,10 @@ def save_checkpoint(path, params: ModelParams, *, rng_state: dict | None = None,
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """Read a checkpoint back into ModelParams plus its header metadata.
-    Any truncated, malformed or inconsistent file raises CheckpointError."""
+    Any truncated, malformed or inconsistent file raises CheckpointError:
+    the header's model config must pass the config-file typing rule and
+    validation, its entries must tile the payload in header order, and
+    each array must have the shape the config gives its parameter."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:8] != MAGIC:
@@ -91,24 +96,48 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     body = raw[20 + header_len:]
     try:
         header = json.loads(raw[20:20 + header_len].decode("utf-8"))
+        config = _current_keys(path, header["config"])
+        problems = field_problems("config", config, field_defaults(ModelConfig))
+        if problems:
+            raise CheckpointError(f"{path}: " + "; ".join(problems))
+        config = ModelConfig.from_dict(config)
         arrays = {}
+        end = 0
         for entry in header["params"]:
-            start, count = entry["offset"], entry["size"]
-            if start < 0 or start + 8 * count > len(body):
-                raise CheckpointError(f"{path}: parameter {entry['name']!r} runs past "
+            name, shape, start, count = _entry_fields(path, entry)
+            if start != end:
+                raise CheckpointError(f"{path}: parameter {name!r} starts at payload byte "
+                                      f"{start}, not at {end} where the one before ends")
+            end = start + 8 * count
+            if end > len(body):
+                raise CheckpointError(f"{path}: parameter {name!r} runs past "
                                       f"the end of the payload (truncated file?)")
             arr = np.frombuffer(body, dtype="<f8", count=count, offset=start)
             if not np.isfinite(arr).all():
-                raise CheckpointError(f"{path}: parameter {entry['name']!r} holds "
-                                      "NaN or Inf")
-            arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
-        config = ModelConfig.from_dict(_current_keys(path, header["config"]))
+                raise CheckpointError(f"{path}: parameter {name!r} holds NaN or Inf")
+            arrays[name] = arr.reshape(shape).copy()
+        if end != len(body):
+            raise CheckpointError(f"{path}: {len(body) - end} payload bytes follow the "
+                                  "last parameter")
         params = ModelParams.from_named(config, arrays)
     except (KeyError, TypeError, ValueError) as exc:
-        # ValueError covers undecodable bytes and JSON, and configs that
-        # ModelConfig rejects
+        # ValueError covers undecodable bytes and JSON, configs that
+        # ModelConfig rejects and arrays of the wrong shape
         raise CheckpointError(f"{path}: {exc}") from exc
     return params, header
+
+
+def _entry_fields(path, entry) -> tuple[str, list[int], int, int]:
+    """Name, shape, byte offset and element count of one header entry, each
+    of its JSON type, the count the product of the shape."""
+    name, shape, start, count = entry["name"], entry["shape"], entry["offset"], entry["size"]
+    if (type(name) is not str or type(start) is not int or type(count) is not int
+            or type(shape) is not list or any(type(n) is not int or n < 0 for n in shape)):
+        raise CheckpointError(f"{path}: malformed entry for parameter {name!r}")
+    if math.prod(shape) != count:
+        raise CheckpointError(f"{path}: parameter {name!r} has shape {shape} but "
+                              f"size {count}")
+    return name, shape, start, count
 
 
 def _current_keys(path, config: dict) -> dict:

@@ -212,17 +212,20 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     store = FeatureStore.load(args.data)
     run = _train_config_for(store, args)
+    grid = run.ablate
+    # every cell's config is checked before the first one trains
+    cells = [(w, p_mix, lam_v, lam_t,
+              [replace(run.train, model=replace(run.model, W=w), p_mix=p_mix,
+                       lambda_rv=lam_v, lambda_rt=lam_t, seed=seed).check()
+               for seed in grid["seeds"]])
+             for w, p_mix, lam_v, lam_t in itertools.product(
+                 grid["W"], grid["p_mix"], grid["lambda_rv"], grid["lambda_rt"])]
     out = _out_dir(args)
     _write_provenance(out, "ablate", run.to_dict(), run.train.seed,
                       _data_hashes(Path(args.data)))
-    grid = run.ablate
     rows = []
-    for w, p_mix, lam_v, lam_t in itertools.product(
-            grid["W"], grid["p_mix"], grid["lambda_rv"], grid["lambda_rt"]):
-        accs = [train_and_score(store, replace(
-                    run.train, model=replace(run.model, W=w), p_mix=p_mix,
-                    lambda_rv=lam_v, lambda_rt=lam_t, seed=seed).check())
-                for seed in grid["seeds"]]
+    for w, p_mix, lam_v, lam_t, configs in cells:
+        accs = [train_and_score(store, config) for config in configs]
         rows.append({"W": w, "p_mix": p_mix, "lambda_rv": lam_v, "lambda_rt": lam_t,
                      "target_action_top1": round(float(np.mean(accs)), 2),
                      "per_seed": [round(a, 2) for a in accs]})

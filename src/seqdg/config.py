@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -17,7 +18,8 @@ from seqdg.model import ModelConfig
 from seqdg.synth import SynthConfig
 from seqdg.train import TrainConfig
 
-__all__ = ["ConfigError", "RunConfig", "load_run_config", "file_sha256"]
+__all__ = ["ConfigError", "RunConfig", "load_run_config", "field_defaults", "field_problems",
+           "file_sha256"]
 
 SECTIONS = ("synth", "model", "train", "ablate")
 # each grid axis and the model or train field it sweeps
@@ -52,16 +54,17 @@ class RunConfig:
                 "ablate": self.ablate}
 
 
-def _defaults(cls) -> dict:
+def field_defaults(cls) -> dict:
     return {f.name: f.default for f in fields(cls)}
 
 
 def _fits(default, value) -> bool:
     """Whether a JSON value may set a field whose default is `default`: a
-    number for a float, a list of ints for a tuple, an int or null where
-    the default is null, the exact type otherwise (a bool is no number)."""
+    finite number for a float, a list of ints for a tuple, an int or null
+    where the default is null, the exact type otherwise (a bool is no
+    number). Python's JSON parser reads NaN and Infinity as floats."""
     if isinstance(default, float):
-        return type(value) in (int, float)
+        return type(value) is int or (type(value) is float and math.isfinite(value))
     if isinstance(default, tuple):
         return type(value) is list and all(type(v) is int for v in value)
     if default is None:
@@ -69,15 +72,17 @@ def _fits(default, value) -> bool:
     return type(value) is type(default)
 
 
-def _check_section(section: str, payload, defaults: dict, problems: list[str]):
+def field_problems(section: str, payload, defaults: dict) -> list[str]:
+    """The typing rule of every JSON object that sets config fields, a
+    config file's sections and a checkpoint header's model config alike:
+    each key is one of `defaults` and each value fits that field's
+    default."""
     if type(payload) is not dict:
-        problems.append(f"{section} must be a JSON object")
-        return
-    for key, value in payload.items():
-        if key not in defaults:
-            problems.append(f"{section}: unknown key {key!r}")
-        elif not _fits(defaults[key], value):
-            problems.append(f"{section}: {key} cannot be {value!r}")
+        return [f"{section} must be a JSON object"]
+    return [f"{section}: unknown key {key!r}" if key not in defaults
+            else f"{section}: {key} cannot be {value!r}"
+            for key, value in payload.items()
+            if key not in defaults or not _fits(defaults[key], value)]
 
 
 def load_run_config(path=None, overrides: dict | None = None,
@@ -104,18 +109,18 @@ def load_run_config(path=None, overrides: dict | None = None,
                 problems.append(f"unknown section {section!r} "
                                 f"(expected one of {list(SECTIONS)})")
 
-    model_defaults = _defaults(ModelConfig)
-    train_defaults = _defaults(TrainConfig)
+    model_defaults = field_defaults(ModelConfig)
+    train_defaults = field_defaults(TrainConfig)
     del train_defaults["model"]
     synth_raw = raw.get("synth", {})
     model_raw = raw.get("model", {})
     train_raw = raw.get("train", {})
     ablate_raw = raw.get("ablate", {})
-    _check_section("synth", synth_raw, _defaults(SynthConfig), problems)
-    _check_section("model", model_raw, model_defaults, problems)
-    _check_section("train", train_raw, train_defaults, problems)
+    problems += field_problems("synth", synth_raw, field_defaults(SynthConfig))
+    problems += field_problems("model", model_raw, model_defaults)
+    problems += field_problems("train", train_raw, train_defaults)
     # every grid axis holds a list, each element typed as the field it sweeps
-    _check_section("ablate", ablate_raw, dict.fromkeys(ABLATE_FIELDS, []), problems)
+    problems += field_problems("ablate", ablate_raw, dict.fromkeys(ABLATE_FIELDS, []))
     if problems:
         raise ConfigError(problems)
     ablate = {**DEFAULT_ABLATE, **ablate_raw}
@@ -127,6 +132,9 @@ def load_run_config(path=None, overrides: dict | None = None,
             problems.append(f"ablate: {key} cannot hold {values!r}")
 
     overrides = overrides or {}
+    # flag values obey the file's typing rule (a float flag also parses "nan")
+    problems += field_problems("flags", {k: v for k, v in overrides.items() if v is not None},
+                               swept)
     seed = overrides.get("seed")
     if seed is not None:
         synth_raw["seed"] = seed

@@ -269,34 +269,33 @@ def _action_record(index: int, action) -> ActionRecord:
 
 
 def build_windows(records, W: int) -> list[SequenceWindow]:
-    """One window per action, the action at the center. Edges replicate
-    the nearest real action and flag those slots as padding."""
+    """One window per record, window i centred on `records[i]`. Each video
+    is ordered by temporal index; edges replicate the nearest real action
+    and flag those slots as padding."""
     if W < 1 or W % 2 == 0:
         raise DataError(f"window length must be odd and >= 1, got {W}")
-    by_video: dict[str, list[ActionRecord]] = {}
-    for r in records:
-        by_video.setdefault(r.video_id, []).append(r)
+    by_video: dict[str, list[int]] = {}
+    for i, r in enumerate(records):
+        by_video.setdefault(r.video_id, []).append(i)
     half = (W - 1) // 2
-    windows: list[SequenceWindow] = []
-    for video_id, video in by_video.items():
-        if not video:
-            raise DataError(f"video {video_id!r} has no actions")
-        video = sorted(video, key=lambda r: r.temporal_index)
-        indices = [r.temporal_index for r in video]
-        if len(set(indices)) != len(indices) or indices != list(
-                range(indices[0], indices[0] + len(indices))):
+    windows: list[SequenceWindow] = [None] * len(records)
+    for video_id, members in by_video.items():
+        members.sort(key=lambda i: records[i].temporal_index)
+        video = [records[i] for i in members]
+        first = video[0].temporal_index
+        if [r.temporal_index for r in video] != list(range(first, first + len(video))):
             raise DataError(f"video {video_id!r}: temporal indices must be "
                             "consecutive and unique")
         n = len(video)
-        for i in range(n):
+        for pos, i in enumerate(members):
             slots, pads = [], []
             for off in range(-half, half + 1):
-                j = i + off
+                j = pos + off
                 clamped = min(max(j, 0), n - 1)
                 slots.append(video[clamped])
                 pads.append(j != clamped)
-            windows.append(SequenceWindow(records=tuple(slots), padding=tuple(pads),
-                                          center=half))
+            windows[i] = SequenceWindow(records=tuple(slots), padding=tuple(pads),
+                                        center=half)
     return windows
 
 

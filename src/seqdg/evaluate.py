@@ -60,7 +60,8 @@ def predict_windows(cache: FeatureCache, model: SeqDGModel,
 def sliding_window_predict(store: FeatureStore, model: SeqDGModel, *,
                            domains=None, k: int = 5) -> list[Prediction]:
     """One prediction per action of the requested domains (default: the
-    target split), every video processed in isolation."""
+    target split), in the store's record order, every video processed in
+    isolation."""
     cfg = model.config
     if domains is None:
         domains = store.split.target

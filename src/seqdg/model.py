@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, is_dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -66,9 +67,11 @@ class ModelConfig:
         errs = []
         if self.W < 1 or self.W % 2 == 0:
             errs.append(f"W must be odd and >= 1, got {self.W}")
+        if self.n_heads < 1:
+            errs.append(f"n_heads must be >= 1, got {self.n_heads}")
         if self.D < 1:
             errs.append(f"D must be >= 1, got {self.D}")
-        elif self.D % self.n_heads != 0:
+        elif self.n_heads >= 1 and self.D % self.n_heads != 0:
             errs.append(f"D={self.D} not divisible by n_heads={self.n_heads}")
         if self.D_T != self.D:
             errs.append(f"D_T must equal D after projection, got D_T={self.D_T}, D={self.D}")
@@ -76,8 +79,6 @@ class ModelConfig:
             errs.append(f"D_V must be >= 1, got {self.D_V}")
         if self.n_enc_layers < 0 or self.n_dec_layers < 0:
             errs.append("layer counts must be >= 0")
-        if self.n_heads < 1:
-            errs.append(f"n_heads must be >= 1, got {self.n_heads}")
         if self.n_verbs < 1 or self.n_nouns < 1:
             errs.append("class counts must be >= 1")
         if self.ff_width < 1:
@@ -150,17 +151,25 @@ class DecoderLayerParams:
     ln_ff: LayerNormParams
 
 
-# Layouts are built with an initialiser in every tensor slot, a function of
-# the rng that returns the slot's initial array; `ModelParams` then fills
-# the slots in walk order, so that order is also the order of the draws.
+# Layouts are built with a `_Slot` in every tensor position: the shape the
+# tensor must have, and a function of the rng that draws its initial array.
+# `ModelParams` then fills the slots in walk order, so that order is also
+# the order of the draws. Nothing is allocated before a slot is filled.
 
-def _uniform(fan_in: int, shape):
-    bound = 1.0 / math.sqrt(fan_in)
-    return lambda rng: rng.uniform(-bound, bound, size=shape)
+class _Slot(NamedTuple):
+    shape: tuple[int, ...]
+    draw: Callable[[np.random.Generator], np.ndarray]
 
 
-def _constant(value: float, d: int):
-    return lambda rng: np.full(d, value)
+def _uniform(fan_in: int, shape) -> _Slot:
+    def draw(rng):
+        bound = 1.0 / math.sqrt(fan_in)
+        return rng.uniform(-bound, bound, size=shape)
+    return _Slot(tuple(shape), draw)
+
+
+def _constant(value: float, d: int) -> _Slot:
+    return _Slot((d,), lambda rng: np.full(d, value))
 
 
 def _new_affine(fan_in: int, fan_out: int) -> Affine:
@@ -208,6 +217,14 @@ def _slots(owner, attrs, prefix: str = ""):
             yield name, owner, attr
 
 
+def _tensor_count(layer) -> int:
+    return sum(1 for _ in _slots(layer, [f.name for f in fields(layer)]))
+
+
+_ENCODER_LAYER_TENSORS = _tensor_count(_new_encoder_layer(1, 1))
+_DECODER_LAYER_TENSORS = _tensor_count(_new_decoder_layer(1, 1))
+
+
 class ModelParams:
     """All learnable state, addressable by dotted names for checkpoints.
 
@@ -224,29 +241,37 @@ class ModelParams:
     def __init__(self, config: ModelConfig, seed: int | None = 0):
         self._lay_out(config)
         rng = np.random.default_rng(seed)
-        self._fill(lambda name, init: init(rng))
+        self._fill(lambda name, slot: slot.draw(rng))
 
-    def _lay_out(self, config: ModelConfig):
+    def _lay_out(self, config: ModelConfig, stripped=()):
+        """Slots for every group, except that an optional group named in
+        `stripped` is None when it would hold any tensor."""
         self.config = cfg = config.check()
         d, d_ff = cfg.D, cfg.ff_width
+
+        def decoders(attr):
+            if attr in stripped and cfg.n_dec_layers:
+                return None
+            return [_new_decoder_layer(d, d_ff) for _ in range(cfg.n_dec_layers)]
+
         self.proj = _new_affine(cfg.D_V, d)
         # positions must be separable from feature content right away, so
         # the positional table starts at feature scale, not at weight scale
-        self.pos = lambda rng: rng.uniform(-1.0, 1.0, (cfg.W, d))
+        self.pos = _Slot((cfg.W, d), lambda rng: rng.uniform(-1.0, 1.0, (cfg.W, d)))
         self.cls_verb = _uniform(d, (d,))
         self.cls_noun = _uniform(d, (d,))
         self.encoder: list[EncoderLayerParams] = [
             _new_encoder_layer(d, d_ff) for _ in range(cfg.n_enc_layers)]
-        self.dec_visual: list[DecoderLayerParams] | None = [
-            _new_decoder_layer(d, d_ff) for _ in range(cfg.n_dec_layers)]
-        self.dec_text: list[DecoderLayerParams] | None = [
-            _new_decoder_layer(d, d_ff) for _ in range(cfg.n_dec_layers)]
+        self.dec_visual: list[DecoderLayerParams] | None = decoders("dec_visual")
+        self.dec_text: list[DecoderLayerParams] | None = decoders("dec_text")
         self.head_verb = _new_affine(d, cfg.n_verbs)
         self.head_noun = _new_affine(d, cfg.n_nouns)
-        self.text_head = _new_affine(d, cfg.vocab_size) if cfg.vocab_size is not None else None
+        self.text_head = (_new_affine(d, cfg.vocab_size)
+                          if cfg.vocab_size is not None and "text_head" not in stripped
+                          else None)
 
     def _fill(self, value):
-        """Replace each slot's initialiser by a tensor of `value(name, init)`."""
+        """Replace each slot by a tensor of `value(name, slot)`."""
         for name, owner, attr in list(_slots(self, self.GROUPS)):
             setattr(owner, attr, Tensor(value(name, getattr(owner, attr)), requires_grad=True))
 
@@ -264,19 +289,29 @@ class ModelParams:
 
     @classmethod
     def from_named(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "ModelParams":
-        """Rebuild from name->array pairs; optional groups may be absent."""
+        """Rebuild from name->array pairs, each array of its slot's shape; an
+        optional group may be absent as a whole. A config whose layers need
+        more tensors than `arrays` holds is rejected before it is laid out."""
+        stripped = {attr for attr in cls.OPTIONAL if not any(
+            name.startswith(_SEGMENT.get(attr, attr) + ".") for name in arrays)}
+        decoder_stacks = 2 - len(stripped & {"dec_visual", "dec_text"})
+        needed = (config.check().n_enc_layers * _ENCODER_LAYER_TENSORS
+                  + decoder_stacks * config.n_dec_layers * _DECODER_LAYER_TENSORS)
+        if needed > len(arrays):
+            raise KeyError(f"the config's layers need {needed} parameters, the checkpoint "
+                           f"lists {len(arrays)}")
         params = cls.__new__(cls)
-        params._lay_out(config)
-        for attr in cls.OPTIONAL:
-            if getattr(params, attr) and not any(
-                    name in arrays for name, _owner, _attr in _slots(params, (attr,))):
-                setattr(params, attr, None)
+        params._lay_out(config, stripped)
         remaining = dict(arrays)
 
-        def take(name, _init):
+        def take(name, slot):
             if name not in remaining:
                 raise KeyError(f"checkpoint is missing parameter {name!r}")
-            return remaining.pop(name)
+            array = remaining.pop(name)
+            if array.shape != slot.shape:
+                raise ValueError(f"parameter {name!r} has shape {array.shape}, the config "
+                                 f"needs {slot.shape}")
+            return array
 
         params._fill(take)
         if remaining:

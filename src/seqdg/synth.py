@@ -28,13 +28,14 @@ from pathlib import Path
 
 import numpy as np
 
-from seqdg.data import ActionRecord, DataError, DatasetSplit, FeatureStore
+from seqdg.data import ActionRecord, DataError, DatasetSplit, FeatureCache, FeatureStore
 
 __all__ = [
     "SynthConfig",
     "Grammar",
     "DomainTransform",
     "SynthTruth",
+    "build_truth",
     "build_recipe_grammar",
     "uniform_grammar",
     "generate",
@@ -118,10 +119,6 @@ class SynthConfig:
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthConfig":
-        return cls(**d).check()
-
 
 @dataclass
 class Grammar:
@@ -153,18 +150,6 @@ class Grammar:
             states[t] = state
             state = int(rng.choice(self.n_states, p=self.transitions[state]))
         return states
-
-    def to_dict(self) -> dict:
-        return {"transitions": self.transitions.tolist(),
-                "verbs": self.verbs.tolist(), "nouns": self.nouns.tolist(),
-                "start": self.start.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Grammar":
-        return cls(transitions=np.asarray(d["transitions"], dtype=np.float64),
-                   verbs=np.asarray(d["verbs"], dtype=np.int64),
-                   nouns=np.asarray(d["nouns"], dtype=np.int64),
-                   start=np.asarray(d["start"], dtype=np.float64))
 
 
 def build_recipe_grammar(config: SynthConfig) -> tuple[Grammar, list[tuple[int, int]]]:
@@ -227,17 +212,11 @@ class DomainTransform:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return (x * self.scaling) @ self.rotation.T + self.offset
 
-    def to_dict(self) -> dict:
-        return {"rotation": self.rotation.tolist(), "scaling": self.scaling.tolist(),
-                "offset": self.offset.tolist()}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DomainTransform":
-        return cls(rotation=np.asarray(d["rotation"]), scaling=np.asarray(d["scaling"]),
-                   offset=np.asarray(d["offset"]))
-
-
-def _domain_transform(dim: int, shift: float, offset_shift: float, rng) -> DomainTransform:
+def _domain_transform(config: SynthConfig, d_index: int) -> DomainTransform:
+    """The transform of domain `d_index`, drawn from its own seed stream."""
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1, d_index)).spawn(1)[0])
+    dim, shift = config.d_v, config.domain_shift
     if shift == 0.0:
         rotation = np.eye(dim)
         scaling = np.ones(dim)
@@ -245,13 +224,13 @@ def _domain_transform(dim: int, shift: float, offset_shift: float, rng) -> Domai
         perturb = rng.standard_normal((dim, dim)) / np.sqrt(dim)
         rotation, _ = np.linalg.qr(np.eye(dim) + shift * perturb)
         scaling = 1.0 + 0.2 * shift * rng.uniform(-1.0, 1.0, dim)
-    offset = offset_shift * rng.standard_normal(dim)
+    offset = config.offset_shift * rng.standard_normal(dim)
     return DomainTransform(rotation=rotation, scaling=scaling, offset=offset)
 
 
 @dataclass
 class SynthTruth:
-    """Everything an oracle needs: grammar, prototypes, transforms, noise."""
+    """Everything an oracle needs, all of it a function of the config."""
 
     config: SynthConfig
     grammar: Grammar
@@ -264,25 +243,45 @@ class SynthTruth:
         return np.concatenate([self.verb_protos[verb], self.noun_protos[noun]])
 
     def to_dict(self) -> dict:
-        return {"config": self.config.to_dict(), "grammar": self.grammar.to_dict(),
-                "pairs": [list(p) for p in self.pairs],
+        """`generator_truth.json`: the config the rest is rebuilt from, plus
+        the pairs and prototypes that readers outside this module use."""
+        return {"config": self.config.to_dict(), "pairs": [list(p) for p in self.pairs],
                 "verb_protos": self.verb_protos.tolist(),
-                "noun_protos": self.noun_protos.tolist(),
-                "transforms": {k: v.to_dict() for k, v in self.transforms.items()}}
+                "noun_protos": self.noun_protos.tolist()}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthTruth":
-        return cls(config=SynthConfig.from_dict(d["config"]),
-                   grammar=Grammar.from_dict(d["grammar"]),
-                   pairs=[tuple(p) for p in d["pairs"]],
-                   verb_protos=np.asarray(d["verb_protos"]),
-                   noun_protos=np.asarray(d["noun_protos"]),
-                   transforms={k: DomainTransform.from_dict(v)
-                               for k, v in d["transforms"].items()})
+
+def _split(config: SynthConfig) -> DatasetSplit:
+    return DatasetSplit(source=tuple(f"S{i}" for i in range(config.n_source_domains)),
+                        target=tuple(f"T{i}" for i in range(config.n_target_domains)))
+
+
+def build_truth(config: SynthConfig) -> SynthTruth:
+    """The generator's ground truth; its draws use seed streams of their
+    own, apart from video sampling."""
+    config = config.check()
+    proto_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
+    grammar, pairs = build_recipe_grammar(config)
+    half = config.d_v // 2
+    verb_protos = proto_rng.standard_normal((config.n_verbs, half))
+    for a, b in pairs:
+        verb_protos[b] = verb_protos[a]           # bitwise-shared prototypes
+    noun_protos = proto_rng.standard_normal((config.n_nouns, half))
+    split = _split(config)
+    transforms = {domain: _domain_transform(config, d_index)
+                  for d_index, domain in enumerate(split.source + split.target)}
+    return SynthTruth(config=config, grammar=grammar, pairs=pairs, verb_protos=verb_protos,
+                      noun_protos=noun_protos, transforms=transforms)
 
 
 def load_truth(path) -> SynthTruth:
-    return SynthTruth.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Rebuild the truth from a `generator_truth.json`'s config and check
+    each key it writes against the file; other keys are ignored."""
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    truth = build_truth(SynthConfig(**payload["config"]))
+    for key, value in truth.to_dict().items():
+        if payload.get(key) != value:
+            raise DataError(f"{path}: {key!r} differs from the truth its config rebuilds")
+    return truth
 
 
 # ---------------------------------------------------------------------------
@@ -291,29 +290,14 @@ def load_truth(path) -> SynthTruth:
 
 def generate(config: SynthConfig) -> tuple[FeatureStore, SynthTruth]:
     """Sample the full multi-domain dataset. Deterministic per seed."""
-    config = config.check()
-    root = np.random.SeedSequence(config.seed)
-    proto_rng = np.random.default_rng(root.spawn(1)[0])
-    grammar, pairs = build_recipe_grammar(config)
-
-    half = config.d_v // 2
-    verb_protos = proto_rng.standard_normal((config.n_verbs, half))
-    for a, b in pairs:
-        verb_protos[b] = verb_protos[a]           # bitwise-shared prototypes
-    noun_protos = proto_rng.standard_normal((config.n_nouns, half))
-
-    domain_ids = ([f"S{i}" for i in range(config.n_source_domains)]
-                  + [f"T{i}" for i in range(config.n_target_domains)])
-    transforms: dict[str, DomainTransform] = {}
+    truth = build_truth(config)
+    config, grammar = truth.config, truth.grammar
+    split = _split(config)
     records: list[ActionRecord] = []
     blobs: list[np.ndarray] = []
     offset = 0
     action_id = 0
-    for d_index, domain in enumerate(domain_ids):
-        domain_seq = np.random.SeedSequence((config.seed, 1, d_index))
-        t_rng = np.random.default_rng(domain_seq.spawn(1)[0])
-        transforms[domain] = _domain_transform(config.d_v, config.domain_shift,
-                                               config.offset_shift, t_rng)
+    for d_index, domain in enumerate(split.source + split.target):
         for v_index in range(config.videos_per_domain):
             vid_rng = np.random.default_rng(
                 np.random.SeedSequence((config.seed, 2, d_index, v_index)))
@@ -321,8 +305,7 @@ def generate(config: SynthConfig) -> tuple[FeatureStore, SynthTruth]:
             for t, state in enumerate(states):
                 verb = int(grammar.verbs[state])
                 noun = int(grammar.nouns[state])
-                proto = np.concatenate([verb_protos[verb], noun_protos[noun]])
-                base = transforms[domain].apply(proto)
+                base = truth.transforms[domain].apply(truth.prototype(verb, noun))
                 clips = base + config.noise_sigma * vid_rng.standard_normal(
                     (config.clips_per_action, config.d_v))
                 blobs.append(clips.astype("<f4").reshape(-1))
@@ -334,21 +317,17 @@ def generate(config: SynthConfig) -> tuple[FeatureStore, SynthTruth]:
                 action_id += 1
                 offset += config.clips_per_action * config.d_v
     visual = np.concatenate(blobs) if blobs else np.empty(0, dtype="<f4")
-    split = DatasetSplit(source=tuple(f"S{i}" for i in range(config.n_source_domains)),
-                         target=tuple(f"T{i}" for i in range(config.n_target_domains)))
     vocab = [f"verb{v}" for v in range(config.n_verbs)] + \
             [f"noun{n}" for n in range(config.n_nouns)]
     meta = {"name": f"synth-{config.seed}", "d_v": config.d_v, "d_t": config.d_t,
             "clips_per_action": config.clips_per_action}
     store = FeatureStore(meta, records, vocab, split, visual.astype("<f4"))
-    truth = SynthTruth(config=config, grammar=grammar, pairs=pairs,
-                       verb_protos=verb_protos, noun_protos=noun_protos,
-                       transforms=transforms)
     return store, truth
 
 
 def generate_to(config: SynthConfig, directory) -> Path:
-    """Generate and persist the dataset plus the generator-truth file."""
+    """Generate and persist the dataset plus the generator-truth file
+    (`SynthTruth.to_dict`)."""
     directory = Path(directory)
     store, truth = generate(config)
     manifest = store.save(directory)
@@ -469,8 +448,8 @@ def bayes_accuracy_on_store(store: FeatureStore, truth: SynthTruth) -> float:
     """Bayes single-action accuracy over the stored dataset (all clips
     averaged per action)."""
     sigma = _sigma_eff(truth)
+    features = FeatureCache(store, store.records).visual
     hits = 0
-    for rec in store.records:
-        x = store.clips(rec).astype(np.float64).mean(axis=0)
+    for rec, x in zip(store.records, features):
         hits += single_action_bayes(x, rec.domain_id, truth, sigma) == rec.label
     return 100.0 * hits / len(store.records)

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -58,6 +61,30 @@ class TestRoundTrip:
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_layers_beyond_the_header_are_rejected_before_the_layout(self, tmp_path,
+                                                                     monkeypatch):
+        raw = save_checkpoint(tmp_path / "f.ckpt", tiny_params()).read_bytes()
+        n = struct.unpack("<Q", raw[12:20])[0]
+        header = json.loads(raw[20:20 + n])
+        header["config"]["n_enc_layers"] = 10 ** 9
+        encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+        path = tmp_path / "deep.ckpt"
+        path.write_bytes(raw[:12] + struct.pack("<Q", len(encoded)) + encoded + raw[20 + n:])
+
+        def lay_out(self, *args):
+            raise AssertionError("laid out a model the header cannot fill")
+
+        monkeypatch.setattr(ModelParams, "_lay_out", lay_out)
+        with pytest.raises(CheckpointError, match="layers need"):
+            load_checkpoint(path)
+
+    def test_array_of_another_shape_is_rejected(self):
+        params = tiny_params()
+        arrays = {name: t.data for name, t in params.named().items()}
+        arrays["head_verb.weight"] = arrays["head_verb.weight"].T.copy()
+        with pytest.raises(ValueError, match="head_verb.weight"):
+            ModelParams.from_named(params.config, arrays)
 
 
 class TestStripTextParameters:

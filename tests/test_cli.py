@@ -5,7 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from seqdg import cli
 from seqdg.checkpoint import save_checkpoint
 from seqdg.cli import main
 from seqdg.config import ConfigError, load_run_config
@@ -80,6 +83,11 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="trian"):
             load_run_config(path)
 
+    @pytest.mark.parametrize("flag", ["lambda_rv", "lambda_rt", "p_mix"])
+    def test_non_finite_flag_value_is_config_error(self, flag, config_path):
+        with pytest.raises(ConfigError, match=flag):
+            load_run_config(config_path, {flag: float("nan")})
+
     def test_seed_override_applies_everywhere(self, config_path):
         run = load_run_config(config_path, {"seed": 99})
         assert run.synth.seed == 99
@@ -126,6 +134,11 @@ WRONG_TYPED_CONFIGS = {
     "ablate_W_str": ({"ablate": {"W": ["3"]}}, "W"),
     "ablate_seed_null": ({"ablate": {"seeds": [None]}}, "seeds"),
     "ablate_p_mix_str": ({"ablate": {"p_mix": ["0.5"]}}, "p_mix"),
+    "train_lr_nan": ({"train": {"lr": float("nan")}}, "lr"),
+    "train_lambda_rv_inf": ({"train": {"lambda_rv": float("inf")}}, "lambda_rv"),
+    "synth_noise_sigma_nan": ({"synth": {"noise_sigma": float("nan")}}, "noise_sigma"),
+    "ablate_lambda_rt_minus_inf": ({"ablate": {"lambda_rt": [float("-inf")]}}, "lambda_rt"),
+    "model_n_heads_zero": ({"model": {"n_heads": 0}}, "n_heads"),
 }
 
 
@@ -209,6 +222,48 @@ class TestTrainEval:
                            sha(run_dir / "metrics.jsonl")))
         assert hashes[0] == hashes[1]
 
+    def test_eval_labels_follow_the_manifest_for_interleaved_videos(self, tmp_path,
+                                                                     config_path):
+        # two target videos whose rows alternate, each listed back to front
+        rng = np.random.default_rng(0)
+        rows = [{"video_id": f"s{d}", "domain_id": f"S{d}", "temporal_index": t,
+                 "verb_class": int(rng.integers(8)), "noun_class": int(rng.integers(5)),
+                 "narration": f"w{t % 3} x{d}"} for d in range(2) for t in range(8)]
+        rows += [{"video_id": video, "domain_id": "T0", "temporal_index": t,
+                  "verb_class": int(rng.integers(8)), "noun_class": int(rng.integers(5)),
+                  "narration": "w0"} for t in reversed(range(6)) for video in ("ta", "tb")]
+        csv_path = tmp_path / "ann.csv"
+        write_annotation_csv(csv_path, rows)
+        features = tmp_path / "features.f32"
+        rng.standard_normal(len(rows) * 2 * 16).astype("<f4").tofile(features)
+        data_dir = tmp_path / "imported"
+        assert main(["import", "--csv", str(csv_path), "--features", str(features),
+                     "--d-v", "16", "--clips", "2", "--d-t", "16",
+                     "--target-domains", "T0", "--out", str(data_dir)]) == 0
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--data", str(data_dir),
+                     "--out", str(run_dir)]) == 0
+        eval_dir = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.ckpt"),
+                     "--data", str(data_dir), "--out", str(eval_dir),
+                     "--dump-predictions"]) == 0
+        labels = {a["action_id"]: (a["verb"], a["noun"]) for a in json.loads(
+            (data_dir / "manifest.json").read_text())["actions"] if a["domain_id"] == "T0"}
+        preds = [json.loads(line) for line in
+                 (eval_dir / "predictions.jsonl").read_text().splitlines()]
+        assert sorted(p["action_id"] for p in preds) == sorted(labels)
+        assert all((p["verb"], p["noun"]) == labels[p["action_id"]] for p in preds)
+        recount = {}
+        for k in (1, 5):
+            verb = [p["verb"] in p["topk_verbs"][:k] for p in preds]
+            noun = [p["noun"] in p["topk_nouns"][:k] for p in preds]
+            action = [v and n for v, n in zip(verb, noun)]
+            recount[f"top{k}"] = {name: round(100.0 * sum(hits) / len(preds), 1)
+                                  for name, hits in (("verb", verb), ("noun", noun),
+                                                     ("action", action))}
+        results = json.loads((eval_dir / "results.json").read_text())
+        assert results["metrics"] == recount
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_k_below_one_is_config_error(self, k, tmp_path, dataset_dir, checkpoint_path):
         assert main(["eval", "--checkpoint", str(checkpoint_path), "--data",
@@ -255,6 +310,24 @@ class TestAblate:
         assert any(r["W"] == 1 and r["p_mix"] == 0.0 and r["lambda_rv"] == 0.0
                    for r in rows)
         assert len(rows) == 2  # W in {1, 3}, all other axes single-valued
+
+    @pytest.mark.parametrize("axis, values", [("W", [1, 4]), ("p_mix", [0.0, 2.0]),
+                                              ("lambda_rv", [0.0, -1.0])])
+    def test_bad_late_grid_value_trains_nothing(self, axis, values, tmp_path, dataset_dir,
+                                               monkeypatch, capsys):
+        trained = []
+        monkeypatch.setattr(cli, "train_and_score",
+                            lambda store, config: trained.append(config) or 50.0)
+        cfg = json.loads(json.dumps(SMALL_SYNTH))
+        cfg["ablate"][axis] = values
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--config", str(path), "--data", str(dataset_dir),
+                     "--out", str(out)]) == 2
+        assert trained == []
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_token_text_loss_records_the_vocab_size_it_trains_with(self, tmp_path,
                                                                    dataset_dir):
@@ -323,6 +396,17 @@ def header_length(raw: bytes) -> int:
     return struct.unpack("<Q", raw[12:20])[0]
 
 
+def with_entry(raw: bytes, index: int, edit) -> bytes:
+    """The checkpoint bytes `raw` with `edit` applied to its index-th
+    parameter entry."""
+    return with_header(raw, lambda h: edit(h["params"][index]))
+
+
+def with_named_entry(raw: bytes, name: str, edit) -> bytes:
+    header, _payload = split_checkpoint(raw)
+    return with_entry(raw, [e["name"] for e in header["params"]].index(name), edit)
+
+
 CORRUPT_CHECKPOINTS = {
     "truncated_payload": lambda raw: raw[:-100],
     "half_length": lambda raw: raw[:len(raw) // 2],
@@ -335,7 +419,55 @@ CORRUPT_CHECKPOINTS = {
     "retired_key_changed": lambda raw: with_header(
         raw, lambda h: h["config"].update(decoder_self_attention=False)),
     "nan_in_payload": lambda raw: raw[:-8] + struct.pack("<d", float("nan")),
+    # the header config obeys the config-file typing rule
+    "W_float": lambda raw: with_header(raw, lambda h: h["config"].update(W=3.0)),
+    "n_heads_float": lambda raw: with_header(raw, lambda h: h["config"].update(n_heads=2.0)),
+    "n_enc_layers_bool": lambda raw: with_header(
+        raw, lambda h: h["config"].update(n_enc_layers=True)),
+    "layer_norm_eps_nan": lambda raw: with_header(
+        raw, lambda h: h["config"].update(layer_norm_eps=float("nan"))),
+    "n_heads_zero": lambda raw: with_header(raw, lambda h: h["config"].update(n_heads=0)),
+    # the header agrees with its payload and with the model
+    "n_verbs_changed": lambda raw: with_header(raw, lambda h: h["config"].update(n_verbs=7)),
+    "D_V_changed": lambda raw: with_header(raw, lambda h: h["config"].update(D_V=18)),
+    "head_shape_transposed": lambda raw: with_named_entry(
+        raw, "head_verb.weight", lambda e: e.update(shape=e["shape"][::-1])),
+    "offset_shifted": lambda raw: with_entry(
+        raw, 1, lambda e: e.update(offset=e["offset"] + 3)),
+    "offset_shifted_by_a_word": lambda raw: with_entry(
+        raw, 1, lambda e: e.update(offset=e["offset"] + 8)),
+    "bytes_after_last_parameter": lambda raw: raw + struct.pack("<d", 0.0),
+    "layers_beyond_the_header": lambda raw: with_header(
+        raw, lambda h: h["config"].update(n_enc_layers=100_000)),
+    # found by test_fuzzed_checkpoint_loads_or_is_data_error
+    "W_changed": lambda raw: with_header(raw, lambda h: h["config"].update(W=5)),
+    "n_verbs_beyond_float_range": lambda raw: with_header(
+        raw, lambda h: h["config"].update(n_verbs=2 ** 70)),
+    "size_beyond_int64": lambda raw: with_entry(raw, 0, lambda e: e.update(size=-2 ** 70)),
 }
+
+# any JSON value: null, bool, int of any size, float including NaN and
+# +-Infinity, a short string, a short int list
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                        st.text(max_size=8), st.lists(st.integers(), max_size=4))
+
+
+@st.composite
+def fuzzed_checkpoints(draw, raw: bytes) -> bytes:
+    """`raw` with one header config value or one field of one parameter
+    entry replaced by a drawn JSON value, or cut at a drawn length."""
+    header, _payload = split_checkpoint(raw)
+    kind = draw(st.sampled_from(["config", "entry", "truncate"]))
+    if kind == "truncate":
+        return raw[:draw(st.integers(0, len(raw)))]
+    value = draw(JSON_VALUES)
+    if kind == "config":
+        key = draw(st.sampled_from(sorted(header["config"])))
+        return with_header(raw, lambda h: h["config"].update({key: value}))
+    index = draw(st.integers(0, len(header["params"]) - 1))
+    field = draw(st.sampled_from(["offset", "size", "shape", "name"]))
+    return with_entry(raw, index, lambda e: e.update({field: value}))
+
 
 RETIRED_DEFAULTS = {"cross_attention_values": "query_stream",
                     "decoder_self_attention": True, "clip_agg": "mean",
@@ -354,6 +486,16 @@ class TestCheckpointInputErrors:
         bad.write_bytes(CORRUPT_CHECKPOINTS[case](checkpoint_path.read_bytes()))
         assert self.eval(tmp_path, bad, dataset_dir) == 3
         assert "data error" in capsys.readouterr().err
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_fuzzed_checkpoint_loads_or_is_data_error(self, data, tmp_path, dataset_dir,
+                                                      checkpoint_path):
+        # the fixtures are only read; each example rewrites the one file
+        bad = tmp_path / "fuzzed.ckpt"
+        bad.write_bytes(data.draw(fuzzed_checkpoints(checkpoint_path.read_bytes())))
+        assert self.eval(tmp_path, bad, dataset_dir) in (0, 3)
 
     def test_retired_keys_at_their_old_defaults_still_load(self, tmp_path, dataset_dir,
                                                            checkpoint_path):

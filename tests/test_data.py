@@ -124,12 +124,22 @@ class TestBuildWindows:
         with pytest.raises(DataError, match="consecutive"):
             build_windows(bad, W=3)
 
-    @given(st.integers(min_value=1, max_value=12), st.sampled_from([1, 3, 5, 7]))
+    @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
+           st.sampled_from([1, 3, 5, 7]), st.data())
     @settings(max_examples=30, deadline=None)
-    def test_center_of_window_i_is_action_i(self, n, w):
-        records = [make_record(i, t=i) for i in range(n)]
+    def test_center_of_window_i_is_action_i(self, lengths, w, data):
+        # several videos, their records in any order
+        ordered = [(f"v{v}", t) for v, n in enumerate(lengths) for t in range(n)]
+        shuffled = data.draw(st.permutations(ordered))
+        records = [make_record(i, video=video, t=t) for i, (video, t) in enumerate(shuffled)]
         windows = build_windows(records, W=w)
-        assert [win.center_record.action_id for win in windows] == list(range(n))
+        assert [win.center_record.action_id for win in windows] == list(range(len(records)))
+        half = w // 2
+        for rec, win in zip(records, windows):
+            last = lengths[int(rec.video_id[1:])] - 1
+            assert all(r.video_id == rec.video_id for r in win.records)
+            assert [r.temporal_index for r in win.records] == [
+                min(max(rec.temporal_index + off, 0), last) for off in range(-half, half + 1)]
 
 
 def single_action_store(clips):

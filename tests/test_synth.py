@@ -1,13 +1,15 @@
 import json
 
 import numpy as np
+import pytest
 
-from seqdg.data import build_windows
+from seqdg.data import DataError, build_windows
 from seqdg.synth import (
     SynthConfig,
     bayes_accuracy_on_store,
     bayes_accuracy_sampled,
     build_recipe_grammar,
+    build_truth,
     context_oracle,
     context_oracle_accuracy,
     generate,
@@ -129,6 +131,80 @@ class TestGenerate:
         np.testing.assert_array_equal(again.verb_protos, truth.verb_protos)
         np.testing.assert_array_equal(again.transforms["S0"].rotation,
                                       truth.transforms["S0"].rotation)
+
+
+def truth_arrays(truth):
+    """Every array of a truth, keyed by where it sits."""
+    arrays = {"verb_protos": truth.verb_protos, "noun_protos": truth.noun_protos,
+              "transitions": truth.grammar.transitions, "verbs": truth.grammar.verbs,
+              "nouns": truth.grammar.nouns, "start": truth.grammar.start}
+    for domain, t in truth.transforms.items():
+        arrays.update({f"{domain}.rotation": t.rotation, f"{domain}.scaling": t.scaling,
+                       f"{domain}.offset": t.offset})
+    return arrays
+
+
+def assert_truths_bitwise_equal(a, b):
+    assert a.config == b.config and a.pairs == b.pairs
+    assert list(a.transforms) == list(b.transforms)
+    arrays_a, arrays_b = truth_arrays(a), truth_arrays(b)
+    for key, array in arrays_a.items():
+        assert array.dtype == arrays_b[key].dtype, key
+        assert array.tobytes() == arrays_b[key].tobytes(), key
+
+
+class TestTruthFile:
+    def test_build_truth_equals_generates_truth(self):
+        cfg = small_config(videos_per_domain=3)
+        _, truth = generate(cfg)
+        assert_truths_bitwise_equal(build_truth(cfg), truth)
+
+    def test_file_holds_config_pairs_and_prototypes_only(self, tmp_path):
+        cfg = small_config()
+        generate_to(cfg, tmp_path)
+        payload = json.loads((tmp_path / "generator_truth.json").read_text())
+        assert sorted(payload) == ["config", "noun_protos", "pairs", "verb_protos"]
+        assert payload["config"] == cfg.to_dict()
+        assert payload["pairs"] == [[0, 1], [2, 3], [4, 5]]
+
+    def test_loaded_truth_equals_generates_bitwise(self, tmp_path):
+        cfg = small_config()
+        generate_to(cfg, tmp_path)
+        _, truth = generate(cfg)
+        assert_truths_bitwise_equal(load_truth(tmp_path / "generator_truth.json"), truth)
+
+    def test_file_with_grammar_and_transforms_still_loads(self, tmp_path):
+        # the format that also wrote out the grammar and every transform
+        _, truth = generate(small_config())
+        grammar = truth.grammar
+        payload = {**truth.to_dict(),
+                   "grammar": {"transitions": grammar.transitions.tolist(),
+                               "verbs": grammar.verbs.tolist(),
+                               "nouns": grammar.nouns.tolist(),
+                               "start": grammar.start.tolist()},
+                   "transforms": {d: {"rotation": t.rotation.tolist(),
+                                      "scaling": t.scaling.tolist(),
+                                      "offset": t.offset.tolist()}
+                                  for d, t in truth.transforms.items()}}
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(payload, sort_keys=True))
+        assert_truths_bitwise_equal(load_truth(path), truth)
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p["verb_protos"][2].__setitem__(0, p["verb_protos"][2][0] + 1e-12),
+        lambda p: p["noun_protos"].pop(),
+        lambda p: p["pairs"].reverse(),
+        lambda p: p.pop("noun_protos"),
+    ], ids=["verb_proto_nudged", "noun_proto_dropped", "pairs_reordered",
+            "noun_protos_missing"])
+    def test_edited_file_is_data_error(self, edit, tmp_path):
+        generate_to(small_config(), tmp_path)
+        path = tmp_path / "generator_truth.json"
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="differs"):
+            load_truth(path)
 
 
 class TestContextOracle:
