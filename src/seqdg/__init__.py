@@ -34,7 +34,6 @@ from seqdg.model import (
     encode_sequence,
     encode_text,
     mask_center,
-    self_attention,
 )
 from seqdg.seqstats import count_all_categories, count_repeats
 from seqdg.synth import SynthConfig, SynthTruth, context_oracle, generate, generate_to
@@ -83,7 +82,6 @@ __all__ = [
     "mask_center",
     "no_grad",
     "save_checkpoint",
-    "self_attention",
     "seqmix",
     "sliding_window_predict",
     "strip_text_parameters",

@@ -100,7 +100,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         problems = field_problems("config", config, field_defaults(ModelConfig))
         if problems:
             raise CheckpointError(f"{path}: " + "; ".join(problems))
-        config = ModelConfig.from_dict(config)
+        config = ModelConfig(**config).check()
         arrays = {}
         end = 0
         for entry in header["params"]:
@@ -154,7 +154,7 @@ def _current_keys(path, config: dict) -> dict:
 
 def load_model(path) -> SeqDGModel:
     params, _ = load_checkpoint(path)
-    return SeqDGModel(params.config, params)
+    return SeqDGModel(params)
 
 
 def strip_text_parameters(src_path, dst_path) -> Path:

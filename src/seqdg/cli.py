@@ -32,7 +32,7 @@ from seqdg.data import (
     import_csv_dataset,
     read_annotation_csv,
 )
-from seqdg.evaluate import accuracy, sliding_window_predict
+from seqdg.evaluate import accuracy, head_k, sliding_window_predict
 from seqdg.model import ModelConfig, SeqDGModel
 from seqdg.seqstats import count_all_categories, format_table, table_to_dict
 from seqdg.synth import generate_to
@@ -102,12 +102,12 @@ def cmd_synth_gen(args) -> int:
 
 
 def cmd_import(args) -> int:
-    out = _out_dir(args)
     targets = tuple(d for d in (args.target_domains or "").split(",") if d)
     store = import_csv_dataset(args.csv, args.features, d_v=args.d_v,
                                clips_per_action=args.clips, d_t=args.d_t,
                                text_features_path=args.text_features,
                                target_domains=targets)
+    out = _out_dir(args)
     store.save(out)
     _write_provenance(out, "import", {
         "csv": str(args.csv), "features": str(args.features),
@@ -121,19 +121,28 @@ def cmd_import(args) -> int:
 
 def _train_config_for(store: FeatureStore, args):
     """The run config of `train` and `ablate`: the config file, then the
-    flags, then what the dataset dictates (its feature widths and, for a
-    token-level text loss the file leaves unsized, its vocabulary size);
-    checked, also against the dataset's labels."""
+    flags and the dataset's feature widths, then, for a token-level text
+    loss the file leaves unsized, the dataset's vocabulary size; checked,
+    also against the dataset's labels."""
     overrides = {"seed": args.seed, "W": args.W, "lambda_rv": args.lambda_rv,
                  "lambda_rt": args.lambda_rt, "p_mix": args.p_mix,
-                 "epochs": args.epochs}
-    patch = {"D_V": store.d_v, "D_T": store.d_t}
-    run = load_run_config(args.config, overrides, model_patch=patch)
+                 "epochs": args.epochs, "D_V": store.d_v, "D_T": store.d_t}
+    run = load_run_config(args.config, overrides)
     if run.train.text_loss == "token_cross_entropy" and run.model.vocab_size is None:
         run.model.vocab_size = len(store.vocab)
     run.train.check()
+    _split_records(store, "source")
     _check_labels(store, run.model)
     return run
+
+
+def _split_records(store: FeatureStore, split: str) -> list:
+    """The actions of the `split` ("source" or "target") domains; there
+    must be at least one."""
+    records = store.records_for(getattr(store.split, split))
+    if not records:
+        raise DataError(f"the dataset's {split} domains hold no actions")
+    return records
 
 
 def _check_labels(store: FeatureStore, model_config: ModelConfig):
@@ -157,8 +166,7 @@ def cmd_train(args) -> int:
     result = fit(store, model, config, metrics_path=out / "metrics.jsonl")
     save_checkpoint(out / "checkpoint.ckpt", model.params,
                     rng_state=result.rng_state,
-                    extra={"train": {k: v for k, v in config.to_dict().items()
-                                     if k != "model"}})
+                    extra={"train": config.to_dict()})
     final = result.metrics[-1] if result.metrics else None
     _write_json(out / "summary.json", {
         "epochs": config.epochs,
@@ -177,15 +185,15 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     store = FeatureStore.load(args.data)
     params, header = load_checkpoint(args.checkpoint)
-    model = SeqDGModel(params.config, params)
-    domains = store.split.target if args.split == "target" else store.split.source
-    if not domains:
-        raise DataError(f"dataset has no {args.split} domains")
+    model = SeqDGModel(params)
+    records = _split_records(store, args.split)
+    domains = getattr(store.split, args.split)
     preds = sliding_window_predict(store, model, domains=domains, k=args.k)
-    records = store.records_for(domains)
     labels = [(r.verb, r.noun) for r in records]
     results = {"split": args.split, "domains": list(domains),
-               "n_actions": len(records), "metrics": {}}
+               "n_actions": len(records), "metrics": {},
+               "k": {"verb": head_k(args.k, model.config.n_verbs),
+                     "noun": head_k(args.k, model.config.n_nouns)}}
     for k in (1, args.k):
         verb, noun, action = accuracy(preds, labels, k=k)
         results["metrics"][f"top{k}"] = {"verb": round(verb, 1),
@@ -212,6 +220,7 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     store = FeatureStore.load(args.data)
     run = _train_config_for(store, args)
+    _split_records(store, "target")
     grid = run.ablate
     # every cell's config is checked before the first one trains
     cells = [(w, p_mix, lam_v, lam_t,

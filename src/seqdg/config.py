@@ -49,9 +49,7 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return {"synth": self.synth.to_dict(), "model": self.model.to_dict(),
-                "train": {k: v for k, v in self.train.to_dict().items()
-                          if k != "model"},
-                "ablate": self.ablate}
+                "train": self.train.to_dict(), "ablate": self.ablate}
 
 
 def field_defaults(cls) -> dict:
@@ -85,13 +83,12 @@ def field_problems(section: str, payload, defaults: dict) -> list[str]:
             if key not in defaults or not _fits(defaults[key], value)]
 
 
-def load_run_config(path=None, overrides: dict | None = None,
-                    model_patch: dict | None = None) -> RunConfig:
-    """Parse and validate a config file, then apply flag overrides.
+def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
+    """Parse and validate a config file, then apply `overrides`.
 
-    `model_patch` force-sets model fields that the dataset dictates (its
-    feature widths); flag overrides win over the file for everything
-    else. Raises ConfigError carrying every violation found in one pass.
+    Each override that is not None sets its key in every section with a
+    field of that name, over what the file says. Raises ConfigError
+    carrying every violation found in one pass.
     """
     problems: list[str] = []
     raw: dict = {}
@@ -109,49 +106,37 @@ def load_run_config(path=None, overrides: dict | None = None,
                 problems.append(f"unknown section {section!r} "
                                 f"(expected one of {list(SECTIONS)})")
 
-    model_defaults = field_defaults(ModelConfig)
-    train_defaults = field_defaults(TrainConfig)
-    del train_defaults["model"]
-    synth_raw = raw.get("synth", {})
-    model_raw = raw.get("model", {})
-    train_raw = raw.get("train", {})
+    defaults = {"synth": field_defaults(SynthConfig), "model": field_defaults(ModelConfig),
+                "train": field_defaults(TrainConfig)}
+    del defaults["train"]["model"]
+    sections = {name: raw.get(name, {}) for name in defaults}
     ablate_raw = raw.get("ablate", {})
-    problems += field_problems("synth", synth_raw, field_defaults(SynthConfig))
-    problems += field_problems("model", model_raw, model_defaults)
-    problems += field_problems("train", train_raw, train_defaults)
+    for name, section in sections.items():
+        problems += field_problems(name, section, defaults[name])
     # every grid axis holds a list, each element typed as the field it sweeps
     problems += field_problems("ablate", ablate_raw, dict.fromkeys(ABLATE_FIELDS, []))
     if problems:
         raise ConfigError(problems)
     ablate = {**DEFAULT_ABLATE, **ablate_raw}
-    swept = {**model_defaults, **train_defaults}
+    swept = {**defaults["model"], **defaults["train"]}
     for key, values in ablate.items():
         if not values:
             problems.append(f"ablate: {key} must be a non-empty list")
         elif not all(_fits(swept[ABLATE_FIELDS[key]], v) for v in values):
             problems.append(f"ablate: {key} cannot hold {values!r}")
 
-    overrides = overrides or {}
-    # flag values obey the file's typing rule (a float flag also parses "nan")
-    problems += field_problems("flags", {k: v for k, v in overrides.items() if v is not None},
-                               swept)
-    seed = overrides.get("seed")
-    if seed is not None:
-        synth_raw["seed"] = seed
-        train_raw["seed"] = seed
-    for key in ("W",):
-        if overrides.get(key) is not None:
-            model_raw[key] = overrides[key]
-    for key in ("lambda_rv", "lambda_rt", "p_mix", "epochs"):
-        if overrides.get(key) is not None:
-            train_raw[key] = overrides[key]
-    if model_patch:
-        model_raw.update(model_patch)
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    # override values obey the file's typing rule (a float flag also parses "nan")
+    problems += field_problems("flags", overrides,
+                               {k: v for d in defaults.values() for k, v in d.items()})
+    for name, section in sections.items():
+        section.update((k, v) for k, v in overrides.items() if k in defaults[name])
 
-    synth = SynthConfig(**synth_raw)
+    synth = SynthConfig(**sections["synth"])
+    train_raw = sections["train"]
     if "lr_decay_epochs" in train_raw:
         train_raw["lr_decay_epochs"] = tuple(train_raw["lr_decay_epochs"])
-    train = TrainConfig(model=ModelConfig(**model_raw), **train_raw)
+    train = TrainConfig(model=ModelConfig(**sections["model"]), **train_raw)
     problems.extend(f"synth: {e}" for e in synth.validate())
     problems.extend(f"model/train: {e}" for e in train.validate())
     if problems:

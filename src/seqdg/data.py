@@ -93,10 +93,6 @@ class SequenceWindow:
             raise DataError("window center cannot be a padding slot")
 
     @property
-    def W(self) -> int:
-        return len(self.records)
-
-    @property
     def center_record(self) -> ActionRecord:
         return self.records[self.center]
 
@@ -141,6 +137,9 @@ class FeatureStore:
             if r.action_id in seen:
                 raise DataError(f"duplicate action id {r.action_id}")
             seen.add(r.action_id)
+            if r.verb < 0 or r.noun < 0:
+                raise DataError(f"action {r.action_id}: negative label (verb {r.verb}, "
+                                f"noun {r.noun})")
             if r.n_clips < 1:
                 raise DataError(f"action {r.action_id}: needs at least one clip")
             if r.blob_offset < 0 or r.blob_offset + r.n_clips * d_v > self.visual.size:

@@ -18,6 +18,7 @@ from seqdg.model import SeqDGModel
 
 __all__ = [
     "Prediction",
+    "head_k",
     "topk_indices",
     "predict_windows",
     "sliding_window_predict",
@@ -48,6 +49,13 @@ def topk_indices(logits: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-logits, axis=-1, kind="stable")[..., :k]
 
 
+def head_k(k: int, n_classes: int) -> int:
+    """The k a head of `n_classes` classes is ranked and scored at: `k`,
+    or every class when there are fewer. A k below 1 stays as it is, for
+    `topk_indices` to reject."""
+    return min(k, n_classes)
+
+
 def predict_windows(cache: FeatureCache, model: SeqDGModel,
                     windows) -> tuple[np.ndarray, np.ndarray]:
     """Stacked verb and noun logits of `windows`, `INFERENCE_BATCH` at a time."""
@@ -70,17 +78,17 @@ def sliding_window_predict(store: FeatureStore, model: SeqDGModel, *,
     if not windows:
         return []
     verb_logits, noun_logits = predict_windows(FeatureCache(store, records), model, windows)
-    topk_verbs = topk_indices(verb_logits, min(k, cfg.n_verbs))
-    topk_nouns = topk_indices(noun_logits, min(k, cfg.n_nouns))
+    topk_verbs = topk_indices(verb_logits, head_k(k, cfg.n_verbs))
+    topk_nouns = topk_indices(noun_logits, head_k(k, cfg.n_nouns))
     return [Prediction(win.center_record.action_id, verb_logits[i], noun_logits[i],
                        topk_verbs[i], topk_nouns[i])
             for i, win in enumerate(windows)]
 
 
 def _in_topk(logits: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Whether each row's label is among its `topk_indices`; a label
+    """Whether each row's label is among its top `head_k` logits; a label
     outside the class range never is."""
-    return (topk_indices(logits, k) == labels[:, None]).any(axis=-1)
+    return (topk_indices(logits, head_k(k, logits.shape[-1])) == labels[:, None]).any(axis=-1)
 
 
 def topk_accuracy(verb_logits: np.ndarray, noun_logits: np.ndarray, verbs, nouns,

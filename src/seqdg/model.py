@@ -28,7 +28,6 @@ __all__ = [
     "EncodedSequence",
     "TrainForward",
     "SeqDGModel",
-    "self_attention",
     "cross_attention",
     "encoder_layer",
     "decoder_layer",
@@ -101,10 +100,6 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d).check()
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +278,6 @@ class ModelParams:
     def tensors(self) -> list[Tensor]:
         return list(self.named().values())
 
-    def zero_grads(self):
-        for t in self.tensors():
-            t.grad = None
-
     @classmethod
     def from_named(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "ModelParams":
         """Rebuild from name->array pairs, each array of its slot's shape; an
@@ -345,7 +336,6 @@ class TrainForward:
 
     verb_logits: Tensor
     noun_logits: Tensor
-    encoded: EncodedSequence
     recon_v: Tensor | None = None
     target_v: Tensor | None = None
     recon_t: Tensor | None = None
@@ -361,19 +351,11 @@ def _linear(x: Tensor, aff: Affine) -> Tensor:
     return T.linear(x, aff.weight, aff.bias)
 
 
-def self_attention(h: Tensor, params: AttentionParams, n_heads: int,
-                   with_weights: bool = False):
-    """Multi-head scaled dot-product attention of a stream over itself."""
-    ctx, weights = T.attention(_linear(h, params.q), _linear(h, params.k),
-                               _linear(h, params.v), n_heads)
-    out = _linear(ctx, params.out)
-    return (out, weights) if with_weights else out
-
-
 def cross_attention(query_stream: Tensor, context: Tensor, params: AttentionParams,
                     n_heads: int, values_from: str = "query_stream",
                     with_weights: bool = False):
-    """Attention with queries from one stream and keys from the other.
+    """Attention with queries from one stream and keys from the other;
+    `cross_attention(h, h, ...)` is the self-attention of a stream.
 
     `values_from="query_stream"` takes the value projection from the query
     stream, which is only shape-consistent when both streams have equal
@@ -400,7 +382,7 @@ def _feed_forward(h: Tensor, ff_in: Affine, ff_out: Affine) -> Tensor:
 
 def encoder_layer(h: Tensor, params: EncoderLayerParams, n_heads: int,
                   eps: float = 1e-5) -> Tensor:
-    attn = self_attention(h, params.attn, n_heads)
+    attn = cross_attention(h, h, params.attn, n_heads)
     h = T.add_layer_norm(attn, h, params.ln1.gain, params.ln1.bias, eps)
     ff = _feed_forward(h, params.ff_in, params.ff_out)
     return T.add_layer_norm(ff, h, params.ln2.gain, params.ln2.bias, eps)
@@ -408,7 +390,7 @@ def encoder_layer(h: Tensor, params: EncoderLayerParams, n_heads: int,
 
 def decoder_layer(h: Tensor, context: Tensor, params: DecoderLayerParams,
                   n_heads: int, eps: float = 1e-5) -> Tensor:
-    attn = self_attention(h, params.self_attn, n_heads)
+    attn = cross_attention(h, h, params.self_attn, n_heads)
     h = T.add_layer_norm(attn, h, params.ln_self.gain, params.ln_self.bias, eps)
     cross = cross_attention(h, context, params.cross, n_heads)
     h = T.add_layer_norm(cross, h, params.ln_cross.gain, params.ln_cross.bias, eps)
@@ -507,17 +489,21 @@ def classify(cls_slots: Tensor, params: ModelParams) -> tuple[Tensor, Tensor]:
 
 
 class SeqDGModel:
-    """Config + parameters with the two entry points the pipeline uses:
+    """Parameters, and the config they were laid out for, with the two
+    entry points the pipeline uses:
     a training forward producing logits and reconstructions, and a
     text-free inference forward producing logits only."""
 
-    def __init__(self, config: ModelConfig, params: ModelParams):
-        self.config = config.check()
+    def __init__(self, params: ModelParams):
         self.params = params
+
+    @property
+    def config(self) -> ModelConfig:
+        return self.params.config
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int = 0) -> "SeqDGModel":
-        return cls(config, ModelParams(config, seed=seed))
+        return cls(ModelParams(config, seed=seed))
 
     def forward_train(self, visual, text=None, *, recon_v: bool = False,
                       recon_t: bool = False, token_text: bool = False,
@@ -532,7 +518,7 @@ class SeqDGModel:
         x = visual if isinstance(visual, Tensor) else Tensor(visual)
         enc = encode_sequence(x, self.params)
         verb_logits, noun_logits = classify(enc.cls_slots, self.params)
-        out = TrainForward(verb_logits=verb_logits, noun_logits=noun_logits, encoded=enc)
+        out = TrainForward(verb_logits=verb_logits, noun_logits=noun_logits)
         if not (recon_v or recon_t):
             return out
         if text is None:

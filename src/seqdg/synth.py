@@ -69,7 +69,6 @@ class SynthConfig:
     domain_shift: float = 0.2
     offset_shift: float = 0.1
     noise_sigma: float = 0.08
-    context_margin: float = 30.0   # required oracle-over-Bayes gap, in points
     seed: int = 0
 
     def validate(self) -> list[str]:
@@ -277,6 +276,8 @@ def load_truth(path) -> SynthTruth:
     """Rebuild the truth from a `generator_truth.json`'s config and check
     each key it writes against the file; other keys are ignored."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    # files written before `context_margin` was retired still carry it
+    payload["config"].pop("context_margin", None)
     truth = build_truth(SynthConfig(**payload["config"]))
     for key, value in truth.to_dict().items():
         if payload.get(key) != value:

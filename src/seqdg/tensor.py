@@ -39,7 +39,6 @@ __all__ = [
     "matmul",
     "linear",
     "attention",
-    "transpose_last",
     "permute",
     "reshape",
     "concat",
@@ -144,25 +143,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -444,14 +424,6 @@ def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     return _node(out, (x,), "permute", backward)
 
 
-def transpose_last(x: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    if x.ndim < 2:
-        raise ShapeError(f"transpose_last needs ndim >= 2, got {x.shape}")
-    axes = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
-    return permute(x, axes)
-
-
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != x.data.size:
@@ -682,7 +654,6 @@ class ParamCheck:
     name: str
     max_rel_err: float
     worst_index: tuple[int, ...]
-    n_checked: int
     failing: list[tuple[tuple[int, ...], float, float, float]] = field(default_factory=list)
 
     def passed(self, tol: float) -> bool:
@@ -717,7 +688,7 @@ class GradCheckReport:
 
 
 def grad_check(f, params: dict[str, Tensor], h: float = 1e-5, tol: float = 1e-6,
-               rel_floor: float = 1e-3, max_failures: int = 20) -> GradCheckReport:
+               rel_floor: float = 1e-3) -> GradCheckReport:
     """Compare analytic gradients of scalar `f()` against central differences.
 
     `f` must be deterministic and close over `params`; every entry of every
@@ -770,12 +741,12 @@ def grad_check(f, params: dict[str, Tensor], h: float = 1e-5, tol: float = 1e-6,
             if err > worst_err:
                 worst_err = err
                 worst_idx = np.unravel_index(i, p.data.shape)
-            if err >= tol and len(failing) < max_failures:
+            if err >= tol:
                 failing.append((tuple(np.unravel_index(i, p.data.shape)),
                                 float(a), float(numeric), float(err)))
         checks.append(ParamCheck(name=name, max_rel_err=worst_err,
                                  worst_index=tuple(int(k) for k in worst_idx),
-                                 n_checked=flat.size, failing=failing))
+                                 failing=failing))
         if worst_err > overall:
             overall = worst_err
             worst = name

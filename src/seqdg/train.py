@@ -21,6 +21,7 @@ import numpy as np
 
 from seqdg import tensor as T
 from seqdg.data import (
+    DataError,
     FeatureCache,
     FeatureStore,
     NarrationEmbedder,
@@ -114,7 +115,6 @@ class TrainConfig:
     def to_dict(self) -> dict:
         d = {k: getattr(self, k) for k in self.__dataclass_fields__ if k != "model"}
         d["lr_decay_epochs"] = list(self.lr_decay_epochs)
-        d["model"] = self.model.to_dict()
         return d
 
 
@@ -246,7 +246,7 @@ def fit(store: FeatureStore, model: SeqDGModel, config: TrainConfig, *,
     source_domains = set(store.split.source)
     records = store.records_for(source_domains)
     if not records:
-        raise ValueError("no source-domain records to train on")
+        raise DataError("no source-domain records to train on")
     windows = build_windows(records, config.W)
     pool = SeqMixPool(records, source_domains)
     stats = SeqMixStats()

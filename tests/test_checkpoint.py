@@ -100,7 +100,7 @@ class TestStripTextParameters:
 
     def test_predictions_bitwise_identical_after_strip(self, tmp_path):
         params = tiny_params(seed=6)
-        model = SeqDGModel(params.config, params)
+        model = SeqDGModel(params)
         x = np.random.default_rng(7).standard_normal((4, 3, 6))
         verb, noun = model.predict_logits(x)
         src = save_checkpoint(tmp_path / "full.ckpt", params)

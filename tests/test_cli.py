@@ -9,10 +9,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from seqdg import cli
-from seqdg.checkpoint import save_checkpoint
+from seqdg.checkpoint import load_model, save_checkpoint
 from seqdg.cli import main
 from seqdg.config import ConfigError, load_run_config
-from seqdg.data import write_annotation_csv
+from seqdg.data import FeatureStore, write_annotation_csv
+from seqdg.evaluate import sliding_window_predict
 from seqdg.model import ModelConfig, ModelParams
 
 SMALL_SYNTH = {
@@ -114,7 +115,8 @@ class TestSynthGen:
         ("model", "clip_agg", "mean"), ("model", "relational_clips", None),
         ("model", "cross_attention_values", "query_stream"),
         ("model", "decoder_self_attention", True),
-        ("train", "seqmix_exclude_center", False), ("train", "n_clips_sample", None)])
+        ("train", "seqmix_exclude_center", False), ("train", "n_clips_sample", None),
+        ("synth", "context_margin", 30.0)])
     def test_retired_keys_are_config_errors(self, tmp_path, section, key, value):
         cfg = json.loads(json.dumps(SMALL_SYNTH))
         cfg[section][key] = value
@@ -263,6 +265,33 @@ class TestTrainEval:
                                                      ("action", action))}
         results = json.loads((eval_dir / "results.json").read_text())
         assert results["metrics"] == recount
+
+    def test_default_k_beyond_the_class_counts_scores_every_class(self, tmp_path):
+        cfg = json.loads(json.dumps(SMALL_SYNTH))
+        cfg["synth"].update(n_ambiguous_pairs=0, n_verbs=4, n_nouns=3)
+        cfg["model"].update(n_verbs=4, n_nouns=3, vocab_size=7)
+        path = tmp_path / "few_classes.json"
+        path.write_text(json.dumps(cfg))
+        data_dir, run_dir, eval_dir = tmp_path / "data", tmp_path / "run", tmp_path / "eval"
+        assert main(["synth-gen", "--config", str(path), "--out", str(data_dir)]) == 0
+        assert main(["train", "--config", str(path), "--data", str(data_dir),
+                     "--out", str(run_dir)]) == 0
+        assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.ckpt"),
+                     "--data", str(data_dir), "--out", str(eval_dir)]) == 0
+        results = json.loads((eval_dir / "results.json").read_text())
+        assert results["k"] == {"verb": 4, "noun": 3}
+        store = FeatureStore.load(data_dir)
+        records = store.records_for(store.split.target)
+        preds = sliding_window_predict(store, load_model(run_dir / "checkpoint.ckpt"))
+        for k in (1, 5):
+            hits = {}
+            for head, label in (("verb", 0), ("noun", 1)):
+                logits = np.stack([getattr(p, f"{head}_logits") for p in preds])
+                ranked = np.argsort(-logits, axis=-1, kind="stable")[:, :k]
+                hits[head] = [r.label[label] in row for r, row in zip(records, ranked)]
+            hits["action"] = [v and n for v, n in zip(hits["verb"], hits["noun"])]
+            assert results["metrics"][f"top{k}"] == {
+                name: round(100.0 * sum(h) / len(records), 1) for name, h in hits.items()}
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_k_below_one_is_config_error(self, k, tmp_path, dataset_dir, checkpoint_path):
@@ -533,3 +562,69 @@ class TestManifestInputErrors:
         assert main(["eval", "--checkpoint", str(checkpoint_path), "--data",
                      str(dataset_dir), "--out", str(tmp_path / "ev")]) == 3
         assert "data error" in capsys.readouterr().err
+
+
+NEGATIVE_LABELS = {
+    "negative_verb": lambda m: m["actions"][3].update(verb=-1),
+    "negative_noun": lambda m: m["actions"][3].update(noun=-1),
+}
+
+
+def no_actions(manifest, dataset_dir):
+    manifest["actions"] = []
+    (dataset_dir / "features.f32").write_bytes(b"")
+
+
+EMPTY_DATA = {
+    "no_actions": no_actions,
+    # every action moved to the target domain, or the target's moved to a source one
+    "empty_source": lambda m, _dir: [a.update(domain_id="T0") for a in m["actions"]],
+    "empty_target": lambda m, _dir: [a.update(domain_id="S0") for a in m["actions"]
+                                     if a["domain_id"] == "T0"],
+}
+
+
+class TestLabelAndEmptyDataErrors:
+    def run(self, command, tmp_path, dataset_dir, config_path, checkpoint_path):
+        argv = [command, "--data", str(dataset_dir), "--out", str(tmp_path / "out")]
+        if command == "eval":
+            return main(argv + ["--checkpoint", str(checkpoint_path)])
+        return main(argv + ["--config", str(config_path)])
+
+    def edit_manifest(self, dataset_dir, edit):
+        path = dataset_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+
+    @pytest.mark.parametrize("case", sorted(NEGATIVE_LABELS))
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_negative_label_is_data_error(self, command, case, tmp_path, dataset_dir,
+                                          config_path, checkpoint_path, capsys):
+        self.edit_manifest(dataset_dir, NEGATIVE_LABELS[case])
+        assert self.run(command, tmp_path, dataset_dir, config_path, checkpoint_path) == 3
+        assert "negative label" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_csv_label_is_data_error(self, tmp_path, capsys):
+        rows = [{"video_id": "v", "domain_id": "S0", "temporal_index": t,
+                 "verb_class": 1 - t, "noun_class": 0, "narration": "a"} for t in range(3)]
+        csv_path = tmp_path / "ann.csv"
+        write_annotation_csv(csv_path, rows)
+        features = tmp_path / "features.f32"
+        np.zeros(3 * 4, dtype="<f4").tofile(features)
+        assert main(["import", "--csv", str(csv_path), "--features", str(features),
+                     "--d-v", "4", "--clips", "1", "--out", str(tmp_path / "out")]) == 3
+        assert "negative label" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, case", [
+        ("train", "no_actions"), ("train", "empty_source"),
+        ("eval", "no_actions"), ("eval", "empty_target"),
+        ("ablate", "no_actions"), ("ablate", "empty_source"), ("ablate", "empty_target")])
+    def test_empty_data_is_data_error(self, command, case, tmp_path, dataset_dir,
+                                      config_path, checkpoint_path, capsys):
+        self.edit_manifest(dataset_dir, lambda m: EMPTY_DATA[case](m, dataset_dir))
+        assert self.run(command, tmp_path, dataset_dir, config_path, checkpoint_path) == 3
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

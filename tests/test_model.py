@@ -15,7 +15,6 @@ from seqdg.model import (
     encode_text,
     encoder_layer,
     mask_center,
-    self_attention,
 )
 from seqdg.tensor import ShapeError, Tensor
 from seqdg.train import TrainConfig, composite_loss
@@ -71,7 +70,7 @@ class TestSelfAttention:
         model = tiny_model()
         layer = model.params.encoder[0].attn
         h = Tensor(np.random.default_rng(0).standard_normal((1, 8)))
-        out, weights = self_attention(h, layer, n_heads=2, with_weights=True)
+        out, weights = cross_attention(h, h, layer, n_heads=2, with_weights=True)
         assert weights.shape == (2, 1, 1)
         assert np.array_equal(weights.data, np.ones((2, 1, 1)))
         # output reduces to the output projection of v(H)
@@ -83,7 +82,8 @@ class TestSelfAttention:
         model = tiny_model()
         row = np.random.default_rng(1).standard_normal(8)
         h = Tensor(np.stack([row, row]))
-        _, weights = self_attention(h, model.params.encoder[0].attn, 2, with_weights=True)
+        _, weights = cross_attention(h, h, model.params.encoder[0].attn, 2,
+                                     with_weights=True)
         np.testing.assert_allclose(weights.data, 0.5, atol=1e-12)
 
     def test_matches_manual_oracle_one_head(self):
@@ -93,7 +93,7 @@ class TestSelfAttention:
                               wv=[[0.9, 0.1], [-0.3, 0.8]],
                               wo=[[1.0, -0.5], [0.2, 0.4]])
         h = rng.standard_normal((2, 2))
-        out = self_attention(Tensor(h), attn, n_heads=1)
+        out = cross_attention(Tensor(h), Tensor(h), attn, n_heads=1)
         np.testing.assert_allclose(out.data, manual_attention(h, h, h, attn, 1),
                                    atol=1e-12, rtol=0)
 
@@ -102,7 +102,7 @@ class TestSelfAttention:
         model = tiny_model(seed=5)
         attn = model.params.encoder[0].attn
         h = rng.standard_normal((4, 8))
-        out = self_attention(Tensor(h), attn, n_heads=2)
+        out = cross_attention(Tensor(h), Tensor(h), attn, n_heads=2)
         np.testing.assert_allclose(out.data, manual_attention(h, h, h, attn, 2),
                                    atol=1e-12, rtol=0)
 

@@ -167,7 +167,6 @@ OPS = {
     "relu": lambda p: T.relu(p["a"]),
     "matmul": lambda p: T.matmul(p["a"], p["w"]),
     "matmul_batched": lambda p: T.matmul(p["a3"], p["w"]),
-    "transpose_last": lambda p: T.transpose_last(p["a"]),
     "permute": lambda p: T.permute(p["a3"], (2, 0, 1)),
     "reshape": lambda p: T.reshape(p["a"], (4, 3)),
     "concat": lambda p: T.concat([p["a"], p["b"]], axis=-2),
@@ -237,7 +236,8 @@ def composed_attention(q, k, v, n_heads):
     """Multi-head attention from the primitive ops, the fused op's oracle."""
     d_head = q.shape[-1] // n_heads
     qh, kh, vh = (split_heads(t, n_heads) for t in (q, k, v))
-    scores = T.scale(T.matmul(qh, T.transpose_last(kh)), 1.0 / np.sqrt(d_head))
+    kt = T.permute(kh, tuple(range(kh.ndim - 2)) + (kh.ndim - 1, kh.ndim - 2))
+    scores = T.scale(T.matmul(qh, kt), 1.0 / np.sqrt(d_head))
     weights = T.softmax_rows(scores)
     return merge_heads(T.matmul(weights, vh)), weights
 
