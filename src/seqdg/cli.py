@@ -33,12 +33,13 @@ from seqdg.data import (
     read_annotation_csv,
 )
 from seqdg.evaluate import accuracy, head_k, sliding_window_predict
-from seqdg.model import ModelConfig, SeqDGModel
+from seqdg.model import SeqDGModel
 from seqdg.seqstats import count_all_categories, format_table, table_to_dict
 from seqdg.synth import generate_to
 from seqdg.tensor import NonFiniteError
 from seqdg.train import (
     DivergenceError,
+    TrainConfig,
     fit,
     objective_grad_check,
     train_and_score,
@@ -132,7 +133,7 @@ def _train_config_for(store: FeatureStore, args):
         run.model.vocab_size = len(store.vocab)
     run.train.check()
     _split_records(store, "source")
-    _check_labels(store, run.model)
+    _check_labels(store, run.train)
     return run
 
 
@@ -145,7 +146,10 @@ def _split_records(store: FeatureStore, split: str) -> list:
     return records
 
 
-def _check_labels(store: FeatureStore, model_config: ModelConfig):
+def _check_labels(store: FeatureStore, config: TrainConfig):
+    """Every label, and under the token-level text loss every narration
+    token, must fall inside the configured label spaces."""
+    model_config = config.model
     max_verb = max(r.verb for r in store.records)
     max_noun = max(r.noun for r in store.records)
     if max_verb >= model_config.n_verbs or max_noun >= model_config.n_nouns:
@@ -153,6 +157,12 @@ def _check_labels(store: FeatureStore, model_config: ModelConfig):
             f"dataset labels exceed the configured label space: verbs up to "
             f"{max_verb} (n_verbs={model_config.n_verbs}), nouns up to "
             f"{max_noun} (n_nouns={model_config.n_nouns})")
+    if config.text_loss == "token_cross_entropy":
+        max_token = max((t for r in store.records for t in r.narration), default=-1)
+        if max_token >= model_config.vocab_size:
+            raise DataError(
+                f"narration tokens up to {max_token} exceed the token-level text "
+                f"loss's vocabulary (vocab_size={model_config.vocab_size})")
 
 
 def cmd_train(args) -> int:

@@ -51,7 +51,8 @@ class DataError(Exception):
 
 
 # every key of a manifest action, in ActionRecord's field order, and the
-# exact JSON type of its value (a JSON true is not an int)
+# exact JSON type of its value (a JSON true is not an int); `save` writes
+# and `_action_record` reads these keys
 _ACTION_KEYS = ("action_id", "video_id", "domain_id", "verb", "noun", "narration",
                 "temporal_index", "blob_offset", "n_clips")
 _ACTION_TYPES = (int, str, str, int, int, list, int, int, int)
@@ -193,12 +194,8 @@ class FeatureStore:
             "vocab": self.vocab,
             "domains": ([{"id": d, "split": "source"} for d in self.split.source]
                         + [{"id": d, "split": "target"} for d in self.split.target]),
-            "actions": [{
-                "action_id": r.action_id, "video_id": r.video_id,
-                "domain_id": r.domain_id, "verb": r.verb, "noun": r.noun,
-                "narration": list(r.narration), "temporal_index": r.temporal_index,
-                "blob_offset": r.blob_offset, "n_clips": r.n_clips,
-            } for r in self.records],
+            "actions": [{**{key: getattr(r, key) for key in _ACTION_KEYS},
+                         "narration": list(r.narration)} for r in self.records],
         }
         if self.text is not None:
             self.text.astype("<f4").tofile(directory / "text_features.f32")
@@ -442,7 +439,7 @@ class FeatureCache:
 
 def read_annotation_csv(path) -> list[dict]:
     """Rows of the annotation format: video_id, domain_id, temporal_index,
-    verb_class, noun_class, narration."""
+    verb_class, noun_class, narration. Class ids must be >= 0."""
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -451,16 +448,20 @@ def read_annotation_csv(path) -> list[dict]:
             raise DataError(f"annotation CSV missing columns: {missing}")
         for lineno, row in enumerate(reader, start=2):
             try:
-                rows.append({
+                parsed = {
                     "video_id": row["video_id"],
                     "domain_id": row["domain_id"],
                     "temporal_index": int(row["temporal_index"]),
                     "verb_class": int(row["verb_class"]),
                     "noun_class": int(row["noun_class"]),
                     "narration": row["narration"],
-                })
+                }
             except (TypeError, ValueError) as exc:
                 raise DataError(f"{path}: malformed row at line {lineno}: {exc}") from exc
+            if parsed["verb_class"] < 0 or parsed["noun_class"] < 0:
+                raise DataError(f"{path}: negative label at line {lineno} (verb "
+                                f"{parsed['verb_class']}, noun {parsed['noun_class']})")
+            rows.append(parsed)
     return rows
 
 

@@ -1,11 +1,13 @@
 """Composite objective, step-decayed SGD, and the seeded training loop.
 
-The objective sums center-action classification (verb and noun cross
-entropy) with the two weighted reconstruction losses. Training is plain
-SGD (momentum opt-in, default off) with a piecewise-constant learning
-rate that drops by a fixed factor at the configured epochs. Every source
-of randomness is a named stream derived from (seed, purpose, epoch,
-index), so identical inputs give bitwise-identical checkpoints.
+`composite_loss(model, batch, config)` is the objective: it runs the
+forward paths the config's nonzero loss weights need and sums center-action
+classification (verb and noun cross entropy) with the two weighted
+reconstruction losses. Training is plain SGD (momentum opt-in, default off)
+with a piecewise-constant learning rate that drops by a fixed factor at the
+configured epochs. Every source of randomness is a named stream derived
+from (seed, purpose, epoch, index), so identical inputs give
+bitwise-identical checkpoints.
 
 Two library entry points wrap the loop: `train_and_score`, one cell of an
 ablation (train, then target-split action top-1), and
@@ -21,6 +23,7 @@ import numpy as np
 
 from seqdg import tensor as T
 from seqdg.data import (
+    Batch,
     DataError,
     FeatureCache,
     FeatureStore,
@@ -31,7 +34,7 @@ from seqdg.data import (
     seqmix,
 )
 from seqdg.evaluate import accuracy, predict_windows, sliding_window_predict, topk_accuracy
-from seqdg.model import ModelConfig, SeqDGModel, TrainForward
+from seqdg.model import ModelConfig, SeqDGModel
 from seqdg.tensor import GradCheckReport, NonFiniteError, Tensor
 
 __all__ = [
@@ -138,45 +141,41 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
     return config.lr / (config.lr_decay_factor ** drops)
 
 
-def composite_loss(outputs: TrainForward, verbs: np.ndarray, nouns: np.ndarray,
-                   config: TrainConfig,
-                   center_tokens=None) -> tuple[Tensor, LossBreakdown]:
-    """Classification of the center action plus weighted reconstructions.
-
-    The classification term is verb plus noun cross entropy on the center
-    labels. The visual term is always mean squared error against the
-    detached unmasked encoding; the text term is either the same or, when
-    configured, mean token-level cross entropy of the reconstructed
-    center against the center narration tokens.
+def composite_loss(model: SeqDGModel, batch: Batch, config: TrainConfig, *,
+                   frozen_targets: tuple | None = None) -> tuple[Tensor, LossBreakdown]:
+    """The training objective of `model` on `batch`: verb plus noun cross
+    entropy on the center labels, plus the weighted reconstructions. The
+    config decides once which forward paths run: the visual decoder when
+    lambda_rv > 0, the text decoder when lambda_rt > 0, and its token head
+    when the text loss is token-level. The visual term is mean squared error
+    against the detached unmasked encoding; the text term is the same or
+    mean token cross entropy of the reconstructed center against the center
+    narration tokens. `frozen_targets` goes to `forward_train`.
     """
-    l_c = T.add(T.cross_entropy(outputs.verb_logits, verbs),
-                T.cross_entropy(outputs.noun_logits, nouns))
+    recon_v = config.lambda_rv > 0
+    recon_t = config.lambda_rt > 0
+    token_text = recon_t and config.text_loss == "token_cross_entropy"
+    outputs = model.forward_train(batch.visual, batch.text, recon_v=recon_v,
+                                  recon_t=recon_t, token_text=token_text,
+                                  frozen_targets=frozen_targets)
+    l_c = T.add(T.cross_entropy(outputs.verb_logits, batch.verbs),
+                T.cross_entropy(outputs.noun_logits, batch.nouns))
     total = l_c
     l_rv_val = 0.0
-    if config.lambda_rv > 0:
-        if outputs.recon_v is None:
-            raise ValueError("lambda_rv > 0 but the forward produced no visual "
-                             "reconstruction")
+    if recon_v:
         l_rv = T.mse(outputs.recon_v, outputs.target_v)
         l_rv_val = l_rv.item()
         total = T.add(total, T.scale(l_rv, config.lambda_rv))
     l_rt_val = 0.0
-    if config.lambda_rt > 0:
-        if config.text_loss == "token_cross_entropy":
-            if outputs.center_text_logits is None:
-                raise ValueError("token text loss needs center_text_logits")
-            if center_tokens is None:
-                raise ValueError("token text loss needs the center narration tokens")
+    if recon_t:
+        if token_text:
             rows, flat = [], []
-            for i, toks in enumerate(center_tokens):
+            for i, toks in enumerate(batch.center_tokens):
                 rows.extend([i] * len(toks))
                 flat.extend(toks)
             logits = T.take_rows(outputs.center_text_logits, rows)
             l_rt = T.cross_entropy(logits, np.asarray(flat, dtype=np.int64))
         else:
-            if outputs.recon_t is None:
-                raise ValueError("lambda_rt > 0 but the forward produced no text "
-                                 "reconstruction")
             l_rt = T.mse(outputs.recon_t, outputs.target_t)
         l_rt_val = l_rt.item()
         total = T.add(total, T.scale(l_rt, config.lambda_rt))
@@ -250,10 +249,7 @@ def fit(store: FeatureStore, model: SeqDGModel, config: TrainConfig, *,
     windows = build_windows(records, config.W)
     pool = SeqMixPool(records, source_domains)
     stats = SeqMixStats()
-    need_recon_v = config.lambda_rv > 0
-    need_recon_t = config.lambda_rt > 0
-    token_text = need_recon_t and config.text_loss == "token_cross_entropy"
-    needs_text = need_recon_v or need_recon_t
+    needs_text = config.lambda_rv > 0 or config.lambda_rt > 0
     embedder = (NarrationEmbedder(len(store.vocab), store.d_t, seed=config.seed)
                 if needs_text and store.text is None else None)
 
@@ -281,13 +277,7 @@ def fit(store: FeatureStore, model: SeqDGModel, config: TrainConfig, *,
                                              f"{rec.domain_id!r} reached the "
                                              "training loop")
                 try:
-                    batch = cache.batch(chunk)
-                    out = model.forward_train(batch.visual, batch.text,
-                                              recon_v=need_recon_v,
-                                              recon_t=need_recon_t,
-                                              token_text=token_text)
-                    total, parts = composite_loss(out, batch.verbs, batch.nouns,
-                                                  config, batch.center_tokens)
+                    total, parts = composite_loss(model, cache.batch(chunk), config)
                     optimizer.zero()
                     total.backward()
                 except NonFiniteError as exc:
@@ -340,16 +330,11 @@ def objective_grad_check(text_loss: str, *, seed: int = 0, data_seed: int = 0,
     verbs = rng.integers(0, 5, size=2)
     nouns = rng.integers(0, 5, size=2)
     tokens = tuple((int(rng.integers(10)), int(rng.integers(10))) for _ in range(2))
+    batch = Batch(visual=visual, text=text, verbs=verbs, nouns=nouns, center_tokens=tokens)
     with T.no_grad():
         frozen_out = model.forward_train(visual, text, recon_v=True, recon_t=True)
         frozen = (frozen_out.target_v.data.copy(), frozen_out.target_t.data.copy())
     cfg = TrainConfig(model=config, lambda_rv=1.0, lambda_rt=1.0, text_loss=text_loss,
                       epochs=0)
-
-    def loss():
-        out = model.forward_train(visual, text, recon_v=True, recon_t=True,
-                                  token_text=text_loss == "token_cross_entropy",
-                                  frozen_targets=frozen)
-        return composite_loss(out, verbs, nouns, cfg, tokens)[0]
-
-    return T.grad_check(loss, model.params.named(), h=h, tol=tol)
+    return T.grad_check(lambda: composite_loss(model, batch, cfg, frozen_targets=frozen)[0],
+                        model.params.named(), h=h, tol=tol)

@@ -303,17 +303,26 @@ class TestTrainEval:
                      str(tmp_path / "nowhere"), "--out",
                      str(tmp_path / "r")]) == 3
 
-    @pytest.mark.parametrize("command", ["train", "ablate"])
-    def test_label_beyond_n_verbs_is_data_error(self, command, tmp_path, dataset_dir,
+    @pytest.mark.parametrize("command, case", [
+        pytest.param("train", "n_verbs", id="train"),
+        pytest.param("ablate", "n_verbs", id="ablate"),
+        pytest.param("train", "vocab_size", id="train-vocab_size"),
+        pytest.param("ablate", "vocab_size", id="ablate-vocab_size")])
+    def test_label_beyond_n_verbs_is_data_error(self, command, case, tmp_path, dataset_dir,
                                                 capsys):
         cfg = json.loads(json.dumps(SMALL_SYNTH))
-        cfg["model"]["n_verbs"] = 4  # the dataset has 8 verbs
-        path = tmp_path / "few_verbs.json"
+        if case == "n_verbs":
+            cfg["model"]["n_verbs"] = 4  # the dataset has 8 verbs
+        else:
+            # the dataset's narrations use 13 tokens
+            cfg["model"]["vocab_size"] = 5
+            cfg["train"]["text_loss"] = "token_cross_entropy"
+        path = tmp_path / "small_label_space.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "run"
         assert main([command, "--config", str(path), "--data", str(dataset_dir),
                      "--out", str(out)]) == 3
-        assert "n_verbs=4" in capsys.readouterr().err
+        assert f"{case}={cfg['model'][case]}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_divergent_lr_exit_code(self, tmp_path, config_path, dataset_dir):
@@ -613,10 +622,13 @@ class TestLabelAndEmptyDataErrors:
         write_annotation_csv(csv_path, rows)
         features = tmp_path / "features.f32"
         np.zeros(3 * 4, dtype="<f4").tofile(features)
-        assert main(["import", "--csv", str(csv_path), "--features", str(features),
-                     "--d-v", "4", "--clips", "1", "--out", str(tmp_path / "out")]) == 3
-        assert "negative label" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        # `import` and `seq-stats` read the CSV through one parser
+        for argv in (["import", "--features", str(features), "--d-v", "4", "--clips", "1"],
+                     ["seq-stats"]):
+            assert main(argv + ["--csv", str(csv_path), "--out", str(tmp_path / "out")]) == 3
+            err = capsys.readouterr().err
+            assert "negative label at line 4" in err, argv[0]
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, case", [
         ("train", "no_actions"), ("train", "empty_source"),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import seqdg.tensor as T
+from seqdg.data import Batch
 from seqdg.model import (
     ModelConfig,
     SeqDGModel,
@@ -479,9 +480,9 @@ def test_bench_width_step_graph_size():
     rng = np.random.default_rng(0)
     visual = rng.standard_normal((16, config.W, config.D_V))
     text = rng.standard_normal((16, config.W, config.D_T))
-    out = model.forward_train(visual, text, recon_v=True, recon_t=True)
-    total, _ = composite_loss(out, rng.integers(0, config.n_verbs, 16),
-                              rng.integers(0, config.n_nouns, 16),
+    batch = Batch(visual=visual, text=text, verbs=rng.integers(0, config.n_verbs, 16),
+                  nouns=rng.integers(0, config.n_nouns, 16), center_tokens=())
+    total, _ = composite_loss(model, batch,
                               TrainConfig(model=config, lambda_rv=1.0, lambda_rt=1.0))
     interior = [node for node in T._toposort(total) if node._parents]
     assert len(interior) <= 80, f"{len(interior)} interior nodes"

@@ -5,7 +5,7 @@ import pytest
 
 import seqdg.tensor as T
 import seqdg.train
-from seqdg.data import DatasetSplit, FeatureStore
+from seqdg.data import Batch, DatasetSplit, FeatureStore
 from seqdg.model import ModelConfig, SeqDGModel
 from seqdg.train import (
     DivergenceError,
@@ -67,47 +67,61 @@ class TestLearningRateSchedule:
 
 
 class TestCompositeLoss:
-    def outputs(self, config, seed=0):
+    def batch(self, seed=0):
         rng = np.random.default_rng(seed)
-        model = SeqDGModel.init(config.model, seed=seed)
         visual = rng.standard_normal((4, 3, 6))
         text = rng.standard_normal((4, 3, 8))
-        out = model.forward_train(visual, text, recon_v=config.lambda_rv > 0,
-                                  recon_t=config.lambda_rt > 0,
-                                  token_text=config.text_loss == "token_cross_entropy")
         verbs = rng.integers(0, 3, size=4)
         nouns = rng.integers(0, 2, size=4)
         tokens = tuple((int(v), 3 + int(n)) for v, n in zip(verbs, nouns))
-        return out, verbs, nouns, tokens
+        return Batch(visual=visual, text=text, verbs=verbs, nouns=nouns,
+                     center_tokens=tokens)
 
     def test_zero_weights_reduce_to_classification(self):
         config = toy_train_config(lambda_rv=0.0, lambda_rt=0.0)
-        out, verbs, nouns, tokens = self.outputs(config)
-        total, breakdown = composite_loss(out, verbs, nouns, config, tokens)
+        model = SeqDGModel.init(config.model, seed=0)
+        total, breakdown = composite_loss(model, self.batch(), config)
         assert breakdown.total == breakdown.l_c
         assert total.item() == breakdown.l_c
 
     def test_forced_perfect_reconstruction_zeroes_l_rv(self):
         config = toy_train_config()
-        out, verbs, nouns, tokens = self.outputs(config)
-        out.recon_v = out.target_v  # force reconstruction == target
-        _, breakdown = composite_loss(out, verbs, nouns, config, tokens)
+        model = SeqDGModel.init(config.model, seed=0)
+        batch = self.batch()
+        with T.no_grad():
+            out = model.forward_train(batch.visual, batch.text, recon_v=True, recon_t=True)
+        # the visual target is this very forward's reconstruction
+        frozen = (out.recon_v.data.copy(), out.target_t.data.copy())
+        _, breakdown = composite_loss(model, batch, config, frozen_targets=frozen)
         assert breakdown.l_rv == 0.0
+        assert breakdown.l_rt > 0.0
 
     def test_total_matches_recomputed_sum(self):
         config = toy_train_config(lambda_rv=0.7, lambda_rt=1.3)
-        out, verbs, nouns, tokens = self.outputs(config)
-        total, b = composite_loss(out, verbs, nouns, config, tokens)
+        model = SeqDGModel.init(config.model, seed=0)
+        total, b = composite_loss(model, self.batch(), config)
         assert abs(b.total - (b.l_c + 0.7 * b.l_rv + 1.3 * b.l_rt)) < 1e-12
         assert abs(total.item() - b.total) < 1e-12
         assert b.l_c >= 0 and b.l_rv >= 0 and b.l_rt >= 0
 
     def test_token_text_loss_path(self):
         config = toy_train_config(text_loss="token_cross_entropy")
-        out, verbs, nouns, tokens = self.outputs(config)
-        total, b = composite_loss(out, verbs, nouns, config, tokens)
+        model = SeqDGModel.init(config.model, seed=0)
+        total, b = composite_loss(model, self.batch(), config)
         assert b.l_rt > 0
         assert np.isfinite(total.item())
+
+    def test_zero_weight_skips_its_decoder(self):
+        config = toy_train_config(lambda_rv=0.0, lambda_rt=1.0)
+        model = SeqDGModel.init(config.model, seed=0)
+        total, _ = composite_loss(model, self.batch(), config)
+        total.backward()
+        named = model.params.named()
+        dec_v = [name for name in named if name.startswith("dec_v.")]
+        dec_t = [name for name in named if name.startswith("dec_t.")]
+        assert dec_v and dec_t
+        assert [name for name in dec_v if named[name].grad is not None] == []
+        assert [name for name in dec_t if named[name].grad is None] == []
 
     def test_gradient_is_lambda_weighted_sum_of_components(self):
         # gradients at (1, lv, lt) equal g_c + lv*g_v + lt*g_t measured
@@ -117,8 +131,8 @@ class TestCompositeLoss:
         rng = np.random.default_rng(4)
         visual = rng.standard_normal((2, 3, 6))
         text = rng.standard_normal((2, 3, 8))
-        verbs = np.array([0, 1])
-        nouns = np.array([1, 0])
+        batch = Batch(visual=visual, text=text, verbs=np.array([0, 1]),
+                      nouns=np.array([1, 0]), center_tokens=((0, 4), (1, 3)))
         with T.no_grad():
             frozen_out = model.forward_train(visual, text, recon_v=True, recon_t=True)
             frozen = (frozen_out.target_v.data.copy(), frozen_out.target_t.data.copy())
@@ -126,9 +140,7 @@ class TestCompositeLoss:
 
         def grad_for(lv, lt):
             cfg = toy_train_config(lambda_rv=lv, lambda_rt=lt)
-            out = model.forward_train(visual, text, recon_v=True, recon_t=True,
-                                      frozen_targets=frozen)
-            total, _ = composite_loss(out, verbs, nouns, cfg)
+            total, _ = composite_loss(model, batch, cfg, frozen_targets=frozen)
             probe.grad = None
             total.backward()
             return probe.grad.copy()
@@ -230,9 +242,9 @@ class TestFit:
         # 16 windows in batches of 5: the last batch holds one window
         calls = []
 
-        def recording(outputs, verbs, *args, **kwargs):
-            total, parts = composite_loss(outputs, verbs, *args, **kwargs)
-            calls.append((len(verbs), parts))
+        def recording(model, batch, *args, **kwargs):
+            total, parts = composite_loss(model, batch, *args, **kwargs)
+            calls.append((len(batch), parts))
             return total, parts
 
         monkeypatch.setattr(seqdg.train, "composite_loss", recording)
