@@ -148,7 +148,10 @@ def _split_records(store: FeatureStore, split: str) -> list:
 
 def _check_labels(store: FeatureStore, config: TrainConfig):
     """Every label, and under the token-level text loss every narration
-    token, must fall inside the configured label spaces."""
+    token, must fall inside the configured label spaces; and when a text
+    path reads narrations (the token-level text loss, or any reconstruction
+    on a store without text features, whose narrations are embedded), every
+    source-split action must have one."""
     model_config = config.model
     max_verb = max(r.verb for r in store.records)
     max_noun = max(r.noun for r in store.records)
@@ -163,6 +166,14 @@ def _check_labels(store: FeatureStore, config: TrainConfig):
             raise DataError(
                 f"narration tokens up to {max_token} exceed the token-level text "
                 f"loss's vocabulary (vocab_size={model_config.vocab_size})")
+    reads_narrations = (
+        (config.lambda_rt > 0 and config.text_loss == "token_cross_entropy")
+        or (store.text is None and (config.lambda_rv > 0 or config.lambda_rt > 0)))
+    if reads_narrations:
+        empty = next((r for r in _split_records(store, "source") if not r.narration), None)
+        if empty is not None:
+            raise DataError(f"source action {empty.action_id} has an empty narration, "
+                            "which the configured text reconstruction needs")
 
 
 def cmd_train(args) -> int:
@@ -232,13 +243,17 @@ def cmd_ablate(args) -> int:
     run = _train_config_for(store, args)
     _split_records(store, "target")
     grid = run.ablate
-    # every cell's config is checked before the first one trains
+    # every cell's config is checked, also against the dataset, before the
+    # first one trains
     cells = [(w, p_mix, lam_v, lam_t,
               [replace(run.train, model=replace(run.model, W=w), p_mix=p_mix,
                        lambda_rv=lam_v, lambda_rt=lam_t, seed=seed).check()
                for seed in grid["seeds"]])
              for w, p_mix, lam_v, lam_t in itertools.product(
                  grid["W"], grid["p_mix"], grid["lambda_rv"], grid["lambda_rt"])]
+    for *_, configs in cells:
+        for config in configs:
+            _check_labels(store, config)
     out = _out_dir(args)
     _write_provenance(out, "ablate", run.to_dict(), run.train.seed,
                       _data_hashes(Path(args.data)))

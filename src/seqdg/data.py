@@ -15,6 +15,7 @@ domain, features, narration tokens and domain id travelling together.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import operator
 from dataclasses import dataclass, replace
@@ -129,10 +130,21 @@ class FeatureStore:
         if self.visual.size != expected:
             raise DataError(f"feature blob holds {self.visual.size} floats, "
                             f"manifest expects {expected}")
+        start = _first_failing_action(self.records, d_v, self.visual.size, len(self.vocab))
+        if start is not None:
+            self._check_actions(start)
+        if self.text is not None and self.text.size != len(self.records) * self.d_t:
+            raise DataError("text feature blob does not match action count")
+
+    def _check_actions(self, start: int):
+        """The per-action checks, in record order from action `start` on;
+        the first action that fails one is named. Every action before
+        `start` must pass them all."""
+        d_v = self.d_v
         # ids index the text blob and the feature cache, so they must be
         # exactly 0 .. n-1
-        seen = set()
-        for r in self.records:
+        seen = {r.action_id for r in self.records[:start]}
+        for r in self.records[start:]:
             if not 0 <= r.action_id < len(self.records):
                 raise DataError(f"action id {r.action_id} outside [0, {len(self.records)})")
             if r.action_id in seen:
@@ -147,8 +159,6 @@ class FeatureStore:
                 raise DataError(f"action {r.action_id}: feature handle out of bounds")
             if any(t < 0 or t >= len(self.vocab) for t in r.narration):
                 raise DataError(f"action {r.action_id}: narration token out of vocab")
-        if self.text is not None and self.text.size != len(self.records) * self.d_t:
-            raise DataError("text feature blob does not match action count")
 
     @property
     def d_v(self) -> int:
@@ -239,6 +249,37 @@ class FeatureStore:
             if type(meta[key]) is not int:
                 raise DataError(f"{manifest_path}: {key!r} must be int, got {meta[key]!r}")
         return cls(meta, records, vocab, split, visual, text)
+
+
+def _first_failing_action(records, d_v: int, size: int, vocab: int) -> int | None:
+    """The index of the first record that `FeatureStore._check_actions`
+    rejects, found with one mask per check over columns of the records; None
+    when every record passes. Values too large for int64, or a `d_v` below
+    one, give 0: the scalar checks then run over every record."""
+    if d_v < 1:
+        return 0
+    n = len(records)
+    narrations = [r.narration for r in records]
+    try:
+        ids, verbs, nouns, offsets, n_clips = (np.array(column, dtype=np.int64) for column in (
+            [r.action_id for r in records], [r.verb for r in records],
+            [r.noun for r in records], [r.blob_offset for r in records],
+            [r.n_clips for r in records]))
+        lengths = np.fromiter(map(len, narrations), np.int64, n)
+        tokens = np.fromiter(itertools.chain.from_iterable(narrations), np.int64,
+                             int(lengths.sum()))
+        # whole clips that fit after each offset (none past the end); a
+        # negative offset fails on its own, so a wrapped value does not matter
+        room = (size - offsets) // d_v
+    except OverflowError:
+        return 0
+    repeated = np.ones(n, dtype=bool)
+    repeated[np.unique(ids, return_index=True)[1]] = False
+    bad = ((ids < 0) | (ids >= n) | repeated | (verbs < 0) | (nouns < 0) | (n_clips < 1)
+           | (offsets < 0) | (n_clips > room))
+    bad[np.repeat(np.arange(n), lengths)[(tokens < 0) | (tokens >= vocab)]] = True
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if hits.size else None
 
 
 def _action_record(index: int, action) -> ActionRecord:

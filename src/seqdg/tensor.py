@@ -184,7 +184,9 @@ def _node(data: np.ndarray, parents: tuple, op: str, backward) -> Tensor:
     data = np.asarray(data, dtype=np.float64)
     if not data.flags["C_CONTIGUOUS"]:
         data = np.ascontiguousarray(data)
-    if not np.isfinite(data).all():
+    # `logical_and.reduce` is `.all()` without its Python wrapper; a sum
+    # would need an errstate to stay silent on finite data that overflows
+    if not np.logical_and.reduce(np.isfinite(data), axis=None):
         raise NonFiniteError(f"op {op!r} produced non-finite values")
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -565,9 +567,10 @@ def _normalize(s: np.ndarray, inputs: tuple, gain: Tensor, bias: Tensor, eps: fl
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"{op}: gain {gain.shape} / bias {bias.shape} "
                          f"do not match feature width {d}")
-    mu = s.mean(axis=-1, keepdims=True)
+    # `mean` is this sum divided by the count: the same bits, less Python per call
+    mu = s.sum(axis=-1, keepdims=True) / d
     centered = s - mu
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     out = xhat * gain.data + bias.data
@@ -579,8 +582,8 @@ def _normalize(s: np.ndarray, inputs: tuple, gain: Tensor, bias: Tensor, eps: fl
             _acc(bias, dout.reshape(-1, d).sum(axis=0))
         if any(t.requires_grad for t in inputs):
             dy = dout * gain.data
-            m1 = dy.mean(axis=-1, keepdims=True)
-            m2 = (dy * xhat).mean(axis=-1, keepdims=True)
+            m1 = dy.sum(axis=-1, keepdims=True) / d
+            m2 = (dy * xhat).sum(axis=-1, keepdims=True) / d
             ds = inv * (dy - m1 - xhat * m2)
             for t in inputs:
                 if t.requires_grad:

@@ -7,7 +7,9 @@ reconstruction losses. Training is plain SGD (momentum opt-in, default off)
 with a piecewise-constant learning rate that drops by a fixed factor at the
 configured epochs. Every source of randomness is a named stream derived
 from (seed, purpose, epoch, index), so identical inputs give
-bitwise-identical checkpoints.
+bitwise-identical checkpoints. `fit` scores the source split (top-1)
+after every epoch when it writes a metrics file, and otherwise only after
+the last epoch, since only the metrics file reads the earlier ones.
 
 Two library entry points wrap the loop: `train_and_score`, one cell of an
 ablation (train, then target-split action top-1), and
@@ -188,7 +190,10 @@ def composite_loss(model: SeqDGModel, batch: Batch, config: TrainConfig, *,
 @dataclass
 class EpochMetrics:
     """One epoch: its learning rate, the window-weighted means of the batch
-    loss breakdowns, and source-split top-1 accuracy after the epoch."""
+    loss breakdowns, and source-split top-1 accuracy after the epoch. The
+    source split is scored after every epoch when `fit` writes a metrics
+    file, and otherwise only after the last; the other epochs' accuracies
+    are None."""
 
     epoch: int
     lr: float
@@ -196,9 +201,9 @@ class EpochMetrics:
     l_rv: float
     l_rt: float
     total: float
-    source_verb_acc: float
-    source_noun_acc: float
-    source_action_acc: float
+    source_verb_acc: float | None
+    source_noun_acc: float | None
+    source_action_acc: float | None
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -219,11 +224,13 @@ class _SGD:
         self.velocity = [np.zeros_like(t.data) for t in tensors] if momentum > 0 else None
 
     def step(self, lr: float):
+        """One update. Without momentum the gradient is scaled in place
+        (the step consumes it; `zero` drops it before the next backward)."""
         for i, t in enumerate(self.tensors):
             if t.grad is None:
                 continue
             if self.velocity is None:
-                t.data -= lr * t.grad
+                t.data -= np.multiply(t.grad, lr, out=t.grad)
             else:
                 self.velocity[i] = self.momentum * self.velocity[i] + t.grad
                 t.data -= lr * self.velocity[i]
@@ -240,7 +247,10 @@ def _stream(*key) -> np.random.Generator:
 def fit(store: FeatureStore, model: SeqDGModel, config: TrainConfig, *,
         metrics_path=None) -> TrainResult:
     """Train on the source split only; deterministic given (seed, config,
-    data). Aborts with DivergenceError if the loss goes non-finite."""
+    data). Aborts with DivergenceError if the loss goes non-finite. With
+    `metrics_path` every epoch's `EpochMetrics` is written there as one JSON
+    line and the source split is scored after every epoch; without it, only
+    after the last."""
     config.check()
     source_domains = set(store.split.source)
     records = store.records_for(source_domains)
@@ -285,8 +295,10 @@ def fit(store: FeatureStore, model: SeqDGModel, config: TrainConfig, *,
                 optimizer.step(lr)
                 for key in LOSS_KEYS:
                     loss_sums[key] += len(chunk) * getattr(parts, key)
-            verb_logits, noun_logits = predict_windows(cache, model, windows)
-            accs = topk_accuracy(verb_logits, noun_logits, verbs, nouns)
+            accs = (None, None, None)
+            if metrics_file or epoch == config.epochs - 1:
+                verb_logits, noun_logits = predict_windows(cache, model, windows)
+                accs = topk_accuracy(verb_logits, noun_logits, verbs, nouns)
             entry = EpochMetrics(epoch=epoch, lr=lr,
                                  **{k: v / len(windows) for k, v in loss_sums.items()},
                                  source_verb_acc=accs[0], source_noun_acc=accs[1],

@@ -630,6 +630,50 @@ class TestLabelAndEmptyDataErrors:
             assert "negative label at line 4" in err, argv[0]
             assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("case", ["token_loss", "embedded_narration"])
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_empty_narration_on_a_text_path_is_data_error(self, command, case, tmp_path,
+                                                          capsys):
+        # 16 imported actions: 12 source, 4 target. Under the token-level
+        # text loss only the first has a narration, so whole batches of
+        # centres have none; without a text blob one narration is empty.
+        rng = np.random.default_rng(0)
+        rows = [{"video_id": f"v{domain}", "domain_id": domain, "temporal_index": t,
+                 "verb_class": int(rng.integers(8)), "noun_class": int(rng.integers(5)),
+                 "narration": f"w{t % 3}"}
+                for domain, length in (("S0", 6), ("S1", 6), ("T0", 4)) for t in range(length)]
+        if case == "token_loss":
+            for row in rows[1:]:
+                row["narration"] = ""
+        else:
+            rows[7]["narration"] = ""
+        csv_path, features = tmp_path / "ann.csv", tmp_path / "features.f32"
+        write_annotation_csv(csv_path, rows)
+        rng.standard_normal(len(rows) * 2 * 16).astype("<f4").tofile(features)
+        argv = ["import", "--csv", str(csv_path), "--features", str(features), "--d-v", "16",
+                "--clips", "2", "--d-t", "16", "--target-domains", "T0",
+                "--out", str(tmp_path / "data")]
+        if case == "token_loss":
+            text = tmp_path / "text.f32"
+            rng.standard_normal(len(rows) * 16).astype("<f4").tofile(text)
+            argv += ["--text-features", str(text)]
+        assert main(argv) == 0
+        cfg = json.loads(json.dumps(SMALL_SYNTH))
+        cfg["train"]["batch_size"] = 4
+        if case == "token_loss":
+            cfg["train"]["text_loss"] = "token_cross_entropy"
+        if command == "ablate":
+            # only the grid's second lambda_rt reads narrations
+            cfg["train"].update(lambda_rv=0.0, lambda_rt=0.0)
+            cfg["ablate"]["lambda_rt"] = [0.0, 1.0]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--data", str(tmp_path / "data"),
+                     "--out", str(out)]) == 3
+        assert "empty narration" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, case", [
         ("train", "no_actions"), ("train", "empty_source"),
         ("eval", "no_actions"), ("eval", "empty_target"),

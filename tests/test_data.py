@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from seqdg.data import (
     seqmix,
     write_annotation_csv,
 )
+from seqdg.data import _first_failing_action
 
 
 def make_record(i, video="v0", domain="S0", verb=0, noun=0, t=None, d_v=4, clips=2):
@@ -46,6 +48,37 @@ def make_store(n_actions=6, d_v=4, clips=2, n_videos=2, domains=("S0", "S1"),
                          target=tuple(targets))
     meta = {"name": "toy", "d_v": d_v, "d_t": d_t, "clips_per_action": clips}
     return FeatureStore(meta, records, vocab, split, visual, text)
+
+
+# one bad value per action that leaves the blob size unchanged, and the
+# start of the message that names it
+CORRUPT_ACTIONS = {
+    "id_out_of_range": (lambda r: replace(r, action_id=-1), "action id -1 outside"),
+    "duplicate_id": (lambda r: replace(r, action_id=0), "duplicate action id 0"),
+    "negative_noun": (lambda r: replace(r, noun=-1), "action {id}: negative label"),
+    "offset_past_the_end": (lambda r: replace(r, blob_offset=10**6),
+                            "action {id}: feature handle out of bounds"),
+    "token_out_of_vocab": (lambda r: replace(r, narration=(0, 5)),
+                           "action {id}: narration token out of vocab"),
+}
+
+
+EXTREME_INTS = st.sampled_from([-2**64, -2**63, 2**31, 2**62, 2**63 - 1, 2**63, 10**30])
+ANY_INT = st.one_of(st.integers(-2, 8), EXTREME_INTS)
+
+
+def first_failing_reference(records, d_v, size, vocab):
+    """The index of the first action that fails a manifest check, one
+    action at a time in plain Python integers; None when all pass."""
+    seen = set()
+    for i, r in enumerate(records):
+        if (not 0 <= r.action_id < len(records) or r.action_id in seen
+                or r.verb < 0 or r.noun < 0 or r.n_clips < 1 or r.blob_offset < 0
+                or r.blob_offset + r.n_clips * d_v > size
+                or any(t < 0 or t >= vocab for t in r.narration)):
+            return i
+        seen.add(r.action_id)
+    return None
 
 
 class TestFeatureStore:
@@ -77,6 +110,33 @@ class TestFeatureStore:
         records = [replace(r, action_id=i) for r, i in zip(store.records, ids)]
         with pytest.raises(DataError, match="action id"):
             FeatureStore(store.meta, records, store.vocab, store.split, store.visual)
+
+    @pytest.mark.parametrize("first, second",
+                             itertools.permutations(sorted(CORRUPT_ACTIONS), 2))
+    def test_first_of_two_corrupt_actions_is_named(self, first, second):
+        store = make_store(n_actions=12)
+        records = list(store.records)
+        records[4] = CORRUPT_ACTIONS[first][0](records[4])
+        records[9] = CORRUPT_ACTIONS[second][0](records[9])
+        with pytest.raises(DataError) as exc:
+            FeatureStore(store.meta, records, store.vocab, store.split, store.visual)
+        assert str(exc.value).startswith(CORRUPT_ACTIONS[first][1].format(id=4))
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(*[ANY_INT] * 5, st.lists(ANY_INT, max_size=3)),
+                         max_size=8),
+           d_v=st.one_of(st.integers(-1, 4), EXTREME_INTS), size=st.integers(0, 40))
+    def test_masks_find_the_action_the_scalar_checks_reject(self, rows, d_v, size):
+        records = [ActionRecord(action_id=a, video_id="v", domain_id="S0", verb=v, noun=n,
+                                narration=tuple(tokens), temporal_index=0, blob_offset=o,
+                                n_clips=c) for a, v, n, o, c, tokens in rows]
+        want = first_failing_reference(records, d_v, size, vocab=5)
+        got = _first_failing_action(records, d_v, size, vocab=5)
+        values = [d_v] + [x for *fields, tokens in rows for x in (*fields, *tokens)]
+        if d_v < 1 or any(not -2**63 <= x < 2**63 for x in values):
+            assert got == 0  # the scalar checks then run over every action
+        else:
+            assert got == want
 
     def test_clips_shape(self):
         store = make_store()

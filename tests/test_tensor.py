@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,22 @@ class TestTensorBasics:
         big = Tensor([[1e200]], requires_grad=True)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
             T.mul(big, big)
+
+    def test_finite_values_whose_sum_overflows_pass_silently(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = T._node(np.array([1e308, 1e308, -1e308, 1e308]), (), "probe", None)
+            assert out.data.tolist() == [1e308, 1e308, -1e308, 1e308]
+            assert T.scale(Tensor([[1e308, 1e308]]), 1.0).data.tolist() == [[1e308, 1e308]]
+
+    @pytest.mark.parametrize("values", [[1.0, np.nan], [np.inf, 1.0], [np.inf, -np.inf],
+                                        [1e308, np.nan, 1e308]],
+                             ids=["nan", "inf", "inf_minus_inf", "nan_among_overflow"])
+    def test_op_result_with_nan_or_inf_raises(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="op 'probe' produced non-finite"):
+                T._node(np.array(values), (), "probe", None)
 
 
 class TestMatmul:
@@ -124,6 +142,25 @@ class TestLayerNorm:
         out = T.layer_norm(x, g, b, eps=1e-12).data
         assert np.abs(out.mean(axis=-1)).max() < 1e-10
         assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-6
+
+    def test_matches_the_mean_formula_bitwise(self):
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.standard_normal((3, 5, 8)) * 40 + 3, requires_grad=True)
+        g = Tensor(rng.standard_normal(8), requires_grad=True)
+        b = Tensor(rng.standard_normal(8), requires_grad=True)
+        dout = rng.standard_normal((3, 5, 8))
+        out = T.layer_norm(x, g, b, eps=1e-5)
+        out._backward(dout)
+        s = x.data
+        mu = np.mean(s, axis=-1, keepdims=True)
+        var = np.mean((s - mu) * (s - mu), axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + 1e-5)
+        xhat = (s - mu) * inv
+        assert np.array_equal(out.data, xhat * g.data + b.data)
+        dy = dout * g.data
+        dx = inv * (dy - np.mean(dy, axis=-1, keepdims=True)
+                    - xhat * np.mean(dy * xhat, axis=-1, keepdims=True))
+        assert np.array_equal(x.grad, dx)
 
 
 class TestLosses:

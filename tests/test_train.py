@@ -259,6 +259,44 @@ class TestFit:
                 assert getattr(entry, key) == pytest.approx(mean, rel=1e-12), key
         assert res.metrics[0].l_c != calls[3][1].l_c  # not the last batch's value
 
+    @pytest.mark.parametrize("logged", [False, True], ids=["no_metrics_file",
+                                                           "metrics_file"])
+    def test_source_split_is_scored_only_for_a_reader(self, logged, tmp_path,
+                                                      monkeypatch):
+        calls = []
+        predict = seqdg.train.predict_windows
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return predict(*args, **kwargs)
+
+        monkeypatch.setattr(seqdg.train, "predict_windows", counting)
+        store = toy_store()
+        config = toy_train_config(epochs=3)
+        res = fit(store, SeqDGModel.init(config.model, seed=0), config,
+                  metrics_path=tmp_path / "metrics.jsonl" if logged else None)
+        assert len(calls) == (3 if logged else 1)
+        scored = [m.source_action_acc is not None for m in res.metrics]
+        assert scored == ([True] * 3 if logged else [False, False, True])
+
+    def test_metrics_file_changes_no_parameter_or_final_metric(self, tmp_path):
+        store = toy_store()
+        config = toy_train_config(epochs=3, seed=4)
+        runs = []
+        for path in (None, tmp_path / "metrics.jsonl"):
+            model = SeqDGModel.init(config.model, seed=4)
+            res = fit(store, model, config, metrics_path=path)
+            runs.append(({k: v.data.tobytes() for k, v in model.params.named().items()},
+                         res.metrics))
+        (params, metrics), (logged_params, logged_metrics) = runs
+        assert params == logged_params
+        assert metrics[-1] == logged_metrics[-1]
+        for quiet, logged in zip(metrics[:-1], logged_metrics[:-1]):
+            for key in ("l_c", "l_rv", "l_rt", "total"):
+                assert getattr(quiet, key) == getattr(logged, key), key
+            assert (quiet.source_verb_acc, quiet.source_noun_acc,
+                    quiet.source_action_acc) == (None, None, None)
+
     def test_seqmix_stats_populated(self):
         store = toy_store()
         config = toy_train_config(epochs=2, p_mix=1.0)
