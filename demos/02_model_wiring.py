@@ -1,6 +1,7 @@
 """The sequence network piece by piece: encoding a window with its two
 classification tokens, masking the center, and reconstructing each
-modality with guidance from the other."""
+modality with guidance from the other. The stages pass plain tensors; the
+text stream is its features as given."""
 
 import numpy as np
 
@@ -11,7 +12,6 @@ from seqdg.model import (
     classify,
     decode,
     encode_sequence,
-    encode_text,
     mask_center,
 )
 
@@ -29,18 +29,17 @@ print("positions:", enc.positions.shape, " cls slots:", enc.cls_slots.shape,
 
 print()
 print("== masking the center position ==")
-masked = mask_center(enc)
-norms = np.linalg.norm(masked.positions.data, axis=-1)
+masked = mask_center(enc.positions)
+norms = np.linalg.norm(masked.data, axis=-1)
 print("per-position norms after masking:", np.round(norms, 3))
-print("(only the center is exactly zero; cls slots untouched)")
+print("(only the center is exactly zero; the cls slots are not masked)")
 
 print()
 print("== cross-modal reconstruction ==")
-text_feats = rng.standard_normal((config.W, config.D_T))
+text = T.Tensor(rng.standard_normal((config.W, config.D_T)))
 with T.no_grad():
-    z_text = encode_text(text_feats)
-    recon_visual = decode(masked, z_text, model.params, "visual")
-    recon_text = decode(mask_center(z_text), enc, model.params, "text")
+    recon_visual = decode(masked, text, model.params, "visual")
+    recon_text = decode(mask_center(text), enc.positions, model.params, "text")
 print("reconstructed visual stream:", recon_visual.shape)
 print("reconstructed text stream:  ", recon_text.shape)
 

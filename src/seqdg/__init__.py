@@ -32,7 +32,6 @@ from seqdg.model import (
     cross_attention,
     decode,
     encode_sequence,
-    encode_text,
     mask_center,
 )
 from seqdg.seqstats import count_all_categories, count_repeats
@@ -70,7 +69,6 @@ __all__ = [
     "cross_attention",
     "decode",
     "encode_sequence",
-    "encode_text",
     "fit",
     "generate",
     "generate_to",

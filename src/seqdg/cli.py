@@ -207,6 +207,9 @@ def cmd_eval(args) -> int:
     store = FeatureStore.load(args.data)
     params, header = load_checkpoint(args.checkpoint)
     model = SeqDGModel(params)
+    if store.d_v != model.config.D_V:
+        raise DataError(f"the dataset's features are {store.d_v} wide, the "
+                        f"checkpoint's model reads {model.config.D_V}")
     records = _split_records(store, args.split)
     domains = getattr(store.split, args.split)
     preds = sliding_window_predict(store, model, domains=domains, k=args.k)
@@ -313,10 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="sequence-context action recognition toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
+    def common(p, seed=True, config=True):
         p.add_argument("--out", help="output directory (default: "
                        "$SEQDG_OUT_ROOT/<command>/<timestamp>)")
-        p.add_argument("--seed", type=int, default=None)
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
         if config:
             p.add_argument("--config", help="JSON config file")
 
@@ -325,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth_gen)
 
     p = sub.add_parser("import", help="build a dataset from CSV + feature blobs")
-    common(p, config=False)
+    common(p, seed=False, config=False)
     p.add_argument("--csv", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--d-v", type=int, required=True, dest="d_v")
@@ -350,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="sliding-window evaluation of a checkpoint")
-    common(p, config=False)
+    common(p, seed=False, config=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=("source", "target"), default="target")
@@ -364,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("seq-stats", help="cross-domain repeated-sequence counts")
-    common(p, config=False)
+    common(p, seed=False, config=False)
     p.add_argument("--csv", required=True)
     p.add_argument("--max-len", type=int, default=5, dest="max_len")
     p.set_defaults(func=cmd_seq_stats)

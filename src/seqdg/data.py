@@ -125,6 +125,9 @@ class FeatureStore:
         self._validate()
 
     def _validate(self):
+        for key in ("d_v", "d_t", "clips_per_action"):
+            if self.meta[key] < 1:
+                raise DataError(f"{key} must be >= 1, got {self.meta[key]}")
         d_v = self.d_v
         expected = sum(r.n_clips * d_v for r in self.records)
         if self.visual.size != expected:
@@ -135,6 +138,11 @@ class FeatureStore:
             self._check_actions(start)
         if self.text is not None and self.text.size != len(self.records) * self.d_t:
             raise DataError("text feature blob does not match action count")
+        stray = {r.domain_id for r in self.records}.difference(self.split.source,
+                                                                self.split.target)
+        if stray:
+            raise DataError(f"actions of domains {sorted(stray)} belong to neither "
+                            "the source nor the target split")
 
     def _check_actions(self, start: int):
         """The per-action checks, in record order from action `start` on;
@@ -234,6 +242,11 @@ class FeatureStore:
         base = manifest_path.parent
         try:
             records = [_action_record(i, a) for i, a in enumerate(manifest["actions"])]
+            unsplit = [d["id"] for d in manifest["domains"]
+                       if d["split"] not in ("source", "target")]
+            if unsplit:
+                raise DataError(f"{manifest_path}: domains {unsplit} have a split that "
+                                "is neither 'source' nor 'target'")
             split = DatasetSplit(
                 source=tuple(d["id"] for d in manifest["domains"] if d["split"] == "source"),
                 target=tuple(d["id"] for d in manifest["domains"] if d["split"] == "target"))
@@ -553,6 +566,9 @@ def import_csv_dataset(csv_path, features_path, *, d_v: int, clips_per_action: i
             raise DataError(f"{text_features_path}: got {text.size} floats, "
                             f"expected {len(rows) * d_t}")
     domains = sorted({r.domain_id for r in records})
+    absent = sorted(set(target_domains).difference(domains))
+    if absent:
+        raise DataError(f"{csv_path}: target domains {absent} have no actions")
     target = tuple(d for d in domains if d in set(target_domains))
     source = tuple(d for d in domains if d not in set(target_domains))
     meta = {"name": Path(csv_path).stem, "d_v": d_v, "d_t": d_t,

@@ -5,7 +5,9 @@ two learnable classification tokens (verb slot, noun slot). Training adds
 a reconstruction path: the center position of the visual and text streams
 is zeroed, and two decoders rebuild each stream while attending across to
 the other, unmasked one. Inference uses only the encoder and the two
-classifier heads; nothing on the text side is ever read.
+classifier heads; nothing on the text side is ever read. The stages pass
+plain tensors: the text stream is its features as given, and `decode` is
+told by `which` which of the two streams it rebuilds.
 
 Residual wiring is post-norm throughout: the normalization wraps the sum
 of the sublayer output and its input.
@@ -32,13 +34,10 @@ __all__ = [
     "encoder_layer",
     "decoder_layer",
     "encode_sequence",
-    "encode_text",
     "mask_center",
     "decode",
     "classify",
 ]
-
-CROSS_ATTENTION_MODES = ("query_stream", "context_stream")
 
 
 @dataclass
@@ -316,18 +315,14 @@ class ModelParams:
 
 @dataclass
 class EncodedSequence:
-    """Per-position activations plus, for the visual stream, two
-    classification-token slots. Text sequences pass through an identity
-    encoder and have no classification slots."""
+    """An encoded window: its W positions and two classification-token slots."""
 
-    positions: Tensor            # (..., W, D)
-    cls_slots: Tensor | None     # (..., 2, D) for visual, None for text
-    modality: str                # "visual" | "text"
+    positions: Tensor    # (..., W, D)
+    cls_slots: Tensor    # (..., 2, D)
 
     @property
     def total_length(self) -> int:
-        n = self.positions.shape[-2]
-        return n + (self.cls_slots.shape[-2] if self.cls_slots is not None else 0)
+        return self.positions.shape[-2] + self.cls_slots.shape[-2]
 
 
 @dataclass
@@ -352,28 +347,16 @@ def _linear(x: Tensor, aff: Affine) -> Tensor:
 
 
 def cross_attention(query_stream: Tensor, context: Tensor, params: AttentionParams,
-                    n_heads: int, values_from: str = "query_stream",
-                    with_weights: bool = False):
-    """Attention with queries from one stream and keys from the other;
-    `cross_attention(h, h, ...)` is the self-attention of a stream.
-
-    `values_from="query_stream"` takes the value projection from the query
-    stream, which is only shape-consistent when both streams have equal
-    length (always true in this model, where both carry W positions).
-    `values_from="context_stream"` is the conventional wiring and works for
-    any pair of lengths.
-    """
-    if values_from not in CROSS_ATTENTION_MODES:
-        raise ValueError(f"values_from must be one of {CROSS_ATTENTION_MODES}")
-    if values_from == "query_stream" and query_stream.shape[-2] != context.shape[-2]:
-        raise ShapeError(
-            f"query_stream values need equal stream lengths, got "
-            f"{query_stream.shape[-2]} and {context.shape[-2]}")
-    value_src = query_stream if values_from == "query_stream" else context
-    ctx, weights = T.attention(_linear(query_stream, params.q), _linear(context, params.k),
-                               _linear(value_src, params.v), n_heads)
-    out = _linear(ctx, params.out)
-    return (out, weights) if with_weights else out
+                    n_heads: int) -> Tensor:
+    """Attention with queries and values from one stream and keys from the
+    other; `cross_attention(h, h, ...)` is the self-attention of a stream.
+    Both streams must have equal length, as both carry W positions here."""
+    if query_stream.shape[-2] != context.shape[-2]:
+        raise ShapeError(f"query_stream values need equal stream lengths, got "
+                         f"{query_stream.shape[-2]} and {context.shape[-2]}")
+    ctx, _ = T.attention(_linear(query_stream, params.q), _linear(context, params.k),
+                         _linear(query_stream, params.v), n_heads)
+    return _linear(ctx, params.out)
 
 
 def _feed_forward(h: Tensor, ff_in: Affine, ff_out: Affine) -> Tensor:
@@ -419,26 +402,12 @@ def encode_sequence(x, params: ModelParams) -> EncodedSequence:
     for layer in params.encoder:
         seq = encoder_layer(seq, layer, cfg.n_heads, cfg.layer_norm_eps)
     return EncodedSequence(positions=T.narrow(seq, -2, 0, cfg.W),
-                           cls_slots=T.narrow(seq, -2, cfg.W, 2),
-                           modality="visual")
+                           cls_slots=T.narrow(seq, -2, cfg.W, 2))
 
 
-def encode_text(x) -> EncodedSequence:
-    """Text features pass through unchanged (identity encoder, no slots)."""
-    if not isinstance(x, Tensor):
-        x = Tensor(x)
-    return EncodedSequence(positions=x, cls_slots=None, modality="text")
-
-
-def mask_center(z):
-    """Zero the center position; everything else is bitwise unchanged.
-
-    Accepts an EncodedSequence (masks its positions) or a plain tensor of
-    positions. Gradient never flows into the zeroed row. Idempotent.
-    """
-    if isinstance(z, EncodedSequence):
-        return EncodedSequence(positions=mask_center(z.positions),
-                               cls_slots=z.cls_slots, modality=z.modality)
+def mask_center(z: Tensor) -> Tensor:
+    """Zero the center row of (..., W, D) positions; everything else is
+    bitwise unchanged. Gradient never flows into the zeroed row. Idempotent."""
     if z.ndim < 2:
         raise ShapeError(f"mask_center: need at least 2 axes, got shape {z.shape}")
     w = z.shape[-2]
@@ -447,27 +416,22 @@ def mask_center(z):
     return T.zero_rows(z, (w - 1) // 2)
 
 
-def decode(masked: EncodedSequence, context: EncodedSequence, params: ModelParams,
-           which: str) -> Tensor:
-    """Reconstruct one masked stream guided by the other, unmasked one."""
+def decode(masked: Tensor, context: Tensor, params: ModelParams, which: str) -> Tensor:
+    """Rebuild the masked positions of stream `which` ("visual" or "text")
+    with its decoder stack, attending across to the other stream's `context`."""
     if which == "visual":
-        want = ("visual", "text")
         stack = params.dec_visual
     elif which == "text":
-        want = ("text", "visual")
         stack = params.dec_text
     else:
         raise ValueError(f"decode: which must be 'visual' or 'text', got {which!r}")
-    if (masked.modality, context.modality) != want:
-        raise ValueError(f"decode({which!r}): expected modalities {want}, got "
-                         f"({masked.modality!r}, {context.modality!r})")
     if stack is None:
         raise ValueError(f"decode({which!r}): decoder parameters were stripped "
                          "from this model")
     cfg = params.config
-    h = masked.positions
+    h = masked
     for layer in stack:
-        h = decoder_layer(h, context.positions, layer, cfg.n_heads, cfg.layer_norm_eps)
+        h = decoder_layer(h, context, layer, cfg.n_heads, cfg.layer_norm_eps)
     return h
 
 
@@ -523,15 +487,15 @@ class SeqDGModel:
             return out
         if text is None:
             raise ValueError("reconstruction requires text features")
-        z_text = encode_text(text)
+        text = text if isinstance(text, Tensor) else Tensor(text)
         if recon_v:
-            out.recon_v = decode(mask_center(enc), z_text, self.params, "visual")
+            out.recon_v = decode(mask_center(enc.positions), text, self.params, "visual")
             out.target_v = (Tensor(frozen_targets[0]) if frozen_targets is not None
                             else enc.positions.detach())
         if recon_t:
-            out.recon_t = decode(mask_center(z_text), enc, self.params, "text")
+            out.recon_t = decode(mask_center(text), enc.positions, self.params, "text")
             out.target_t = (Tensor(frozen_targets[1]) if frozen_targets is not None
-                            else z_text.positions.detach())
+                            else text.detach())
             if token_text:
                 if self.params.text_head is None:
                     raise ValueError("token-level text loss needs vocab_size in the "

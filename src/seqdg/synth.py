@@ -103,6 +103,8 @@ class SynthConfig:
         if self.d_v < 2 or self.d_v % 2 != 0:
             errs.append(f"d_v must be even and >= 2 (verb half + noun half), "
                         f"got {self.d_v}")
+        if self.d_t < 1:
+            errs.append(f"d_t must be >= 1, got {self.d_t}")
         if self.clips_per_action < 1:
             errs.append("clips_per_action must be >= 1")
         if self.noise_sigma < 0 or self.domain_shift < 0 or self.offset_shift < 0:

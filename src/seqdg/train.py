@@ -280,12 +280,6 @@ def fit(store: FeatureStore, model: SeqDGModel, config: TrainConfig, *,
                     chunk = [seqmix(win, pool, config.p_mix,
                                     _stream(config.seed, 5, epoch, j), stats=stats)
                              for win, j in zip(chunk, order[start:start + config.batch_size])]
-                for win in chunk:
-                    for rec in win.records:
-                        if rec.domain_id not in source_domains:
-                            raise ValueError(f"target-domain record from "
-                                             f"{rec.domain_id!r} reached the "
-                                             "training loop")
                 try:
                     total, parts = composite_loss(model, cache.batch(chunk), config)
                     optimizer.zero()

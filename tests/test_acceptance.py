@@ -19,7 +19,6 @@ from seqdg.evaluate import sliding_window_predict
 from seqdg.model import (
     ModelConfig,
     SeqDGModel,
-    cross_attention,
     encode_sequence,
     mask_center,
 )
@@ -130,9 +129,11 @@ def test_criterion_2_shapes_and_wiring():
                                        n_dec_layers=1, n_heads=2, n_verbs=3,
                                        n_nouns=3, d_ff=16), seed=1)
     attn = tiny.params.dec_visual[0].cross
-    _, weights = cross_attention(Tensor(rng.standard_normal((4, 8))),
-                                 Tensor(rng.standard_normal((1, 8))), attn, 2,
-                                 "context_stream", with_weights=True)
+    q4 = T.linear(Tensor(rng.standard_normal((4, 8))), attn.q.weight, attn.q.bias)
+    context = Tensor(rng.standard_normal((1, 8)))
+    k1 = T.linear(context, attn.k.weight, attn.k.bias)
+    v1 = T.linear(context, attn.v.weight, attn.v.bias)
+    _, weights = T.attention(q4, k1, v1, 2)
     assert np.array_equal(weights.data, np.ones((2, 4, 1)))
     ok(2, "encoder length W+2, exact idempotent center mask, softmax row sums "
           "within 1e-9 at 1e6 magnitude, single-key attention weight 1.0")

@@ -111,12 +111,13 @@ class TestStripTextParameters:
         assert noun.tobytes() == noun2.tobytes()
 
     def test_stripped_model_cannot_decode_text(self, tmp_path):
-        from seqdg.model import decode, encode_sequence, encode_text, mask_center
+        from seqdg.model import decode, encode_sequence, mask_center
+        from seqdg.tensor import Tensor
 
         params = tiny_params(seed=8)
         src = save_checkpoint(tmp_path / "full.ckpt", params)
         stripped = load_model(strip_text_parameters(src, tmp_path / "s.ckpt"))
-        text = encode_text(np.zeros((3, 8)))
+        text = Tensor(np.zeros((3, 8)))
         visual = encode_sequence(np.zeros((3, 6)), stripped.params)
         with pytest.raises(ValueError, match="stripped"):
-            decode(mask_center(text), visual, stripped.params, "text")
+            decode(mask_center(text), visual.positions, stripped.params, "text")

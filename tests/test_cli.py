@@ -557,6 +557,12 @@ CORRUPT_MANIFESTS = {
     "d_v_str": lambda m: m.update(d_v="x"),
     "d_t_float": lambda m: m.update(d_t=16.0),
     "clips_per_action_null": lambda m: m.update(clips_per_action=None),
+    "d_t_zero": lambda m: m.update(d_t=0),
+    "clips_per_action_negative": lambda m: m.update(clips_per_action=-3),
+    # the dataset's domains are S0 and S1 (source) and T0 (target)
+    "unknown_split": lambda m: m["domains"][1].update(split="validation"),
+    "unlisted_domain": lambda m: [a.update(domain_id="S9") for a in m["actions"]
+                                  if a["domain_id"] == "S1"],
 }
 
 
@@ -571,6 +577,7 @@ class TestManifestInputErrors:
         assert main(["eval", "--checkpoint", str(checkpoint_path), "--data",
                      str(dataset_dir), "--out", str(tmp_path / "ev")]) == 3
         assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
 
 
 NEGATIVE_LABELS = {
@@ -593,6 +600,13 @@ EMPTY_DATA = {
 }
 
 
+def edit_manifest(dataset_dir, edit):
+    path = dataset_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
 class TestLabelAndEmptyDataErrors:
     def run(self, command, tmp_path, dataset_dir, config_path, checkpoint_path):
         argv = [command, "--data", str(dataset_dir), "--out", str(tmp_path / "out")]
@@ -600,17 +614,11 @@ class TestLabelAndEmptyDataErrors:
             return main(argv + ["--checkpoint", str(checkpoint_path)])
         return main(argv + ["--config", str(config_path)])
 
-    def edit_manifest(self, dataset_dir, edit):
-        path = dataset_dir / "manifest.json"
-        manifest = json.loads(path.read_text())
-        edit(manifest)
-        path.write_text(json.dumps(manifest))
-
     @pytest.mark.parametrize("case", sorted(NEGATIVE_LABELS))
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_negative_label_is_data_error(self, command, case, tmp_path, dataset_dir,
                                           config_path, checkpoint_path, capsys):
-        self.edit_manifest(dataset_dir, NEGATIVE_LABELS[case])
+        edit_manifest(dataset_dir, NEGATIVE_LABELS[case])
         assert self.run(command, tmp_path, dataset_dir, config_path, checkpoint_path) == 3
         assert "negative label" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -680,7 +688,84 @@ class TestLabelAndEmptyDataErrors:
         ("ablate", "no_actions"), ("ablate", "empty_source"), ("ablate", "empty_target")])
     def test_empty_data_is_data_error(self, command, case, tmp_path, dataset_dir,
                                       config_path, checkpoint_path, capsys):
-        self.edit_manifest(dataset_dir, lambda m: EMPTY_DATA[case](m, dataset_dir))
+        edit_manifest(dataset_dir, lambda m: EMPTY_DATA[case](m, dataset_dir))
         assert self.run(command, tmp_path, dataset_dir, config_path, checkpoint_path) == 3
         assert "data error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def small_csv_dataset(tmp_path, d_v=4):
+    """A three-action annotation CSV of domains S0 and T0 and its feature
+    blob (one clip per action, `d_v` floats each)."""
+    rows = [{"video_id": f"v{domain}", "domain_id": domain, "temporal_index": t,
+             "verb_class": t, "noun_class": 0, "narration": "a"}
+            for domain, length in (("S0", 2), ("T0", 1)) for t in range(length)]
+    csv_path, features = tmp_path / "ann.csv", tmp_path / "features.f32"
+    write_annotation_csv(csv_path, rows)
+    np.zeros(len(rows) * d_v, dtype="<f4").tofile(features)
+    return ["--csv", str(csv_path), "--features", str(features), "--d-v", str(d_v),
+            "--clips", "1"]
+
+
+class TestStoreConsistencyErrors:
+    def eval(self, tmp_path, dataset_dir, checkpoint_path):
+        return main(["eval", "--checkpoint", str(checkpoint_path), "--data",
+                     str(dataset_dir), "--out", str(tmp_path / "out")])
+
+    def test_manifest_feature_width_zero_is_data_error(self, tmp_path, dataset_dir,
+                                                       checkpoint_path, capsys):
+        def zero_width(manifest):
+            # every feature handle stays inside the (now empty) blob
+            manifest["d_v"] = 0
+            for action in manifest["actions"]:
+                action["blob_offset"] = 0
+
+        edit_manifest(dataset_dir, zero_width)
+        (dataset_dir / "features.f32").write_bytes(b"")
+        assert self.eval(tmp_path, dataset_dir, checkpoint_path) == 3
+        assert "d_v must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_import_width_below_one_is_data_error(self, tmp_path, capsys):
+        argv = small_csv_dataset(tmp_path, d_v=0)
+        assert main(["import", *argv, "--out", str(tmp_path / "out")]) == 3
+        assert "d_v must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_synth_text_width_below_one_is_config_error(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(SMALL_SYNTH))
+        cfg["synth"]["d_t"] = 0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["synth-gen", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "d_t must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_import_target_domain_absent_from_csv_is_data_error(self, tmp_path, capsys):
+        argv = small_csv_dataset(tmp_path)
+        assert main(["import", *argv, "--target-domains", "S9",
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "'S9'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_checkpoint_of_another_feature_width_is_data_error(self, tmp_path, dataset_dir,
+                                                               capsys):
+        wide = ModelConfig(**{**SMALL_SYNTH["model"], "D_V": 32})
+        ckpt = save_checkpoint(tmp_path / "wide.ckpt", ModelParams(wide, seed=0))
+        assert self.eval(tmp_path, dataset_dir, ckpt) == 3
+        assert "reads 32" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["import", "eval", "seq-stats"])
+def test_seed_flag_is_rejected_where_nothing_reads_it(command, tmp_path, dataset_dir,
+                                                      checkpoint_path):
+    if command == "eval":
+        argv = ["--checkpoint", str(checkpoint_path), "--data", str(dataset_dir)]
+    else:
+        argv = small_csv_dataset(tmp_path)
+        argv = argv[:2] if command == "seq-stats" else argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv, "--seed", "0", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()

@@ -13,7 +13,6 @@ from seqdg.model import (
     cross_attention,
     decode,
     encode_sequence,
-    encode_text,
     encoder_layer,
     mask_center,
 )
@@ -66,12 +65,19 @@ def manual_attention(h_q, h_k, h_vsrc, attn, n_heads):
     return ctx @ attn.out.weight.data + attn.out.bias.data
 
 
+def attention_weights(h, attn, n_heads):
+    """The weights of the self-attention of `h` under the projections `attn`."""
+    q, k, v = (T.linear(h, a.weight, a.bias) for a in (attn.q, attn.k, attn.v))
+    return T.attention(q, k, v, n_heads)[1]
+
+
 class TestSelfAttention:
     def test_single_token_weight_is_one(self):
         model = tiny_model()
         layer = model.params.encoder[0].attn
         h = Tensor(np.random.default_rng(0).standard_normal((1, 8)))
-        out, weights = cross_attention(h, h, layer, n_heads=2, with_weights=True)
+        out = cross_attention(h, h, layer, n_heads=2)
+        weights = attention_weights(h, layer, 2)
         assert weights.shape == (2, 1, 1)
         assert np.array_equal(weights.data, np.ones((2, 1, 1)))
         # output reduces to the output projection of v(H)
@@ -83,8 +89,7 @@ class TestSelfAttention:
         model = tiny_model()
         row = np.random.default_rng(1).standard_normal(8)
         h = Tensor(np.stack([row, row]))
-        _, weights = cross_attention(h, h, model.params.encoder[0].attn, 2,
-                                     with_weights=True)
+        weights = attention_weights(h, model.params.encoder[0].attn, 2)
         np.testing.assert_allclose(weights.data, 0.5, atol=1e-12)
 
     def test_matches_manual_oracle_one_head(self):
@@ -230,14 +235,6 @@ class TestMaskCenter:
         twice = mask_center(once)
         assert twice.data.tobytes() == once.data.tobytes()
 
-    def test_encoded_sequence_masking_leaves_cls_untouched(self):
-        model = tiny_model()
-        enc = encode_sequence(np.random.default_rng(15).standard_normal((3, 6)),
-                              model.params)
-        masked = mask_center(enc)
-        assert masked.cls_slots.data.tobytes() == enc.cls_slots.data.tobytes()
-        assert np.array_equal(masked.positions.data[1], np.zeros(8))
-
     def test_no_gradient_through_masked_row(self):
         x = Tensor(np.random.default_rng(16).standard_normal((3, 4)), requires_grad=True)
         T.mse(mask_center(x), Tensor(np.zeros((3, 4)))).backward()
@@ -246,41 +243,16 @@ class TestMaskCenter:
 
 
 class TestCrossAttention:
-    def test_single_context_row_gives_unit_weights(self):
-        model = tiny_model()
-        attn = model.params.dec_visual[0].cross
-        rng = np.random.default_rng(17)
-        q = Tensor(rng.standard_normal((3, 8)))
-        ctx = Tensor(rng.standard_normal((1, 8)))
-        out, weights = cross_attention(q, ctx, attn, 2, "context_stream",
-                                       with_weights=True)
-        assert np.array_equal(weights.data, np.ones((2, 3, 1)))
-        # all-ones weights over one key reduce to projecting that key's value
-        v = ctx.data @ attn.v.weight.data + attn.v.bias.data
-        expected = np.repeat(v, 3, axis=0) @ attn.out.weight.data + attn.out.bias.data
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
-
     def test_query_stream_single_row_projects_query_values(self):
         model = tiny_model()
         attn = model.params.dec_visual[0].cross
         rng = np.random.default_rng(18)
         q = Tensor(rng.standard_normal((1, 8)))
         ctx = Tensor(rng.standard_normal((1, 8)))
-        out = cross_attention(q, ctx, attn, 2, "query_stream")
+        out = cross_attention(q, ctx, attn, 2)
         v = q.data @ attn.v.weight.data + attn.v.bias.data
         expected = v @ attn.out.weight.data + attn.out.bias.data
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
-
-    def test_context_stream_matches_manual_oracle_unequal_lengths(self):
-        rng = np.random.default_rng(19)
-        attn = hand_attention(2, wq=[[0.2, 0.4], [-0.1, 0.3]],
-                              wk=[[0.6, -0.2], [0.1, 0.5]],
-                              wv=[[-0.7, 0.3], [0.2, 0.9]],
-                              wo=[[0.5, 0.5], [-0.4, 0.1]])
-        q, ctx = rng.standard_normal((2, 2)), rng.standard_normal((3, 2))
-        out = cross_attention(Tensor(q), Tensor(ctx), attn, 1, "context_stream")
-        np.testing.assert_allclose(out.data, manual_attention(q, ctx, ctx, attn, 1),
-                                   atol=1e-12, rtol=0)
 
     def test_query_stream_matches_manual_oracle_equal_lengths(self):
         rng = np.random.default_rng(20)
@@ -289,7 +261,7 @@ class TestCrossAttention:
                               wv=[[-0.7, 0.3], [0.2, 0.9]],
                               wo=[[0.5, 0.5], [-0.4, 0.1]])
         q, ctx = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
-        out = cross_attention(Tensor(q), Tensor(ctx), attn, 1, "query_stream")
+        out = cross_attention(Tensor(q), Tensor(ctx), attn, 1)
         np.testing.assert_allclose(out.data, manual_attention(q, ctx, q, attn, 1),
                                    atol=1e-12, rtol=0)
 
@@ -297,23 +269,22 @@ class TestCrossAttention:
         model = tiny_model()
         attn = model.params.dec_visual[0].cross
         with pytest.raises(ShapeError):
-            cross_attention(Tensor(np.zeros((2, 8))), Tensor(np.ones((3, 8))),
-                            attn, 2, "query_stream")
+            cross_attention(Tensor(np.zeros((2, 8))), Tensor(np.ones((3, 8))), attn, 2)
 
 
 class TestDecode:
     def make_streams(self, model, seed=21):
         rng = np.random.default_rng(seed)
         enc = encode_sequence(rng.standard_normal((3, 6)), model.params)
-        text = encode_text(rng.standard_normal((3, 8)))
+        text = Tensor(rng.standard_normal((3, 8)))
         return enc, text
 
     def test_zero_layers_is_passthrough(self):
         model = tiny_model(n_dec_layers=0)
         enc, text = self.make_streams(model)
-        masked = mask_center(enc)
+        masked = mask_center(enc.positions)
         out = decode(masked, text, model.params, "visual")
-        assert out.data.tobytes() == masked.positions.data.tobytes()
+        assert out.data.tobytes() == masked.data.tobytes()
 
     def test_reference_output_shape(self):
         cfg = ModelConfig(W=5, D=768, D_V=64, D_T=768, n_enc_layers=0,
@@ -322,17 +293,9 @@ class TestDecode:
         rng = np.random.default_rng(22)
         with T.no_grad():
             enc = encode_sequence(rng.standard_normal((5, 64)), model.params)
-            text = encode_text(rng.standard_normal((5, 768)))
-            out = decode(mask_center(enc), text, model.params, "visual")
+            text = Tensor(rng.standard_normal((5, 768)))
+            out = decode(mask_center(enc.positions), text, model.params, "visual")
         assert out.shape == (5, 768)
-
-    def test_modality_mismatch_rejected(self):
-        model = tiny_model()
-        enc, text = self.make_streams(model)
-        with pytest.raises(ValueError, match="modalit"):
-            decode(mask_center(enc), enc, model.params, "visual")
-        with pytest.raises(ValueError, match="modalit"):
-            decode(mask_center(text), text, model.params, "text")
 
     def test_cross_attention_gradient_tracks_context(self):
         model = tiny_model(seed=23)
@@ -341,7 +304,7 @@ class TestDecode:
         text = rng.standard_normal((3, 8))
 
         enc = encode_sequence(x, model.params)
-        out = decode(mask_center(enc), encode_text(text), model.params, "visual")
+        out = decode(mask_center(enc.positions), Tensor(text), model.params, "visual")
         T.mse(out, enc.positions.detach()).backward()
         cross = model.params.dec_visual[0].cross
         assert np.abs(cross.k.weight.grad).max() > 0
@@ -356,8 +319,8 @@ class TestDecode:
         cross.k.weight.data[:] = 0.0
         rng = np.random.default_rng(26)
         enc = encode_sequence(rng.standard_normal((3, 6)), model.params)
-        zero_text = encode_text(np.zeros((3, 8)))
-        out = decode(mask_center(enc), zero_text, model.params, "visual")
+        zero_text = Tensor(np.zeros((3, 8)))
+        out = decode(mask_center(enc.positions), zero_text, model.params, "visual")
         T.mse(out, enc.positions.detach()).backward()
         assert cross.k.weight.grad is None or np.abs(cross.k.weight.grad).max() == 0
         assert np.abs(cross.k.bias.grad).max() < 1e-15
@@ -435,14 +398,6 @@ class TestForwardTrain:
         verb2, noun2 = model.predict_logits(x)
         assert verb.tobytes() == verb2.tobytes()
         assert noun.tobytes() == noun2.tobytes()
-
-    def test_text_sequences_have_no_cls_slots(self):
-        from seqdg.model import encode_text
-
-        enc = encode_text(np.zeros((3, 8)))
-        assert enc.modality == "text"
-        assert enc.cls_slots is None
-        assert enc.total_length == 3
 
     def test_spot_gradcheck_through_full_loss(self):
         model = tiny_model(seed=33)

@@ -215,7 +215,7 @@ class TestFit:
         config = toy_train_config(epochs=1)
         model = SeqDGModel.init(config.model, seed=2)
         res = fit(store, model, config)
-        assert res is not None  # the in-loop audit would raise otherwise
+        assert res is not None  # the source-only feature cache would raise otherwise
 
     def test_divergence_guard_reports_epoch_and_batch(self):
         store = toy_store()
