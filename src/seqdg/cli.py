@@ -33,7 +33,7 @@ from seqdg.data import (
     read_annotation_csv,
 )
 from seqdg.evaluate import accuracy, head_k, sliding_window_predict
-from seqdg.model import SeqDGModel
+from seqdg.model import ModelConfig, SeqDGModel
 from seqdg.seqstats import count_all_categories, format_table, table_to_dict
 from seqdg.synth import generate_to
 from seqdg.tensor import NonFiniteError
@@ -146,6 +146,18 @@ def _split_records(store: FeatureStore, split: str) -> list:
     return records
 
 
+def _check_label_space(records, model_config: ModelConfig):
+    """Every label of the (non-empty) `records` must fall inside the
+    model's verb and noun label spaces."""
+    max_verb = max(r.verb for r in records)
+    max_noun = max(r.noun for r in records)
+    if max_verb >= model_config.n_verbs or max_noun >= model_config.n_nouns:
+        raise DataError(
+            f"dataset labels exceed the configured label space: verbs up to "
+            f"{max_verb} (n_verbs={model_config.n_verbs}), nouns up to "
+            f"{max_noun} (n_nouns={model_config.n_nouns})")
+
+
 def _check_labels(store: FeatureStore, config: TrainConfig):
     """Every label, and under the token-level text loss every narration
     token, must fall inside the configured label spaces; and when a text
@@ -153,13 +165,7 @@ def _check_labels(store: FeatureStore, config: TrainConfig):
     on a store without text features, whose narrations are embedded), every
     source-split action must have one."""
     model_config = config.model
-    max_verb = max(r.verb for r in store.records)
-    max_noun = max(r.noun for r in store.records)
-    if max_verb >= model_config.n_verbs or max_noun >= model_config.n_nouns:
-        raise DataError(
-            f"dataset labels exceed the configured label space: verbs up to "
-            f"{max_verb} (n_verbs={model_config.n_verbs}), nouns up to "
-            f"{max_noun} (n_nouns={model_config.n_nouns})")
+    _check_label_space(store.records, model_config)
     if config.text_loss == "token_cross_entropy":
         max_token = max((t for r in store.records for t in r.narration), default=-1)
         if max_token >= model_config.vocab_size:
@@ -211,6 +217,7 @@ def cmd_eval(args) -> int:
         raise DataError(f"the dataset's features are {store.d_v} wide, the "
                         f"checkpoint's model reads {model.config.D_V}")
     records = _split_records(store, args.split)
+    _check_label_space(records, model.config)
     domains = getattr(store.split, args.split)
     preds = sliding_window_predict(store, model, domains=domains, k=args.k)
     labels = [(r.verb, r.noun) for r in records]

@@ -448,29 +448,52 @@ class Batch:
         return self.visual.shape[0]
 
 
+def _clip_means(store: FeatureStore, records) -> np.ndarray:
+    """(len(records), d_v) float64 means of each record's clips, bitwise
+    equal to `store.clips(rec).astype(np.float64).mean(axis=0)`.
+
+    Records are taken in groups of equal clip count. A group's clip rows
+    are gathered by element offset (an offset need not be a multiple of
+    d_v) into one (records, clips, d_v) array and summed over the clip axis
+    in float64, in the order `mean(axis=0)` sums them. (`np.add.reduceat`
+    over the stacked rows sums in another order past ~128 clips.)
+    """
+    d_v = store.d_v
+    means = np.empty((len(records), d_v))
+    if not records:
+        return means
+    offsets = np.array([r.blob_offset for r in records], dtype=np.int64)
+    n_clips = np.array([r.n_clips for r in records], dtype=np.int64)
+    rows = np.lib.stride_tricks.sliding_window_view(store.visual, d_v)
+    for count in np.unique(n_clips):
+        group = np.flatnonzero(n_clips == count)
+        clips = rows[offsets[group, None] + d_v * np.arange(count)]
+        means[group] = clips.sum(axis=1, dtype=np.float64) / count
+    return means
+
+
 class FeatureCache:
     """Dense per-action features of the records it serves.
 
     Each action's stored clips are averaged, and its narration embedded,
-    once; batches then become fancy indexing.
+    once; batches then become fancy indexing. The clip means are taken
+    with one gather and one sum per distinct clip count (`_clip_means`).
     """
 
     def __init__(self, store: FeatureStore, records, *,
                  embedder: NarrationEmbedder | None = None, with_text: bool = False):
         self._row = {rec.action_id: row for row, rec in enumerate(records)}
-        self.visual = np.empty((len(records), store.d_v))
+        self.visual = _clip_means(store, records)
         self.text = np.empty((len(records), store.d_t)) if with_text else None
-        for row, rec in enumerate(records):
-            self.visual[row] = store.clips(rec).astype(np.float64).mean(axis=0)
-            if with_text:
-                stored = store.text_feature(rec)
-                if stored is not None:
-                    self.text[row] = stored.astype(np.float64)
-                elif embedder is not None:
-                    self.text[row] = embedder.embed(rec.narration)
-                else:
-                    raise DataError("text requested but the store has no text "
-                                    "features and no embedder was given")
+        for row, rec in enumerate(records if with_text else ()):
+            stored = store.text_feature(rec)
+            if stored is not None:
+                self.text[row] = stored.astype(np.float64)
+            elif embedder is not None:
+                self.text[row] = embedder.embed(rec.narration)
+            else:
+                raise DataError("text requested but the store has no text "
+                                "features and no embedder was given")
 
     def batch(self, windows) -> Batch:
         if not windows:

@@ -5,9 +5,12 @@ two learnable classification tokens (verb slot, noun slot). Training adds
 a reconstruction path: the center position of the visual and text streams
 is zeroed, and two decoders rebuild each stream while attending across to
 the other, unmasked one. Inference uses only the encoder and the two
-classifier heads; nothing on the text side is ever read. The stages pass
-plain tensors: the text stream is its features as given, and `decode` is
-told by `which` which of the two streams it rebuilds.
+classifier heads; nothing on the text side is ever read. The heads read
+only the two classification slots, so at inference the last encoder layer
+updates just those two rows: its queries, residual norms and feed-forward
+run on the slots, while its keys and values still span all W + 2 rows.
+The stages pass plain tensors: the text stream is its features as given,
+and `decode` is told by `which` which of the two streams it rebuilds.
 
 Residual wiring is post-norm throughout: the normalization wraps the sum
 of the sublayer output and its input.
@@ -354,8 +357,14 @@ def cross_attention(query_stream: Tensor, context: Tensor, params: AttentionPara
     if query_stream.shape[-2] != context.shape[-2]:
         raise ShapeError(f"query_stream values need equal stream lengths, got "
                          f"{query_stream.shape[-2]} and {context.shape[-2]}")
-    ctx, _ = T.attention(_linear(query_stream, params.q), _linear(context, params.k),
-                         _linear(query_stream, params.v), n_heads)
+    return _attend(query_stream, context, query_stream, params, n_heads)
+
+
+def _attend(queries: Tensor, keys: Tensor, values: Tensor, params: AttentionParams,
+            n_heads: int) -> Tensor:
+    """Project each stream (q, k, v in that order), attend, project out."""
+    ctx, _ = T.attention(_linear(queries, params.q), _linear(keys, params.k),
+                         _linear(values, params.v), n_heads)
     return _linear(ctx, params.out)
 
 
@@ -364,11 +373,20 @@ def _feed_forward(h: Tensor, ff_in: Affine, ff_out: Affine) -> Tensor:
 
 
 def encoder_layer(h: Tensor, params: EncoderLayerParams, n_heads: int,
-                  eps: float = 1e-5) -> Tensor:
-    attn = cross_attention(h, h, params.attn, n_heads)
-    h = T.add_layer_norm(attn, h, params.ln1.gain, params.ln1.bias, eps)
-    ff = _feed_forward(h, params.ff_in, params.ff_out)
-    return T.add_layer_norm(ff, h, params.ln2.gain, params.ln2.bias, eps)
+                  eps: float = 1e-5, rows: Tensor | None = None) -> Tensor:
+    """One post-norm encoder layer over the sequence `h` (..., L, D).
+
+    `rows` (..., R, D), default all of `h`, are the rows the layer updates:
+    they give the queries and the residuals, while keys and values span all
+    of `h`. The output is (..., R, D), each row the full layer's output for
+    that row. Inference passes the two classification slots as
+    `rows` in the last layer, since the heads read nothing else.
+    """
+    rows = h if rows is None else rows
+    attn = _attend(rows, h, h, params.attn, n_heads)
+    rows = T.add_layer_norm(attn, rows, params.ln1.gain, params.ln1.bias, eps)
+    ff = _feed_forward(rows, params.ff_in, params.ff_out)
+    return T.add_layer_norm(ff, rows, params.ln2.gain, params.ln2.bias, eps)
 
 
 def decoder_layer(h: Tensor, context: Tensor, params: DecoderLayerParams,
@@ -381,9 +399,9 @@ def decoder_layer(h: Tensor, context: Tensor, params: DecoderLayerParams,
     return T.add_layer_norm(ff, h, params.ln_ff.gain, params.ln_ff.bias, eps)
 
 
-def encode_sequence(x, params: ModelParams) -> EncodedSequence:
-    """Project, add positional encodings, append the two classification
-    tokens, and run the encoder stack. Output length is W + 2."""
+def _input_sequence(x, params: ModelParams) -> Tensor:
+    """Project (..., W, D_V) features, add positional encodings, and append
+    the two classification tokens: the (..., W + 2, D) encoder input."""
     cfg = params.config
     if not isinstance(x, Tensor):
         x = Tensor(x)
@@ -398,7 +416,14 @@ def encode_sequence(x, params: ModelParams) -> EncodedSequence:
     if lead:
         cls_v = T.expand_leading(cls_v, lead)
         cls_n = T.expand_leading(cls_n, lead)
-    seq = T.concat([h, cls_v, cls_n], axis=-2)
+    return T.concat([h, cls_v, cls_n], axis=-2)
+
+
+def encode_sequence(x, params: ModelParams) -> EncodedSequence:
+    """Project, add positional encodings, append the two classification
+    tokens, and run the encoder stack. Output length is W + 2."""
+    cfg = params.config
+    seq = _input_sequence(x, params)
     for layer in params.encoder:
         seq = encoder_layer(seq, layer, cfg.n_heads, cfg.layer_norm_eps)
     return EncodedSequence(positions=T.narrow(seq, -2, 0, cfg.W),
@@ -507,9 +532,22 @@ class SeqDGModel:
         return out
 
     def predict_logits(self, visual) -> tuple[np.ndarray, np.ndarray]:
-        """Inference: encode and classify. No masking, no decoders, no text."""
+        """Inference: encode and classify. No masking, no decoders, no text.
+
+        Bitwise equal to `classify(encode_sequence(visual).cls_slots)`, with
+        less work: every encoder layer but the last runs on all W + 2 rows,
+        and the last updates only the two classification slots, the only
+        rows the heads read.
+        """
+        cfg = self.config
+        layers = self.params.encoder
         with T.no_grad():
-            x = visual if isinstance(visual, Tensor) else Tensor(visual)
-            enc = encode_sequence(x, self.params)
-            verb, noun = classify(enc.cls_slots, self.params)
+            seq = _input_sequence(visual, self.params)
+            for layer in layers[:-1]:
+                seq = encoder_layer(seq, layer, cfg.n_heads, cfg.layer_norm_eps)
+            slots = T.narrow(seq, -2, cfg.W, 2)
+            if layers:
+                slots = encoder_layer(seq, layers[-1], cfg.n_heads, cfg.layer_norm_eps,
+                                      rows=slots)
+            verb, noun = classify(slots, self.params)
         return verb.data, noun.data

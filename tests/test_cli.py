@@ -307,21 +307,30 @@ class TestTrainEval:
         pytest.param("train", "n_verbs", id="train"),
         pytest.param("ablate", "n_verbs", id="ablate"),
         pytest.param("train", "vocab_size", id="train-vocab_size"),
-        pytest.param("ablate", "vocab_size", id="ablate-vocab_size")])
+        pytest.param("ablate", "vocab_size", id="ablate-vocab_size"),
+        pytest.param("eval", "n_verbs", id="eval"),
+        pytest.param("eval", "n_nouns", id="eval-n_nouns")])
     def test_label_beyond_n_verbs_is_data_error(self, command, case, tmp_path, dataset_dir,
                                                 capsys):
         cfg = json.loads(json.dumps(SMALL_SYNTH))
         if case == "n_verbs":
             cfg["model"]["n_verbs"] = 4  # the dataset has 8 verbs
+        elif case == "n_nouns":
+            cfg["model"]["n_nouns"] = 2  # and 5 nouns
         else:
             # the dataset's narrations use 13 tokens
             cfg["model"]["vocab_size"] = 5
             cfg["train"]["text_loss"] = "token_cross_entropy"
-        path = tmp_path / "small_label_space.json"
-        path.write_text(json.dumps(cfg))
         out = tmp_path / "run"
-        assert main([command, "--config", str(path), "--data", str(dataset_dir),
-                     "--out", str(out)]) == 3
+        if command == "eval":
+            # the scored (target) split's labels are checked against the checkpoint
+            params = ModelParams(ModelConfig(**cfg["model"]), seed=0)
+            source = ["--checkpoint", str(save_checkpoint(tmp_path / "small.ckpt", params))]
+        else:
+            path = tmp_path / "small_label_space.json"
+            path.write_text(json.dumps(cfg))
+            source = ["--config", str(path)]
+        assert main([command, *source, "--data", str(dataset_dir), "--out", str(out)]) == 3
         assert f"{case}={cfg['model'][case]}" in capsys.readouterr().err
         assert not out.exists()
 

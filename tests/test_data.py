@@ -223,6 +223,34 @@ class TestClipAggregation:
         store = single_action_store([[1.0], [2.0], [3.0]])
         assert FeatureCache(store, store.records).visual[0].tolist() == [2.0]
 
+    @staticmethod
+    def unaligned_store():
+        """Four actions of 1, 3, 5 and 1000 clips (d_v=4) at element offsets
+        32, 21, 1 and 35: none a multiple of d_v, out of blob order, and
+        some overlapping. At 1000 clips a stacked `np.add.reduceat` sums in
+        another order than `mean(axis=0)`."""
+        d_v = 4
+        layout = [(32, 1), (21, 3), (1, 5), (35, 1000)]
+        records = [ActionRecord(action_id=i, video_id="v0", domain_id="S0", verb=0,
+                                noun=0, narration=(0,), temporal_index=i,
+                                blob_offset=offset, n_clips=n)
+                   for i, (offset, n) in enumerate(layout)]
+        rng = np.random.default_rng(5)
+        size = sum(n for _, n in layout) * d_v
+        visual = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4, size)
+        meta = {"name": "unaligned", "d_v": d_v, "d_t": 2, "clips_per_action": 3}
+        return FeatureStore(meta, records, ["a"], DatasetSplit(("S0",), ()),
+                            visual.astype("<f4"))
+
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3], [3, 2, 1, 0], [1], [2, 0], []])
+    def test_clip_means_match_per_record_means(self, order):
+        store = self.unaligned_store()
+        records = [store.records[i] for i in order]
+        visual = FeatureCache(store, records).visual
+        assert visual.shape == (len(records), store.d_v)
+        for row, rec in zip(visual, records):
+            assert row.tobytes() == store.clips(rec).astype(np.float64).mean(axis=0).tobytes()
+
 
 class TestNarrationEmbedder:
     def test_same_tokens_bitwise_identical(self):

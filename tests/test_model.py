@@ -211,6 +211,58 @@ class TestEncodeSequence:
                                        atol=1e-12)
 
 
+class TestReducedInferenceForward:
+    """`predict_logits` runs the last encoder layer on the two
+    classification slots only; the logits must not change by a bit."""
+
+    @pytest.mark.parametrize("n_enc_layers", [0, 1, 2])
+    @pytest.mark.parametrize("w", [1, 3, 7])
+    @pytest.mark.parametrize("lead", [(), (4,)], ids=["2d", "batched"])
+    def test_predict_logits_equals_full_encoder(self, n_enc_layers, w, lead):
+        model = tiny_model(W=w, n_enc_layers=n_enc_layers, seed=40)
+        x = np.random.default_rng(41).standard_normal(lead + (w, 6))
+        verb, noun = model.predict_logits(x)
+        with T.no_grad():
+            full_verb, full_noun = classify(encode_sequence(x, model.params).cls_slots,
+                                            model.params)
+        assert verb.shape == lead + (5,) and noun.shape == lead + (4,)
+        assert verb.tobytes() == full_verb.data.tobytes()
+        assert noun.tobytes() == full_noun.data.tobytes()
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "batched"])
+    def test_encoder_layer_rows_are_the_full_layers_rows(self, lead):
+        w = 5
+        model = tiny_model(W=w, seed=42)
+        h = Tensor(np.random.default_rng(43).standard_normal(lead + (w + 2, 8)))
+        layer = model.params.encoder[0]
+        with T.no_grad():
+            full = encoder_layer(h, layer, 2)
+            slots = encoder_layer(h, layer, 2, rows=T.narrow(h, -2, w, 2))
+        assert slots.shape == lead + (2, 8)
+        assert slots.data.tobytes() == np.ascontiguousarray(full.data[..., w:, :]).tobytes()
+
+    def test_bench_width_linear_row_count(self, monkeypatch):
+        """Rows fed to every affine map of one bench-width inference batch:
+        the projection, each full layer's q, k, v, out, ff_in and ff_out on
+        W + 2 rows, the last layer's k and v on W + 2 rows and its other four
+        maps on the 2 slots, and the two heads on one slot each."""
+        config = ModelConfig(**json.loads(BENCH_CONFIG.read_text())["model"])
+        model = SeqDGModel.init(config, seed=0)
+        batch, length = 16, config.W + 2
+        rows = []
+        linear = T.linear
+
+        def counting_linear(x, w, b):
+            rows.append(int(np.prod(x.shape[:-1])))
+            return linear(x, w, b)
+
+        monkeypatch.setattr(T, "linear", counting_linear)
+        model.predict_logits(np.zeros((batch, config.W, config.D_V)))
+        full_layers = config.n_enc_layers - 1
+        expected = batch * (config.W + full_layers * 6 * length + 2 * length + 4 * 2 + 2)
+        assert sum(rows) == expected == 1136
+
+
 class TestMaskCenter:
     def test_zeroes_exactly_the_center_row(self):
         rng = np.random.default_rng(13)
