@@ -27,6 +27,7 @@ import numpy as np
 from seqdg.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from seqdg.config import ConfigError, file_sha256, load_run_config
 from seqdg.data import (
+    Actions,
     DataError,
     FeatureStore,
     import_csv_dataset,
@@ -96,7 +97,7 @@ def cmd_synth_gen(args) -> int:
     _write_provenance(out, "synth-gen", run.to_dict(), run.synth.seed,
                       _data_hashes(out))
     store = FeatureStore.load(manifest)
-    print(f"wrote {len(store.records)} actions across "
+    print(f"wrote {len(store.actions)} actions across "
           f"{len(store.split.source)} source + {len(store.split.target)} target "
           f"domains to {out}")
     return EXIT_OK
@@ -115,7 +116,7 @@ def cmd_import(args) -> int:
         "d_v": args.d_v, "d_t": args.d_t, "clips_per_action": args.clips,
         "target_domains": list(targets),
     }, seed=None, data_hashes=_data_hashes(out))
-    print(f"imported {len(store.records)} actions "
+    print(f"imported {len(store.actions)} actions "
           f"({len(store.vocab)} vocab tokens) to {out}")
     return EXIT_OK
 
@@ -132,25 +133,25 @@ def _train_config_for(store: FeatureStore, args):
     if run.train.text_loss == "token_cross_entropy" and run.model.vocab_size is None:
         run.model.vocab_size = len(store.vocab)
     run.train.check()
-    _split_records(store, "source")
+    _split_actions(store, "source")
     _check_labels(store, run.train)
     return run
 
 
-def _split_records(store: FeatureStore, split: str) -> list:
+def _split_actions(store: FeatureStore, split: str) -> Actions:
     """The actions of the `split` ("source" or "target") domains; there
     must be at least one."""
-    records = store.records_for(getattr(store.split, split))
-    if not records:
+    actions = store.records_for(getattr(store.split, split))
+    if not len(actions):
         raise DataError(f"the dataset's {split} domains hold no actions")
-    return records
+    return actions
 
 
-def _check_label_space(records, model_config: ModelConfig):
-    """Every label of the (non-empty) `records` must fall inside the
+def _check_label_space(actions: Actions, model_config: ModelConfig):
+    """Every label of the (non-empty) `actions` must fall inside the
     model's verb and noun label spaces."""
-    max_verb = max(r.verb for r in records)
-    max_noun = max(r.noun for r in records)
+    max_verb = int(actions.verbs.max())
+    max_noun = int(actions.nouns.max())
     if max_verb >= model_config.n_verbs or max_noun >= model_config.n_nouns:
         raise DataError(
             f"dataset labels exceed the configured label space: verbs up to "
@@ -165,9 +166,9 @@ def _check_labels(store: FeatureStore, config: TrainConfig):
     on a store without text features, whose narrations are embedded), every
     source-split action must have one."""
     model_config = config.model
-    _check_label_space(store.records, model_config)
+    _check_label_space(store.actions, model_config)
     if config.text_loss == "token_cross_entropy":
-        max_token = max((t for r in store.records for t in r.narration), default=-1)
+        max_token = int(store.actions.tokens.max(initial=-1))
         if max_token >= model_config.vocab_size:
             raise DataError(
                 f"narration tokens up to {max_token} exceed the token-level text "
@@ -176,9 +177,10 @@ def _check_labels(store: FeatureStore, config: TrainConfig):
         (config.lambda_rt > 0 and config.text_loss == "token_cross_entropy")
         or (store.text is None and (config.lambda_rv > 0 or config.lambda_rt > 0)))
     if reads_narrations:
-        empty = next((r for r in _split_records(store, "source") if not r.narration), None)
-        if empty is not None:
-            raise DataError(f"source action {empty.action_id} has an empty narration, "
+        source = _split_actions(store, "source")
+        empty = np.flatnonzero(source.token_end == source.token_start)
+        if empty.size:
+            raise DataError(f"source action {source.ids[empty[0]]} has an empty narration, "
                             "which the configured text reconstruction needs")
 
 
@@ -216,13 +218,13 @@ def cmd_eval(args) -> int:
     if store.d_v != model.config.D_V:
         raise DataError(f"the dataset's features are {store.d_v} wide, the "
                         f"checkpoint's model reads {model.config.D_V}")
-    records = _split_records(store, args.split)
-    _check_label_space(records, model.config)
+    actions = _split_actions(store, args.split)
+    _check_label_space(actions, model.config)
     domains = getattr(store.split, args.split)
     preds = sliding_window_predict(store, model, domains=domains, k=args.k)
-    labels = [(r.verb, r.noun) for r in records]
+    labels = actions.labels()
     results = {"split": args.split, "domains": list(domains),
-               "n_actions": len(records), "metrics": {},
+               "n_actions": len(actions), "metrics": {},
                "k": {"verb": head_k(args.k, model.config.n_verbs),
                      "noun": head_k(args.k, model.config.n_nouns)}}
     for k in (1, args.k):
@@ -244,14 +246,14 @@ def cmd_eval(args) -> int:
                     "topk_nouns": p.topk_nouns.tolist()}) + "\n")
     top1 = results["metrics"]["top1"]
     print(f"{args.split} top-1: verb {top1['verb']:.1f} noun {top1['noun']:.1f} "
-          f"action {top1['action']:.1f} ({len(records)} actions)")
+          f"action {top1['action']:.1f} ({len(actions)} actions)")
     return EXIT_OK
 
 
 def cmd_ablate(args) -> int:
     store = FeatureStore.load(args.data)
     run = _train_config_for(store, args)
-    _split_records(store, "target")
+    _split_actions(store, "target")
     grid = run.ablate
     # every cell's config is checked, also against the dataset, before the
     # first one trains

@@ -3,9 +3,14 @@
 A dataset on disk is a JSON manifest plus a flat little-endian float32
 feature blob (clips-major per action), optionally joined by a second blob
 of precomputed per-action text features. In memory it becomes a
-`FeatureStore`; training and evaluation slice it into `SequenceWindow`s
-of W consecutive actions and assemble dense batches from those through a
+`FeatureStore` over an `Actions` table: one int64 column per integer
+field, video and domain ids interned as codes, and the narrations as one
+ragged token array. Training and evaluation slice the table into
+`Windows` of W consecutive actions, an (N, W) array of row indices with a
+padding mask, and assemble dense batches from those through a
 `FeatureCache`, the one place where an action's clips are averaged.
+`ActionRecord` and `SequenceWindow` are per-item views of these arrays,
+built only when something asks for them.
 
 SeqMix lives here too: with a configured probability, one slot of a
 window is swapped for a same-label action from a different source
@@ -18,7 +23,8 @@ import csv
 import itertools
 import json
 import operator
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +33,8 @@ __all__ = [
     "DataError",
     "ActionRecord",
     "SequenceWindow",
+    "Actions",
+    "Windows",
     "DatasetSplit",
     "FeatureStore",
     "NarrationEmbedder",
@@ -53,11 +61,12 @@ class DataError(Exception):
 
 # every key of a manifest action, in ActionRecord's field order, and the
 # exact JSON type of its value (a JSON true is not an int); `save` writes
-# and `_action_record` reads these keys
+# and `_manifest_actions` reads these keys
 _ACTION_KEYS = ("action_id", "video_id", "domain_id", "verb", "noun", "narration",
                 "temporal_index", "blob_offset", "n_clips")
 _ACTION_TYPES = (int, str, str, int, int, list, int, int, int)
 _action_values = operator.itemgetter(*_ACTION_KEYS)
+_INT64 = range(-2**63, 2**63)
 
 
 @dataclass(frozen=True)
@@ -99,6 +108,122 @@ class SequenceWindow:
         return self.records[self.center]
 
 
+def _intern(names: list) -> tuple[tuple, np.ndarray]:
+    """The distinct `names` in order of first appearance, and each name's
+    index among them."""
+    distinct = tuple(dict.fromkeys(names))
+    code = {name: i for i, name in enumerate(distinct)}
+    return distinct, np.fromiter(map(code.__getitem__, names), np.int64, len(names))
+
+
+# the columns with one entry per action; `tokens` and the name tables are
+# shared by every table taken from the same one
+_ROW_COLUMNS = ("ids", "video", "domain", "verbs", "nouns", "temporal", "offsets",
+                "n_clips", "token_start", "token_end")
+
+
+@dataclass(eq=False)
+class Actions(Sequence):
+    """A table of actions. Each integer field is an int64 column; video
+    and domain ids are codes into `video_names` and `domain_names`; the
+    narration of row i is `tokens[token_start[i]:token_end[i]]`.
+
+    As a sequence it holds one `ActionRecord` view per row, all built on
+    the first access and kept."""
+
+    ids: np.ndarray
+    video: np.ndarray
+    video_names: tuple[str, ...]
+    domain: np.ndarray
+    domain_names: tuple[str, ...]
+    verbs: np.ndarray
+    nouns: np.ndarray
+    temporal: np.ndarray
+    offsets: np.ndarray       # float32 elements into the visual blob
+    n_clips: np.ndarray
+    token_start: np.ndarray
+    token_end: np.ndarray
+    tokens: np.ndarray
+    _views: list | None = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def from_columns(cls, ids, videos, domains, verbs, nouns, narrations, temporal,
+                     offsets, n_clips) -> "Actions":
+        """A table from one list of values per key, in `_ACTION_KEYS`
+        order. An int outside int64 raises OverflowError."""
+        video_names, video = _intern(videos)
+        domain_names, domain = _intern(domains)
+        lengths = np.fromiter(map(len, narrations), np.int64, len(narrations))
+        token_end = np.cumsum(lengths)
+        tokens = np.fromiter(itertools.chain.from_iterable(narrations), np.int64,
+                             int(lengths.sum()))
+        ids, verbs, nouns, temporal, offsets, n_clips = (
+            np.array(column, dtype=np.int64)
+            for column in (ids, verbs, nouns, temporal, offsets, n_clips))
+        return cls(ids, video, video_names, domain, domain_names, verbs, nouns, temporal,
+                   offsets, n_clips, token_end - lengths, token_end, tokens)
+
+    @classmethod
+    def of(cls, records) -> "Actions":
+        """`records` as a table: itself when it is one; else its columns,
+        with the given records kept as the table's views."""
+        if isinstance(records, Actions):
+            return records
+        records = list(records)
+        table = cls.from_columns(*([getattr(r, key) for r in records] for key in _ACTION_KEYS))
+        table._views = records
+        return table
+
+    def take(self, rows) -> "Actions":
+        """The table of `rows` (an index array), in that order."""
+        return replace(self, **{name: getattr(self, name)[rows] for name in _ROW_COLUMNS})
+
+    def in_domains(self, domains) -> np.ndarray:
+        """Per row, whether its domain is one of `domains`."""
+        wanted = set(domains)
+        return np.isin(self.domain, [code for code, name in enumerate(self.domain_names)
+                                     if name in wanted])
+
+    def labels(self) -> list[tuple[int, int]]:
+        """The (verb, noun) label of each row."""
+        return list(zip(self.verbs.tolist(), self.nouns.tolist()))
+
+    def key(self, row) -> tuple[tuple[int, int], str]:
+        """The (verb, noun) label and the domain id of one row."""
+        return ((int(self.verbs[row]), int(self.nouns[row])),
+                self.domain_names[self.domain[row]])
+
+    def narrations(self, rows) -> tuple[tuple[int, ...], ...]:
+        """The narration tokens of each of `rows`."""
+        return tuple(tuple(self.tokens[start:end].tolist()) for start, end in
+                     zip(self.token_start[rows].tolist(), self.token_end[rows].tolist()))
+
+    def views(self) -> list[ActionRecord]:
+        """One `ActionRecord` per row, built once."""
+        if self._views is None:
+            tokens = self.tokens.tolist()
+            narrations = [tuple(tokens[start:end]) for start, end in
+                          zip(self.token_start.tolist(), self.token_end.tolist())]
+            self._views = list(map(
+                ActionRecord, self.ids.tolist(),
+                [self.video_names[c] for c in self.video.tolist()],
+                [self.domain_names[c] for c in self.domain.tolist()],
+                self.verbs.tolist(), self.nouns.tolist(), narrations,
+                self.temporal.tolist(), self.offsets.tolist(), self.n_clips.tolist()))
+        return self._views
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(np.arange(len(self))[index])
+        return self.views()[index]
+
+    def __iter__(self):
+        return iter(self.views())
+
+
 @dataclass(frozen=True)
 class DatasetSplit:
     source: tuple[str, ...]
@@ -108,16 +233,21 @@ class DatasetSplit:
         overlap = set(self.source) & set(self.target)
         if overlap:
             raise DataError(f"source and target domains overlap: {sorted(overlap)}")
+        listed = self.source + self.target
+        repeated = sorted({d for d in listed if listed.count(d) > 1})
+        if repeated:
+            raise DataError(f"domains {repeated} are listed more than once")
 
 
 class FeatureStore:
-    """Immutable view over a manifest and its feature blobs."""
+    """Immutable view over a manifest and its feature blobs. `records` is
+    an `Actions` table or a sequence of `ActionRecord`s."""
 
-    def __init__(self, meta: dict, records: list[ActionRecord], vocab: list[str],
+    def __init__(self, meta: dict, records, vocab: list[str],
                  split: DatasetSplit, visual: np.ndarray,
                  text: np.ndarray | None = None):
         self.meta = meta
-        self.records = records
+        self.actions = Actions.of(records)
         self.vocab = vocab
         self.split = split
         self.visual = visual
@@ -129,17 +259,19 @@ class FeatureStore:
             if self.meta[key] < 1:
                 raise DataError(f"{key} must be >= 1, got {self.meta[key]}")
         d_v = self.d_v
-        expected = sum(r.n_clips * d_v for r in self.records)
+        actions = self.actions
+        expected = sum(actions.n_clips.tolist()) * d_v
         if self.visual.size != expected:
             raise DataError(f"feature blob holds {self.visual.size} floats, "
                             f"manifest expects {expected}")
-        start = _first_failing_action(self.records, d_v, self.visual.size, len(self.vocab))
+        start = _first_failing_action(actions, d_v, self.visual.size, len(self.vocab))
         if start is not None:
             self._check_actions(start)
-        if self.text is not None and self.text.size != len(self.records) * self.d_t:
+        if self.text is not None and self.text.size != len(actions) * self.d_t:
             raise DataError("text feature blob does not match action count")
-        stray = {r.domain_id for r in self.records}.difference(self.split.source,
-                                                                self.split.target)
+        counts = np.bincount(actions.domain, minlength=len(actions.domain_names))
+        present = {name for name, count in zip(actions.domain_names, counts) if count}
+        stray = present.difference(self.split.source, self.split.target)
         if stray:
             raise DataError(f"actions of domains {sorted(stray)} belong to neither "
                             "the source nor the target split")
@@ -149,12 +281,13 @@ class FeatureStore:
         the first action that fails one is named. Every action before
         `start` must pass them all."""
         d_v = self.d_v
+        records = self.records
         # ids index the text blob and the feature cache, so they must be
         # exactly 0 .. n-1
-        seen = {r.action_id for r in self.records[:start]}
-        for r in self.records[start:]:
-            if not 0 <= r.action_id < len(self.records):
-                raise DataError(f"action id {r.action_id} outside [0, {len(self.records)})")
+        seen = {r.action_id for r in records[:start]}
+        for r in records[start:]:
+            if not 0 <= r.action_id < len(records):
+                raise DataError(f"action id {r.action_id} outside [0, {len(records)})")
             if r.action_id in seen:
                 raise DataError(f"duplicate action id {r.action_id}")
             seen.add(r.action_id)
@@ -167,6 +300,11 @@ class FeatureStore:
                 raise DataError(f"action {r.action_id}: feature handle out of bounds")
             if any(t < 0 or t >= len(self.vocab) for t in r.narration):
                 raise DataError(f"action {r.action_id}: narration token out of vocab")
+
+    @property
+    def records(self) -> list[ActionRecord]:
+        """Every action as an `ActionRecord` view, built on first access."""
+        return self.actions.views()
 
     @property
     def d_v(self) -> int:
@@ -191,9 +329,10 @@ class FeatureStore:
             return None
         return self.text[record.action_id * self.d_t:(record.action_id + 1) * self.d_t]
 
-    def records_for(self, domains) -> list[ActionRecord]:
-        wanted = set(domains)
-        return [r for r in self.records if r.domain_id in wanted]
+    def records_for(self, domains) -> Actions:
+        """The actions of `domains`, in store order: a table that is also
+        a sequence of `ActionRecord` views."""
+        return self.actions.take(np.flatnonzero(self.actions.in_domains(domains)))
 
     # -- persistence ---------------------------------------------------------
 
@@ -201,6 +340,13 @@ class FeatureStore:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         self.visual.astype("<f4").tofile(directory / "features.f32")
+        a = self.actions
+        tokens = a.tokens.tolist()
+        columns = (a.ids.tolist(), [a.video_names[c] for c in a.video.tolist()],
+                   [a.domain_names[c] for c in a.domain.tolist()], a.verbs.tolist(),
+                   a.nouns.tolist(),
+                   [tokens[s:e] for s, e in zip(a.token_start.tolist(), a.token_end.tolist())],
+                   a.temporal.tolist(), a.offsets.tolist(), a.n_clips.tolist())
         manifest = {
             "format": MANIFEST_FORMAT,
             "version": MANIFEST_VERSION,
@@ -212,8 +358,7 @@ class FeatureStore:
             "vocab": self.vocab,
             "domains": ([{"id": d, "split": "source"} for d in self.split.source]
                         + [{"id": d, "split": "target"} for d in self.split.target]),
-            "actions": [{**{key: getattr(r, key) for key in _ACTION_KEYS},
-                         "narration": list(r.narration)} for r in self.records],
+            "actions": [dict(zip(_ACTION_KEYS, values)) for values in zip(*columns)],
         }
         if self.text is not None:
             self.text.astype("<f4").tofile(directory / "text_features.f32")
@@ -241,7 +386,7 @@ class FeatureStore:
             raise DataError(f"unsupported manifest version {manifest.get('version')!r}")
         base = manifest_path.parent
         try:
-            records = [_action_record(i, a) for i, a in enumerate(manifest["actions"])]
+            actions = _manifest_actions(manifest["actions"])
             unsplit = [d["id"] for d in manifest["domains"]
                        if d["split"] not in ("source", "target")]
             if unsplit:
@@ -261,43 +406,47 @@ class FeatureStore:
         for key in ("d_v", "d_t", "clips_per_action"):
             if type(meta[key]) is not int:
                 raise DataError(f"{manifest_path}: {key!r} must be int, got {meta[key]!r}")
-        return cls(meta, records, vocab, split, visual, text)
+        if type(manifest["vocab"]) is not list or not {str}.issuperset(map(type, vocab)):
+            raise DataError(f"{manifest_path}: 'vocab' must be a list of strings")
+        return cls(meta, actions, vocab, split, visual, text)
 
 
-def _first_failing_action(records, d_v: int, size: int, vocab: int) -> int | None:
-    """The index of the first record that `FeatureStore._check_actions`
-    rejects, found with one mask per check over columns of the records; None
-    when every record passes. Values too large for int64, or a `d_v` below
-    one, give 0: the scalar checks then run over every record."""
-    if d_v < 1:
-        return 0
-    n = len(records)
-    narrations = [r.narration for r in records]
+def _manifest_actions(actions) -> Actions:
+    """The manifest's action list as a table: every key present with its
+    exact JSON type, every narration token an int, and every int inside
+    int64. The types are checked one column at a time; only when a check
+    fails does a scan, action by action, name the first bad action."""
+    # outside the scan's reach: a non-iterable `actions` is a malformed manifest
+    kinds = set(map(type, actions))
     try:
-        ids, verbs, nouns, offsets, n_clips = (np.array(column, dtype=np.int64) for column in (
-            [r.action_id for r in records], [r.verb for r in records],
-            [r.noun for r in records], [r.blob_offset for r in records],
-            [r.n_clips for r in records]))
-        lengths = np.fromiter(map(len, narrations), np.int64, n)
-        tokens = np.fromiter(itertools.chain.from_iterable(narrations), np.int64,
-                             int(lengths.sum()))
-        # whole clips that fit after each offset (none past the end); a
-        # negative offset fails on its own, so a wrapped value does not matter
-        room = (size - offsets) // d_v
+        if not kinds <= {dict}:
+            raise TypeError("an action is not an object")
+        columns = [list(map(operator.itemgetter(key), actions)) for key in _ACTION_KEYS]
+        if (any(not {kind}.issuperset(map(type, column))
+                for kind, column in zip(_ACTION_TYPES, columns))
+                or not {int}.issuperset(map(type, itertools.chain.from_iterable(columns[5])))):
+            raise TypeError("an action value has the wrong type")
+    except (KeyError, TypeError):
+        for index, action in enumerate(actions):
+            _check_action(index, action)
+        raise
+    try:
+        return Actions.from_columns(*columns)
     except OverflowError:
-        return 0
-    repeated = np.ones(n, dtype=bool)
-    repeated[np.unique(ids, return_index=True)[1]] = False
-    bad = ((ids < 0) | (ids >= n) | repeated | (verbs < 0) | (nouns < 0) | (n_clips < 1)
-           | (offsets < 0) | (n_clips > room))
-    bad[np.repeat(np.arange(n), lengths)[(tokens < 0) | (tokens >= vocab)]] = True
-    hits = np.flatnonzero(bad)
-    return int(hits[0]) if hits.size else None
+        for index, action in enumerate(actions):
+            for key, kind in zip(_ACTION_KEYS, _ACTION_TYPES):
+                values = action[key] if kind is list else (action[key],) if kind is int else ()
+                outside = [value for value in values if value not in _INT64]
+                if outside:
+                    raise DataError(f"manifest action {index}: {key!r} holds {outside[0]}, "
+                                    "outside int64") from None
+        raise
 
 
-def _action_record(index: int, action) -> ActionRecord:
-    """One manifest action, every key present with its exact type and every
-    narration token an int."""
+def _check_action(index: int, action):
+    """Raise the DataError that names the first thing wrong with manifest
+    action `index`: not an object, a missing key, a value of another type,
+    or a narration token that is not an int."""
     if type(action) is not dict:
         raise DataError(f"manifest action {index} is not an object")
     try:
@@ -311,42 +460,110 @@ def _action_record(index: int, action) -> ActionRecord:
                         f"got {value!r}")
     if not {int}.issuperset(map(type, values[5])):
         raise DataError(f"manifest action {index}: narration tokens must be ints")
-    return ActionRecord(*values[:5], tuple(values[5]), *values[6:])
+
+
+def _any_token(actions: Actions, flags: np.ndarray) -> np.ndarray:
+    """Per row, whether any of its narration tokens is flagged; `flags`
+    has one entry per entry of `actions.tokens`."""
+    seen = np.concatenate(([0], np.cumsum(flags)))
+    return seen[actions.token_end] > seen[actions.token_start]
+
+
+def _first_failing_action(actions: Actions, d_v: int, size: int, vocab: int) -> int | None:
+    """The index of the first row that `FeatureStore._check_actions`
+    rejects, found with one mask per check over the columns; None when
+    every row passes. A `d_v` below one gives 0: the scalar checks then run
+    over every row."""
+    if d_v < 1:
+        return 0
+    ids, offsets, n_clips = actions.ids, actions.offsets, actions.n_clips
+    n = len(ids)
+    # whole clips that fit after each offset (none past the end); a
+    # negative offset fails on its own, so a wrapped value does not matter.
+    # Any d_v past the blob size leaves no room, so clamping it changes no
+    # verdict and keeps the division inside int64.
+    room = (size - offsets) // min(d_v, size + 1)
+    repeated = np.ones(n, dtype=bool)
+    repeated[np.unique(ids, return_index=True)[1]] = False
+    bad = ((ids < 0) | (ids >= n) | repeated | (actions.verbs < 0) | (actions.nouns < 0)
+           | (n_clips < 1) | (offsets < 0) | (n_clips > room))
+    bad |= _any_token(actions, (actions.tokens < 0) | (actions.tokens >= vocab))
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if hits.size else None
 
 
 # ---------------------------------------------------------------------------
 # windows
 
 
-def build_windows(records, W: int) -> list[SequenceWindow]:
-    """One window per record, window i centred on `records[i]`. Each video
-    is ordered by temporal index; edges replicate the nearest real action
-    and flag those slots as padding."""
+@dataclass(eq=False)
+class Windows(Sequence):
+    """Windows as rows of one `Actions` table: `rows[i]` holds the W slots
+    of window i and `padding[i]` flags the slots that replicate an edge
+    action. The center slot is W // 2.
+
+    As a sequence it holds one `SequenceWindow` view per window, all built
+    on the first access and kept; a slice is a `Windows`."""
+
+    actions: Actions
+    rows: np.ndarray          # (N, W) int64
+    padding: np.ndarray       # (N, W) bool
+    _views: list | None = field(default=None, init=False, repr=False)
+
+    @property
+    def center(self) -> int:
+        return self.rows.shape[1] // 2
+
+    def views(self) -> list[SequenceWindow]:
+        if self._views is None:
+            records = self.actions.views()
+            self._views = [SequenceWindow(records=tuple(records[r] for r in rows),
+                                          padding=tuple(pads), center=self.center)
+                           for rows, pads in zip(self.rows.tolist(), self.padding.tolist())]
+        return self._views
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Windows(self.actions, self.rows[index], self.padding[index])
+        return self.views()[index]
+
+    def __iter__(self):
+        return iter(self.views())
+
+
+def build_windows(records, W: int) -> Windows:
+    """One window per action, window i centred on action i of `records`
+    (an `Actions` table or a sequence of `ActionRecord`s). Each video is
+    ordered by temporal index; edges replicate the nearest real action and
+    flag those slots as padding."""
     if W < 1 or W % 2 == 0:
         raise DataError(f"window length must be odd and >= 1, got {W}")
-    by_video: dict[str, list[int]] = {}
-    for i, r in enumerate(records):
-        by_video.setdefault(r.video_id, []).append(i)
+    actions = Actions.of(records)
+    order = np.lexsort((actions.temporal, actions.video))
+    video = actions.video[order]
+    first = np.ones(len(order), dtype=bool)    # a video's first action, in sorted order
+    first[1:] = video[1:] != video[:-1]
+    broken = ~first[1:] & (np.diff(actions.temporal[order]) != 1)
+    if broken.any():
+        # the video named is the first to appear in `records`
+        row = np.flatnonzero(np.isin(actions.video, video[1:][broken]))[0]
+        raise DataError(f"video {actions.video_names[actions.video[row]]!r}: temporal "
+                        "indices must be consecutive and unique")
+    starts = np.flatnonzero(first)
+    run = np.cumsum(first) - 1                 # each sorted position's video
+    lo = starts[run]
+    hi = np.append(starts[1:], len(order))[run] - 1
     half = (W - 1) // 2
-    windows: list[SequenceWindow] = [None] * len(records)
-    for video_id, members in by_video.items():
-        members.sort(key=lambda i: records[i].temporal_index)
-        video = [records[i] for i in members]
-        first = video[0].temporal_index
-        if [r.temporal_index for r in video] != list(range(first, first + len(video))):
-            raise DataError(f"video {video_id!r}: temporal indices must be "
-                            "consecutive and unique")
-        n = len(video)
-        for pos, i in enumerate(members):
-            slots, pads = [], []
-            for off in range(-half, half + 1):
-                j = pos + off
-                clamped = min(max(j, 0), n - 1)
-                slots.append(video[clamped])
-                pads.append(j != clamped)
-            windows[i] = SequenceWindow(records=tuple(slots), padding=tuple(pads),
-                                        center=half)
-    return windows
+    slots = np.arange(len(order))[:, None] + np.arange(-half, half + 1)
+    clamped = np.clip(slots, lo[:, None], hi[:, None])
+    rows = np.empty((len(order), W), dtype=np.int64)
+    rows[order] = order[clamped]
+    padding = np.empty((len(order), W), dtype=bool)
+    padding[order] = slots != clamped
+    return Windows(actions, rows, padding)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +594,26 @@ class NarrationEmbedder:
         return self.table[tokens].mean(axis=0)
 
 
+def _narration_means(embedder: NarrationEmbedder, actions: Actions) -> np.ndarray:
+    """(len(actions), dim) embedded narrations, bitwise equal to
+    `embedder.embed` of each. Narrations are taken in groups of equal
+    length; a group's token rows are gathered into one (rows, length, dim)
+    array and summed over the length axis, in the order `mean(axis=0)`
+    sums them. The first narration `embed` rejects raises its error."""
+    lengths = actions.token_end - actions.token_start
+    bad = (lengths == 0) | _any_token(actions, (actions.tokens < 0)
+                                      | (actions.tokens >= embedder.vocab_size))
+    if bad.any():
+        row = np.flatnonzero(bad)[0]
+        embedder.embed(actions.tokens[actions.token_start[row]:actions.token_end[row]])
+    means = np.empty((len(actions), embedder.dim))
+    for length in np.unique(lengths):
+        group = np.flatnonzero(lengths == length)
+        tokens = actions.tokens[actions.token_start[group, None] + np.arange(length)]
+        means[group] = embedder.table[tokens].sum(axis=1) / length
+    return means
+
+
 # ---------------------------------------------------------------------------
 # SeqMix
 
@@ -388,20 +625,49 @@ class SeqMixStats:
     no_candidate: int = 0
 
 
+_NO_ROWS = np.empty(0, dtype=np.int64)
+
+
 class SeqMixPool:
-    """Replacement candidates indexed by (verb, noun), restricted to the
-    source domains."""
+    """Replacement candidates indexed by (verb, noun): rows of one
+    `Actions` table, restricted to the source domains, in table order."""
 
     def __init__(self, records, source_domains):
-        allowed = set(source_domains)
-        self._by_label: dict[tuple[int, int], list[ActionRecord]] = {}
-        for r in records:
-            if r.domain_id in allowed:
-                self._by_label.setdefault(r.label, []).append(r)
+        self.actions = Actions.of(records)
+        rows = np.flatnonzero(self.actions.in_domains(source_domains))
+        by_label: dict[tuple[int, int], list[int]] = {}
+        for row, label in zip(rows.tolist(), zip(self.actions.verbs[rows].tolist(),
+                                                 self.actions.nouns[rows].tolist())):
+            by_label.setdefault(label, []).append(row)
+        self._by_label = {label: np.array(members) for label, members in by_label.items()}
+        self._domain_code = {name: code for code, name in enumerate(self.actions.domain_names)}
 
-    def candidates(self, label: tuple[int, int], exclude_domain: str) -> list[ActionRecord]:
-        return [r for r in self._by_label.get(label, ())
-                if r.domain_id != exclude_domain]
+    def candidates(self, label: tuple[int, int], exclude_domain: str) -> np.ndarray:
+        """The rows of `label` outside `exclude_domain`, in table order."""
+        rows = self._by_label.get(label, _NO_ROWS)
+        return rows[self.actions.domain[rows] != self._domain_code.get(exclude_domain, -1)]
+
+    def draw(self, padding, slot_key, p_mix: float, rng,
+             stats: SeqMixStats | None = None) -> tuple[int, int] | None:
+        """One SeqMix draw for a window with these padding flags. With
+        probability `p_mix` it picks a non-padding slot and then a candidate
+        row for it, each uniformly, and returns (slot, row); otherwise, or
+        when the slot has no candidate, None. `slot_key(slot)` gives the
+        slot's (verb, noun) label and domain id."""
+        if stats is not None:
+            stats.draws += 1
+        if rng.random() >= p_mix:
+            return None
+        slots = [i for i, pad in enumerate(padding) if not pad]
+        slot = slots[int(rng.integers(len(slots)))]
+        cands = self.candidates(*slot_key(slot))
+        if not len(cands):
+            if stats is not None:
+                stats.no_candidate += 1
+            return None
+        if stats is not None:
+            stats.replaced += 1
+        return slot, int(cands[int(rng.integers(len(cands)))])
 
 
 def seqmix(window: SequenceWindow, pool: SeqMixPool, p_mix: float, rng,
@@ -410,23 +676,15 @@ def seqmix(window: SequenceWindow, pool: SeqMixPool, p_mix: float, rng,
     action from a different source domain. The swap carries features,
     narration tokens and domain id; labels are equal by construction. If
     no candidate exists the window comes back unchanged."""
-    if stats is not None:
-        stats.draws += 1
-    if rng.random() >= p_mix:
+    def slot_key(slot):
+        return window.records[slot].label, window.records[slot].domain_id
+
+    drawn = pool.draw(window.padding, slot_key, p_mix, rng, stats)
+    if drawn is None:
         return window
-    slots = [i for i, pad in enumerate(window.padding) if not pad]
-    slot = slots[int(rng.integers(len(slots)))]
-    current = window.records[slot]
-    cands = pool.candidates(current.label, current.domain_id)
-    if not cands:
-        if stats is not None:
-            stats.no_candidate += 1
-        return window
-    pick = cands[int(rng.integers(len(cands)))]
+    slot, row = drawn
     new_records = list(window.records)
-    new_records[slot] = pick
-    if stats is not None:
-        stats.replaced += 1
+    new_records[slot] = pool.actions[row]
     return replace(window, records=tuple(new_records))
 
 
@@ -448,22 +706,21 @@ class Batch:
         return self.visual.shape[0]
 
 
-def _clip_means(store: FeatureStore, records) -> np.ndarray:
-    """(len(records), d_v) float64 means of each record's clips, bitwise
+def _clip_means(store: FeatureStore, actions: Actions) -> np.ndarray:
+    """(len(actions), d_v) float64 means of each action's clips, bitwise
     equal to `store.clips(rec).astype(np.float64).mean(axis=0)`.
 
-    Records are taken in groups of equal clip count. A group's clip rows
+    Actions are taken in groups of equal clip count. A group's clip rows
     are gathered by element offset (an offset need not be a multiple of
-    d_v) into one (records, clips, d_v) array and summed over the clip axis
+    d_v) into one (actions, clips, d_v) array and summed over the clip axis
     in float64, in the order `mean(axis=0)` sums them. (`np.add.reduceat`
     over the stacked rows sums in another order past ~128 clips.)
     """
     d_v = store.d_v
-    means = np.empty((len(records), d_v))
-    if not records:
+    means = np.empty((len(actions), d_v))
+    if not len(actions):
         return means
-    offsets = np.array([r.blob_offset for r in records], dtype=np.int64)
-    n_clips = np.array([r.n_clips for r in records], dtype=np.int64)
+    offsets, n_clips = actions.offsets, actions.n_clips
     rows = np.lib.stride_tricks.sliding_window_view(store.visual, d_v)
     for count in np.unique(n_clips):
         group = np.flatnonzero(n_clips == count)
@@ -473,41 +730,49 @@ def _clip_means(store: FeatureStore, records) -> np.ndarray:
 
 
 class FeatureCache:
-    """Dense per-action features of the records it serves.
+    """Dense per-action features of the actions it serves (an `Actions`
+    table or a sequence of `ActionRecord`s of `store`).
 
     Each action's stored clips are averaged, and its narration embedded,
-    once; batches then become fancy indexing. The clip means are taken
-    with one gather and one sum per distinct clip count (`_clip_means`).
+    once; a batch is then one fancy index. The clip means are taken with
+    one gather and one sum per distinct clip count (`_clip_means`), the
+    narration embeddings with one per distinct length (`_narration_means`).
     """
 
     def __init__(self, store: FeatureStore, records, *,
                  embedder: NarrationEmbedder | None = None, with_text: bool = False):
-        self._row = {rec.action_id: row for row, rec in enumerate(records)}
-        self.visual = _clip_means(store, records)
-        self.text = np.empty((len(records), store.d_t)) if with_text else None
-        for row, rec in enumerate(records if with_text else ()):
-            stored = store.text_feature(rec)
-            if stored is not None:
-                self.text[row] = stored.astype(np.float64)
+        actions = Actions.of(records)
+        ids = actions.ids
+        # cache row of each action id; the last entry stays -1 and answers
+        # every id that is not cached
+        self._row = np.full(int(ids.max()) + 2 if len(ids) else 1, -1)
+        self._row[ids] = np.arange(len(ids))
+        self.visual = _clip_means(store, actions)
+        self.text = None
+        if with_text:
+            if store.text is not None:
+                self.text = store.text.reshape(-1, store.d_t)[ids].astype(np.float64)
             elif embedder is not None:
-                self.text[row] = embedder.embed(rec.narration)
+                self.text = _narration_means(embedder, actions)
             else:
                 raise DataError("text requested but the store has no text "
                                 "features and no embedder was given")
 
-    def batch(self, windows) -> Batch:
-        if not windows:
+    def batch(self, windows: Windows) -> Batch:
+        if not len(windows):
             raise DataError("cannot materialize an empty batch")
-        try:
-            ids = np.array([[self._row[r.action_id] for r in w.records] for w in windows])
-        except KeyError as exc:
-            raise DataError(f"action {exc.args[0]} is not among the cached records") from None
+        actions = windows.actions
+        ids = actions.ids[windows.rows]
+        rows = self._row[np.where((ids >= 0) & (ids < len(self._row)), ids, -1)]
+        if (rows < 0).any():
+            raise DataError(f"action {ids[rows < 0][0]} is not among the cached records")
+        center = windows.rows[:, windows.center]
         return Batch(
-            visual=self.visual[ids],
-            text=self.text[ids] if self.text is not None else None,
-            verbs=np.array([w.center_record.verb for w in windows], dtype=np.int64),
-            nouns=np.array([w.center_record.noun for w in windows], dtype=np.int64),
-            center_tokens=tuple(w.center_record.narration for w in windows))
+            visual=self.visual[rows],
+            text=self.text[rows] if self.text is not None else None,
+            verbs=actions.verbs[center],
+            nouns=actions.nouns[center],
+            center_tokens=actions.narrations(center))
 
 
 # ---------------------------------------------------------------------------

@@ -73,16 +73,16 @@ def sliding_window_predict(store: FeatureStore, model: SeqDGModel, *,
     cfg = model.config
     if domains is None:
         domains = store.split.target
-    records = store.records_for(domains)
-    windows = build_windows(records, cfg.W)
-    if not windows:
+    actions = store.records_for(domains)
+    windows = build_windows(actions, cfg.W)
+    if not len(windows):
         return []
-    verb_logits, noun_logits = predict_windows(FeatureCache(store, records), model, windows)
+    verb_logits, noun_logits = predict_windows(FeatureCache(store, actions), model, windows)
     topk_verbs = topk_indices(verb_logits, head_k(k, cfg.n_verbs))
     topk_nouns = topk_indices(noun_logits, head_k(k, cfg.n_nouns))
-    return [Prediction(win.center_record.action_id, verb_logits[i], noun_logits[i],
-                       topk_verbs[i], topk_nouns[i])
-            for i, win in enumerate(windows)]
+    # window i is centred on action i
+    return [Prediction(action_id, verb_logits[i], noun_logits[i], topk_verbs[i], topk_nouns[i])
+            for i, action_id in enumerate(actions.ids.tolist())]
 
 
 def _in_topk(logits: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:

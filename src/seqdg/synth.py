@@ -451,7 +451,7 @@ def bayes_accuracy_on_store(store: FeatureStore, truth: SynthTruth) -> float:
     """Bayes single-action accuracy over the stored dataset (all clips
     averaged per action)."""
     sigma = _sigma_eff(truth)
-    features = FeatureCache(store, store.records).visual
+    features = FeatureCache(store, store.actions).visual
     hits = 0
     for rec, x in zip(store.records, features):
         hits += single_action_bayes(x, rec.domain_id, truth, sigma) == rec.label

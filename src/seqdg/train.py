@@ -32,8 +32,8 @@ from seqdg.data import (
     NarrationEmbedder,
     SeqMixPool,
     SeqMixStats,
+    Windows,
     build_windows,
-    seqmix,
 )
 from seqdg.evaluate import accuracy, predict_windows, sliding_window_predict, topk_accuracy
 from seqdg.model import ModelConfig, SeqDGModel
@@ -252,20 +252,17 @@ def fit(store: FeatureStore, model: SeqDGModel, config: TrainConfig, *,
     line and the source split is scored after every epoch; without it, only
     after the last."""
     config.check()
-    source_domains = set(store.split.source)
-    records = store.records_for(source_domains)
-    if not records:
+    actions = store.records_for(store.split.source)
+    if not len(actions):
         raise DataError("no source-domain records to train on")
-    windows = build_windows(records, config.W)
-    pool = SeqMixPool(records, source_domains)
+    windows = build_windows(actions, config.W)
+    pool = SeqMixPool(actions, store.split.source)
     stats = SeqMixStats()
     needs_text = config.lambda_rv > 0 or config.lambda_rt > 0
     embedder = (NarrationEmbedder(len(store.vocab), store.d_t, seed=config.seed)
                 if needs_text and store.text is None else None)
 
-    cache = FeatureCache(store, records, embedder=embedder, with_text=needs_text)
-    verbs = np.array([w.center_record.verb for w in windows])
-    nouns = np.array([w.center_record.noun for w in windows])
+    cache = FeatureCache(store, actions, embedder=embedder, with_text=needs_text)
     optimizer = _SGD(model.params.tensors(), config.momentum)
     metrics: list[EpochMetrics] = []
     metrics_file = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
@@ -275,11 +272,19 @@ def fit(store: FeatureStore, model: SeqDGModel, config: TrainConfig, *,
             order = _stream(config.seed, 3, epoch).permutation(len(windows))
             loss_sums = dict.fromkeys(LOSS_KEYS, 0.0)
             for b_index, start in enumerate(range(0, len(order), config.batch_size)):
-                chunk = [windows[j] for j in order[start:start + config.batch_size]]
+                picked = order[start:start + config.batch_size]
+                rows = windows.rows[picked]
                 if config.p_mix > 0:
-                    chunk = [seqmix(win, pool, config.p_mix,
-                                    _stream(config.seed, 5, epoch, j), stats=stats)
-                             for win, j in zip(chunk, order[start:start + config.batch_size])]
+                    # one stream per window, so a window's draw does not
+                    # depend on the batch it lands in
+                    for slots, j in zip(rows, picked.tolist()):
+                        drawn = pool.draw(windows.padding[j],
+                                          lambda slot, slots=slots: actions.key(slots[slot]),
+                                          config.p_mix, _stream(config.seed, 5, epoch, j),
+                                          stats)
+                        if drawn is not None:
+                            slots[drawn[0]] = drawn[1]
+                chunk = Windows(actions, rows, windows.padding[picked])
                 try:
                     total, parts = composite_loss(model, cache.batch(chunk), config)
                     optimizer.zero()
@@ -292,7 +297,8 @@ def fit(store: FeatureStore, model: SeqDGModel, config: TrainConfig, *,
             accs = (None, None, None)
             if metrics_file or epoch == config.epochs - 1:
                 verb_logits, noun_logits = predict_windows(cache, model, windows)
-                accs = topk_accuracy(verb_logits, noun_logits, verbs, nouns)
+                # window i is centred on action i
+                accs = topk_accuracy(verb_logits, noun_logits, actions.verbs, actions.nouns)
             entry = EpochMetrics(epoch=epoch, lr=lr,
                                  **{k: v / len(windows) for k, v in loss_sums.items()},
                                  source_verb_acc=accs[0], source_noun_acc=accs[1],
@@ -316,8 +322,7 @@ def train_and_score(store: FeatureStore, config: TrainConfig) -> float:
     model = SeqDGModel.init(config.model, seed=config.seed)
     fit(store, model, config)
     preds = sliding_window_predict(store, model)
-    labels = [r.label for r in store.records_for(store.split.target)]
-    return accuracy(preds, labels, k=1)[2]
+    return accuracy(preds, store.records_for(store.split.target).labels(), k=1)[2]
 
 
 def objective_grad_check(text_loss: str, *, seed: int = 0, data_seed: int = 0,

@@ -4,6 +4,7 @@ benchmark without failing any test."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -33,3 +34,63 @@ def test_rebound_name_resolves(span, target):
         assert hasattr(obj, part), f"{span}: {module_name}.{path} does not exist"
         obj = getattr(obj, part)
     assert callable(obj), f"{span}: {module_name}.{path} is not callable"
+
+
+# what the benchmark uses of the program beyond the names it rebinds
+
+BENCH_DIR = SPANS.parent
+TINY_SYNTH = dict(n_source_domains=2, n_target_domains=1, n_ambiguous_pairs=0,
+                  n_verbs=4, n_nouns=3, videos_per_domain=2, actions_per_video=6,
+                  d_v=6, d_t=8, clips_per_action=2, seed=0)
+TINY_MODEL = dict(W=3, D=8, D_V=6, D_T=8, n_enc_layers=1, n_dec_layers=1, n_heads=2,
+                  n_verbs=4, n_nouns=3, d_ff=16, vocab_size=7)
+
+
+@pytest.fixture(scope="module")
+def tiny_store():
+    from seqdg.synth import SynthConfig, generate
+
+    return generate(SynthConfig(**TINY_SYNTH))[0]
+
+
+def test_predict_returns_one_prediction_per_target_action(tiny_store):
+    # `eval_actions_per_s` counts actions as `len()` of what the stage returns
+    from seqdg.evaluate import sliding_window_predict
+    from seqdg.model import ModelConfig, SeqDGModel
+
+    model = SeqDGModel.init(ModelConfig(**TINY_MODEL), seed=0)
+    target = [r for r in tiny_store.records if r.domain_id in tiny_store.split.target]
+    assert len(sliding_window_predict(tiny_store, model)) == len(target) > 0
+
+
+def test_train_and_score_predicts_through_the_train_module_attribute(tiny_store,
+                                                                     monkeypatch):
+    # the stage wrapper is installed on `seqdg.train.sliding_window_predict`
+    import seqdg.train as train
+    from seqdg.model import ModelConfig
+
+    calls = []
+    original = train.sliding_window_predict
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(train, "sliding_window_predict", counting)
+    config = train.TrainConfig(model=ModelConfig(**TINY_MODEL), epochs=1, batch_size=8)
+    train.train_and_score(tiny_store, config)
+    assert len(calls) == 1
+
+
+def test_records_for_items_carry_what_the_benchmark_reads(tiny_store):
+    read = set()
+    for name in ("reference.py", "workloads.py"):
+        source = (BENCH_DIR / name).read_text(encoding="utf-8")
+        # the benchmark's names for a record: r, rec and records[i]
+        read.update(re.findall(r"(?<![\w.])(?:r|rec|records\[i\])\.([a-z_]+)", source))
+    assert {"verb", "noun", "video_id", "temporal_index", "blob_offset", "n_clips"} <= read
+    records = tiny_store.records_for(tiny_store.split.target)
+    assert len(records[:2]) == 2
+    for record in [*records, *records[:2]]:
+        for attr in read:
+            assert hasattr(record, attr), f"a records_for item has no {attr!r}"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 import struct
 from pathlib import Path
 
@@ -12,9 +13,10 @@ from seqdg import cli
 from seqdg.checkpoint import load_model, save_checkpoint
 from seqdg.cli import main
 from seqdg.config import ConfigError, load_run_config
-from seqdg.data import FeatureStore, write_annotation_csv
+from seqdg.data import ActionRecord, FeatureStore, SequenceWindow, write_annotation_csv
 from seqdg.evaluate import sliding_window_predict
-from seqdg.model import ModelConfig, ModelParams
+from seqdg.model import ModelConfig, ModelParams, SeqDGModel
+from seqdg.train import TrainConfig, fit
 
 SMALL_SYNTH = {
     "synth": {"n_source_domains": 2, "n_target_domains": 1,
@@ -572,7 +574,35 @@ CORRUPT_MANIFESTS = {
     "unknown_split": lambda m: m["domains"][1].update(split="validation"),
     "unlisted_domain": lambda m: [a.update(domain_id="S9") for a in m["actions"]
                                   if a["domain_id"] == "S1"],
+    # a string as long as the vocabulary, so that every narration token
+    # still indexes it
+    "vocab_str": lambda m: m.update(vocab="x" * len(m["vocab"])),
+    "domain_listed_twice": lambda m: m["domains"].append(dict(m["domains"][0])),
 }
+
+# any JSON value an action key could be set to: ints past either end of
+# int64, bools, floats including NaN and +-Infinity, strings, null, and
+# lists mixing these
+MANIFEST_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=2**63), st.integers(max_value=-2**63 - 1), st.floats(),
+    st.text(max_size=8),
+    st.lists(st.one_of(st.integers(), st.integers(min_value=2**63), st.booleans(),
+                       st.none(), st.floats(), st.text(max_size=3)), max_size=4))
+
+
+@st.composite
+def fuzzed_manifests(draw, manifest: dict) -> dict:
+    """A copy of `manifest` with one key of one action deleted or set to a
+    drawn JSON value."""
+    manifest = json.loads(json.dumps(manifest))
+    action = manifest["actions"][draw(st.integers(0, len(manifest["actions"]) - 1))]
+    key = draw(st.sampled_from(sorted(action)))
+    if draw(st.booleans()):
+        del action[key]
+    else:
+        action[key] = draw(MANIFEST_VALUES)
+    return manifest
 
 
 class TestManifestInputErrors:
@@ -587,6 +617,25 @@ class TestManifestInputErrors:
                      str(dataset_dir), "--out", str(tmp_path / "ev")]) == 3
         assert "data error" in capsys.readouterr().err
         assert not (tmp_path / "ev").exists()
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_fuzzed_manifest_loads_or_is_data_error(self, data, tmp_path, dataset_dir,
+                                                    checkpoint_path):
+        # the fixtures are only read; each example rewrites the one
+        # manifest next to a copy of the feature blob
+        fuzzed, out = tmp_path / "fuzzed", tmp_path / "ev"
+        if not fuzzed.exists():
+            fuzzed.mkdir()
+            shutil.copy(dataset_dir / "features.f32", fuzzed)
+        manifest = json.loads((dataset_dir / "manifest.json").read_text())
+        (fuzzed / "manifest.json").write_text(json.dumps(data.draw(fuzzed_manifests(manifest))))
+        shutil.rmtree(out, ignore_errors=True)
+        code = main(["eval", "--checkpoint", str(checkpoint_path), "--data", str(fuzzed),
+                     "--out", str(out)])
+        assert code in (0, 3)
+        assert code == 0 or not out.exists()
 
 
 NEGATIVE_LABELS = {
@@ -778,3 +827,23 @@ def test_seed_flag_is_rejected_where_nothing_reads_it(command, tmp_path, dataset
         main([command, *argv, "--seed", "0", "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_eval_and_fit_build_no_record_or_window_views(tmp_path, dataset_dir, checkpoint_path,
+                                                      monkeypatch):
+    # `seqdg eval` and a SeqMix epoch run on the columns alone
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    monkeypatch.setattr(ActionRecord, "__init__", refuse)
+    monkeypatch.setattr(SequenceWindow, "__init__", refuse)
+    with pytest.raises(AssertionError, match="built a ActionRecord"):
+        ActionRecord(action_id=0, video_id="v", domain_id="S0", verb=0, noun=0,
+                          narration=(), temporal_index=0, blob_offset=0, n_clips=1)
+    assert main(["eval", "--checkpoint", str(checkpoint_path), "--data", str(dataset_dir),
+                 "--out", str(tmp_path / "ev"), "--dump-predictions"]) == 0
+    store = FeatureStore.load(dataset_dir)
+    config = TrainConfig(model=ModelConfig(**SMALL_SYNTH["model"]), p_mix=0.5, epochs=1,
+                         batch_size=8, lr=0.05)
+    result = fit(store, SeqDGModel.init(config.model, seed=0), config)
+    assert result.seqmix_stats.replaced > 0

@@ -21,7 +21,7 @@ from seqdg.data import (
     seqmix,
     write_annotation_csv,
 )
-from seqdg.data import _first_failing_action
+from seqdg.data import _first_failing_action, _manifest_actions
 
 
 def make_record(i, video="v0", domain="S0", verb=0, noun=0, t=None, d_v=4, clips=2):
@@ -65,6 +65,25 @@ CORRUPT_ACTIONS = {
 
 EXTREME_INTS = st.sampled_from([-2**64, -2**63, 2**31, 2**62, 2**63 - 1, 2**63, 10**30])
 ANY_INT = st.one_of(st.integers(-2, 8), EXTREME_INTS)
+
+
+def window_indices(records, W):
+    """Index lists of W consecutive actions, one window per record, in
+    record order. Each video is ordered by temporal index and slots past
+    either end repeat the nearest action of the video. (The benchmark's
+    reference window builder, kept apart from the program.)"""
+    by_video = {}
+    for i, rec in enumerate(records):
+        by_video.setdefault(rec.video_id, []).append(i)
+    half = (W - 1) // 2
+    windows = {}
+    for members in by_video.values():
+        members.sort(key=lambda i: records[i].temporal_index)
+        n = len(members)
+        for pos, i in enumerate(members):
+            windows[i] = [members[min(max(pos + off, 0), n - 1)]
+                          for off in range(-half, half + 1)]
+    return [windows[i] for i in range(len(records))]
 
 
 def first_failing_reference(records, d_v, size, vocab):
@@ -127,13 +146,27 @@ class TestFeatureStore:
                          max_size=8),
            d_v=st.one_of(st.integers(-1, 4), EXTREME_INTS), size=st.integers(0, 40))
     def test_masks_find_the_action_the_scalar_checks_reject(self, rows, d_v, size):
+        # the rows as manifest actions, read into columns the way `load` reads them
+        actions = [{"action_id": a, "video_id": "v", "domain_id": "S0", "verb": v,
+                    "noun": n, "narration": list(tokens), "temporal_index": 0,
+                    "blob_offset": o, "n_clips": c} for a, v, n, o, c, tokens in rows]
+        outside = next(((i, key) for i, action in enumerate(actions)
+                        for key in ("action_id", "verb", "noun", "narration",
+                                    "blob_offset", "n_clips")
+                        if any(not -2**63 <= x < 2**63 for x in (
+                            action[key] if key == "narration" else [action[key]]))), None)
+        if outside is not None:
+            # no column can hold the value, so loading names it
+            with pytest.raises(DataError, match=f"manifest action {outside[0]}: "
+                                                f"'{outside[1]}' holds .*, outside int64"):
+                _manifest_actions(actions)
+            return
         records = [ActionRecord(action_id=a, video_id="v", domain_id="S0", verb=v, noun=n,
                                 narration=tuple(tokens), temporal_index=0, blob_offset=o,
                                 n_clips=c) for a, v, n, o, c, tokens in rows]
         want = first_failing_reference(records, d_v, size, vocab=5)
-        got = _first_failing_action(records, d_v, size, vocab=5)
-        values = [d_v] + [x for *fields, tokens in rows for x in (*fields, *tokens)]
-        if d_v < 1 or any(not -2**63 <= x < 2**63 for x in values):
+        got = _first_failing_action(_manifest_actions(actions), d_v, size, vocab=5)
+        if d_v < 1:
             assert got == 0  # the scalar checks then run over every action
         else:
             assert got == want
@@ -183,6 +216,25 @@ class TestBuildWindows:
         bad = [make_record(0, t=0), make_record(1, t=2)]
         with pytest.raises(DataError, match="consecutive"):
             build_windows(bad, W=3)
+
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 6)), min_size=1,
+                    max_size=4),
+           st.sampled_from([1, 3, 5, 7]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_array_windows_match_the_reference_oracle(self, videos, w, data):
+        # several videos, each starting at its own temporal index, their
+        # records in any order
+        ordered = [(f"v{v}", start + t) for v, (start, n) in enumerate(videos)
+                   for t in range(n)]
+        shuffled = data.draw(st.permutations(ordered))
+        records = [make_record(i, video=video, t=t) for i, (video, t) in enumerate(shuffled)]
+        windows = build_windows(records, W=w)
+        assert windows.rows.tolist() == window_indices(records, w)
+        half = w // 2
+        assert windows.padding.tolist() == [
+            [not videos[int(r.video_id[1:])][0] <= r.temporal_index + off
+             < sum(videos[int(r.video_id[1:])]) for off in range(-half, half + 1)]
+            for r in records]
 
     @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
            st.sampled_from([1, 3, 5, 7]), st.data())
@@ -341,7 +393,7 @@ class TestSeqMix:
         windows = build_windows([r for r in records if r.domain_id == "S1"], W=3)
         rng = np.random.default_rng(4)
         stats = SeqMixStats()
-        for win in windows * 30:
+        for win in list(windows) * 30:
             before = stats.replaced
             out = seqmix(win, pool, 0.5, rng, stats=stats)
             mixed = any(r.domain_id != "S1" for r in out.records)
@@ -390,6 +442,25 @@ class TestFeatureCache:
                                    store.clips(windows[0].center_record)
                                    .astype(np.float64).mean(axis=0))
         np.testing.assert_allclose(batch.text[0, 0], expected.astype(np.float64))
+
+    @pytest.mark.parametrize("dim", [1, 5])
+    def test_narration_embeddings_match_per_record_embed(self, dim):
+        # lengths in no order, some repeated, one past the 128 rows at
+        # which a pairwise sum would start to differ
+        rng = np.random.default_rng(7)
+        lengths = [3, 1, 130, 2, 3, 9, 1]
+        records = [ActionRecord(action_id=i, video_id="v0", domain_id="S0", verb=0,
+                                noun=0, narration=tuple(rng.integers(0, 50, n).tolist()),
+                                temporal_index=i, blob_offset=i, n_clips=1)
+                   for i, n in enumerate(lengths)]
+        meta = {"name": "tokens", "d_v": 1, "d_t": dim, "clips_per_action": 1}
+        store = FeatureStore(meta, records, [f"w{i}" for i in range(50)],
+                             DatasetSplit(("S0",), ()), np.zeros(len(records), dtype="<f4"))
+        emb = NarrationEmbedder(vocab_size=50, dim=dim, seed=3)
+        emb.table = emb.table * 10.0 ** rng.integers(-3, 4, emb.table.shape)
+        text = FeatureCache(store, store.actions, embedder=emb, with_text=True).text
+        for row, rec in zip(text, records):
+            assert row.tobytes() == emb.embed(rec.narration).tobytes()
 
     def test_serves_only_its_records(self):
         store = make_store()
