@@ -324,11 +324,6 @@ class FeatureStore:
         out = self.visual[start:start + record.n_clips * self.d_v]
         return out.reshape(record.n_clips, self.d_v)
 
-    def text_feature(self, record: ActionRecord) -> np.ndarray | None:
-        if self.text is None:
-            return None
-        return self.text[record.action_id * self.d_t:(record.action_id + 1) * self.d_t]
-
     def records_for(self, domains) -> Actions:
         """The actions of `domains`, in store order: a table that is also
         a sequence of `ActionRecord` views."""

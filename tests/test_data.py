@@ -437,7 +437,8 @@ class TestFeatureCache:
         store = make_store(with_text=True)
         windows = build_windows(store.records, W=1)
         batch = FeatureCache(store, store.records, with_text=True).batch(windows[:1])
-        expected = store.text_feature(windows[0].center_record)
+        center = windows[0].center_record.action_id
+        expected = store.text[center * store.d_t:(center + 1) * store.d_t]
         np.testing.assert_allclose(batch.visual[0, 0],
                                    store.clips(windows[0].center_record)
                                    .astype(np.float64).mean(axis=0))
