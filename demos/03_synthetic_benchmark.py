@@ -22,14 +22,14 @@ from seqdg.train import TrainConfig, fit
 
 synth = SynthConfig(seed=0, videos_per_domain=2, actions_per_video=56)
 store, truth = generate(synth)
-print(f"dataset: {len(store.records)} actions, "
+print(f"dataset: {len(store.actions)} actions, "
       f"{len(store.split.source)} source + {len(store.split.target)} target domains")
 print(f"ambiguous verb pairs: {truth.pairs}")
 
 print()
 print("== oracle floor and ceiling ==")
 bayes = bayes_accuracy_on_store(store, truth)
-oracle = context_oracle_accuracy(build_windows(store.records, 5), truth.grammar)
+oracle = context_oracle_accuracy(build_windows(store.actions, 5), truth.grammar)
 print(f"single-action Bayes accuracy (features only): {bayes:.1f}%")
 print(f"context oracle accuracy (neighbor labels):    {oracle:.1f}%")
 print(f"the gap a sequence model can exploit:         {oracle - bayes:.1f} points")
@@ -47,7 +47,7 @@ def train_and_eval(W, lam, p_mix, tag):
     start = time.time()
     result = fit(store, model, train_cfg)
     preds = sliding_window_predict(store, model)
-    labels = [(r.verb, r.noun) for r in store.records_for(store.split.target)]
+    labels = store.records_for(store.split.target).labels()
     verb, noun, action = accuracy(preds, labels, k=1)
     print(f"{tag}: target verb {verb:.1f} noun {noun:.1f} action {action:.1f} "
           f"(source {result.metrics[-1].source_action_acc:.1f}, "

@@ -1,42 +1,59 @@
 """Window construction at video edges and the cross-domain mixing
-augmentation, with its bookkeeping."""
+augmentation, with its bookkeeping, on the columnar action table."""
 
 import numpy as np
 
-from seqdg.data import SeqMixPool, SeqMixStats, build_windows, seqmix
+from seqdg.data import SeqMixPool, SeqMixStats, build_windows
 from seqdg.synth import SynthConfig, generate
 
 synth = SynthConfig(seed=3, videos_per_domain=1, actions_per_video=30)
 store, _ = generate(synth)
 
 print("== sliding windows with replicate padding ==")
-one_video = [r for r in store.records if r.video_id == "S0_v0"]
+one_video = store.records_for(("S0",))          # S0 holds one video, S0_v0
 windows = build_windows(one_video, W=5)
 print(f"{len(one_video)} actions -> {len(windows)} windows (one per action)")
-first = windows[0]
-print("first window action ids:", [r.action_id for r in first.records])
-print("padding flags:          ", list(first.padding))
+print("first window action ids:", one_video.ids[windows.rows[0]].tolist())
+print("padding flags:          ", windows.padding[0].tolist())
 print("(the two leading slots replicate action 0 and are flagged)")
 
 print()
 print("== SeqMix: swapping in a same-label action from another domain ==")
-source_records = store.records_for(store.split.source)
-pool = SeqMixPool(source_records, store.split.source)
+# training windows and the pool are rows of one table, the source split;
+# S0's video is its first 30 rows
+source = store.records_for(store.split.source)
+pool = SeqMixPool(source, store.split.source)
+source_windows = build_windows(source, W=5)
 rng = np.random.default_rng(0)
 stats = SeqMixStats()
-window = windows[7]
-print("before:", [(r.domain_id, r.label) for r in window.records])
-mixed = window
-while mixed is window:
-    mixed = seqmix(window, pool, 0.5, rng, stats=stats)
-print("after: ", [(r.domain_id, r.label) for r in mixed.records])
+
+
+def describe(slots):
+    return [(source.domain_names[source.domain[row]],
+             (int(source.verbs[row]), int(source.nouns[row]))) for row in slots]
+
+
+def draw(i):
+    """One SeqMix draw for window i: (slot, replacement row) or None."""
+    slots = source_windows.rows[i]
+    return pool.draw(source_windows.padding[i], lambda slot: source.key(slots[slot]),
+                     0.5, rng, stats)
+
+
+slots = source_windows.rows[7].copy()
+print("before:", describe(slots))
+drawn = None
+while drawn is None:
+    drawn = draw(7)
+slots[drawn[0]] = drawn[1]
+print("after: ", describe(slots))
 print("(one slot changed domain; its verb/noun label is identical)")
 
 print()
 print("== the empirical replacement rate tracks the probability ==")
 stats = SeqMixStats()
 for i in range(10_000):
-    seqmix(windows[i % len(windows)], pool, 0.5, rng, stats=stats)
+    draw(i % len(one_video))
 print(f"draws {stats.draws}, replaced {stats.replaced} "
       f"(rate {stats.replaced / stats.draws:.3f}), "
       f"no candidate {stats.no_candidate}")

@@ -188,10 +188,10 @@ def cmd_train(args) -> int:
     store = FeatureStore.load(args.data)
     run = _train_config_for(store, args)
     config = run.train
+    model = SeqDGModel.init(config.model, seed=config.seed)
     out = _out_dir(args)
     _write_provenance(out, "train", run.to_dict(), config.seed,
                       _data_hashes(Path(args.data)))
-    model = SeqDGModel.init(config.model, seed=config.seed)
     result = fit(store, model, config, metrics_path=out / "metrics.jsonl")
     save_checkpoint(out / "checkpoint.ckpt", model.params,
                     rng_state=result.rng_state,
@@ -255,8 +255,8 @@ def cmd_ablate(args) -> int:
     run = _train_config_for(store, args)
     _split_actions(store, "target")
     grid = run.ablate
-    # every cell's config is checked, also against the dataset, before the
-    # first one trains
+    # every cell's config is checked, also against the dataset, and its
+    # model allocated once, before the first one trains
     cells = [(w, p_mix, lam_v, lam_t,
               [replace(run.train, model=replace(run.model, W=w), p_mix=p_mix,
                        lambda_rv=lam_v, lambda_rt=lam_t, seed=seed).check()
@@ -266,6 +266,7 @@ def cmd_ablate(args) -> int:
     for *_, configs in cells:
         for config in configs:
             _check_labels(store, config)
+            SeqDGModel.init(config.model, seed=config.seed)
     out = _out_dir(args)
     _write_provenance(out, "ablate", run.to_dict(), run.train.seed,
                       _data_hashes(Path(args.data)))

@@ -71,8 +71,8 @@ _INT64 = range(-2**63, 2**63)
 
 @dataclass(frozen=True)
 class ActionRecord:
-    """One annotated action: labels, narration tokens, and where its
-    per-clip features live in the blob."""
+    """A view of one row of an `Actions` table: labels, narration tokens,
+    and where the action's per-clip features live in the blob."""
 
     action_id: int
     video_id: str
@@ -91,17 +91,13 @@ class ActionRecord:
 
 @dataclass(frozen=True)
 class SequenceWindow:
-    """W consecutive actions centered on the one being classified.
-    Slots outside the video replicate the nearest real action and are
-    flagged as padding; the center is never padding."""
+    """A view of one window of `Windows`: W consecutive actions centered
+    on the one being classified. Slots outside the video replicate the
+    nearest real action and are flagged as padding; the center never is."""
 
     records: tuple[ActionRecord, ...]
     padding: tuple[bool, ...]
     center: int
-
-    def __post_init__(self):
-        if self.padding[self.center]:
-            raise DataError("window center cannot be a padding slot")
 
     @property
     def center_record(self) -> ActionRecord:
@@ -162,17 +158,6 @@ class Actions(Sequence):
             for column in (ids, verbs, nouns, temporal, offsets, n_clips))
         return cls(ids, video, video_names, domain, domain_names, verbs, nouns, temporal,
                    offsets, n_clips, token_end - lengths, token_end, tokens)
-
-    @classmethod
-    def of(cls, records) -> "Actions":
-        """`records` as a table: itself when it is one; else its columns,
-        with the given records kept as the table's views."""
-        if isinstance(records, Actions):
-            return records
-        records = list(records)
-        table = cls.from_columns(*([getattr(r, key) for r in records] for key in _ACTION_KEYS))
-        table._views = records
-        return table
 
     def take(self, rows) -> "Actions":
         """The table of `rows` (an index array), in that order."""
@@ -240,14 +225,14 @@ class DatasetSplit:
 
 
 class FeatureStore:
-    """Immutable view over a manifest and its feature blobs. `records` is
-    an `Actions` table or a sequence of `ActionRecord`s."""
+    """Immutable view over a manifest and its feature blobs, with its
+    actions as one `Actions` table."""
 
-    def __init__(self, meta: dict, records, vocab: list[str],
+    def __init__(self, meta: dict, actions: Actions, vocab: list[str],
                  split: DatasetSplit, visual: np.ndarray,
                  text: np.ndarray | None = None):
         self.meta = meta
-        self.actions = Actions.of(records)
+        self.actions = actions
         self.vocab = vocab
         self.split = split
         self.visual = visual
@@ -258,15 +243,19 @@ class FeatureStore:
         for key in ("d_v", "d_t", "clips_per_action"):
             if self.meta[key] < 1:
                 raise DataError(f"{key} must be >= 1, got {self.meta[key]}")
-        d_v = self.d_v
         actions = self.actions
-        expected = sum(actions.n_clips.tolist()) * d_v
+        expected = sum(actions.n_clips.tolist()) * self.d_v
         if self.visual.size != expected:
             raise DataError(f"feature blob holds {self.visual.size} floats, "
                             f"manifest expects {expected}")
-        start = _first_failing_action(actions, d_v, self.visual.size, len(self.vocab))
-        if start is not None:
-            self._check_actions(start)
+        checked = (actions, self.d_v, self.visual.size, len(self.vocab))
+        row = _first_failing_action(*checked)
+        if row is not None:
+            # the first rule the first failing row breaks names it
+            message = next(message for mask, message in _action_rules(*checked) if mask[row])
+            raise DataError(message.format(id=int(actions.ids[row]),
+                                           verb=int(actions.verbs[row]),
+                                           noun=int(actions.nouns[row])))
         if self.text is not None and self.text.size != len(actions) * self.d_t:
             raise DataError("text feature blob does not match action count")
         counts = np.bincount(actions.domain, minlength=len(actions.domain_names))
@@ -275,31 +264,9 @@ class FeatureStore:
         if stray:
             raise DataError(f"actions of domains {sorted(stray)} belong to neither "
                             "the source nor the target split")
-
-    def _check_actions(self, start: int):
-        """The per-action checks, in record order from action `start` on;
-        the first action that fails one is named. Every action before
-        `start` must pass them all."""
-        d_v = self.d_v
-        records = self.records
-        # ids index the text blob and the feature cache, so they must be
-        # exactly 0 .. n-1
-        seen = {r.action_id for r in records[:start]}
-        for r in records[start:]:
-            if not 0 <= r.action_id < len(records):
-                raise DataError(f"action id {r.action_id} outside [0, {len(records)})")
-            if r.action_id in seen:
-                raise DataError(f"duplicate action id {r.action_id}")
-            seen.add(r.action_id)
-            if r.verb < 0 or r.noun < 0:
-                raise DataError(f"action {r.action_id}: negative label (verb {r.verb}, "
-                                f"noun {r.noun})")
-            if r.n_clips < 1:
-                raise DataError(f"action {r.action_id}: needs at least one clip")
-            if r.blob_offset < 0 or r.blob_offset + r.n_clips * d_v > self.visual.size:
-                raise DataError(f"action {r.action_id}: feature handle out of bounds")
-            if any(t < 0 or t >= len(self.vocab) for t in r.narration):
-                raise DataError(f"action {r.action_id}: narration token out of vocab")
+        # each split is windowed on its own, so each must order into videos
+        for domains in (self.split.source, self.split.target):
+            _video_order(self.records_for(domains))
 
     @property
     def records(self) -> list[ActionRecord]:
@@ -464,13 +431,12 @@ def _any_token(actions: Actions, flags: np.ndarray) -> np.ndarray:
     return seen[actions.token_end] > seen[actions.token_start]
 
 
-def _first_failing_action(actions: Actions, d_v: int, size: int, vocab: int) -> int | None:
-    """The index of the first row that `FeatureStore._check_actions`
-    rejects, found with one mask per check over the columns; None when
-    every row passes. A `d_v` below one gives 0: the scalar checks then run
-    over every row."""
-    if d_v < 1:
-        return 0
+def _action_rules(actions: Actions, d_v: int, size: int, vocab: int) -> list:
+    """The per-action rules in the order they are checked, each as a mask
+    of the rows that break it and a message naming such a row (a format
+    string over the row's `id`, `verb` and `noun`). Within a row, a rule's
+    mask is exact only when the row keeps every rule before it; `d_v` is
+    at least one."""
     ids, offsets, n_clips = actions.ids, actions.offsets, actions.n_clips
     n = len(ids)
     # whole clips that fit after each offset (none past the end); a
@@ -478,11 +444,30 @@ def _first_failing_action(actions: Actions, d_v: int, size: int, vocab: int) -> 
     # Any d_v past the blob size leaves no room, so clamping it changes no
     # verdict and keeps the division inside int64.
     room = (size - offsets) // min(d_v, size + 1)
+    # ids index the text blob and the feature cache, so they must be
+    # exactly 0 .. n-1; a repeat is any id an earlier row holds
     repeated = np.ones(n, dtype=bool)
     repeated[np.unique(ids, return_index=True)[1]] = False
-    bad = ((ids < 0) | (ids >= n) | repeated | (actions.verbs < 0) | (actions.nouns < 0)
-           | (n_clips < 1) | (offsets < 0) | (n_clips > room))
-    bad |= _any_token(actions, (actions.tokens < 0) | (actions.tokens >= vocab))
+    tokens = actions.tokens
+    return [
+        ((ids < 0) | (ids >= n), f"action id {{id}} outside [0, {n})"),
+        (repeated, "duplicate action id {id}"),
+        ((actions.verbs < 0) | (actions.nouns < 0),
+         "action {id}: negative label (verb {verb}, noun {noun})"),
+        (n_clips < 1, "action {id}: needs at least one clip"),
+        ((offsets < 0) | (n_clips > room), "action {id}: feature handle out of bounds"),
+        (_any_token(actions, (tokens < 0) | (tokens >= vocab)),
+         "action {id}: narration token out of vocab"),
+    ]
+
+
+def _first_failing_action(actions: Actions, d_v: int, size: int, vocab: int) -> int | None:
+    """The index of the first row that breaks one of the `_action_rules`;
+    None when every row passes. A `d_v` below one, which `FeatureStore`
+    rejects before, gives 0."""
+    if d_v < 1:
+        return 0
+    bad = np.logical_or.reduce([mask for mask, _ in _action_rules(actions, d_v, size, vocab)])
     hits = np.flatnonzero(bad)
     return int(hits[0]) if hits.size else None
 
@@ -529,24 +514,30 @@ class Windows(Sequence):
         return iter(self.views())
 
 
-def build_windows(records, W: int) -> Windows:
-    """One window per action, window i centred on action i of `records`
-    (an `Actions` table or a sequence of `ActionRecord`s). Each video is
-    ordered by temporal index; edges replicate the nearest real action and
-    flag those slots as padding."""
-    if W < 1 or W % 2 == 0:
-        raise DataError(f"window length must be odd and >= 1, got {W}")
-    actions = Actions.of(records)
+def _video_order(actions: Actions) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of `actions` sorted by video, then temporal index, and for
+    each sorted position whether it starts a video. Every video's temporal
+    indices must be consecutive and unique; the first video in table order
+    whose are not is named."""
     order = np.lexsort((actions.temporal, actions.video))
     video = actions.video[order]
-    first = np.ones(len(order), dtype=bool)    # a video's first action, in sorted order
+    first = np.ones(len(order), dtype=bool)
     first[1:] = video[1:] != video[:-1]
     broken = ~first[1:] & (np.diff(actions.temporal[order]) != 1)
     if broken.any():
-        # the video named is the first to appear in `records`
         row = np.flatnonzero(np.isin(actions.video, video[1:][broken]))[0]
         raise DataError(f"video {actions.video_names[actions.video[row]]!r}: temporal "
                         "indices must be consecutive and unique")
+    return order, first
+
+
+def build_windows(actions: Actions, W: int) -> Windows:
+    """One window per row of the table `actions`, window i centred on row
+    i. Each video is ordered by temporal index; edges replicate the nearest
+    real action and flag those slots as padding."""
+    if W < 1 or W % 2 == 0:
+        raise DataError(f"window length must be odd and >= 1, got {W}")
+    order, first = _video_order(actions)
     starts = np.flatnonzero(first)
     run = np.cumsum(first) - 1                 # each sorted position's video
     lo = starts[run]
@@ -624,11 +615,11 @@ _NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 class SeqMixPool:
-    """Replacement candidates indexed by (verb, noun): rows of one
-    `Actions` table, restricted to the source domains, in table order."""
+    """Replacement candidates indexed by (verb, noun): rows of the table
+    `actions`, restricted to the source domains, in table order."""
 
-    def __init__(self, records, source_domains):
-        self.actions = Actions.of(records)
+    def __init__(self, actions: Actions, source_domains):
+        self.actions = actions
         rows = np.flatnonzero(self.actions.in_domains(source_domains))
         by_label: dict[tuple[int, int], list[int]] = {}
         for row, label in zip(rows.tolist(), zip(self.actions.verbs[rows].tolist(),
@@ -725,8 +716,8 @@ def _clip_means(store: FeatureStore, actions: Actions) -> np.ndarray:
 
 
 class FeatureCache:
-    """Dense per-action features of the actions it serves (an `Actions`
-    table or a sequence of `ActionRecord`s of `store`).
+    """Dense per-action features of the actions it serves (a table of
+    rows of `store`).
 
     Each action's stored clips are averaged, and its narration embedded,
     once; a batch is then one fancy index. The clip means are taken with
@@ -734,9 +725,8 @@ class FeatureCache:
     narration embeddings with one per distinct length (`_narration_means`).
     """
 
-    def __init__(self, store: FeatureStore, records, *,
+    def __init__(self, store: FeatureStore, actions: Actions, *,
                  embedder: NarrationEmbedder | None = None, with_text: bool = False):
-        actions = Actions.of(records)
         ids = actions.ids
         # cache row of each action id; the last entry stays -1 and answers
         # every id that is not cached
@@ -776,7 +766,8 @@ class FeatureCache:
 
 def read_annotation_csv(path) -> list[dict]:
     """Rows of the annotation format: video_id, domain_id, temporal_index,
-    verb_class, noun_class, narration. Class ids must be >= 0."""
+    verb_class, noun_class, narration. Every int must fit in int64 and
+    class ids must be >= 0."""
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -795,6 +786,12 @@ def read_annotation_csv(path) -> list[dict]:
                 }
             except (TypeError, ValueError) as exc:
                 raise DataError(f"{path}: malformed row at line {lineno}: {exc}") from exc
+            if None in parsed.values():     # the reader's filler for a short row
+                raise DataError(f"{path}: malformed row at line {lineno}: too few fields")
+            for key in ("temporal_index", "verb_class", "noun_class"):
+                if parsed[key] not in _INT64:
+                    raise DataError(f"{path}: {key} {parsed[key]} at line {lineno} is "
+                                    "outside int64")
             if parsed["verb_class"] < 0 or parsed["noun_class"] < 0:
                 raise DataError(f"{path}: negative label at line {lineno} (verb "
                                 f"{parsed['verb_class']}, noun {parsed['noun_class']})")
@@ -827,28 +824,22 @@ def import_csv_dataset(csv_path, features_path, *, d_v: int, clips_per_action: i
         raise DataError(f"{features_path}: got {visual.size} floats, expected "
                         f"{expected} ({len(rows)} actions x {clips_per_action} "
                         f"clips x {d_v})")
-    vocab: list[str] = []
     vocab_index: dict[str, int] = {}
-    records = []
-    for i, row in enumerate(rows):
-        token_ids = []
-        for tok in row["narration"].split():
-            if tok not in vocab_index:
-                vocab_index[tok] = len(vocab)
-                vocab.append(tok)
-            token_ids.append(vocab_index[tok])
-        records.append(ActionRecord(
-            action_id=i, video_id=row["video_id"], domain_id=row["domain_id"],
-            verb=row["verb_class"], noun=row["noun_class"], narration=tuple(token_ids),
-            temporal_index=row["temporal_index"],
-            blob_offset=i * clips_per_action * d_v, n_clips=clips_per_action))
+    narrations = [[vocab_index.setdefault(token, len(vocab_index))
+                   for token in row["narration"].split()] for row in rows]
+    n, size = len(rows), clips_per_action * d_v
+    actions = Actions.from_columns(
+        range(n), [row["video_id"] for row in rows], [row["domain_id"] for row in rows],
+        [row["verb_class"] for row in rows], [row["noun_class"] for row in rows],
+        narrations, [row["temporal_index"] for row in rows], [i * size for i in range(n)],
+        [clips_per_action] * n)
     text = None
     if text_features_path is not None:
         text = np.fromfile(text_features_path, dtype="<f4")
-        if text.size != len(rows) * d_t:
+        if text.size != n * d_t:
             raise DataError(f"{text_features_path}: got {text.size} floats, "
-                            f"expected {len(rows) * d_t}")
-    domains = sorted({r.domain_id for r in records})
+                            f"expected {n * d_t}")
+    domains = sorted(actions.domain_names)
     absent = sorted(set(target_domains).difference(domains))
     if absent:
         raise DataError(f"{csv_path}: target domains {absent} have no actions")
@@ -856,4 +847,5 @@ def import_csv_dataset(csv_path, features_path, *, d_v: int, clips_per_action: i
     source = tuple(d for d in domains if d not in set(target_domains))
     meta = {"name": Path(csv_path).stem, "d_v": d_v, "d_t": d_t,
             "clips_per_action": clips_per_action}
-    return FeatureStore(meta, records, vocab, DatasetSplit(source, target), visual, text)
+    return FeatureStore(meta, actions, list(vocab_index), DatasetSplit(source, target),
+                        visual, text)

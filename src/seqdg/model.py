@@ -238,7 +238,10 @@ class ModelParams:
     def __init__(self, config: ModelConfig, seed: int | None = 0):
         self._lay_out(config)
         rng = np.random.default_rng(seed)
-        self._fill(lambda name, slot: slot.draw(rng))
+        try:
+            self._fill(lambda name, slot: slot.draw(rng))
+        except MemoryError as exc:
+            raise ValueError(f"cannot allocate the model: {exc}") from None
 
     def _lay_out(self, config: ModelConfig, stripped=()):
         """Slots for every group, except that an optional group named in

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from seqdg.data import ActionRecord, DataError, DatasetSplit, FeatureCache, FeatureStore
+from seqdg.data import Actions, DataError, DatasetSplit, FeatureCache, FeatureStore, Windows
 
 __all__ = [
     "SynthConfig",
@@ -109,6 +109,8 @@ class SynthConfig:
             errs.append("clips_per_action must be >= 1")
         if self.noise_sigma < 0 or self.domain_shift < 0 or self.offset_shift < 0:
             errs.append("noise_sigma, domain_shift and offset_shift must be >= 0")
+        if self.seed < 0:
+            errs.append(f"seed must be >= 0, got {self.seed}")
         return errs
 
     def check(self) -> "SynthConfig":
@@ -296,35 +298,31 @@ def generate(config: SynthConfig) -> tuple[FeatureStore, SynthTruth]:
     truth = build_truth(config)
     config, grammar = truth.config, truth.grammar
     split = _split(config)
-    records: list[ActionRecord] = []
-    blobs: list[np.ndarray] = []
-    offset = 0
-    action_id = 0
+    length = config.actions_per_video
+    videos, domains, walks, blobs = [], [], [], []
     for d_index, domain in enumerate(split.source + split.target):
+        # each state's class mean in this domain
+        means = np.stack([truth.transforms[domain].apply(truth.prototype(verb, noun))
+                          for verb, noun in grammar.labels()])
         for v_index in range(config.videos_per_domain):
-            vid_rng = np.random.default_rng(
-                np.random.SeedSequence((config.seed, 2, d_index, v_index)))
-            states = grammar.walk(config.actions_per_video, vid_rng)
-            for t, state in enumerate(states):
-                verb = int(grammar.verbs[state])
-                noun = int(grammar.nouns[state])
-                base = truth.transforms[domain].apply(truth.prototype(verb, noun))
-                clips = base + config.noise_sigma * vid_rng.standard_normal(
-                    (config.clips_per_action, config.d_v))
-                blobs.append(clips.astype("<f4").reshape(-1))
-                records.append(ActionRecord(
-                    action_id=action_id, video_id=f"{domain}_v{v_index}",
-                    domain_id=domain, verb=verb, noun=noun,
-                    narration=(verb, config.n_verbs + noun), temporal_index=t,
-                    blob_offset=offset, n_clips=config.clips_per_action))
-                action_id += 1
-                offset += config.clips_per_action * config.d_v
-    visual = np.concatenate(blobs) if blobs else np.empty(0, dtype="<f4")
+            rng = np.random.default_rng(np.random.SeedSequence((config.seed, 2, d_index, v_index)))
+            walks.append(grammar.walk(length, rng))
+            noise = rng.standard_normal((length, config.clips_per_action, config.d_v))
+            blobs.append((means[walks[-1]][:, None] + config.noise_sigma * noise)
+                         .astype("<f4").reshape(-1))
+            videos += [f"{domain}_v{v_index}"] * length
+            domains += [domain] * length
+    states = np.concatenate(walks)
+    verbs, nouns, ids = grammar.verbs[states], grammar.nouns[states], np.arange(len(states))
+    actions = Actions.from_columns(
+        ids, videos, domains, verbs, nouns, np.stack([verbs, config.n_verbs + nouns], 1).tolist(),
+        ids % length, ids * config.clips_per_action * config.d_v,
+        np.full(len(ids), config.clips_per_action))
     vocab = [f"verb{v}" for v in range(config.n_verbs)] + \
             [f"noun{n}" for n in range(config.n_nouns)]
     meta = {"name": f"synth-{config.seed}", "d_v": config.d_v, "d_t": config.d_t,
             "clips_per_action": config.clips_per_action}
-    store = FeatureStore(meta, records, vocab, split, visual.astype("<f4"))
+    store = FeatureStore(meta, actions, vocab, split, np.concatenate(blobs))
     return store, truth
 
 
@@ -389,12 +387,12 @@ def context_oracle(labels, grammar: Grammar, center: int,
     return min(lab for lab, score in scores.items() if score == top)
 
 
-def context_oracle_accuracy(windows, grammar: Grammar) -> float:
+def context_oracle_accuracy(windows: Windows, grammar: Grammar) -> float:
+    labels = windows.actions.labels()
     hits = 0
-    for win in windows:
-        labels = [r.label for r in win.records]
-        pred = context_oracle(labels, grammar, win.center, win.padding)
-        hits += pred == win.center_record.label
+    for rows, padding in zip(windows.rows.tolist(), windows.padding.tolist()):
+        window = [labels[row] for row in rows]
+        hits += context_oracle(window, grammar, windows.center, padding) == window[windows.center]
     return 100.0 * hits / len(windows)
 
 
@@ -451,8 +449,9 @@ def bayes_accuracy_on_store(store: FeatureStore, truth: SynthTruth) -> float:
     """Bayes single-action accuracy over the stored dataset (all clips
     averaged per action)."""
     sigma = _sigma_eff(truth)
-    features = FeatureCache(store, store.actions).visual
+    actions = store.actions
+    domains = [actions.domain_names[code] for code in actions.domain.tolist()]
     hits = 0
-    for rec, x in zip(store.records, features):
-        hits += single_action_bayes(x, rec.domain_id, truth, sigma) == rec.label
-    return 100.0 * hits / len(store.records)
+    for x, domain, label in zip(FeatureCache(store, actions).visual, domains, actions.labels()):
+        hits += single_action_bayes(x, domain, truth, sigma) == label
+    return 100.0 * hits / len(actions)

@@ -109,6 +109,8 @@ class TrainConfig:
             errs.append("epochs must be >= 0")
         if self.momentum < 0 or self.momentum >= 1:
             errs.append(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.seed < 0:
+            errs.append(f"seed must be >= 0, got {self.seed}")
         return errs
 
     def check(self) -> "TrainConfig":

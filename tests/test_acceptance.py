@@ -27,7 +27,7 @@ from seqdg.synth import SynthConfig, generate
 from seqdg.tensor import Tensor
 from seqdg.train import TrainConfig, fit, lr_at, objective_grad_check, train_and_score
 
-from test_data import mixing_setup
+from test_data import mixing_setup, table
 from test_seqstats import CRAFTED, brute_force_counts, corpus_from_label_rows
 
 
@@ -180,7 +180,7 @@ def test_criterion_3_permutation_property():
 def test_criterion_4_seqmix_contract():
     records = mixing_setup(n_domains=4, actions_per_domain=6)
     pool = SeqMixPool(records, [f"S{d}" for d in range(4)])
-    windows = build_windows([r for r in records if r.domain_id == "S0"], W=3)
+    windows = build_windows(table([r for r in records if r.domain_id == "S0"]), W=3)
     rng = np.random.default_rng(20_240)
     stats = SeqMixStats()
     n_draws = 20_000
@@ -197,7 +197,7 @@ def test_criterion_4_seqmix_contract():
     assert stats.no_candidate == 0
 
     # unsatisfiable pool: same label exists only in the window's own domain
-    iso = [r for r in mixing_setup(n_domains=1, actions_per_domain=3)]
+    iso = mixing_setup(n_domains=1, actions_per_domain=3)
     iso_pool = SeqMixPool(iso, ["S0"])
     iso_stats = SeqMixStats()
     win = build_windows(iso, W=3)[1]

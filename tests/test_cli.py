@@ -13,9 +13,16 @@ from seqdg import cli
 from seqdg.checkpoint import load_model, save_checkpoint
 from seqdg.cli import main
 from seqdg.config import ConfigError, load_run_config
-from seqdg.data import ActionRecord, FeatureStore, SequenceWindow, write_annotation_csv
+from seqdg.data import (
+    ActionRecord,
+    FeatureStore,
+    SequenceWindow,
+    build_windows,
+    write_annotation_csv,
+)
 from seqdg.evaluate import sliding_window_predict
 from seqdg.model import ModelConfig, ModelParams, SeqDGModel
+from seqdg.synth import SynthConfig, bayes_accuracy_on_store, context_oracle_accuracy, generate
 from seqdg.train import TrainConfig, fit
 
 SMALL_SYNTH = {
@@ -578,6 +585,7 @@ CORRUPT_MANIFESTS = {
     # still indexes it
     "vocab_str": lambda m: m.update(vocab="x" * len(m["vocab"])),
     "domain_listed_twice": lambda m: m["domains"].append(dict(m["domains"][0])),
+    "temporal_index_gap": lambda m: m["actions"][2].update(temporal_index=100),
 }
 
 # any JSON value an action key could be set to: ints past either end of
@@ -752,17 +760,26 @@ class TestLabelAndEmptyDataErrors:
         assert not (tmp_path / "out").exists()
 
 
-def small_csv_dataset(tmp_path, d_v=4):
-    """A three-action annotation CSV of domains S0 and T0 and its feature
-    blob (one clip per action, `d_v` floats each)."""
-    rows = [{"video_id": f"v{domain}", "domain_id": domain, "temporal_index": t,
+def small_csv_rows():
+    """Three annotation rows: two of video vS0 in domain S0, one of vT0 in T0."""
+    return [{"video_id": f"v{domain}", "domain_id": domain, "temporal_index": t,
              "verb_class": t, "noun_class": 0, "narration": "a"}
             for domain, length in (("S0", 2), ("T0", 1)) for t in range(length)]
+
+
+def csv_dataset(tmp_path, rows, d_v=4):
+    """`rows` as an annotation CSV and a feature blob of one clip of `d_v`
+    floats per row; the `import` arguments that read them."""
     csv_path, features = tmp_path / "ann.csv", tmp_path / "features.f32"
     write_annotation_csv(csv_path, rows)
     np.zeros(len(rows) * d_v, dtype="<f4").tofile(features)
     return ["--csv", str(csv_path), "--features", str(features), "--d-v", str(d_v),
             "--clips", "1"]
+
+
+def small_csv_dataset(tmp_path, d_v=4):
+    """The three-action CSV of `small_csv_rows` and its feature blob."""
+    return csv_dataset(tmp_path, small_csv_rows(), d_v)
 
 
 class TestStoreConsistencyErrors:
@@ -829,9 +846,9 @@ def test_seed_flag_is_rejected_where_nothing_reads_it(command, tmp_path, dataset
     assert not (tmp_path / "out").exists()
 
 
-def test_eval_and_fit_build_no_record_or_window_views(tmp_path, dataset_dir, checkpoint_path,
-                                                      monkeypatch):
-    # `seqdg eval` and a SeqMix epoch run on the columns alone
+def test_eval_and_fit_build_no_record_or_window_views(tmp_path, config_path, monkeypatch):
+    # `synth-gen`, `import`, `seqdg eval`, a SeqMix epoch, `synth.generate`
+    # and both synth oracles run on the columns alone
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"built a {type(self).__name__}")
 
@@ -840,6 +857,12 @@ def test_eval_and_fit_build_no_record_or_window_views(tmp_path, dataset_dir, che
     with pytest.raises(AssertionError, match="built a ActionRecord"):
         ActionRecord(action_id=0, video_id="v", domain_id="S0", verb=0, noun=0,
                           narration=(), temporal_index=0, blob_offset=0, n_clips=1)
+    dataset_dir = tmp_path / "data"
+    assert main(["synth-gen", "--config", str(config_path), "--out", str(dataset_dir)]) == 0
+    assert main(["import", *small_csv_dataset(tmp_path), "--target-domains", "T0",
+                 "--out", str(tmp_path / "imported")]) == 0
+    params = ModelParams(ModelConfig(**SMALL_SYNTH["model"]), seed=0)
+    checkpoint_path = save_checkpoint(tmp_path / "model.ckpt", params)
     assert main(["eval", "--checkpoint", str(checkpoint_path), "--data", str(dataset_dir),
                  "--out", str(tmp_path / "ev"), "--dump-predictions"]) == 0
     store = FeatureStore.load(dataset_dir)
@@ -847,3 +870,140 @@ def test_eval_and_fit_build_no_record_or_window_views(tmp_path, dataset_dir, che
                          batch_size=8, lr=0.05)
     result = fit(store, SeqDGModel.init(config.model, seed=0), config)
     assert result.seqmix_stats.replaced > 0
+    store, truth = generate(SynthConfig(**SMALL_SYNTH["synth"]))
+    assert context_oracle_accuracy(build_windows(store.actions, 5), truth.grammar) > 0
+    assert bayes_accuracy_on_store(store, truth) > 0
+
+
+class TestImportInputErrors:
+    @pytest.mark.parametrize("value", [10**20, 2**63, -2**63 - 1])
+    @pytest.mark.parametrize("key", ["temporal_index", "verb_class", "noun_class"])
+    def test_csv_int_outside_int64_is_data_error(self, key, value, tmp_path, capsys):
+        rows = small_csv_rows()
+        rows[1][key] = value
+        argv = csv_dataset(tmp_path, rows)
+        # `import` and `seq-stats` read the CSV through one parser
+        for command in (["import", *argv], ["seq-stats", *argv[:2]]):
+            assert main([*command, "--out", str(tmp_path / "out")]) == 3
+            assert f"{key} {value} at line 3 is outside int64" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    def test_csv_row_missing_a_field_is_data_error(self, tmp_path, capsys):
+        argv = small_csv_dataset(tmp_path)
+        csv_path = Path(argv[1])
+        # the last row loses its narration field
+        csv_path.write_text(csv_path.read_text().rstrip("\r\n").rsplit(",", 1)[0] + "\n")
+        for command in (["import", *argv], ["seq-stats", *argv[:2]]):
+            assert main([*command, "--out", str(tmp_path / "out")]) == 3
+            assert "malformed row at line 4: too few fields" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    def test_video_with_a_temporal_gap_is_data_error(self, tmp_path, capsys):
+        rows = [{**small_csv_rows()[0], "temporal_index": t} for t in (0, 1, 3)]
+        assert main(["import", *csv_dataset(tmp_path, rows),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "'vS0': temporal indices must be consecutive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_fuzzed_import_writes_a_windowable_dataset_or_is_data_error(self, data,
+                                                                         tmp_path):
+        rows = data.draw(fuzzed_annotation_rows())
+        csv_path, features, out = tmp_path / "ann.csv", tmp_path / "f.f32", tmp_path / "out"
+        write_annotation_csv(csv_path, rows)
+        # two floats per action, now and then give or take a few
+        size = max(0, 2 * len(rows) + data.draw(st.sampled_from([0] * 6 + [-1, 1, 2])))
+        np.zeros(size, dtype="<f4").tofile(features)
+        targets = data.draw(st.sampled_from(["", "T0"]))
+        shutil.rmtree(out, ignore_errors=True)
+        code = main(["import", "--csv", str(csv_path), "--features", str(features),
+                     "--d-v", "2", "--clips", "1", "--target-domains", targets,
+                     "--out", str(out)])
+        assert code in (0, 3)
+        assert code == 0 or not out.exists()
+        if code == 0:
+            store = FeatureStore.load(out)
+            for domains in (store.split.source, store.split.target):
+                build_windows(store.records_for(domains), 3)
+
+
+# any int an annotation CSV could hold: mostly small ones (negative labels,
+# gaps and repeats in temporal indices), else the ends of int64 and ints past them
+CSV_INTS = st.one_of(st.integers(-2, 6), st.integers(-2, 6), st.integers(-2, 6),
+                     st.sampled_from([2**63 - 1, -2**63]), st.integers(min_value=2**63),
+                     st.integers(max_value=-2**63 - 1))
+
+
+@st.composite
+def fuzzed_annotation_rows(draw) -> list[dict]:
+    """Annotation rows of up to three videos, each in temporal order from
+    0, with up to two ints set to drawn values, in any row order; some
+    narrations are empty."""
+    videos = draw(st.lists(st.tuples(st.sampled_from(["S0", "S1", "T0"]), st.integers(1, 4)),
+                           min_size=1, max_size=3))
+    rows = [{"video_id": f"v{i}", "domain_id": domain, "temporal_index": t,
+             "verb_class": draw(st.integers(0, 5)), "noun_class": draw(st.integers(0, 3)),
+             "narration": draw(st.sampled_from(["", "open", "open fridge", "close door"]))}
+            for i, (domain, length) in enumerate(videos) for t in range(length)]
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        key = draw(st.sampled_from(["temporal_index", "temporal_index", "verb_class",
+                                    "noun_class"]))
+        row[key] = draw(CSV_INTS)
+    return draw(st.permutations(rows))
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_video_with_a_temporal_gap_writes_nothing(command, tmp_path, dataset_dir,
+                                                  config_path, capsys):
+    edit_manifest(dataset_dir, CORRUPT_MANIFESTS["temporal_index_gap"])
+    assert main([command, "--config", str(config_path), "--data", str(dataset_dir),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "temporal indices must be consecutive and unique" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def with_section(tmp_path, section, **values):
+    """A copy of the SMALL_SYNTH config file with `values` set in `section`."""
+    cfg = json.loads(json.dumps(SMALL_SYNTH))
+    cfg[section].update(values)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+class TestRunFailsBeforeAnyOutput:
+    def run(self, command, config, tmp_path, dataset_dir, *flags):
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out"), *flags]
+        return main(argv if command == "synth-gen" else argv + ["--data", str(dataset_dir)])
+
+    @pytest.mark.parametrize("command", ["synth-gen", "train", "ablate"])
+    def test_negative_seed_is_config_error(self, command, tmp_path, dataset_dir,
+                                           config_path, capsys):
+        if command == "ablate":
+            # the grid's second seed
+            code = self.run(command, with_section(tmp_path, "ablate", seeds=[0, -1]),
+                            tmp_path, dataset_dir)
+        else:
+            code = self.run(command, config_path, tmp_path, dataset_dir, "--seed", "-1")
+        assert code == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # every size holds 2^55 floats (2^58 bytes), past any address space, so
+    # the allocation fails at once without touching memory
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("train", "model", "W", 2**51 + 1),
+        ("train", "model", "d_ff", 2**51),
+        ("train", "model", "vocab_size", 2**51),
+        ("ablate", "model", "d_ff", 2**51),
+        ("ablate", "ablate", "W", [1, 2**51 + 1]),
+    ])
+    def test_model_too_large_to_allocate_is_config_error(self, command, section, key, value,
+                                                         tmp_path, dataset_dir, capsys):
+        config = with_section(tmp_path, section, **{key: value})
+        assert self.run(command, config, tmp_path, dataset_dir) == 2
+        assert "cannot allocate the model" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

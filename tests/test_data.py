@@ -1,5 +1,5 @@
 import itertools
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from seqdg.data import (
     ActionRecord,
+    Actions,
     DataError,
     DatasetSplit,
     FeatureCache,
@@ -22,6 +23,12 @@ from seqdg.data import (
     write_annotation_csv,
 )
 from seqdg.data import _first_failing_action, _manifest_actions
+
+
+def table(records):
+    """The `Actions` table of hand-built `ActionRecord`s, in their order."""
+    return Actions.from_columns(*([getattr(r, f.name) for r in records]
+                                  for f in fields(ActionRecord)))
 
 
 def make_record(i, video="v0", domain="S0", verb=0, noun=0, t=None, d_v=4, clips=2):
@@ -47,7 +54,7 @@ def make_store(n_actions=6, d_v=4, clips=2, n_videos=2, domains=("S0", "S1"),
     split = DatasetSplit(source=tuple(d for d in domains if d not in targets),
                          target=tuple(targets))
     meta = {"name": "toy", "d_v": d_v, "d_t": d_t, "clips_per_action": clips}
-    return FeatureStore(meta, records, vocab, split, visual, text)
+    return FeatureStore(meta, table(records), vocab, split, visual, text)
 
 
 # one bad value per action that leaves the blob size unchanged, and the
@@ -104,7 +111,7 @@ class TestFeatureStore:
     def test_blob_length_validated(self):
         with pytest.raises(DataError, match="blob"):
             store = make_store()
-            FeatureStore(store.meta, store.records, store.vocab, store.split,
+            FeatureStore(store.meta, store.actions, store.vocab, store.split,
                          store.visual[:-1])
 
     def test_roundtrip_is_bitwise(self, tmp_path):
@@ -128,7 +135,7 @@ class TestFeatureStore:
         store = make_store()
         records = [replace(r, action_id=i) for r, i in zip(store.records, ids)]
         with pytest.raises(DataError, match="action id"):
-            FeatureStore(store.meta, records, store.vocab, store.split, store.visual)
+            FeatureStore(store.meta, table(records), store.vocab, store.split, store.visual)
 
     @pytest.mark.parametrize("first, second",
                              itertools.permutations(sorted(CORRUPT_ACTIONS), 2))
@@ -138,7 +145,7 @@ class TestFeatureStore:
         records[4] = CORRUPT_ACTIONS[first][0](records[4])
         records[9] = CORRUPT_ACTIONS[second][0](records[9])
         with pytest.raises(DataError) as exc:
-            FeatureStore(store.meta, records, store.vocab, store.split, store.visual)
+            FeatureStore(store.meta, table(records), store.vocab, store.split, store.visual)
         assert str(exc.value).startswith(CORRUPT_ACTIONS[first][1].format(id=4))
 
     @settings(max_examples=300, deadline=None)
@@ -171,6 +178,16 @@ class TestFeatureStore:
         else:
             assert got == want
 
+    @pytest.mark.parametrize("temporal", [(0, 1, 3), (0, 1, 1), (1, 0, 0)])
+    def test_each_split_orders_into_videos(self, temporal):
+        # the split's actions must window: each video's temporal indices
+        # consecutive and unique, in any row order
+        records = [make_record(i, t=t) for i, t in enumerate(temporal)]
+        with pytest.raises(DataError, match="'v0': temporal indices must be consecutive"):
+            FeatureStore({"name": "gap", "d_v": 4, "d_t": 1, "clips_per_action": 2},
+                         table(records), ["a"], DatasetSplit(("S0",), ()),
+                         np.zeros(3 * 2 * 4, dtype="<f4"))
+
     def test_clips_shape(self):
         store = make_store()
         clips = store.clips(store.records[0])
@@ -180,7 +197,7 @@ class TestFeatureStore:
 class TestBuildWindows:
     def test_replicate_padding_at_video_start(self):
         records = [make_record(i) for i in range(7)]
-        windows = build_windows(records, W=5)
+        windows = build_windows(table(records), W=5)
         assert len(windows) == 7
         first = windows[0]
         ids = [r.action_id for r in first.records]
@@ -190,7 +207,7 @@ class TestBuildWindows:
 
     def test_degenerate_single_slot_windows(self):
         records = [make_record(i) for i in range(3)]
-        windows = build_windows(records, W=1)
+        windows = build_windows(table(records), W=1)
         assert all(w.records == (records[i],) for i, w in enumerate(windows))
         assert all(w.padding == (False,) for w in windows)
 
@@ -203,19 +220,19 @@ class TestBuildWindows:
             for t in range(length):
                 records.append(make_record(i, video=f"v{vid}", t=t))
                 i += 1
-        windows = build_windows(records, W=5)
+        windows = build_windows(table(records), W=5)
         assert len(windows) == len(records)
         centers = sorted(w.center_record.action_id for w in windows)
         assert centers == sorted(r.action_id for r in records)
 
     def test_even_window_rejected(self):
         with pytest.raises(DataError):
-            build_windows([make_record(0)], W=4)
+            build_windows(table([make_record(0)]), W=4)
 
     def test_nonconsecutive_indices_rejected(self):
         bad = [make_record(0, t=0), make_record(1, t=2)]
         with pytest.raises(DataError, match="consecutive"):
-            build_windows(bad, W=3)
+            build_windows(table(bad), W=3)
 
     @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 6)), min_size=1,
                     max_size=4),
@@ -228,7 +245,7 @@ class TestBuildWindows:
                    for t in range(n)]
         shuffled = data.draw(st.permutations(ordered))
         records = [make_record(i, video=video, t=t) for i, (video, t) in enumerate(shuffled)]
-        windows = build_windows(records, W=w)
+        windows = build_windows(table(records), W=w)
         assert windows.rows.tolist() == window_indices(records, w)
         half = w // 2
         assert windows.padding.tolist() == [
@@ -244,7 +261,7 @@ class TestBuildWindows:
         ordered = [(f"v{v}", t) for v, n in enumerate(lengths) for t in range(n)]
         shuffled = data.draw(st.permutations(ordered))
         records = [make_record(i, video=video, t=t) for i, (video, t) in enumerate(shuffled)]
-        windows = build_windows(records, W=w)
+        windows = build_windows(table(records), W=w)
         assert [win.center_record.action_id for win in windows] == list(range(len(records)))
         half = w // 2
         for rec, win in zip(records, windows):
@@ -262,18 +279,19 @@ def single_action_store(clips):
                           n_clips=clips.shape[0])
     meta = {"name": "one", "d_v": clips.shape[1], "d_t": 2,
             "clips_per_action": clips.shape[0]}
-    return FeatureStore(meta, [record], ["a"], DatasetSplit(("S0",), ()), clips.reshape(-1))
+    return FeatureStore(meta, table([record]), ["a"], DatasetSplit(("S0",), ()),
+                        clips.reshape(-1))
 
 
 class TestClipAggregation:
     def test_mean_of_identical_clips(self):
         c = np.array([1.5, -2.0, 0.5])
         store = single_action_store(np.stack([c] * 5))
-        np.testing.assert_array_equal(FeatureCache(store, store.records).visual[0], c)
+        np.testing.assert_array_equal(FeatureCache(store, store.actions).visual[0], c)
 
     def test_mean_of_simple_clips(self):
         store = single_action_store([[1.0], [2.0], [3.0]])
-        assert FeatureCache(store, store.records).visual[0].tolist() == [2.0]
+        assert FeatureCache(store, store.actions).visual[0].tolist() == [2.0]
 
     @staticmethod
     def unaligned_store():
@@ -291,16 +309,16 @@ class TestClipAggregation:
         size = sum(n for _, n in layout) * d_v
         visual = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4, size)
         meta = {"name": "unaligned", "d_v": d_v, "d_t": 2, "clips_per_action": 3}
-        return FeatureStore(meta, records, ["a"], DatasetSplit(("S0",), ()),
+        return FeatureStore(meta, table(records), ["a"], DatasetSplit(("S0",), ()),
                             visual.astype("<f4"))
 
     @pytest.mark.parametrize("order", [[0, 1, 2, 3], [3, 2, 1, 0], [1], [2, 0], []])
     def test_clip_means_match_per_record_means(self, order):
         store = self.unaligned_store()
-        records = [store.records[i] for i in order]
-        visual = FeatureCache(store, records).visual
-        assert visual.shape == (len(records), store.d_v)
-        for row, rec in zip(visual, records):
+        actions = store.actions.take(order)
+        visual = FeatureCache(store, actions).visual
+        assert visual.shape == (len(actions), store.d_v)
+        for row, rec in zip(visual, actions):
             assert row.tobytes() == store.clips(rec).astype(np.float64).mean(axis=0).tobytes()
 
 
@@ -341,7 +359,7 @@ def mixing_setup(n_domains=3, actions_per_domain=8):
                 verb=t % 2, noun=t % 2, narration=(0,), temporal_index=t,
                 blob_offset=0, n_clips=1))
             i += 1
-    return records
+    return table(records)
 
 
 class TestSeqMix:
@@ -355,8 +373,8 @@ class TestSeqMix:
 
     def test_unsatisfiable_pool_counts_no_candidate(self):
         # the only matching labels live in the window's own domain
-        records = [make_record(i, video="S0_v0", domain="S0", verb=9, noun=9, t=i)
-                   for i in range(3)]
+        records = table([make_record(i, video="S0_v0", domain="S0", verb=9, noun=9, t=i)
+                         for i in range(3)])
         pool = SeqMixPool(records, ["S0"])
         window = build_windows(records, W=3)[1]
         stats = SeqMixStats()
@@ -368,7 +386,7 @@ class TestSeqMix:
     def test_replacement_swaps_whole_tuple(self):
         records = mixing_setup()
         pool = SeqMixPool(records, ["S0", "S1", "S2"])
-        window = build_windows([r for r in records if r.domain_id == "S0"], W=3)[1]
+        window = build_windows(table([r for r in records if r.domain_id == "S0"]), W=3)[1]
         rng = np.random.default_rng(2)
         out = seqmix(window, pool, 1.0, rng)
         changed = [i for i in range(3) if out.records[i] is not window.records[i]]
@@ -381,7 +399,7 @@ class TestSeqMix:
     def test_center_labels_never_change(self):
         records = mixing_setup()
         pool = SeqMixPool(records, ["S0", "S1", "S2"])
-        windows = build_windows([r for r in records if r.domain_id == "S0"], W=3)
+        windows = build_windows(table([r for r in records if r.domain_id == "S0"]), W=3)
         rng = np.random.default_rng(3)
         for win in windows:
             out = seqmix(win, pool, 1.0, rng)
@@ -390,7 +408,7 @@ class TestSeqMix:
     def test_cross_domain_slot_present_iff_replaced(self):
         records = mixing_setup()
         pool = SeqMixPool(records, ["S0", "S1", "S2"])
-        windows = build_windows([r for r in records if r.domain_id == "S1"], W=3)
+        windows = build_windows(table([r for r in records if r.domain_id == "S1"]), W=3)
         rng = np.random.default_rng(4)
         stats = SeqMixStats()
         for win in list(windows) * 30:
@@ -402,7 +420,7 @@ class TestSeqMix:
     def test_monte_carlo_rate_and_constraint(self):
         records = mixing_setup(n_domains=4, actions_per_domain=6)
         pool = SeqMixPool(records, [f"S{d}" for d in range(4)])
-        windows = build_windows([r for r in records if r.domain_id == "S0"], W=3)
+        windows = build_windows(table([r for r in records if r.domain_id == "S0"]), W=3)
         rng = np.random.default_rng(20240)
         stats = SeqMixStats()
         n_draws = 20_000
@@ -424,9 +442,9 @@ class TestSeqMix:
 class TestFeatureCache:
     def test_mean_aggregated_batch_shapes(self):
         store = make_store(with_text=False)
-        windows = build_windows(store.records, W=3)
+        windows = build_windows(store.actions, W=3)
         emb = NarrationEmbedder(len(store.vocab), store.d_t, seed=0)
-        cache = FeatureCache(store, store.records, embedder=emb, with_text=True)
+        cache = FeatureCache(store, store.actions, embedder=emb, with_text=True)
         batch = cache.batch(windows[:4])
         assert batch.visual.shape == (4, 3, 4)
         assert batch.text.shape == (4, 3, 3)
@@ -435,8 +453,8 @@ class TestFeatureCache:
 
     def test_store_text_features_take_precedence(self):
         store = make_store(with_text=True)
-        windows = build_windows(store.records, W=1)
-        batch = FeatureCache(store, store.records, with_text=True).batch(windows[:1])
+        windows = build_windows(store.actions, W=1)
+        batch = FeatureCache(store, store.actions, with_text=True).batch(windows[:1])
         center = windows[0].center_record.action_id
         expected = store.text[center * store.d_t:(center + 1) * store.d_t]
         np.testing.assert_allclose(batch.visual[0, 0],
@@ -455,7 +473,7 @@ class TestFeatureCache:
                                 temporal_index=i, blob_offset=i, n_clips=1)
                    for i, n in enumerate(lengths)]
         meta = {"name": "tokens", "d_v": 1, "d_t": dim, "clips_per_action": 1}
-        store = FeatureStore(meta, records, [f"w{i}" for i in range(50)],
+        store = FeatureStore(meta, table(records), [f"w{i}" for i in range(50)],
                              DatasetSplit(("S0",), ()), np.zeros(len(records), dtype="<f4"))
         emb = NarrationEmbedder(vocab_size=50, dim=dim, seed=3)
         emb.table = emb.table * 10.0 ** rng.integers(-3, 4, emb.table.shape)
@@ -465,10 +483,10 @@ class TestFeatureCache:
 
     def test_serves_only_its_records(self):
         store = make_store()
-        first_video = [r for r in store.records if r.video_id == "v0"]
+        first_video = table([r for r in store.records if r.video_id == "v0"])
         cache = FeatureCache(store, first_video)
         assert cache.visual.shape == (len(first_video), store.d_v)
-        other = build_windows([r for r in store.records if r.video_id == "v1"], W=1)
+        other = build_windows(table([r for r in store.records if r.video_id == "v1"]), W=1)
         with pytest.raises(DataError, match="not among the cached records"):
             cache.batch(other[:1])
 

@@ -142,9 +142,9 @@ class TestSlidingWindow:
         from seqdg.data import FeatureStore
 
         store, model = self.trained_setup()
-        with_text = FeatureStore(store.meta, store.records, store.vocab,
+        with_text = FeatureStore(store.meta, store.actions, store.vocab,
                                  store.split, store.visual,
-                                 np.ones(len(store.records) * store.d_t,
+                                 np.ones(len(store.actions) * store.d_t,
                                          dtype="<f4"))
         a = sliding_window_predict(store, model)
         b = sliding_window_predict(with_text, model)

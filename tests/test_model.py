@@ -493,3 +493,12 @@ def test_bench_width_step_graph_size():
                               TrainConfig(model=config, lambda_rv=1.0, lambda_rt=1.0))
     interior = [node for node in T._toposort(total) if node._parents]
     assert len(interior) <= 80, f"{len(interior)} interior nodes"
+
+
+@pytest.mark.parametrize("key, value", [("W", 2**53 + 1), ("d_ff", 2**53),
+                                        ("vocab_size", 2**53)])
+def test_parameters_too_large_to_allocate_are_a_value_error(key, value):
+    # 2^56 floats (2^59 bytes) or more, past any address space: the
+    # allocation fails at once without touching memory
+    with pytest.raises(ValueError, match="cannot allocate the model: Unable to allocate"):
+        SeqDGModel.init(tiny_config(**{key: value}))

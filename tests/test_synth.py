@@ -220,7 +220,7 @@ class TestContextOracle:
     def test_deterministic_grammar_reaches_full_accuracy(self):
         cfg = small_config()
         store, truth = generate(cfg)
-        windows = build_windows(store.records, W=5)
+        windows = build_windows(store.actions, W=5)
         assert context_oracle_accuracy(windows, truth.grammar) == 100.0
 
     def test_uniform_grammar_is_chance_on_ambiguous_pairs(self):
@@ -283,7 +283,7 @@ class TestBayesOracle:
     def test_margin_between_bayes_and_context_oracle(self):
         cfg = SynthConfig(seed=2)
         store, truth = generate(cfg)
-        windows = build_windows(store.records, W=5)
+        windows = build_windows(store.actions, W=5)
         oracle = context_oracle_accuracy(windows, truth.grammar)
         bayes = bayes_accuracy_on_store(store, truth)
         assert oracle - bayes >= 30.0

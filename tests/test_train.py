@@ -15,6 +15,7 @@ from seqdg.train import (
     lr_at,
 )
 from seqdg.data import ActionRecord
+from test_data import table
 
 
 def toy_store(n_videos=2, actions_per_video=8, d_v=6, d_t=8, n_verbs=3, n_nouns=2,
@@ -38,7 +39,7 @@ def toy_store(n_videos=2, actions_per_video=8, d_v=6, d_t=8, n_verbs=3, n_nouns=
                          target=tuple(target))
     meta = {"name": "toy", "d_v": d_v, "d_t": d_t, "clips_per_action": 2}
     vocab = [f"t{j}" for j in range(n_verbs + n_nouns)]
-    return FeatureStore(meta, records, vocab, split, np.concatenate(blobs))
+    return FeatureStore(meta, table(records), vocab, split, np.concatenate(blobs))
 
 
 def toy_train_config(**kw):
