@@ -33,27 +33,25 @@ def describe(slots):
              (int(source.verbs[row]), int(source.nouns[row]))) for row in slots]
 
 
-def draw(i):
-    """One SeqMix draw for window i: (slot, replacement row) or None."""
-    slots = source_windows.rows[i]
-    return pool.draw(source_windows.padding[i], lambda slot: source.key(slots[slot]),
+def draw(picked):
+    """One batch of SeqMix draws: the rows of the windows `picked`, mixed."""
+    return pool.draw(source_windows.rows[picked], source_windows.padding[picked],
                      0.5, rng, stats)
 
 
-slots = source_windows.rows[7].copy()
-print("before:", describe(slots))
-drawn = None
-while drawn is None:
-    drawn = draw(7)
-slots[drawn[0]] = drawn[1]
-print("after: ", describe(slots))
+before = source_windows.rows[7]
+print("before:", describe(before))
+after = before
+while (after == before).all():
+    after = draw([7])[0]
+print("after: ", describe(after))
 print("(one slot changed domain; its verb/noun label is identical)")
 
 print()
 print("== the empirical replacement rate tracks the probability ==")
+# one draw mixes a whole batch: here 10,000 windows of S0's video
 stats = SeqMixStats()
-for i in range(10_000):
-    draw(i % len(one_video))
+draw(np.arange(10_000) % len(one_video))
 print(f"draws {stats.draws}, replaced {stats.replaced} "
       f"(rate {stats.replaced / stats.draws:.3f}), "
       f"no candidate {stats.no_candidate}")

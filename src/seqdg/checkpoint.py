@@ -115,7 +115,8 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             arr = np.frombuffer(body, dtype="<f8", count=count, offset=start)
             if not np.isfinite(arr).all():
                 raise CheckpointError(f"{path}: parameter {name!r} holds NaN or Inf")
-            arrays[name] = arr.reshape(shape).copy()
+            # a view of the file's bytes: `from_named` copies it into the model
+            arrays[name] = arr.reshape(shape)
         if end != len(body):
             raise CheckpointError(f"{path}: {len(body) - end} payload bytes follow the "
                                   "last parameter")

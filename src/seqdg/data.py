@@ -173,11 +173,6 @@ class Actions(Sequence):
         """The (verb, noun) label of each row."""
         return list(zip(self.verbs.tolist(), self.nouns.tolist()))
 
-    def key(self, row) -> tuple[tuple[int, int], str]:
-        """The (verb, noun) label and the domain id of one row."""
-        return ((int(self.verbs[row]), int(self.nouns[row])),
-                self.domain_names[self.domain[row]])
-
     def narrations(self, rows) -> tuple[tuple[int, ...], ...]:
         """The narration tokens of each of `rows`."""
         return tuple(tuple(self.tokens[start:end].tolist()) for start, end in
@@ -615,62 +610,83 @@ _NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 class SeqMixPool:
-    """Replacement candidates indexed by (verb, noun): rows of the table
-    `actions`, restricted to the source domains, in table order."""
+    """Replacement candidates for every row of the table `actions`: the
+    rows with its (verb, noun) label in a source domain other than its
+    own, in table order. They are one flat array, and each row's are the
+    `count[row]` entries from `start[row]`; rows that share a label and a
+    domain share their entries."""
 
     def __init__(self, actions: Actions, source_domains):
         self.actions = actions
-        rows = np.flatnonzero(self.actions.in_domains(source_domains))
+        rows = np.flatnonzero(actions.in_domains(source_domains))
         by_label: dict[tuple[int, int], list[int]] = {}
-        for row, label in zip(rows.tolist(), zip(self.actions.verbs[rows].tolist(),
-                                                 self.actions.nouns[rows].tolist())):
+        for row, label in zip(rows.tolist(), zip(actions.verbs[rows].tolist(),
+                                                 actions.nouns[rows].tolist())):
             by_label.setdefault(label, []).append(row)
-        self._by_label = {label: np.array(members) for label, members in by_label.items()}
-        self._domain_code = {name: code for code, name in enumerate(self.actions.domain_names)}
+        members = {label: np.array(rows) for label, rows in by_label.items()}
+        entries: dict[tuple[int, int, int], tuple[int, int]] = {}
+        lists, starts, counts = [], [], []
+        size = 0
+        for key in zip(actions.verbs.tolist(), actions.nouns.tolist(), actions.domain.tolist()):
+            if key not in entries:
+                same_label = members.get(key[:2], _NO_ROWS)
+                lists.append(same_label[actions.domain[same_label] != key[2]])
+                entries[key] = (size, len(lists[-1]))
+                size += len(lists[-1])
+            start, count = entries[key]
+            starts.append(start)
+            counts.append(count)
+        self.candidates = np.concatenate(lists) if lists else _NO_ROWS
+        self.start = np.array(starts, dtype=np.int64)
+        self.count = np.array(counts, dtype=np.int64)
 
-    def candidates(self, label: tuple[int, int], exclude_domain: str) -> np.ndarray:
-        """The rows of `label` outside `exclude_domain`, in table order."""
-        rows = self._by_label.get(label, _NO_ROWS)
-        return rows[self.actions.domain[rows] != self._domain_code.get(exclude_domain, -1)]
-
-    def draw(self, padding, slot_key, p_mix: float, rng,
-             stats: SeqMixStats | None = None) -> tuple[int, int] | None:
-        """One SeqMix draw for a window with these padding flags. With
-        probability `p_mix` it picks a non-padding slot and then a candidate
-        row for it, each uniformly, and returns (slot, row); otherwise, or
-        when the slot has no candidate, None. `slot_key(slot)` gives the
-        slot's (verb, noun) label and domain id."""
+    def draw(self, rows: np.ndarray, padding: np.ndarray, p_mix: float, rng,
+             stats: SeqMixStats | None = None) -> np.ndarray:
+        """SeqMix for a batch of windows: `rows` (n, W) of the pool's table
+        and their padding flags. Each window mixes with probability
+        `p_mix`: one of its non-padding slots, drawn uniformly, is swapped
+        for one of that row's candidates, drawn uniformly. A window whose
+        slot has no candidate is left as it is. Every window takes its
+        three draws from `rng` whether it mixes or not. Returns the mixed
+        rows as a new array."""
+        n = len(rows)
+        mixes = rng.random(n) < p_mix
+        real = ~np.asarray(padding, dtype=bool)
+        nth = rng.integers(real.sum(axis=1))
+        slot = (np.cumsum(real, axis=1) > nth[:, None]).argmax(axis=1)
+        slot_rows = rows[np.arange(n), slot]
+        count = self.count[slot_rows]
+        pick = self.start[slot_rows] + rng.integers(np.maximum(count, 1))
+        swap = mixes & (count > 0)
+        mixed = rows.copy()
+        mixed[swap, slot[swap]] = self.candidates[pick[swap]]
         if stats is not None:
-            stats.draws += 1
-        if rng.random() >= p_mix:
-            return None
-        slots = [i for i, pad in enumerate(padding) if not pad]
-        slot = slots[int(rng.integers(len(slots)))]
-        cands = self.candidates(*slot_key(slot))
-        if not len(cands):
-            if stats is not None:
-                stats.no_candidate += 1
-            return None
-        if stats is not None:
-            stats.replaced += 1
-        return slot, int(cands[int(rng.integers(len(cands)))])
+            stats.draws += n
+            stats.replaced += int(swap.sum())
+            stats.no_candidate += int((mixes & ~swap).sum())
+        return mixed
 
 
 def seqmix(window: SequenceWindow, pool: SeqMixPool, p_mix: float, rng,
            stats: SeqMixStats | None = None) -> SequenceWindow:
     """With probability `p_mix`, swap one non-padding slot for a same-label
-    action from a different source domain. The swap carries features,
-    narration tokens and domain id; labels are equal by construction. If
-    no candidate exists the window comes back unchanged."""
-    def slot_key(slot):
-        return window.records[slot].label, window.records[slot].domain_id
-
-    drawn = pool.draw(window.padding, slot_key, p_mix, rng, stats)
-    if drawn is None:
+    action from a different source domain: `SeqMixPool.draw` on the one
+    window. Its actions must be rows of the pool's table, found by action
+    id. The swap carries features, narration tokens and domain id; labels
+    are equal by construction. If no candidate exists the window comes
+    back unchanged."""
+    ids = np.array([record.action_id for record in window.records])
+    found = pool.actions.ids == ids[:, None]
+    if not found.any(axis=1).all():
+        raise DataError("seqmix: the window holds an action outside the pool's table")
+    rows = found.argmax(axis=1)
+    mixed = pool.draw(rows[None], np.array([window.padding]), p_mix, rng, stats)[0]
+    changed = np.flatnonzero(mixed != rows)
+    if not len(changed):
         return window
-    slot, row = drawn
+    slot = int(changed[0])
     new_records = list(window.records)
-    new_records[slot] = pool.actions[row]
+    new_records[slot] = pool.actions[int(mixed[slot])]
     return replace(window, records=tuple(new_records))
 
 
@@ -774,7 +790,9 @@ def read_annotation_csv(path) -> list[dict]:
         missing = [c for c in ANNOTATION_COLUMNS if c not in (reader.fieldnames or [])]
         if missing:
             raise DataError(f"annotation CSV missing columns: {missing}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            # the file line the row ends on: a quoted field may span lines
+            lineno = reader.line_num
             try:
                 parsed = {
                     "video_id": row["video_id"],

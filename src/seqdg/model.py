@@ -151,7 +151,8 @@ class DecoderLayerParams:
 # Layouts are built with a `_Slot` in every tensor position: the shape the
 # tensor must have, and a function of the rng that draws its initial array.
 # `ModelParams` then fills the slots in walk order, so that order is also
-# the order of the draws. Nothing is allocated before a slot is filled.
+# the order of the draws and of the tensors in the parameter buffer.
+# Nothing is allocated before a slot is filled.
 
 class _Slot(NamedTuple):
     shape: tuple[int, ...]
@@ -218,8 +219,15 @@ def _tensor_count(layer) -> int:
     return sum(1 for _ in _slots(layer, [f.name for f in fields(layer)]))
 
 
+def _float_count(owner, attrs) -> int:
+    """Floats in the tensor slots under the attributes `attrs` of `owner`."""
+    return sum(math.prod(getattr(slot_owner, attr).shape)
+               for _, slot_owner, attr in _slots(owner, attrs))
+
+
 _ENCODER_LAYER_TENSORS = _tensor_count(_new_encoder_layer(1, 1))
 _DECODER_LAYER_TENSORS = _tensor_count(_new_decoder_layer(1, 1))
+_LAYER_STACKS = ("encoder", "dec_visual", "dec_text")
 
 
 class ModelParams:
@@ -229,6 +237,10 @@ class ModelParams:
     `tensors` and `from_named` and orders the initial draws. The decoder
     stacks and the text output head are optional groups: a checkpoint
     stripped of them still loads into an inference-capable model.
+
+    Every tensor's data is a slice of one float64 buffer, `flat`, and its
+    gradient store the same slice of `flat_grad`, in walk order; an
+    optimizer steps all of them with one array expression.
     """
 
     GROUPS = ("proj", "pos", "cls_verb", "cls_noun", "encoder", "dec_visual", "dec_text",
@@ -245,35 +257,65 @@ class ModelParams:
 
     def _lay_out(self, config: ModelConfig, stripped=()):
         """Slots for every group, except that an optional group named in
-        `stripped` is None when it would hold any tensor."""
+        `stripped` is None when it would hold any tensor, and the two
+        buffers. The buffers are sized from one layer of each kind before
+        the layer lists are built, so a layer count too large to allocate
+        fails at once."""
         self.config = cfg = config.check()
         d, d_ff = cfg.D, cfg.ff_width
-
-        def decoders(attr):
-            if attr in stripped and cfg.n_dec_layers:
-                return None
-            return [_new_decoder_layer(d, d_ff) for _ in range(cfg.n_dec_layers)]
-
         self.proj = _new_affine(cfg.D_V, d)
         # positions must be separable from feature content right away, so
         # the positional table starts at feature scale, not at weight scale
         self.pos = _Slot((cfg.W, d), lambda rng: rng.uniform(-1.0, 1.0, (cfg.W, d)))
         self.cls_verb = _uniform(d, (d,))
         self.cls_noun = _uniform(d, (d,))
-        self.encoder: list[EncoderLayerParams] = [
-            _new_encoder_layer(d, d_ff) for _ in range(cfg.n_enc_layers)]
-        self.dec_visual: list[DecoderLayerParams] | None = decoders("dec_visual")
-        self.dec_text: list[DecoderLayerParams] | None = decoders("dec_text")
         self.head_verb = _new_affine(d, cfg.n_verbs)
         self.head_noun = _new_affine(d, cfg.n_nouns)
         self.text_head = (_new_affine(d, cfg.vocab_size)
                           if cfg.vocab_size is not None and "text_head" not in stripped
                           else None)
+        decoder_stacks = [attr for attr in ("dec_visual", "dec_text")
+                          if attr not in stripped or not cfg.n_dec_layers]
+        encoder, decoder = _new_encoder_layer(d, d_ff), _new_decoder_layer(d, d_ff)
+        size = (_float_count(self, [g for g in self.GROUPS if g not in _LAYER_STACKS])
+                + cfg.n_enc_layers * _float_count(encoder, [f.name for f in fields(encoder)])
+                + len(decoder_stacks) * cfg.n_dec_layers
+                * _float_count(decoder, [f.name for f in fields(decoder)]))
+        try:
+            self.flat = np.empty(size)
+            self.flat_grad = np.zeros(size)
+        except (MemoryError, ValueError) as exc:
+            raise ValueError(f"cannot allocate the model: {exc}") from None
+        self.encoder: list[EncoderLayerParams] = [
+            _new_encoder_layer(d, d_ff) for _ in range(cfg.n_enc_layers)]
+        self.dec_visual: list[DecoderLayerParams] | None = None
+        self.dec_text: list[DecoderLayerParams] | None = None
+        for attr in decoder_stacks:
+            setattr(self, attr, [_new_decoder_layer(d, d_ff) for _ in range(cfg.n_dec_layers)])
 
     def _fill(self, value):
-        """Replace each slot by a tensor of `value(name, slot)`."""
+        """Copy `value(name, slot)` into each slot's part of `flat` and
+        replace the slot by a parameter over that part."""
+        self._grad_stores = []
+        start = 0
         for name, owner, attr in list(_slots(self, self.GROUPS)):
-            setattr(owner, attr, Tensor(value(name, getattr(owner, attr)), requires_grad=True))
+            slot = getattr(owner, attr)
+            end = start + math.prod(slot.shape)
+            data = self.flat[start:end].reshape(slot.shape)
+            data[...] = value(name, slot)
+            grad_store = self.flat_grad[start:end].reshape(slot.shape)
+            tensor = T.parameter(data, grad_store)
+            setattr(owner, attr, tensor)
+            self._grad_stores.append((tensor, grad_store))
+            start = end
+
+    def flat_gradient(self) -> np.ndarray:
+        """`flat_grad` with zeros in the slice of every tensor that holds no
+        gradient, whatever an earlier backward pass left there."""
+        for tensor, store in self._grad_stores:
+            if tensor.grad is None:
+                store.fill(0.0)
+        return self.flat_grad
 
     # -- naming ------------------------------------------------------------
 
@@ -285,9 +327,10 @@ class ModelParams:
 
     @classmethod
     def from_named(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "ModelParams":
-        """Rebuild from name->array pairs, each array of its slot's shape; an
-        optional group may be absent as a whole. A config whose layers need
-        more tensors than `arrays` holds is rejected before it is laid out."""
+        """Rebuild from name->array pairs, each array of its slot's shape and
+        copied once, into the parameter buffer; an optional group may be
+        absent as a whole. A config whose layers need more tensors than
+        `arrays` holds is rejected before it is laid out."""
         stripped = {attr for attr in cls.OPTIONAL if not any(
             name.startswith(_SEGMENT.get(attr, attr) + ".") for name in arrays)}
         decoder_stacks = 2 - len(stripped & {"dec_visual", "dec_text"})

@@ -15,6 +15,16 @@ attention, head split and merge included) and `add_layer_norm` (post-norm
 residual). Each equals a composition of the primitive ops, which stay
 public.
 
+A trainable parameter (`parameter`) is a leaf over storage its owner
+lays out: its data is a view into one parameter buffer and its gradient
+a view into one gradient buffer, so an optimizer updates every
+parameter in one pass. `grad` stays None until a backward pass reaches
+the parameter; the first delta is then written into its slice, by
+`linear` and the layer norms straight from their GEMM or reduction. Any
+other tensor's gradient is its own array: the first delta an op has
+just made becomes it, and a delta that is a view of another node's
+gradient is copied.
+
 An optional leading batch axis (or several) is supported everywhere:
 matmul broadcasts over leading axes and reduces gradients back, and `add`
 accepts a trailing-shape operand (bias vectors, positional tables). Ops
@@ -32,6 +42,7 @@ import numpy as np
 
 __all__ = [
     "Tensor",
+    "parameter",
     "ShapeError",
     "NonFiniteError",
     "NonDeterministicError",
@@ -102,20 +113,19 @@ class Tensor:
     every leaf that requires a gradient has one accumulated in `.grad`.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op",
+                 "_grad_store")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64, order="C", copy=True)
-        if arr.size == 0:
-            raise ShapeError(f"zero-size tensor with shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise NonFiniteError("tensor literal contains NaN or Inf")
+        _check_literal(arr)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = ()
         self._backward = None
         self._op = "leaf"
+        self._grad_store = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -168,6 +178,27 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _check_literal(arr: np.ndarray):
+    if arr.size == 0:
+        raise ShapeError(f"zero-size tensor with shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteError("tensor literal contains NaN or Inf")
+
+
+def parameter(data: np.ndarray, grad_store: np.ndarray) -> Tensor:
+    """A trainable leaf over `data`, taken as is (not copied), whose
+    gradient is accumulated in `grad_store`, an array of the same shape:
+    the owner's slices of its parameter and gradient buffers."""
+    _check_literal(data)
+    if grad_store.shape != data.shape:
+        raise ShapeError(f"parameter: gradient store {grad_store.shape} does not "
+                         f"match data {data.shape}")
+    out = _graph_free(data, "leaf")
+    out.requires_grad = True
+    out._grad_store = grad_store
+    return out
+
+
 def _graph_free(data: np.ndarray, op: str) -> Tensor:
     """A tensor over `data` (taken as is, not copied) outside any graph."""
     out = Tensor.__new__(Tensor)
@@ -177,6 +208,7 @@ def _graph_free(data: np.ndarray, op: str) -> Tensor:
     out._parents = ()
     out._backward = None
     out._op = op
+    out._grad_store = None
     return out
 
 
@@ -192,6 +224,7 @@ def _node(data: np.ndarray, parents: tuple, op: str, backward) -> Tensor:
     out.data = data
     out.grad = None
     out._op = op
+    out._grad_store = None
     if _grad_enabled() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
@@ -203,13 +236,29 @@ def _node(data: np.ndarray, parents: tuple, op: str, backward) -> Tensor:
     return out
 
 
-def _acc(t: Tensor, delta: np.ndarray):
-    if t.grad is None:
-        # a copy, never `delta` itself: it may be a view of another
-        # node's gradient, which a later `+=` here would then overwrite
-        t.grad = np.array(delta, dtype=np.float64, order="C")
-    else:
+def _acc(t: Tensor, delta: np.ndarray, owned: bool = False):
+    """Add `delta` to `t`'s gradient. `owned` says the calling op has just
+    made `delta` and keeps no other reference to it, so a first delta can
+    become the gradient as it is. Any other first delta is copied: it may
+    be a view of another node's gradient, which a later `+=` here would
+    then overwrite. A parameter's first delta goes into its gradient
+    store, unless the op already wrote it there (`_grad_target`)."""
+    if t.grad is not None:
         t.grad += delta
+    elif t._grad_store is not None:
+        if delta is not t._grad_store:
+            np.copyto(t._grad_store, delta)
+        t.grad = t._grad_store
+    elif owned and type(delta) is np.ndarray and delta.flags.c_contiguous:
+        t.grad = delta
+    else:
+        t.grad = np.array(delta, dtype=np.float64, order="C")
+
+
+def _grad_target(t: Tensor) -> np.ndarray | None:
+    """Where an op may write `t`'s next delta itself (`out=`): the gradient
+    store of a parameter that has no gradient yet, else None."""
+    return t._grad_store if t.grad is None else None
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -243,9 +292,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(dout):
         if a.requires_grad:
-            _acc(a, _unbroadcast(dout, a.shape))
+            da = _unbroadcast(dout, a.shape)
+            _acc(a, da, da is not dout)
         if b.requires_grad:
-            _acc(b, _unbroadcast(dout, b.shape))
+            db = _unbroadcast(dout, b.shape)
+            _acc(b, db, db is not dout)
 
     return _node(out, (a, b), "add", backward)
 
@@ -256,9 +307,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(dout):
         if a.requires_grad:
-            _acc(a, _unbroadcast(dout, a.shape))
+            da = _unbroadcast(dout, a.shape)
+            _acc(a, da, da is not dout)
         if b.requires_grad:
-            _acc(b, _unbroadcast(-dout, b.shape))
+            _acc(b, _unbroadcast(-dout, b.shape), True)
 
     return _node(out, (a, b), "sub", backward)
 
@@ -269,9 +321,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(dout):
         if a.requires_grad:
-            _acc(a, _unbroadcast(dout * b.data, a.shape))
+            _acc(a, _unbroadcast(dout * b.data, a.shape), True)
         if b.requires_grad:
-            _acc(b, _unbroadcast(dout * a.data, b.shape))
+            _acc(b, _unbroadcast(dout * a.data, b.shape), True)
 
     return _node(out, (a, b), "mul", backward)
 
@@ -282,7 +334,7 @@ def scale(x: Tensor, c: float) -> Tensor:
 
     def backward(dout):
         if x.requires_grad:
-            _acc(x, dout * c)
+            _acc(x, dout * c, True)
 
     return _node(out, (x,), "scale", backward)
 
@@ -292,7 +344,7 @@ def relu(x: Tensor) -> Tensor:
 
     def backward(dout):
         if x.requires_grad:
-            _acc(x, dout * (x.data > 0.0))
+            _acc(x, dout * (x.data > 0.0), True)
 
     return _node(out, (x,), "relu", backward)
 
@@ -302,7 +354,7 @@ def sum_all(x: Tensor) -> Tensor:
 
     def backward(dout):
         if x.requires_grad:
-            _acc(x, np.full_like(x.data, float(dout)))
+            _acc(x, np.full_like(x.data, float(dout)), True)
 
     return _node(out, (x,), "sum_all", backward)
 
@@ -324,12 +376,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(dout):
         if a.requires_grad:
-            _acc(a, _unbroadcast(dout @ np.swapaxes(b.data, -1, -2), a.shape))
+            _acc(a, _unbroadcast(dout @ np.swapaxes(b.data, -1, -2), a.shape), True)
         if b.requires_grad:
             if b.ndim == 2:
-                _acc(b, _weight_grad(a.data, dout))
+                _acc(b, _weight_grad(a.data, dout), True)
             else:
-                _acc(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ dout, b.shape))
+                _acc(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ dout, b.shape), True)
 
     return _node(out, (a, b), "matmul", backward)
 
@@ -345,22 +397,35 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     `w` is (fan_in, fan_out) and `b` is (fan_out,); `x` may carry any
     leading axes. Equals `add(matmul(x, w), b)`.
+
+    The leading axes are flattened into one GEMM, where numpy would run
+    one per leading index. That gives the same bits whenever each leading
+    index holds more than one row; an input of single rows (the heads'
+    (..., 1, D) slots) keeps numpy's product, so inference is unchanged.
+    The backward pass is three 2-D products.
     """
     if w.ndim != 2 or b.shape != w.shape[1:]:
         raise ShapeError(f"linear: weight {w.shape} / bias {b.shape} are not "
                          "(fan_in, fan_out) / (fan_out,)")
     if x.ndim < 1 or x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear: input {x.shape} does not match weight {w.shape}")
-    out = x.data @ w.data
+    fan_in, fan_out = w.shape
+    x2 = x.data.reshape(-1, fan_in)
+    if x.ndim > 2 and x.shape[-2] > 1:
+        out = (x2 @ w.data).reshape(x.shape[:-1] + (fan_out,))
+    else:
+        out = x.data @ w.data
     out += b.data
 
     def backward(dout):
+        dout2 = dout.reshape(-1, fan_out)
         if x.requires_grad:
-            _acc(x, dout @ w.data.T)
+            dx = dout2 @ np.ascontiguousarray(w.data.T)
+            _acc(x, dx.reshape(x.shape), True)
         if w.requires_grad:
-            _acc(w, _weight_grad(x.data, dout))
+            _acc(w, np.matmul(x2.T, dout2, out=_grad_target(w)), True)
         if b.requires_grad:
-            _acc(b, dout.reshape(-1, dout.shape[-1]).sum(axis=0))
+            _acc(b, np.add.reduce(dout2, axis=0, out=_grad_target(b)), True)
 
     return _node(out, (x, w, b), "linear", backward)
 
@@ -401,14 +466,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> tuple[Tensor, Te
     def backward(dout):
         dctx = split(dout)
         if v.requires_grad:
-            _acc(v, merge(np.swapaxes(weights, -1, -2) @ dctx))
+            _acc(v, merge(np.swapaxes(weights, -1, -2) @ dctx), True)
         if q.requires_grad or k.requires_grad:
             dw = dctx @ np.swapaxes(vh, -1, -2)
             dscores = (dw - (dw * weights).sum(axis=-1, keepdims=True)) * weights * c
             if q.requires_grad:
-                _acc(q, merge(dscores @ kh))
+                _acc(q, merge(dscores @ kh), True)
             if k.requires_grad:
-                _acc(k, merge(np.swapaxes(dscores, -1, -2) @ qh))
+                _acc(k, merge(np.swapaxes(dscores, -1, -2) @ qh), True)
 
     return _node(out, (q, k, v), "attention", backward), _graph_free(weights, "attention_weights")
 
@@ -471,7 +536,7 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
         if x.requires_grad:
             g = np.zeros_like(x.data)
             g[index] = dout
-            _acc(x, g)
+            _acc(x, g, True)
 
     return _node(out, (x,), "narrow", backward)
 
@@ -491,7 +556,7 @@ def take_rows(x: Tensor, indices) -> Tensor:
         if x.requires_grad:
             g = np.zeros_like(x.data)
             np.add.at(g, idx, dout)
-            _acc(x, g)
+            _acc(x, g, True)
 
     return _node(out, (x,), "take_rows", backward)
 
@@ -510,7 +575,7 @@ def zero_rows(x: Tensor, row: int) -> Tensor:
         if x.requires_grad:
             g = dout.copy()
             g[..., row, :] = 0.0
-            _acc(x, g)
+            _acc(x, g, True)
 
     return _node(out, (x,), "zero_rows", backward)
 
@@ -523,7 +588,7 @@ def expand_leading(x: Tensor, leading: tuple[int, ...]) -> Tensor:
 
     def backward(dout):
         if x.requires_grad:
-            _acc(x, dout.sum(axis=tuple(range(k))))
+            _acc(x, dout.sum(axis=tuple(range(k))), True)
 
     return _node(out, (x,), "expand_leading", backward)
 
@@ -541,7 +606,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     def backward(dout):
         if x.requires_grad:
             inner = (dout * y).sum(axis=-1, keepdims=True)
-            _acc(x, (dout - inner) * y)
+            _acc(x, (dout - inner) * y, True)
 
     return _node(y, (x,), "softmax_rows", backward)
 
@@ -577,17 +642,20 @@ def _normalize(s: np.ndarray, inputs: tuple, gain: Tensor, bias: Tensor, eps: fl
 
     def backward(dout):
         if gain.requires_grad:
-            _acc(gain, (dout * xhat).reshape(-1, d).sum(axis=0))
+            _acc(gain, np.add.reduce((dout * xhat).reshape(-1, d), axis=0,
+                                     out=_grad_target(gain)), True)
         if bias.requires_grad:
-            _acc(bias, dout.reshape(-1, d).sum(axis=0))
-        if any(t.requires_grad for t in inputs):
+            _acc(bias, np.add.reduce(dout.reshape(-1, d), axis=0, out=_grad_target(bias)),
+                 True)
+        takers = [t for t in inputs if t.requires_grad]
+        if takers:
             dy = dout * gain.data
             m1 = dy.sum(axis=-1, keepdims=True) / d
             m2 = (dy * xhat).sum(axis=-1, keepdims=True) / d
             ds = inv * (dy - m1 - xhat * m2)
-            for t in inputs:
-                if t.requires_grad:
-                    _acc(t, ds)
+            for t in takers[:-1]:
+                _acc(t, ds)
+            _acc(takers[-1], ds, True)
 
     return _node(out, inputs + (gain, bias), op, backward)
 
@@ -603,9 +671,9 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
     def backward(dout):
         c = 2.0 * float(dout) / n
         if pred.requires_grad:
-            _acc(pred, c * diff)
+            _acc(pred, c * diff, True)
         if target.requires_grad:
-            _acc(target, -c * diff)
+            _acc(target, -c * diff, True)
 
     return _node(out, (pred, target), "mse", backward)
 
@@ -641,7 +709,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
             g = e / z
             hit = np.take_along_axis(g, t[..., None], axis=-1) - 1.0
             np.put_along_axis(g, t[..., None], hit, axis=-1)
-            _acc(logits, g * (float(dout) / n))
+            _acc(logits, g * (float(dout) / n), True)
 
     return _node(out, (logits,), "cross_entropy", backward)
 

@@ -5,11 +5,14 @@ forward paths the config's nonzero loss weights need and sums center-action
 classification (verb and noun cross entropy) with the two weighted
 reconstruction losses. Training is plain SGD (momentum opt-in, default off)
 with a piecewise-constant learning rate that drops by a fixed factor at the
-configured epochs. Every source of randomness is a named stream derived
-from (seed, purpose, epoch, index), so identical inputs give
-bitwise-identical checkpoints. `fit` scores the source split (top-1)
-after every epoch when it writes a metrics file, and otherwise only after
-the last epoch, since only the metrics file reads the earlier ones.
+configured epochs; the step is one array expression over the model's flat
+parameter and gradient buffers. Every source of randomness is a named
+stream derived from (seed, purpose, epoch, index): one per epoch orders
+the windows, and one per batch draws that batch's SeqMix swaps for all
+its windows at once. Identical inputs give bitwise-identical
+checkpoints. `fit` scores the source split (top-1) after every epoch
+when it writes a metrics file, and otherwise only after the last epoch,
+since only the metrics file reads the earlier ones.
 
 Two library entry points wrap the loop: `train_and_score`, one cell of an
 ablation (train, then target-split action top-1), and
@@ -36,7 +39,7 @@ from seqdg.data import (
     build_windows,
 )
 from seqdg.evaluate import accuracy, predict_windows, sliding_window_predict, topk_accuracy
-from seqdg.model import ModelConfig, SeqDGModel
+from seqdg.model import ModelConfig, ModelParams, SeqDGModel
 from seqdg.tensor import GradCheckReport, NonFiniteError, Tensor
 
 __all__ = [
@@ -220,22 +223,28 @@ class TrainResult:
 
 
 class _SGD:
-    def __init__(self, tensors, momentum: float):
-        self.tensors = tensors
+    """Plain SGD, momentum opt-in, over the model's flat parameter buffer:
+    one array expression per step, whose elementwise arithmetic is the
+    per-tensor update's. A tensor without a gradient contributes zeros:
+    without momentum it stays bitwise unchanged, with momentum it moves by
+    the velocity it already has."""
+
+    def __init__(self, params: ModelParams, momentum: float):
+        self.params = params
+        self.tensors = params.tensors()
         self.momentum = momentum
-        self.velocity = [np.zeros_like(t.data) for t in tensors] if momentum > 0 else None
+        self.velocity = np.zeros_like(params.flat) if momentum > 0 else None
 
     def step(self, lr: float):
         """One update. Without momentum the gradient is scaled in place
         (the step consumes it; `zero` drops it before the next backward)."""
-        for i, t in enumerate(self.tensors):
-            if t.grad is None:
-                continue
-            if self.velocity is None:
-                t.data -= np.multiply(t.grad, lr, out=t.grad)
-            else:
-                self.velocity[i] = self.momentum * self.velocity[i] + t.grad
-                t.data -= lr * self.velocity[i]
+        grad = self.params.flat_gradient()
+        if self.velocity is None:
+            self.params.flat -= np.multiply(grad, lr, out=grad)
+        else:
+            self.velocity *= self.momentum
+            self.velocity += grad
+            self.params.flat -= lr * self.velocity
 
     def zero(self):
         for t in self.tensors:
@@ -265,7 +274,7 @@ def fit(store: FeatureStore, model: SeqDGModel, config: TrainConfig, *,
                 if needs_text and store.text is None else None)
 
     cache = FeatureCache(store, actions, embedder=embedder, with_text=needs_text)
-    optimizer = _SGD(model.params.tensors(), config.momentum)
+    optimizer = _SGD(model.params, config.momentum)
     metrics: list[EpochMetrics] = []
     metrics_file = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
     try:
@@ -275,18 +284,11 @@ def fit(store: FeatureStore, model: SeqDGModel, config: TrainConfig, *,
             loss_sums = dict.fromkeys(LOSS_KEYS, 0.0)
             for b_index, start in enumerate(range(0, len(order), config.batch_size)):
                 picked = order[start:start + config.batch_size]
-                rows = windows.rows[picked]
+                rows, padding = windows.rows[picked], windows.padding[picked]
                 if config.p_mix > 0:
-                    # one stream per window, so a window's draw does not
-                    # depend on the batch it lands in
-                    for slots, j in zip(rows, picked.tolist()):
-                        drawn = pool.draw(windows.padding[j],
-                                          lambda slot, slots=slots: actions.key(slots[slot]),
-                                          config.p_mix, _stream(config.seed, 5, epoch, j),
-                                          stats)
-                        if drawn is not None:
-                            slots[drawn[0]] = drawn[1]
-                chunk = Windows(actions, rows, windows.padding[picked])
+                    rows = pool.draw(rows, padding, config.p_mix,
+                                     _stream(config.seed, 5, epoch, b_index), stats)
+                chunk = Windows(actions, rows, padding)
                 try:
                     total, parts = composite_loss(model, cache.batch(chunk), config)
                     optimizer.zero()

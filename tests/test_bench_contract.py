@@ -94,3 +94,32 @@ def test_records_for_items_carry_what_the_benchmark_reads(tiny_store):
     for record in [*records, *records[:2]]:
         for attr in read:
             assert hasattr(record, attr), f"a records_for item has no {attr!r}"
+
+
+def test_fit_marks_each_epoch_start_and_draws_once_per_window(tiny_store, monkeypatch):
+    # `bench/spans.py` times epochs from the calls of `seqdg.train.lr_at`, and
+    # `workloads.check_fit` expects one SeqMix draw per window per epoch
+    import seqdg.train as train
+    from seqdg.data import SeqMixPool
+    from seqdg.model import ModelConfig, SeqDGModel
+
+    events = []
+    lr_at, draw = train.lr_at, SeqMixPool.draw
+
+    def marking_lr_at(epoch, config):
+        events.append(("epoch", epoch))
+        return lr_at(epoch, config)
+
+    def logging_draw(self, rows, *args, **kwargs):
+        events.append(("draw", len(rows)))
+        return draw(self, rows, *args, **kwargs)
+
+    monkeypatch.setattr(train, "lr_at", marking_lr_at)
+    monkeypatch.setattr(SeqMixPool, "draw", logging_draw)
+    config = train.TrainConfig(model=ModelConfig(**TINY_MODEL), epochs=3, batch_size=5,
+                               p_mix=0.5)
+    result = train.fit(tiny_store, SeqDGModel.init(config.model, seed=0), config)
+    windows = len(tiny_store.records_for(tiny_store.split.source))
+    batches = [("draw", min(5, windows - start)) for start in range(0, windows, 5)]
+    assert events == [event for epoch in range(3) for event in [("epoch", epoch), *batches]]
+    assert result.seqmix_stats.draws == windows * config.epochs

@@ -888,6 +888,17 @@ class TestImportInputErrors:
             assert f"{key} {value} at line 3 is outside int64" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
 
+    def test_csv_error_names_the_file_line_after_a_multiline_narration(self, tmp_path,
+                                                                      capsys):
+        rows = small_csv_rows()
+        rows[0]["narration"] = "open\nthe door"     # quoted, file lines 2 and 3
+        rows[1]["noun_class"] = -2                   # file line 4
+        argv = csv_dataset(tmp_path, rows)
+        for command in (["import", *argv], ["seq-stats", *argv[:2]]):
+            assert main([*command, "--out", str(tmp_path / "out")]) == 3
+            assert "negative label at line 4" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
     def test_csv_row_missing_a_field_is_data_error(self, tmp_path, capsys):
         argv = small_csv_dataset(tmp_path)
         csv_path = Path(argv[1])
@@ -1000,6 +1011,9 @@ class TestRunFailsBeforeAnyOutput:
         ("train", "model", "vocab_size", 2**51),
         ("ablate", "model", "d_ff", 2**51),
         ("ablate", "ablate", "W", [1, 2**51 + 1]),
+        # sized before any per-layer object is built, so these fail at once too
+        ("train", "model", "n_enc_layers", 2**44),
+        ("ablate", "model", "n_dec_layers", 2**43),
     ])
     def test_model_too_large_to_allocate_is_config_error(self, command, section, key, value,
                                                          tmp_path, dataset_dir, capsys):

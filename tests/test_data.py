@@ -438,6 +438,55 @@ class TestSeqMix:
         assert 0.48 <= rate <= 0.52
         assert stats.no_candidate == 0
 
+    def test_candidate_index_matches_a_scan_of_the_table(self):
+        rng = np.random.default_rng(30)
+        records = table([make_record(i, video=f"{d}_v0", domain=d, verb=int(rng.integers(3)),
+                                     noun=int(rng.integers(2)), t=t)
+                         for i, (d, t) in enumerate((d, t) for d in ("S0", "S1", "S2", "T0")
+                                                    for t in range(10))])
+        pool = SeqMixPool(records, ["S0", "S1", "S2"])
+        for row, rec in enumerate(records):
+            want = [other for other, cand in enumerate(records)
+                    if cand.label == rec.label and cand.domain_id != rec.domain_id
+                    and cand.domain_id != "T0"]
+            start, count = pool.start[row], pool.count[row]
+            assert pool.candidates[start:start + count].tolist() == want, row
+
+    def test_batch_draw_keeps_the_contract(self):
+        # W=5 windows of 6-action videos: most carry padding slots
+        records = mixing_setup(n_domains=4, actions_per_domain=6)
+        pool = SeqMixPool(records, [f"S{d}" for d in range(4)])
+        windows = build_windows(records, W=5)
+        picked = np.arange(20_000) % len(windows)
+        rows, padding = windows.rows[picked], windows.padding[picked]
+        stats = SeqMixStats()
+        mixed = pool.draw(rows, padding, 0.5, np.random.default_rng(31), stats)
+        changed = mixed != rows
+        assert changed.sum(axis=1).max() == 1
+        assert not (changed & padding).any()
+        old, new = rows[changed], mixed[changed]
+        assert (records.verbs[new] == records.verbs[old]).all()
+        assert (records.nouns[new] == records.nouns[old]).all()
+        assert (records.domain[new] != records.domain[old]).all()
+        n = len(rows)
+        assert (stats.draws, stats.replaced, stats.no_candidate) == (
+            n, int(changed.any(axis=1).sum()), 0)
+        assert abs(stats.replaced - 0.5 * n) <= 5 * np.sqrt(n * 0.25)
+        # each real slot of the unpadded windows is the one mixed about as often
+        full = ~padding.any(axis=1)
+        per_slot = changed[full & changed.any(axis=1)].sum(axis=0)
+        expected = per_slot.sum() / 5
+        assert (np.abs(per_slot - expected) <= 5 * np.sqrt(expected)).all()
+
+    def test_batch_draw_without_candidates_leaves_rows_and_counts(self):
+        records = mixing_setup(n_domains=1, actions_per_domain=3)
+        pool = SeqMixPool(records, ["S0"])
+        windows = build_windows(records, W=3)
+        stats = SeqMixStats()
+        mixed = pool.draw(windows.rows, windows.padding, 1.0, np.random.default_rng(0), stats)
+        assert mixed.tobytes() == windows.rows.tobytes()
+        assert (stats.draws, stats.replaced, stats.no_candidate) == (3, 0, 3)
+
 
 class TestFeatureCache:
     def test_mean_aggregated_batch_shapes(self):

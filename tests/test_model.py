@@ -496,9 +496,97 @@ def test_bench_width_step_graph_size():
 
 
 @pytest.mark.parametrize("key, value", [("W", 2**53 + 1), ("d_ff", 2**53),
-                                        ("vocab_size", 2**53)])
+                                        ("vocab_size", 2**53), ("n_enc_layers", 2**47),
+                                        ("n_dec_layers", 2**46)])
 def test_parameters_too_large_to_allocate_are_a_value_error(key, value):
     # 2^56 floats (2^59 bytes) or more, past any address space: the
     # allocation fails at once without touching memory
     with pytest.raises(ValueError, match="cannot allocate the model: Unable to allocate"):
         SeqDGModel.init(tiny_config(**{key: value}))
+
+
+def bench_width_batch(config, batch=16, seed=0):
+    rng = np.random.default_rng(seed)
+    return Batch(visual=rng.standard_normal((batch, config.W, config.D_V)),
+                 text=rng.standard_normal((batch, config.W, config.D_T)),
+                 verbs=rng.integers(0, config.n_verbs, batch),
+                 nouns=rng.integers(0, config.n_nouns, batch),
+                 center_tokens=tuple((int(rng.integers(config.vocab_size)),)
+                                     for _ in range(batch)))
+
+
+class TestParameterBuffer:
+    """Every tensor of a `ModelParams` lives in one parameter buffer and
+    one gradient buffer, in walk order."""
+
+    def assert_views_in_walk_order(self, params, attr="data", buffer_attr="flat"):
+        buffer = getattr(params, buffer_attr)
+        start = 0
+        for name, tensor in params.named().items():
+            array = getattr(tensor, attr)
+            assert array.base is buffer, name
+            assert array.ctypes.data == buffer.ctypes.data + 8 * start, name
+            start += array.size
+        assert start == params.flat.size == params.flat_grad.size
+
+    def test_initialised_and_loaded_parameters_are_buffer_views(self, tmp_path):
+        from seqdg.checkpoint import load_checkpoint, save_checkpoint
+
+        params = tiny_model(seed=5).params
+        self.assert_views_in_walk_order(params)
+        loaded, _ = load_checkpoint(save_checkpoint(tmp_path / "m.ckpt", params))
+        self.assert_views_in_walk_order(loaded)
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+
+    def test_gradients_are_their_parameters_slices(self):
+        model = tiny_model(seed=6)
+        config = TrainConfig(model=model.config, lambda_rv=1.0, lambda_rt=1.0,
+                             text_loss="token_cross_entropy")
+        total, _ = composite_loss(model, bench_width_batch(model.config, batch=3), config)
+        total.backward()
+        self.assert_views_in_walk_order(model.params, "grad", "flat_grad")
+
+    @pytest.mark.parametrize("text_loss", ["mse", "token_cross_entropy"])
+    def test_no_two_gradients_share_memory_after_a_bench_width_backward(self, text_loss):
+        config = ModelConfig(**json.loads(BENCH_CONFIG.read_text())["model"])
+        model = SeqDGModel.init(config, seed=0)
+        total, _ = composite_loss(model, bench_width_batch(config),
+                                  TrainConfig(model=config, text_loss=text_loss))
+        total.backward()
+        nodes = T._toposort(total) + model.params.tensors()
+        grads = list({id(node): node.grad for node in nodes
+                      if node.grad is not None}.values())
+        assert len(grads) > 100
+        for i, a in enumerate(grads):
+            for b in grads[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+
+class TestFlattenedLinear:
+    """`linear` runs one GEMM over the flattened leading axes; on every
+    input a bench-width model feeds it, training or inference, the output
+    has the bits of numpy's own product over the leading axes."""
+
+    @pytest.mark.parametrize("w", [1, 5])
+    @pytest.mark.parametrize("batch", [16, 5, 256])
+    def test_bench_width_outputs_equal_numpys_product(self, w, batch, monkeypatch):
+        config = ModelConfig(**{**json.loads(BENCH_CONFIG.read_text())["model"], "W": w})
+        model = SeqDGModel.init(config, seed=1)
+        linear = T.linear
+        rows_per_index = set()
+
+        def checked_linear(x, weight, bias):
+            out = linear(x, weight, bias)
+            want = x.data @ weight.data
+            want += bias.data
+            assert out.data.tobytes() == want.tobytes(), (x.shape, weight.shape)
+            rows_per_index.add(x.shape[-2])
+            return out
+
+        monkeypatch.setattr(T, "linear", checked_linear)
+        data = bench_width_batch(config, batch=batch, seed=2)
+        model.forward_train(data.visual, data.text, recon_v=True, recon_t=True,
+                            token_text=True)
+        model.predict_logits(data.visual)
+        # single rows (the heads, and a W=1 model's decoders) and several
+        assert 1 in rows_per_index and max(rows_per_index) > 1

@@ -305,3 +305,54 @@ class TestFit:
         res = fit(store, model, config)
         assert res.seqmix_stats.draws > 0
         assert res.seqmix_stats.replaced > 0
+
+
+class TestFlatSGD:
+    @staticmethod
+    def reference_step(tensors, velocity, momentum, lr):
+        """The per-tensor update the flat step replaced: tensors without a
+        gradient are skipped."""
+        for i, t in enumerate(tensors):
+            if t.grad is None:
+                continue
+            if momentum == 0:
+                t.data -= lr * t.grad
+            else:
+                velocity[i] = momentum * velocity[i] + t.grad
+                t.data -= lr * velocity[i]
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_flat_update_equals_the_per_tensor_update_bitwise(self, momentum):
+        # lambda_rv = 0: the visual decoder never gets a gradient
+        config = toy_train_config(lambda_rv=0.0, momentum=momentum)
+        flat, ref = (SeqDGModel.init(config.model, seed=7) for _ in range(2))
+        optimizer = seqdg.train._SGD(flat.params, momentum)
+        ref_tensors = ref.params.tensors()
+        velocity = [np.zeros_like(t.data) for t in ref_tensors]
+        rng = np.random.default_rng(8)
+        for step, lr in enumerate((0.05, 0.05, 0.01)):
+            batch = Batch(visual=rng.standard_normal((4, 3, 6)),
+                          text=rng.standard_normal((4, 3, 8)),
+                          verbs=rng.integers(0, 3, 4), nouns=rng.integers(0, 2, 4),
+                          center_tokens=((1,),) * 4)
+            optimizer.zero()
+            composite_loss(flat, batch, config)[0].backward()
+            optimizer.step(lr)
+            for t in ref_tensors:
+                t.grad = None
+            composite_loss(ref, batch, config)[0].backward()
+            self.reference_step(ref_tensors, velocity, momentum, lr)
+            assert flat.params.flat.tobytes() == ref.params.flat.tobytes(), step
+        untouched = [t for name, t in ref.params.named().items() if name.startswith("dec_v.")]
+        assert untouched and all(t.grad is None for t in untouched)
+
+    def test_a_gradient_left_from_an_earlier_step_is_not_applied(self):
+        config = toy_train_config()
+        model = SeqDGModel.init(config.model, seed=9)
+        optimizer = seqdg.train._SGD(model.params, 0.0)
+        head = model.params.head_verb.weight
+        T.sum_all(head).backward()
+        optimizer.zero()
+        before = model.params.flat.copy()
+        optimizer.step(0.1)
+        assert model.params.flat.tobytes() == before.tobytes()
