@@ -22,7 +22,7 @@ from seqdg.data import (
     import_csv_dataset,
     seqmix,
 )
-from seqdg.evaluate import Prediction, accuracy, sliding_window_predict
+from seqdg.evaluate import Prediction, Predictions, accuracy, sliding_window_predict
 from seqdg.model import (
     EncodedSequence,
     ModelConfig,
@@ -51,6 +51,7 @@ __all__ = [
     "ModelParams",
     "NarrationEmbedder",
     "Prediction",
+    "Predictions",
     "SeqDGModel",
     "SeqMixPool",
     "SeqMixStats",

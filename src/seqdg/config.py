@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import reprlib
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -58,11 +59,15 @@ def field_defaults(cls) -> dict:
 
 def _fits(default, value) -> bool:
     """Whether a JSON value may set a field whose default is `default`: a
-    finite number for a float, a list of ints for a tuple, an int or null
-    where the default is null, the exact type otherwise (a bool is no
-    number). Python's JSON parser reads NaN and Infinity as floats."""
+    number that converts to a finite float for a float, a list of ints for
+    a tuple, an int or null where the default is null, the exact type
+    otherwise (a bool is no number). Python's JSON parser reads NaN and
+    Infinity as floats, and an int of any size as an int."""
     if isinstance(default, float):
-        return type(value) is int or (type(value) is float and math.isfinite(value))
+        try:
+            return type(value) in (int, float) and math.isfinite(float(value))
+        except OverflowError:  # an int past the float range
+            return False
     if isinstance(default, tuple):
         return type(value) is list and all(type(v) is int for v in value)
     if default is None:
@@ -78,7 +83,7 @@ def field_problems(section: str, payload, defaults: dict) -> list[str]:
     if type(payload) is not dict:
         return [f"{section} must be a JSON object"]
     return [f"{section}: unknown key {key!r}" if key not in defaults
-            else f"{section}: {key} cannot be {value!r}"
+            else f"{section}: {key} cannot be {reprlib.repr(value)}"
             for key, value in payload.items()
             if key not in defaults or not _fits(defaults[key], value)]
 
@@ -97,7 +102,9 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError([f"config file not found: {path}"])
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, UnicodeDecodeError, an int past Python's digit
+            # limit, or nesting past the recursion limit
             raise ConfigError([f"config file is not valid JSON: {exc}"])
         if not isinstance(raw, dict):
             raise ConfigError(["config file must hold a JSON object"])
@@ -123,7 +130,7 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
         if not values:
             problems.append(f"ablate: {key} must be a non-empty list")
         elif not all(_fits(swept[ABLATE_FIELDS[key]], v) for v in values):
-            problems.append(f"ablate: {key} cannot hold {values!r}")
+            problems.append(f"ablate: {key} cannot hold {reprlib.repr(values)}")
 
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
     # override values obey the file's typing rule (a float flag also parses "nan")

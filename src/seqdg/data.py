@@ -333,7 +333,9 @@ class FeatureStore:
             raise DataError(f"no manifest at {manifest_path}")
         try:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, UnicodeDecodeError, an int past Python's digit
+            # limit, or nesting past the recursion limit
             raise DataError(f"{manifest_path}: not valid JSON: {exc}") from exc
         if not isinstance(manifest, dict):
             raise DataError(f"{manifest_path}: manifest must be a JSON object")

@@ -9,6 +9,9 @@ truth appear in their respective top-k lists.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +21,10 @@ from seqdg.model import SeqDGModel
 
 __all__ = [
     "Prediction",
+    "Predictions",
     "head_k",
     "topk_indices",
+    "scoring_threads",
     "predict_windows",
     "sliding_window_predict",
     "topk_accuracy",
@@ -28,17 +33,40 @@ __all__ = [
 
 
 # windows per inference forward, in `fit`'s source accuracy and in
-# `sliding_window_predict`; both ran faster at 256 than at 512
-INFERENCE_BATCH = 256
+# `sliding_window_predict`: on one thread, 2,400 windows of the bench-width
+# model took 121 ms at 128 against 157 ms at 256 (2-vCPU VM, BLAS on one
+# thread), and chunks of 16 to 512 give bitwise-equal logits
+INFERENCE_BATCH = 128
 
 
 @dataclass
 class Prediction:
+    """One action's row of a `Predictions`."""
     action_id: int
     verb_logits: np.ndarray
     noun_logits: np.ndarray
     topk_verbs: np.ndarray
     topk_nouns: np.ndarray
+
+
+@dataclass
+class Predictions:
+    """Stacked predictions: row i of each array belongs to action
+    `action_ids[i]`. `len()` counts actions; iterating yields one
+    `Prediction` of views per action."""
+    action_ids: np.ndarray
+    verb_logits: np.ndarray
+    noun_logits: np.ndarray
+    topk_verbs: np.ndarray
+    topk_nouns: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.action_ids)
+
+    def __iter__(self):
+        for i, action_id in enumerate(self.action_ids.tolist()):
+            yield Prediction(action_id, self.verb_logits[i], self.noun_logits[i],
+                             self.topk_verbs[i], self.topk_nouns[i])
 
 
 def topk_indices(logits: np.ndarray, k: int) -> np.ndarray:
@@ -56,18 +84,76 @@ def head_k(k: int, n_classes: int) -> int:
     return min(k, n_classes)
 
 
+def _blas_threads(cpus: int) -> int:
+    """The threads each BLAS call takes: the first positive count in
+    OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, the order OpenBLAS reads
+    them in, else every CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads >= 1:
+            return threads
+    return cpus
+
+
+def scoring_threads(n_chunks: int) -> int:
+    """Threads that score `n_chunks` inference chunks: the CPUs this
+    process may use over the threads each BLAS call takes, and no more
+    than leaves each thread two chunks. With BLAS unpinned its own threads
+    already fill the CPUs, and the answer is 1."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus // _blas_threads(cpus), n_chunks // 2))
+
+
 def predict_windows(cache: FeatureCache, model: SeqDGModel,
                     windows) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked verb and noun logits of `windows`, `INFERENCE_BATCH` at a time."""
-    parts = [model.predict_logits(cache.batch(windows[start:start + INFERENCE_BATCH]).visual)
-             for start in range(0, len(windows), INFERENCE_BATCH)]
+    """Stacked verb and noun logits of `windows`, `INFERENCE_BATCH` at a time.
+
+    With n = `scoring_threads` above one, the calling thread and n - 1
+    pool threads score the chunks, each taking the next unscored chunk
+    until none is left, so a thread that is held up leaves its share to
+    the others. Every chunk is the same computation on any thread, so the
+    logits are bitwise those of one thread. Every pool thread has ended
+    on return.
+    """
+    cfg = model.config
+    starts = range(0, len(windows), INFERENCE_BATCH)
+    parts = [None] * len(starts)
+    claim = threading.Lock()
+    unscored = iter(range(len(starts)))
+
+    def score():
+        while True:
+            with claim:
+                i = next(unscored, None)
+            if i is None:
+                return
+            chunk = windows[starts[i]:starts[i] + INFERENCE_BATCH]
+            parts[i] = model.predict_logits(cache.batch(chunk).visual)
+
+    n = scoring_threads(len(starts))
+    if n == 1:
+        score()
+    else:
+        with ThreadPoolExecutor(n - 1) as pool:
+            others = [pool.submit(score) for _ in range(n - 1)]
+            score()
+            for future in others:
+                future.result()
+    if not parts:
+        return np.empty((0, cfg.n_verbs)), np.empty((0, cfg.n_nouns))
     return (np.concatenate([verb for verb, _noun in parts]),
             np.concatenate([noun for _verb, noun in parts]))
 
 
 def sliding_window_predict(store: FeatureStore, model: SeqDGModel, *,
-                           domains=None, k: int = 5) -> list[Prediction]:
-    """One prediction per action of the requested domains (default: the
+                           domains=None, k: int = 5) -> Predictions:
+    """Predictions of every action of the requested domains (default: the
     target split), in the store's record order, every video processed in
     isolation."""
     cfg = model.config
@@ -75,14 +161,11 @@ def sliding_window_predict(store: FeatureStore, model: SeqDGModel, *,
         domains = store.split.target
     actions = store.records_for(domains)
     windows = build_windows(actions, cfg.W)
-    if not len(windows):
-        return []
     verb_logits, noun_logits = predict_windows(FeatureCache(store, actions), model, windows)
-    topk_verbs = topk_indices(verb_logits, head_k(k, cfg.n_verbs))
-    topk_nouns = topk_indices(noun_logits, head_k(k, cfg.n_nouns))
     # window i is centred on action i
-    return [Prediction(action_id, verb_logits[i], noun_logits[i], topk_verbs[i], topk_nouns[i])
-            for i, action_id in enumerate(actions.ids.tolist())]
+    return Predictions(actions.ids, verb_logits, noun_logits,
+                       topk_indices(verb_logits, head_k(k, cfg.n_verbs)),
+                       topk_indices(noun_logits, head_k(k, cfg.n_nouns)))
 
 
 def _in_topk(logits: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -103,12 +186,17 @@ def topk_accuracy(verb_logits: np.ndarray, noun_logits: np.ndarray, verbs, nouns
 
 
 def accuracy(predictions, labels, k: int = 1) -> tuple[float, float, float]:
-    """Top-k verb%, noun%, and action% (both heads correct) over aligned
-    (verb, noun) label pairs."""
+    """Top-k verb%, noun%, and action% (both heads correct) of a
+    `Predictions`, or of a sequence of `Prediction`s, over aligned (verb,
+    noun) label pairs."""
     if len(predictions) != len(labels):
         raise ValueError(f"{len(predictions)} predictions vs {len(labels)} labels")
-    if not predictions:
+    if not len(predictions):
         raise ValueError("empty prediction set")
-    return topk_accuracy(np.stack([p.verb_logits for p in predictions]),
-                         np.stack([p.noun_logits for p in predictions]),
-                         [verb for verb, _noun in labels], [noun for _verb, noun in labels], k)
+    if isinstance(predictions, Predictions):
+        verb_logits, noun_logits = predictions.verb_logits, predictions.noun_logits
+    else:
+        verb_logits = np.stack([p.verb_logits for p in predictions])
+        noun_logits = np.stack([p.noun_logits for p in predictions])
+    verbs, nouns = np.asarray(labels).T
+    return topk_accuracy(verb_logits, noun_logits, verbs, nouns, k)

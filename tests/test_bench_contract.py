@@ -63,6 +63,33 @@ def test_predict_returns_one_prediction_per_target_action(tiny_store):
     assert len(sliding_window_predict(tiny_store, model)) == len(target) > 0
 
 
+def test_no_scoring_thread_outlives_the_predict_call(tiny_store, monkeypatch):
+    # `bench/spans.py` runs its speed probe right before and after each
+    # `sliding_window_predict` call; work still running then would overlap it
+    import threading
+
+    from seqdg import evaluate
+    from seqdg.model import ModelConfig, SeqDGModel
+
+    monkeypatch.setattr(evaluate, "INFERENCE_BATCH", 2)
+    monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    model = SeqDGModel.init(ModelConfig(**TINY_MODEL), seed=0)
+    before = set(threading.enumerate())
+    started = set()
+    predict = model.predict_logits
+
+    def recording(visual):
+        started.update(set(threading.enumerate()) - before)
+        return predict(visual)
+
+    model.predict_logits = recording
+    evaluate.sliding_window_predict(tiny_store, model)
+    assert len(started) == 1
+    assert set(threading.enumerate()) == before
+    assert not any(thread.is_alive() for thread in started)
+
+
 def test_train_and_score_predicts_through_the_train_module_attribute(tiny_store,
                                                                      monkeypatch):
     # the stage wrapper is installed on `seqdg.train.sliding_window_predict`

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import math
 import shutil
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from seqdg import cli
+from seqdg import cli, evaluate
 from seqdg.checkpoint import load_model, save_checkpoint
 from seqdg.cli import main
-from seqdg.config import ConfigError, load_run_config
+from seqdg.config import ABLATE_FIELDS, ConfigError, field_defaults, load_run_config
 from seqdg.data import (
     ActionRecord,
     FeatureStore,
@@ -66,7 +68,61 @@ def sha(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+CONFIG_KEYS = {"synth": sorted(field_defaults(SynthConfig)),
+               "model": sorted(field_defaults(ModelConfig)),
+               "train": sorted(set(field_defaults(TrainConfig)) - {"model"}),
+               "ablate": sorted(ABLATE_FIELDS)}
+# ints on both sides of the float range, which ends near 1.8e308
+BOUNDARY_INTS = st.builds(lambda sign, digits: sign * 10**digits,
+                          st.sampled_from([-1, 1]), st.integers(300, 320))
+
+
+@st.composite
+def fuzzed_configs(draw) -> dict:
+    """SMALL_SYNTH with a few of its values, or a whole section, replaced
+    by drawn JSON values, or with unknown keys or sections added."""
+    cfg = json.loads(json.dumps(SMALL_SYNTH))
+    values = st.one_of(BOUNDARY_INTS, st.lists(BOUNDARY_INTS, min_size=1, max_size=2),
+                       JSON_VALUES, st.lists(st.floats(), max_size=3))
+    for _ in range(draw(st.integers(1, 3))):
+        section = draw(st.sampled_from([*CONFIG_KEYS, "mystery"]))
+        if draw(st.integers(0, 9)) == 0:
+            cfg[section] = draw(values)
+            continue
+        if not isinstance(cfg.get(section), dict):
+            cfg[section] = {}
+        key = draw(st.sampled_from([*CONFIG_KEYS.get(section, []), "mystery"]))
+        cfg[section][key] = draw(values)
+    return cfg
+
+
 class TestConfigLoading:
+    @given(config=fuzzed_configs())
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_fuzzed_config_loads_or_is_config_error(self, config, tmp_path):
+        path = tmp_path / "fuzzed.json"
+        path.write_text(json.dumps(config))
+        try:
+            run = load_run_config(path)
+        except ConfigError:
+            return
+        # what loads is usable: every float field holds a finite float
+        for section in (run.synth, run.model, run.train):
+            for key, default in field_defaults(type(section)).items():
+                if isinstance(default, float):
+                    assert math.isfinite(float(getattr(section, key))), key
+
+    @pytest.mark.parametrize("text", [b"\xff{}", b"{\"train\": {\"lr\": " + b"9" * 5000 + b"}}",
+                                      b"[" * 100_000],
+                             ids=["not_utf8", "int_past_the_digit_limit",
+                                  "nested_past_the_recursion_limit"])
+    def test_unreadable_config_file_is_config_error(self, text, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_run_config(path)
+
     def test_unknown_keys_and_bad_values_reported_together(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
@@ -150,6 +206,14 @@ WRONG_TYPED_CONFIGS = {
     "synth_noise_sigma_nan": ({"synth": {"noise_sigma": float("nan")}}, "noise_sigma"),
     "ablate_lambda_rt_minus_inf": ({"ablate": {"lambda_rt": [float("-inf")]}}, "lambda_rt"),
     "model_n_heads_zero": ({"model": {"n_heads": 0}}, "n_heads"),
+    # an int converts to a float only below ~1.8e308
+    "synth_domain_shift_past_float_range": ({"synth": {"domain_shift": 10**400}},
+                                            "domain_shift"),
+    "model_layer_norm_eps_past_float_range": ({"model": {"layer_norm_eps": 10**309}},
+                                              "layer_norm_eps"),
+    "train_lr_past_float_range": ({"train": {"lr": 10**400}}, "lr"),
+    "ablate_lambda_rv_past_float_range": ({"ablate": {"lambda_rv": [1.0, -10**400]}},
+                                          "lambda_rv"),
 }
 
 
@@ -354,6 +418,27 @@ class TestTrainEval:
                          str(dataset_dir), "--out", str(tmp_path / "div")])
         assert code == 4
 
+    def test_nonfinite_feature_while_scoring_on_threads_exits_4(self, tmp_path, dataset_dir,
+                                                                checkpoint_path, monkeypatch,
+                                                                capsys):
+        # two scoring threads over 4-window chunks; action 5 of the target
+        # split is the centre of window 5, in chunk 1 (a pool thread's NaN
+        # is `test_evaluate`'s case)
+        monkeypatch.setattr(evaluate, "INFERENCE_BATCH", 4)
+        monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        store = FeatureStore.load(dataset_dir)
+        target = store.records_for(store.split.target)
+        assert evaluate.scoring_threads(-(-len(target) // 4)) == 2
+        features = np.fromfile(dataset_dir / "features.f32", dtype="<f4")
+        features[target[5].blob_offset] = np.nan
+        features.tofile(dataset_dir / "features.f32")
+        before = threading.active_count()
+        assert main(["eval", "--checkpoint", str(checkpoint_path), "--data",
+                     str(dataset_dir), "--out", str(tmp_path / "ev")]) == 4
+        assert "numerical failure" in capsys.readouterr().err
+        assert threading.active_count() == before
+
 
 class TestAblate:
     def test_all_components_off_is_single_action_baseline(self, tmp_path,
@@ -482,6 +567,8 @@ CORRUPT_CHECKPOINTS = {
         raw, lambda h: h["config"].update(n_enc_layers=True)),
     "layer_norm_eps_nan": lambda raw: with_header(
         raw, lambda h: h["config"].update(layer_norm_eps=float("nan"))),
+    "layer_norm_eps_past_float_range": lambda raw: with_header(
+        raw, lambda h: h["config"].update(layer_norm_eps=10**400)),
     "n_heads_zero": lambda raw: with_header(raw, lambda h: h["config"].update(n_heads=0)),
     # the header agrees with its payload and with the model
     "n_verbs_changed": lambda raw: with_header(raw, lambda h: h["config"].update(n_verbs=7)),
@@ -624,6 +711,18 @@ class TestManifestInputErrors:
         assert main(["eval", "--checkpoint", str(checkpoint_path), "--data",
                      str(dataset_dir), "--out", str(tmp_path / "ev")]) == 3
         assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
+    @pytest.mark.parametrize("damage", [lambda raw: raw + b"\xff",
+                                        lambda raw: b"[" * 100_000],
+                             ids=["not_utf8", "nested_past_the_recursion_limit"])
+    def test_unreadable_manifest_is_data_error(self, damage, tmp_path, dataset_dir,
+                                               checkpoint_path, capsys):
+        path = dataset_dir / "manifest.json"
+        path.write_bytes(damage(path.read_bytes()))
+        assert main(["eval", "--checkpoint", str(checkpoint_path), "--data",
+                     str(dataset_dir), "--out", str(tmp_path / "ev")]) == 3
+        assert "not valid JSON" in capsys.readouterr().err
         assert not (tmp_path / "ev").exists()
 
     @given(data=st.data())
@@ -1020,4 +1119,22 @@ class TestRunFailsBeforeAnyOutput:
         config = with_section(tmp_path, section, **{key: value})
         assert self.run(command, config, tmp_path, dataset_dir) == 2
         assert "cannot allocate the model" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # every float field that training reads, as an int past the float range
+    @pytest.mark.parametrize("command, section, key", [
+        ("train", "train", "lr"),
+        ("train", "train", "lambda_rv"),
+        ("train", "train", "lambda_rt"),
+        ("train", "train", "lr_decay_factor"),
+        ("train", "model", "layer_norm_eps"),
+        ("synth-gen", "synth", "domain_shift"),
+        ("synth-gen", "synth", "offset_shift"),
+        ("synth-gen", "synth", "noise_sigma"),
+    ])
+    def test_int_past_the_float_range_is_config_error(self, command, section, key,
+                                                      tmp_path, dataset_dir, capsys):
+        config = with_section(tmp_path, section, **{key: 10**400})
+        assert self.run(command, config, tmp_path, dataset_dir) == 2
+        assert f"{section}: {key} cannot be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -1,16 +1,23 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqdg import evaluate
+from seqdg.data import FeatureCache, build_windows
 from seqdg.evaluate import (
     Prediction,
     accuracy,
+    predict_windows,
     sliding_window_predict,
     topk_accuracy,
     topk_indices,
 )
 from seqdg.model import ModelConfig, SeqDGModel
+from seqdg.tensor import NonFiniteError
 from test_train import toy_store
 
 
@@ -125,7 +132,7 @@ class TestSlidingWindow:
         store, model = self.trained_setup()
         full = sliding_window_predict(store, model, domains=("S0", "S1"))
         solo = sliding_window_predict(store, model, domains=("S0",))
-        for a, b in zip(solo, full[:len(solo)]):
+        for a, b in zip(solo, full):
             assert a.action_id == b.action_id
             assert a.verb_logits.tobytes() == b.verb_logits.tobytes()
 
@@ -152,7 +159,172 @@ class TestSlidingWindow:
             assert x.verb_logits.tobytes() == y.verb_logits.tobytes()
             assert x.noun_logits.tobytes() == y.noun_logits.tobytes()
 
+    def test_stacked_predictions_score_like_their_rows(self):
+        store, model = self.trained_setup()
+        preds = sliding_window_predict(store, model, k=2)
+        labels = store.records_for(("T0",)).labels()
+        for k in (1, 2):
+            assert accuracy(preds, labels, k) == accuracy(list(preds), labels, k)
+
     def test_evaluation_touches_no_gradient_machinery(self):
         store, model = self.trained_setup()
         sliding_window_predict(store, model)
         assert all(t.grad is None for t in model.params.tensors())
+
+
+def serial_logits(cache, model, windows, batch):
+    """The one-thread loop that `predict_windows` must equal bitwise."""
+    parts = [model.predict_logits(cache.batch(windows[start:start + batch]).visual)
+             for start in range(0, len(windows), batch)]
+    return (np.concatenate([verb for verb, _noun in parts]),
+            np.concatenate([noun for _verb, noun in parts]))
+
+
+def pin(monkeypatch, cpus, blas="1"):
+    """Make `scoring_threads` see `cpus` usable CPUs and BLAS on `blas`
+    threads (None: unset)."""
+    monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    if blas is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+
+
+class ThreadLog:
+    """Wraps a `predict_logits` to record the thread and first feature
+    value of every chunk it scores. With `pool_first`, the calling
+    thread's calls wait (up to 10 s) until a pool thread has begun one, so
+    that a pool thread scores at least one chunk; with `poison`, a pool
+    thread's chunk is scored as NaN features."""
+
+    def __init__(self, predict, pool_first=False, poison=False):
+        self.predict, self.pool_first, self.poison = predict, pool_first, poison
+        self.calls = []
+        self.pool_began = threading.Event()
+
+    def __call__(self, visual):
+        thread = threading.current_thread()
+        self.calls.append((thread, visual.flat[0]))
+        if thread is threading.main_thread():
+            if self.pool_first:
+                assert self.pool_began.wait(timeout=10), "no pool thread scored a chunk"
+        else:
+            self.pool_began.set()
+            if self.poison:
+                visual = np.full_like(visual, np.nan)
+        return self.predict(visual)
+
+    def threads(self) -> set:
+        return {thread for thread, _first in self.calls}
+
+
+def check_threads_ended(before: int):
+    """The thread count is back to `before`; leftovers are joined with a
+    timeout so that a failure cannot hang the run."""
+    after = threading.active_count()
+    for thread in threading.enumerate():
+        if thread is not threading.main_thread():
+            thread.join(timeout=10)
+    assert after == before
+
+
+class TestThreadedScoring:
+    BATCH = 2
+
+    @pytest.fixture
+    def scoring(self, monkeypatch):
+        """A 24-window store scored `BATCH` windows at a time."""
+        monkeypatch.setattr(evaluate, "INFERENCE_BATCH", self.BATCH)
+        store = toy_store(n_videos=3, actions_per_video=8)
+        actions = store.records_for(store.split.source)
+        cfg = ModelConfig(W=3, D=8, D_V=6, D_T=8, n_enc_layers=2, n_dec_layers=0,
+                          n_heads=2, n_verbs=3, n_nouns=2, d_ff=16)
+        return (FeatureCache(store, actions), SeqDGModel.init(cfg, seed=3),
+                build_windows(actions, cfg.W))
+
+    def first_values(self, cache, windows):
+        return sorted(cache.batch(windows[start:start + self.BATCH]).visual.flat[0]
+                      for start in range(0, len(windows), self.BATCH))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("n_windows", [1, 3, 4, 5, 6, 7, 12, 13, 24])
+    def test_logits_bitwise_equal_the_serial_loop(self, cpus, n_windows, scoring,
+                                                  monkeypatch):
+        # 1 to 12 chunks: below, at and above each thread count
+        cache, model, windows = scoring
+        windows = windows[:n_windows]
+        want = serial_logits(cache, model, windows, self.BATCH)
+        pin(monkeypatch, cpus)
+        chunks = -(-n_windows // self.BATCH)
+        n = min(cpus, chunks // 2) or 1
+        assert evaluate.scoring_threads(chunks) == n
+        log = model.predict_logits = ThreadLog(model.predict_logits, pool_first=n > 1)
+        before = threading.active_count()
+        verb, noun = predict_windows(cache, model, windows)
+        check_threads_ended(before)
+        assert verb.tobytes() == want[0].tobytes() and noun.tobytes() == want[1].tobytes()
+        # every chunk scored once, by at most n threads, and by a pool
+        # thread exactly when n > 1 (on tiny chunks a pool thread may claim
+        # them all before the calling thread claims one)
+        assert sorted(first for _thread, first in log.calls) == self.first_values(cache,
+                                                                                  windows)
+        assert len(log.threads()) <= n
+        assert (log.threads() != {threading.main_thread()}) == (n > 1)
+
+    def test_nonfinite_chunk_on_a_pool_thread_propagates(self, scoring, monkeypatch):
+        cache, model, windows = scoring
+        pin(monkeypatch, 2)
+        log = model.predict_logits = ThreadLog(model.predict_logits, pool_first=True,
+                                               poison=True)
+        before = threading.active_count()
+        with pytest.raises(NonFiniteError):
+            predict_windows(cache, model, windows)
+        check_threads_ended(before)
+        assert log.threads() != {threading.main_thread()}
+
+    def test_four_threads_on_two_cores_with_constant_switching(self, scoring, monkeypatch):
+        cache, model, windows = scoring
+        want = serial_logits(cache, model, windows, self.BATCH)
+        pin(monkeypatch, 4)
+        predict = model.predict_logits
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            before = threading.active_count()
+            for _ in range(3):
+                log = model.predict_logits = ThreadLog(predict)
+                verb, noun = predict_windows(cache, model, windows)
+                assert verb.tobytes() == want[0].tobytes()
+                assert noun.tobytes() == want[1].tobytes()
+                assert sorted(first for _t, first in log.calls) == self.first_values(cache,
+                                                                                     windows)
+                assert len(log.threads()) <= 4
+        finally:
+            sys.setswitchinterval(interval)
+        check_threads_ended(before)
+
+    @pytest.mark.parametrize("env, cpus, n", [
+        ({}, 2, 1),                                         # BLAS unpinned
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ({"OMP_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 3, 3),
+        ({"OPENBLAS_NUM_THREADS": "x"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+    ])
+    def test_thread_count_follows_cpus_and_blas(self, env, cpus, n, monkeypatch):
+        pin(monkeypatch, cpus, blas=None)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert evaluate.scoring_threads(100) == n
+
+    def test_each_thread_gets_two_chunks(self, monkeypatch):
+        pin(monkeypatch, 4)
+        assert [evaluate.scoring_threads(c) for c in range(10)] == [1, 1, 1, 1, 2, 2, 3, 3, 4, 4]
+
+    def test_cpu_count_when_affinity_is_unknown(self, monkeypatch):
+        pin(monkeypatch, 1)
+        monkeypatch.delattr(evaluate.os, "sched_getaffinity")
+        monkeypatch.setattr(evaluate.os, "cpu_count", lambda: 3)
+        assert evaluate.scoring_threads(100) == 3
