@@ -13,7 +13,10 @@ The stages pass plain tensors: the text stream is its features as given,
 and `decode` is told by `which` which of the two streams it rebuilds.
 
 Residual wiring is post-norm throughout: the normalization wraps the sum
-of the sublayer output and its input.
+of the sublayer output and its input. Each sublayer is one graph node
+(`tensor.attention_block`, `tensor.feed_forward`) and each residual norm
+another (`tensor.add_layer_norm`), so an encoder layer builds 4 nodes
+and a decoder layer 6.
 """
 
 from __future__ import annotations
@@ -408,14 +411,17 @@ def cross_attention(query_stream: Tensor, context: Tensor, params: AttentionPara
 
 def _attend(queries: Tensor, keys: Tensor, values: Tensor, params: AttentionParams,
             n_heads: int) -> Tensor:
-    """Project each stream (q, k, v in that order), attend, project out."""
-    ctx, _ = T.attention(_linear(queries, params.q), _linear(keys, params.k),
-                         _linear(values, params.v), n_heads)
-    return _linear(ctx, params.out)
+    """Project each stream (q, k, v in that order), attend, project out:
+    the whole sublayer is one `attention_block` node."""
+    q, k, v, out = params.q, params.k, params.v, params.out
+    return T.attention_block(queries, keys, values,
+                             ((q.weight, q.bias), (k.weight, k.bias), (v.weight, v.bias),
+                              (out.weight, out.bias)), n_heads)
 
 
 def _feed_forward(h: Tensor, ff_in: Affine, ff_out: Affine) -> Tensor:
-    return _linear(T.relu(_linear(h, ff_in)), ff_out)
+    """`ff_out(relu(ff_in(h)))`, one `feed_forward` node."""
+    return T.feed_forward(h, ff_in.weight, ff_in.bias, ff_out.weight, ff_out.bias)
 
 
 def encoder_layer(h: Tensor, params: EncoderLayerParams, n_heads: int,

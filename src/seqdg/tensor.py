@@ -9,18 +9,24 @@ order. Tensors are immutable after creation except for gradient
 accumulation, so separate graphs can run on separate threads.
 
 A training step costs Python work per graph node more than arithmetic,
-so the model's three recurring patterns are fused ops, one node each:
+so the model's recurring patterns are fused ops, one node each:
 `linear` (affine map), `attention` (multi-head scaled dot-product
-attention, head split and merge included) and `add_layer_norm` (post-norm
-residual). Each equals a composition of the primitive ops, which stay
-public.
+attention, head split and merge included), `attention_block` (a whole
+attention sublayer: q, k and v projections, attention, output
+projection), `feed_forward` (affine, relu, affine) and `add_layer_norm`
+(post-norm residual). Each equals a composition of the primitive ops,
+which stay public; the sublayer ops equal the composition of `linear`,
+`attention` and `relu` bit for bit, gradients included. The fused ops
+share one affine forward and backward (`_affine`, `_affine_backward`) and
+one head-split softmax (`_heads`), and check every intermediate for NaN
+and Inf as an op checks its result.
 
 A trainable parameter (`parameter`) is a leaf over storage its owner
 lays out: its data is a view into one parameter buffer and its gradient
 a view into one gradient buffer, so an optimizer updates every
 parameter in one pass. `grad` stays None until a backward pass reaches
-the parameter; the first delta is then written into its slice, by
-`linear` and the layer norms straight from their GEMM or reduction. Any
+the parameter; the first delta is then written into its slice, by the
+affine maps and the layer norms straight from their GEMM or reduction. Any
 other tensor's gradient is its own array: the first delta an op has
 just made becomes it, and a delta that is a view of another node's
 gradient is copied.
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +57,8 @@ __all__ = [
     "matmul",
     "linear",
     "attention",
+    "attention_block",
+    "feed_forward",
     "permute",
     "reshape",
     "concat",
@@ -212,14 +221,20 @@ def _graph_free(data: np.ndarray, op: str) -> Tensor:
     return out
 
 
-def _node(data: np.ndarray, parents: tuple, op: str, backward) -> Tensor:
-    data = np.asarray(data, dtype=np.float64)
-    if not data.flags["C_CONTIGUOUS"]:
+def _finite(data: np.ndarray, op: str) -> np.ndarray:
+    """`data` as a C-contiguous array, checked to hold no NaN or Inf: the
+    check on every op result and on every intermediate of a fused op."""
+    if not data.flags.c_contiguous:
         data = np.ascontiguousarray(data)
     # `logical_and.reduce` is `.all()` without its Python wrapper; a sum
     # would need an errstate to stay silent on finite data that overflows
     if not np.logical_and.reduce(np.isfinite(data), axis=None):
         raise NonFiniteError(f"op {op!r} produced non-finite values")
+    return data
+
+
+def _node(data: np.ndarray, parents: tuple, op: str, backward) -> Tensor:
+    data = _finite(np.asarray(data, dtype=np.float64), op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -392,42 +407,116 @@ def _weight_grad(x: np.ndarray, dout: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1]).T @ dout.reshape(-1, dout.shape[-1])
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map `x @ w + b` over the last axis of `x`, as one node.
+def _check_affine(shape: tuple[int, ...], w: Tensor, b: Tensor, op: str) -> tuple[int, ...]:
+    """Check that an input of `shape` fits the affine map (`w`, `b`);
+    returns the output's shape."""
+    if w.ndim != 2 or b.shape != w.shape[1:]:
+        raise ShapeError(f"{op}: weight {w.shape} / bias {b.shape} are not "
+                         "(fan_in, fan_out) / (fan_out,)")
+    if len(shape) < 1 or shape[-1] != w.shape[0]:
+        raise ShapeError(f"{op}: input {shape} does not match weight {w.shape}")
+    return shape[:-1] + w.shape[1:]
 
-    `w` is (fan_in, fan_out) and `b` is (fan_out,); `x` may carry any
-    leading axes. Equals `add(matmul(x, w), b)`.
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`x @ w + b` over the last axis of `x`, as a fresh array.
 
     The leading axes are flattened into one GEMM, where numpy would run
     one per leading index. That gives the same bits whenever each leading
     index holds more than one row; an input of single rows (the heads'
     (..., 1, D) slots) keeps numpy's product, so inference is unchanged.
-    The backward pass is three 2-D products.
     """
-    if w.ndim != 2 or b.shape != w.shape[1:]:
-        raise ShapeError(f"linear: weight {w.shape} / bias {b.shape} are not "
-                         "(fan_in, fan_out) / (fan_out,)")
-    if x.ndim < 1 or x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"linear: input {x.shape} does not match weight {w.shape}")
-    fan_in, fan_out = w.shape
-    x2 = x.data.reshape(-1, fan_in)
     if x.ndim > 2 and x.shape[-2] > 1:
-        out = (x2 @ w.data).reshape(x.shape[:-1] + (fan_out,))
+        out = (x.reshape(-1, w.shape[0]) @ w).reshape(x.shape[:-1] + w.shape[1:])
     else:
-        out = x.data @ w.data
-    out += b.data
+        out = x @ w
+    out += b
+    return out
+
+
+def _affine_backward(x: np.ndarray, w: Tensor, b: Tensor, dout: np.ndarray,
+                     need_dx: bool) -> np.ndarray | None:
+    """Backward of `_affine(x, w.data, b.data)` for the output delta `dout`:
+    three 2-D products. The weight and bias gradients are accumulated, the
+    first straight into their stores (`out=`); the input's delta is
+    returned when `need_dx` (else None) for the caller to hand over."""
+    fan_in, fan_out = w.shape
+    dout2 = dout.reshape(-1, fan_out)
+    dx = (dout2 @ np.ascontiguousarray(w.data.T)).reshape(x.shape) if need_dx else None
+    if w.requires_grad:
+        _acc(w, np.matmul(x.reshape(-1, fan_in).T, dout2, out=_grad_target(w)), True)
+    if b.requires_grad:
+        _acc(b, np.add.reduce(dout2, axis=0, out=_grad_target(b)), True)
+    return dx
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map `x @ w + b` over the last axis of `x`, as one node.
+
+    `w` is (fan_in, fan_out) and `b` is (fan_out,); `x` may carry any
+    leading axes. Equals `add(matmul(x, w), b)`, with the leading axes run
+    as one GEMM (`_affine`).
+    """
+    _check_affine(x.shape, w, b, "linear")
+    out = _affine(x.data, w.data, b.data)
 
     def backward(dout):
-        dout2 = dout.reshape(-1, fan_out)
-        if x.requires_grad:
-            dx = dout2 @ np.ascontiguousarray(w.data.T)
-            _acc(x, dx.reshape(x.shape), True)
-        if w.requires_grad:
-            _acc(w, np.matmul(x2.T, dout2, out=_grad_target(w)), True)
-        if b.requires_grad:
-            _acc(b, np.add.reduce(dout2, axis=0, out=_grad_target(b)), True)
+        dx = _affine_backward(x.data, w, b, dout, x.requires_grad)
+        if dx is not None:
+            _acc(x, dx, True)
 
     return _node(out, (x, w, b), "linear", backward)
+
+
+def _check_attention(q: tuple[int, ...], k: tuple[int, ...], v: tuple[int, ...],
+                     n_heads: int, op: str):
+    """Check that query, key and value shapes fit multi-head attention."""
+    fits = (len(q) >= 2 and k == v and q[:-2] == k[:-2] and q[-1] == k[-1])
+    if not fits:
+        raise ShapeError(f"{op}: query {q}, key {k} and value {v} do not fit together")
+    if n_heads < 1 or q[-1] % n_heads:
+        raise ShapeError(f"{op}: width {q[-1]} does not split into {n_heads} heads")
+
+
+def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """(..., L, D) -> (..., H, L, D / H), a view."""
+    return np.swapaxes(x.reshape(x.shape[:-1] + (n_heads, x.shape[-1] // n_heads)), -2, -3)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """(..., H, L, dh) -> (..., L, H * dh)."""
+    x = np.swapaxes(x, -2, -3)
+    return x.reshape(x.shape[:-2] + (-1,))
+
+
+def _heads(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int):
+    """Multi-head scaled dot-product attention of arrays that fit it.
+
+    Returns the context (..., Lq, D), the weights (..., H, Lq, Lk), and
+    the backward: a function of the context's delta and three flags that
+    returns the deltas of q, k and v, None for one not asked for.
+    """
+    qh, kh, vh = _split_heads(q, n_heads), _split_heads(k, n_heads), _split_heads(v, n_heads)
+    c = 1.0 / np.sqrt(q.shape[-1] // n_heads)
+    scores = (qh @ np.swapaxes(kh, -1, -2)) * c
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(dout: np.ndarray, need_q: bool, need_k: bool, need_v: bool):
+        dctx = _split_heads(dout, n_heads)
+        dq = dk = dv = None
+        if need_v:
+            dv = _merge_heads(np.swapaxes(weights, -1, -2) @ dctx)
+        if need_q or need_k:
+            dw = dctx @ np.swapaxes(vh, -1, -2)
+            dscores = (dw - (dw * weights).sum(axis=-1, keepdims=True)) * weights * c
+            if need_q:
+                dq = _merge_heads(dscores @ kh)
+            if need_k:
+                dk = _merge_heads(np.swapaxes(dscores, -1, -2) @ qh)
+        return dq, dk, dv
+
+    return _merge_heads(weights @ vh), weights, backward
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> tuple[Tensor, Tensor]:
@@ -439,43 +528,79 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> tuple[Tensor, Te
     and the attention weights (..., n_heads, Lq, Lk); the weights are
     outside the graph, so no gradient flows through them.
     """
-    fits = (q.ndim >= 2 and k.shape == v.shape
-            and q.shape[:-2] == k.shape[:-2] and q.shape[-1] == k.shape[-1])
-    if not fits:
-        raise ShapeError(f"attention: query {q.shape}, key {k.shape} and value "
-                         f"{v.shape} do not fit together")
-    d = q.shape[-1]
-    if n_heads < 1 or d % n_heads:
-        raise ShapeError(f"attention: width {d} does not split into {n_heads} heads")
-    d_head = d // n_heads
-    c = 1.0 / np.sqrt(d_head)
-
-    def split(x: np.ndarray) -> np.ndarray:       # (..., L, D) -> (..., H, L, dh)
-        return np.swapaxes(x.reshape(x.shape[:-1] + (n_heads, d_head)), -2, -3)
-
-    def merge(x: np.ndarray) -> np.ndarray:       # (..., H, L, dh) -> (..., L, D)
-        x = np.swapaxes(x, -2, -3)
-        return x.reshape(x.shape[:-2] + (d,))
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scores = (qh @ np.swapaxes(kh, -1, -2)) * c
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    weights = e / e.sum(axis=-1, keepdims=True)
-    out = merge(weights @ vh)
+    _check_attention(q.shape, k.shape, v.shape, n_heads, "attention")
+    out, weights, heads_backward = _heads(q.data, k.data, v.data, n_heads)
 
     def backward(dout):
-        dctx = split(dout)
-        if v.requires_grad:
-            _acc(v, merge(np.swapaxes(weights, -1, -2) @ dctx), True)
-        if q.requires_grad or k.requires_grad:
-            dw = dctx @ np.swapaxes(vh, -1, -2)
-            dscores = (dw - (dw * weights).sum(axis=-1, keepdims=True)) * weights * c
-            if q.requires_grad:
-                _acc(q, merge(dscores @ kh), True)
-            if k.requires_grad:
-                _acc(k, merge(np.swapaxes(dscores, -1, -2) @ qh), True)
+        dq, dk, dv = heads_backward(dout, q.requires_grad, k.requires_grad, v.requires_grad)
+        for t, delta in ((v, dv), (q, dq), (k, dk)):
+            if delta is not None:
+                _acc(t, delta, True)
 
     return _node(out, (q, k, v), "attention", backward), _graph_free(weights, "attention_weights")
+
+
+def attention_block(queries: Tensor, keys: Tensor, values: Tensor,
+                    projections: Sequence[tuple[Tensor, Tensor]], n_heads: int) -> Tensor:
+    """A whole attention sublayer, `out(attention(q(queries), k(keys),
+    v(values)))`, as one node.
+
+    `projections` holds the four (weight, bias) pairs q, k, v and out in
+    that order. Equals the composition of `linear` and `attention` bit for
+    bit, gradients included: the backward hands the three inputs their
+    deltas in the order that composition does, q's first, and every
+    intermediate (each projection, the context) is checked as an op
+    result would be.
+    """
+    inputs = (queries, keys, values)
+    *in_projections, (wo, bo) = projections
+    shapes = [_check_affine(x.shape, w, b, "attention_block")
+              for x, (w, b) in zip(inputs, in_projections)]
+    _check_attention(*shapes, n_heads, "attention_block")
+    _check_affine(shapes[0], wo, bo, "attention_block")
+    q, k, v = (_finite(_affine(x.data, w.data, b.data), "attention_block")
+               for x, (w, b) in zip(inputs, in_projections))
+    ctx, _, heads_backward = _heads(q, k, v, n_heads)
+    ctx = _finite(ctx, "attention_block")
+    out = _affine(ctx, wo.data, bo.data)
+
+    def backward(dout):
+        need = [x.requires_grad or w.requires_grad or b.requires_grad
+                for x, (w, b) in zip(inputs, in_projections)]
+        dctx = _affine_backward(ctx, wo, bo, dout, any(need))
+        if dctx is None:
+            return
+        for x, (w, b), delta in zip(inputs, in_projections, heads_backward(dctx, *need)):
+            if delta is not None:
+                dx = _affine_backward(x.data, w, b, delta, x.requires_grad)
+                if dx is not None:
+                    _acc(x, dx, True)
+
+    return _node(out, inputs + tuple(t for pair in projections for t in pair),
+                 "attention_block", backward)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """The feed-forward sublayer `linear(relu(linear(x, w1, b1)), w2, b2)`,
+    as one node, bit for bit. The hidden pre-activation is checked as an
+    op result would be, so a NaN or Inf there raises even where `relu`
+    would zero it."""
+    hidden_shape = _check_affine(x.shape, w1, b1, "feed_forward")
+    _check_affine(hidden_shape, w2, b2, "feed_forward")
+    hidden = _finite(_affine(x.data, w1.data, b1.data), "feed_forward")
+    # relu in place: on finite data `hidden > 0` is the pre-activation's mask
+    np.maximum(hidden, 0.0, out=hidden)
+    out = _affine(hidden, w2.data, b2.data)
+
+    def backward(dout):
+        need_hidden = x.requires_grad or w1.requires_grad or b1.requires_grad
+        dhidden = _affine_backward(hidden, w2, b2, dout, need_hidden)
+        if dhidden is not None:
+            dx = _affine_backward(x.data, w1, b1, dhidden * (hidden > 0.0), x.requires_grad)
+            if dx is not None:
+                _acc(x, dx, True)
+
+    return _node(out, (x, w1, b1, w2, b2), "feed_forward", backward)
 
 
 def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:

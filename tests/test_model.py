@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import seqdg.model as model_mod
 import seqdg.tensor as T
 from seqdg.data import Batch
 from seqdg.model import (
@@ -245,18 +246,20 @@ class TestReducedInferenceForward:
         """Rows fed to every affine map of one bench-width inference batch:
         the projection, each full layer's q, k, v, out, ff_in and ff_out on
         W + 2 rows, the last layer's k and v on W + 2 rows and its other four
-        maps on the 2 slots, and the two heads on one slot each."""
+        maps on the 2 slots, and the two heads on one slot each. Every map
+        runs through the affine forward that `linear` and the fused
+        sublayer ops share."""
         config = ModelConfig(**json.loads(BENCH_CONFIG.read_text())["model"])
         model = SeqDGModel.init(config, seed=0)
         batch, length = 16, config.W + 2
         rows = []
-        linear = T.linear
+        affine = T._affine
 
-        def counting_linear(x, w, b):
+        def counting_affine(x, w, b):
             rows.append(int(np.prod(x.shape[:-1])))
-            return linear(x, w, b)
+            return affine(x, w, b)
 
-        monkeypatch.setattr(T, "linear", counting_linear)
+        monkeypatch.setattr(T, "_affine", counting_affine)
         model.predict_logits(np.zeros((batch, config.W, config.D_V)))
         full_layers = config.n_enc_layers - 1
         expected = batch * (config.W + full_layers * 6 * length + 2 * length + 4 * 2 + 2)
@@ -480,8 +483,10 @@ class TestForwardTrain:
 
 def test_bench_width_step_graph_size():
     """A training step's cost is mostly Python work per graph node: with
-    one node per affine map, attention and residual norm, the bench-width
-    full objective builds 77 interior nodes (194 from primitive ops)."""
+    one node per attention sublayer, feed-forward sublayer, residual norm
+    and other affine map, the bench-width full objective builds 45
+    interior nodes (77 with one node per affine map and attention, 194
+    from primitive ops)."""
     config = ModelConfig(**json.loads(BENCH_CONFIG.read_text())["model"])
     model = SeqDGModel.init(config, seed=0)
     rng = np.random.default_rng(0)
@@ -492,7 +497,53 @@ def test_bench_width_step_graph_size():
     total, _ = composite_loss(model, batch,
                               TrainConfig(model=config, lambda_rv=1.0, lambda_rt=1.0))
     interior = [node for node in T._toposort(total) if node._parents]
-    assert len(interior) <= 80, f"{len(interior)} interior nodes"
+    assert len(interior) <= 48, f"{len(interior)} interior nodes"
+
+
+def composed_attend(queries, keys, values, params, n_heads):
+    """`model._attend` built from `linear` and `attention`, a node each."""
+    ctx, _ = T.attention(*(T.linear(x, a.weight, a.bias) for x, a in
+                           ((queries, params.q), (keys, params.k), (values, params.v))),
+                         n_heads)
+    return T.linear(ctx, params.out.weight, params.out.bias)
+
+
+def composed_feed_forward(h, ff_in, ff_out):
+    """`model._feed_forward` built from `linear` and `relu`, a node each."""
+    return T.linear(T.relu(T.linear(h, ff_in.weight, ff_in.bias)), ff_out.weight,
+                    ff_out.bias)
+
+
+@pytest.mark.parametrize("w", [1, 5])
+@pytest.mark.parametrize("text_loss", ["mse", "token_cross_entropy"])
+def test_fused_sublayers_equal_their_composition_bit_for_bit(w, text_loss, monkeypatch):
+    """The fused sublayer ops hand their input deltas over in the order the
+    composed graph does, so a bench-width loss, every gradient and the
+    inference logits keep their bits."""
+    config = ModelConfig(**{**json.loads(BENCH_CONFIG.read_text())["model"], "W": w})
+    train_config = TrainConfig(model=config, text_loss=text_loss)
+    data = bench_width_batch(config)
+    runs = []
+    for composed in (False, True):
+        if composed:
+            monkeypatch.setattr(model_mod, "_attend", composed_attend)
+            monkeypatch.setattr(model_mod, "_feed_forward", composed_feed_forward)
+        model = SeqDGModel.init(config, seed=0)
+        total, _ = composite_loss(model, data, train_config)
+        total.backward()
+        logits = model.predict_logits(data.visual)
+        runs.append({"ops": {node._op for node in T._toposort(total)},
+                     "loss": total.data.tobytes(),
+                     "grad": model.params.flat_gradient().tobytes(),
+                     "logits": b"".join(part.tobytes() for part in logits)})
+    fused, composed = runs
+    assert {"attention_block", "feed_forward"} <= fused["ops"]
+    assert not {"attention", "relu"} & fused["ops"]
+    assert {"attention", "relu"} <= composed["ops"]
+    assert not {"attention_block", "feed_forward"} & composed["ops"]
+    assert fused["loss"] == composed["loss"]
+    assert fused["grad"] == composed["grad"]
+    assert fused["logits"] == composed["logits"]
 
 
 @pytest.mark.parametrize("key, value", [("W", 2**53 + 1), ("d_ff", 2**53),
@@ -563,27 +614,28 @@ class TestParameterBuffer:
 
 
 class TestFlattenedLinear:
-    """`linear` runs one GEMM over the flattened leading axes; on every
-    input a bench-width model feeds it, training or inference, the output
-    has the bits of numpy's own product over the leading axes."""
+    """The affine forward (`tensor._affine`, which `linear` and the fused
+    sublayer ops share) runs one GEMM over the flattened leading axes; on
+    every input a bench-width model feeds it, training or inference, the
+    output has the bits of numpy's own product over the leading axes."""
 
     @pytest.mark.parametrize("w", [1, 5])
     @pytest.mark.parametrize("batch", [16, 5, 256])
     def test_bench_width_outputs_equal_numpys_product(self, w, batch, monkeypatch):
         config = ModelConfig(**{**json.loads(BENCH_CONFIG.read_text())["model"], "W": w})
         model = SeqDGModel.init(config, seed=1)
-        linear = T.linear
+        affine = T._affine
         rows_per_index = set()
 
-        def checked_linear(x, weight, bias):
-            out = linear(x, weight, bias)
-            want = x.data @ weight.data
-            want += bias.data
-            assert out.data.tobytes() == want.tobytes(), (x.shape, weight.shape)
+        def checked_affine(x, weight, bias):
+            out = affine(x, weight, bias)
+            want = x @ weight
+            want += bias
+            assert out.tobytes() == want.tobytes(), (x.shape, weight.shape)
             rows_per_index.add(x.shape[-2])
             return out
 
-        monkeypatch.setattr(T, "linear", checked_linear)
+        monkeypatch.setattr(T, "_affine", checked_affine)
         data = bench_width_batch(config, batch=batch, seed=2)
         model.forward_train(data.visual, data.text, recon_v=True, recon_t=True,
                             token_text=True)

@@ -1,3 +1,4 @@
+import contextlib
 import warnings
 
 import numpy as np
@@ -220,10 +221,23 @@ OPS = {
     "attention_cross": lambda p: T.attention(p["a3"], p["k3"], p["v3"], 2)[0],
     "add_layer_norm": lambda p: T.add_layer_norm(p["a"], p["b"], p["gain"], p["bias_d"],
                                                  eps=1e-5),
+    "attention_block_self": lambda p: T.attention_block(p["a3"], p["a3"], p["a3"],
+                                                        projections(p), 2),
+    # queries are the values, as in a decoder's cross-attention
+    "attention_block_cross": lambda p: T.attention_block(p["a3"], p["c3"], p["a3"],
+                                                         projections(p), 2),
+    # two query rows against W + 2 = 5 keys, as in the last inference layer
+    "attention_block_rows": lambda p: T.attention_block(p["r3"], p["k3"], p["k3"],
+                                                        projections(p), 2),
+    "feed_forward": lambda p: T.feed_forward(p["a3"], p["w1"], p["b1"], p["w2"], p["b2"]),
     # target is a fresh constant: perturbing a checked param must not move it
     "mse": lambda p: T.mse(p["a"], Tensor(np.linspace(-1.0, 1.0, 12).reshape(3, 4))),
     "cross_entropy": lambda p: T.cross_entropy(p["a"], np.array([0, 3, 1])),
 }
+
+
+def projections(p):
+    return [(p[f"w{name}"], p[f"b{name}"]) for name in "qkvo"]
 
 
 @pytest.mark.parametrize("name", sorted(OPS))
@@ -242,6 +256,17 @@ def test_every_op_passes_gradcheck(name, seed):
         # keys and values of a cross-attention: 5 positions against 3 queries
         "k3": Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True),
         "v3": Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True),
+        # the sublayer ops: another key stream, two query rows, and the
+        # q, k, v and out projections and the two feed-forward maps
+        "c3": Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True),
+        "r3": Tensor(rng.standard_normal((2, 2, 4)), requires_grad=True),
+        **{f"{kind}{name}": Tensor(scale * rng.standard_normal(shape), requires_grad=True)
+           for name in "qkvo"
+           for kind, scale, shape in (("w", 0.5, (4, 4)), ("b", 1.0, (4,)))},
+        "w1": Tensor(0.5 * rng.standard_normal((4, 6)), requires_grad=True),
+        "b1": Tensor(rng.standard_normal(6), requires_grad=True),
+        "w2": Tensor(0.5 * rng.standard_normal((6, 4)), requires_grad=True),
+        "b2": Tensor(rng.standard_normal(4), requires_grad=True),
     }
     op = OPS[name]
 
@@ -279,6 +304,28 @@ def composed_attention(q, k, v, n_heads):
     return merge_heads(T.matmul(weights, vh)), weights
 
 
+def pairs(flat):
+    """(w1, b1, w2, b2, ...) -> [(w1, b1), (w2, b2), ...]"""
+    return list(zip(flat[::2], flat[1::2]))
+
+
+def composed_attention_block(queries, keys, values, projections, n_heads):
+    """An attention sublayer from `linear` and `attention`, the fused op's oracle."""
+    (wq, bq), (wk, bk), (wv, bv), (wo, bo) = projections
+    ctx, _ = T.attention(T.linear(queries, wq, bq), T.linear(keys, wk, bk),
+                         T.linear(values, wv, bv), n_heads)
+    return T.linear(ctx, wo, bo)
+
+
+def composed_feed_forward(x, w1, b1, w2, b2):
+    """A feed-forward sublayer from `linear` and `relu`, the fused op's oracle."""
+    return T.linear(T.relu(T.linear(x, w1, b1)), w2, b2)
+
+
+# (fan_in, fan_out) and (fan_out,) of the q, k, v and out projections
+PROJECTIONS_8 = [(8, 8), (8,)] * 4
+PROJECTIONS_6 = [(6, 6), (6,), (4, 6), (6,), (6, 6), (6,), (6, 6), (6,)]
+
 # fused op -> (fused, composed from primitives, input shapes)
 FUSED = {
     "linear": (lambda x, w, b: T.linear(x, w, b),
@@ -296,6 +343,24 @@ FUSED = {
     "add_layer_norm": (lambda x, r, g, b: T.add_layer_norm(x, r, g, b, eps=1e-5),
                        lambda x, r, g, b: T.layer_norm(T.add(x, r), g, b, eps=1e-5),
                        [(4, 7, 6), (4, 7, 6), (6,), (6,)]),
+    # one tensor as queries, keys and values
+    "attention_block_self": (
+        lambda x, *p: T.attention_block(x, x, x, pairs(p), 4),
+        lambda x, *p: composed_attention_block(x, x, x, pairs(p), 4),
+        [(3, 7, 8)] + PROJECTIONS_8),
+    # queries are the values; the keys are another stream, of another width
+    "attention_block_cross": (
+        lambda x, c, *p: T.attention_block(x, c, x, pairs(p), 2),
+        lambda x, c, *p: composed_attention_block(x, c, x, pairs(p), 2),
+        [(2, 5, 6), (2, 5, 4)] + PROJECTIONS_6),
+    # 2 query rows against W + 2 = 7 keys and values
+    "attention_block_rows": (
+        lambda r, h, *p: T.attention_block(r, h, h, pairs(p), 4),
+        lambda r, h, *p: composed_attention_block(r, h, h, pairs(p), 4),
+        [(3, 2, 8), (3, 7, 8)] + PROJECTIONS_8),
+    "feed_forward": (lambda x, w1, b1, w2, b2: T.feed_forward(x, w1, b1, w2, b2),
+                     composed_feed_forward,
+                     [(4, 7, 6), (6, 10), (10,), (10, 6), (6,)]),
 }
 
 
@@ -338,6 +403,58 @@ class TestFusedOps:
             T.linear(rand((3, 4), 0), rand((5, 2), 1), rand((2,), 2))
         with pytest.raises(ShapeError):
             T.linear(rand((3, 4), 0), rand((4, 2), 1), rand((4,), 2))
+
+    def test_sublayer_ops_reject_mismatched_shapes(self):
+        x, w, b = rand((2, 3, 4), 0), rand((4, 4), 1), rand((4,), 2)
+        with pytest.raises(ShapeError, match="attention_block"):
+            T.attention_block(x, x, x, [(w, b), (w, b), (w, b), (rand((5, 4), 3), b)], 2)
+        with pytest.raises(ShapeError, match="attention_block"):
+            T.attention_block(x, rand((2, 5, 4), 4), x, [(w, b)] * 4, 2)
+        with pytest.raises(ShapeError, match="attention_block"):
+            T.attention_block(x, x, x, [(w, b)] * 4, 3)
+        with pytest.raises(ShapeError, match="feed_forward"):
+            T.feed_forward(x, w, b, rand((5, 4), 5), b)
+
+    @pytest.mark.parametrize("grad", [True, False], ids=["train", "no_grad"])
+    @pytest.mark.parametrize("where", ["q", "k", "v", "context", "out"])
+    def test_attention_block_surfaces_nonfinite_intermediates(self, where, grad):
+        """At a 1e200 scale each projection, the scores behind the context
+        and the output projection can overflow; whichever does, the op
+        raises as its own."""
+        rng = np.random.default_rng(81)
+        streams = {s: rng.standard_normal((2, 3, 4)) for s in "qkv"}
+        weights = {s: 0.5 * rng.standard_normal((4, 4)) for s in "qkvo"}
+        if where in "qkv":
+            streams[where] *= 1e200
+            weights[where] *= 1e200
+        elif where == "context":      # q.k overflows, so the softmax is NaN
+            streams["q"] *= 1e200
+            streams["k"] *= 1e200
+        else:                         # v is finite, out overflows
+            streams["v"] *= 1e200
+            weights["o"] *= 1e200
+        queries, keys, values = (Tensor(streams[s], requires_grad=grad) for s in "qkv")
+        projections = [(Tensor(weights[s], requires_grad=grad), Tensor(np.zeros(4)))
+                       for s in "qkvo"]
+        with (contextlib.nullcontext() if grad else T.no_grad()), \
+                np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteError, match="op 'attention_block' produced non-finite"):
+            T.attention_block(queries, keys, values, projections, 2)
+
+    @pytest.mark.parametrize("grad", [True, False], ids=["train", "no_grad"])
+    @pytest.mark.parametrize("where", ["hidden_minus_inf", "hidden_plus_inf", "out"])
+    def test_feed_forward_surfaces_nonfinite_intermediates(self, where, grad):
+        """A -inf pre-activation raises although `relu` would zero it."""
+        x = Tensor(1e200 * np.ones((2, 3, 4)), requires_grad=grad)
+        w1 = np.full((4, 6), {"hidden_minus_inf": -1e200, "hidden_plus_inf": 1e200,
+                              "out": 1.0}[where])
+        w2 = np.full((6, 4), 1e200 if where == "out" else 1.0)
+        args = [Tensor(w1, requires_grad=grad), Tensor(np.zeros(6)),
+                Tensor(w2, requires_grad=grad), Tensor(np.zeros(4))]
+        with (contextlib.nullcontext() if grad else T.no_grad()), \
+                np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteError, match="op 'feed_forward' produced non-finite"):
+            T.feed_forward(x, *args)
 
     def test_add_layer_norm_rejects_unequal_shapes(self):
         with pytest.raises(ShapeError):
