@@ -81,7 +81,10 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     validation, its entries must tile the payload in header order, and
     each array must have the shape the config gives its parameter."""
     path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint: {exc}") from exc
     if raw[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
     if len(raw) < 20:

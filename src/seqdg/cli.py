@@ -77,13 +77,9 @@ def _write_provenance(out: Path, command: str, config: dict, seed,
     })
 
 
-def _data_hashes(data_dir: Path) -> dict:
-    hashes = {}
-    for name in ("manifest.json", "features.f32", "text_features.f32"):
-        path = data_dir / name
-        if path.exists():
-            hashes[name] = file_sha256(path)
-    return hashes
+def _data_hashes(store: FeatureStore) -> dict:
+    """The SHA-256 of each file `store` was loaded from, by file name."""
+    return {name: file_sha256(path) for name, path in store.files.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +89,8 @@ def _data_hashes(data_dir: Path) -> dict:
 def cmd_synth_gen(args) -> int:
     run = load_run_config(args.config, {"seed": args.seed})
     out = _out_dir(args)
-    manifest = generate_to(run.synth, out)
-    _write_provenance(out, "synth-gen", run.to_dict(), run.synth.seed,
-                      _data_hashes(out))
-    store = FeatureStore.load(manifest)
+    store = FeatureStore.load(generate_to(run.synth, out))
+    _write_provenance(out, "synth-gen", run.to_dict(), run.synth.seed, _data_hashes(store))
     print(f"wrote {len(store.actions)} actions across "
           f"{len(store.split.source)} source + {len(store.split.target)} target "
           f"domains to {out}")
@@ -110,12 +104,13 @@ def cmd_import(args) -> int:
                                text_features_path=args.text_features,
                                target_domains=targets)
     out = _out_dir(args)
-    store.save(out)
+    # read back, so that provenance hashes the files as they were written
+    store = FeatureStore.load(store.save(out))
     _write_provenance(out, "import", {
         "csv": str(args.csv), "features": str(args.features),
         "d_v": args.d_v, "d_t": args.d_t, "clips_per_action": args.clips,
         "target_domains": list(targets),
-    }, seed=None, data_hashes=_data_hashes(out))
+    }, seed=None, data_hashes=_data_hashes(store))
     print(f"imported {len(store.actions)} actions "
           f"({len(store.vocab)} vocab tokens) to {out}")
     return EXIT_OK
@@ -133,18 +128,9 @@ def _train_config_for(store: FeatureStore, args):
     if run.train.text_loss == "token_cross_entropy" and run.model.vocab_size is None:
         run.model.vocab_size = len(store.vocab)
     run.train.check()
-    _split_actions(store, "source")
+    store.split_actions("source")
     _check_labels(store, run.train)
     return run
-
-
-def _split_actions(store: FeatureStore, split: str) -> Actions:
-    """The actions of the `split` ("source" or "target") domains; there
-    must be at least one."""
-    actions = store.records_for(getattr(store.split, split))
-    if not len(actions):
-        raise DataError(f"the dataset's {split} domains hold no actions")
-    return actions
 
 
 def _check_label_space(actions: Actions, model_config: ModelConfig):
@@ -177,7 +163,7 @@ def _check_labels(store: FeatureStore, config: TrainConfig):
         (config.lambda_rt > 0 and config.text_loss == "token_cross_entropy")
         or (store.text is None and (config.lambda_rv > 0 or config.lambda_rt > 0)))
     if reads_narrations:
-        source = _split_actions(store, "source")
+        source = store.split_actions("source")
         empty = np.flatnonzero(source.token_end == source.token_start)
         if empty.size:
             raise DataError(f"source action {source.ids[empty[0]]} has an empty narration, "
@@ -190,8 +176,7 @@ def cmd_train(args) -> int:
     config = run.train
     model = SeqDGModel.init(config.model, seed=config.seed)
     out = _out_dir(args)
-    _write_provenance(out, "train", run.to_dict(), config.seed,
-                      _data_hashes(Path(args.data)))
+    _write_provenance(out, "train", run.to_dict(), config.seed, _data_hashes(store))
     result = fit(store, model, config, metrics_path=out / "metrics.jsonl")
     save_checkpoint(out / "checkpoint.ckpt", model.params,
                     rng_state=result.rng_state,
@@ -218,7 +203,7 @@ def cmd_eval(args) -> int:
     if store.d_v != model.config.D_V:
         raise DataError(f"the dataset's features are {store.d_v} wide, the "
                         f"checkpoint's model reads {model.config.D_V}")
-    actions = _split_actions(store, args.split)
+    actions = store.split_actions(args.split)
     _check_label_space(actions, model.config)
     domains = getattr(store.split, args.split)
     preds = sliding_window_predict(store, model, domains=domains, k=args.k)
@@ -236,7 +221,7 @@ def cmd_eval(args) -> int:
     _write_json(out / "results.json", results)
     _write_provenance(out, "eval", {"checkpoint": str(args.checkpoint),
                                     "split": args.split, "k": args.k},
-                      seed=None, data_hashes=_data_hashes(Path(args.data)))
+                      seed=None, data_hashes=_data_hashes(store))
     if args.dump_predictions:
         with open(out / "predictions.jsonl", "w", encoding="utf-8") as fh:
             for p, (verb, noun) in zip(preds, labels):
@@ -253,7 +238,7 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     store = FeatureStore.load(args.data)
     run = _train_config_for(store, args)
-    _split_actions(store, "target")
+    store.split_actions("target")
     grid = run.ablate
     # every cell's config is checked, also against the dataset, and its
     # model allocated once, before the first one trains
@@ -268,8 +253,7 @@ def cmd_ablate(args) -> int:
             _check_labels(store, config)
             SeqDGModel.init(config.model, seed=config.seed)
     out = _out_dir(args)
-    _write_provenance(out, "ablate", run.to_dict(), run.train.seed,
-                      _data_hashes(Path(args.data)))
+    _write_provenance(out, "ablate", run.to_dict(), run.train.seed, _data_hashes(store))
     rows = []
     for w, p_mix, lam_v, lam_t, configs in cells:
         accs = [train_and_score(store, config) for config in configs]

@@ -100,8 +100,8 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
     if path is not None:
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError([f"config file not found: {path}"])
+        except OSError as exc:
+            raise ConfigError([f"cannot read config file: {exc}"])
         except (ValueError, RecursionError) as exc:
             # JSONDecodeError, UnicodeDecodeError, an int past Python's digit
             # limit, or nesting past the recursion limit

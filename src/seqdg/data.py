@@ -5,10 +5,13 @@ feature blob (clips-major per action), optionally joined by a second blob
 of precomputed per-action text features. In memory it becomes a
 `FeatureStore` over an `Actions` table: one int64 column per integer
 field, video and domain ids interned as codes, and the narrations as one
-ragged token array. Training and evaluation slice the table into
-`Windows` of W consecutive actions, an (N, W) array of row indices with a
-padding mask, and assemble dense batches from those through a
-`FeatureCache`, the one place where an action's clips are averaged.
+ragged token array. The store builds each split's table once and hands
+it out through `split_actions`, and a loaded store records the files it
+was read from. Training and evaluation slice a split's table into
+`Windows` of W consecutive actions, an (N, W) array of row indices with
+a padding mask, and assemble dense batches from those through a
+`FeatureCache`, the one place where an action's clips are averaged; its
+rows are the table's, so a batch indexes it by the windows' rows.
 `ActionRecord` and `SequenceWindow` are per-item views of these arrays,
 built only when something asks for them.
 
@@ -178,18 +181,19 @@ class Actions(Sequence):
         return tuple(tuple(self.tokens[start:end].tolist()) for start, end in
                      zip(self.token_start[rows].tolist(), self.token_end[rows].tolist()))
 
+    def columns(self) -> tuple[list, ...]:
+        """One list per key in `_ACTION_KEYS` order, as `from_columns` takes."""
+        tokens = self.tokens.tolist()
+        return (self.ids.tolist(), [self.video_names[c] for c in self.video.tolist()],
+                [self.domain_names[c] for c in self.domain.tolist()], self.verbs.tolist(),
+                self.nouns.tolist(), [tuple(tokens[start:end]) for start, end in
+                                      zip(self.token_start.tolist(), self.token_end.tolist())],
+                self.temporal.tolist(), self.offsets.tolist(), self.n_clips.tolist())
+
     def views(self) -> list[ActionRecord]:
         """One `ActionRecord` per row, built once."""
         if self._views is None:
-            tokens = self.tokens.tolist()
-            narrations = [tuple(tokens[start:end]) for start, end in
-                          zip(self.token_start.tolist(), self.token_end.tolist())]
-            self._views = list(map(
-                ActionRecord, self.ids.tolist(),
-                [self.video_names[c] for c in self.video.tolist()],
-                [self.domain_names[c] for c in self.domain.tolist()],
-                self.verbs.tolist(), self.nouns.tolist(), narrations,
-                self.temporal.tolist(), self.offsets.tolist(), self.n_clips.tolist()))
+            self._views = list(map(ActionRecord, *self.columns()))
         return self._views
 
     def __len__(self) -> int:
@@ -209,6 +213,15 @@ class DatasetSplit:
     source: tuple[str, ...]
     target: tuple[str, ...]
 
+    @classmethod
+    def from_targets(cls, domains, target_domains) -> "DatasetSplit":
+        """`domains` split into the rest and `target_domains`, each in name order."""
+        absent = sorted(set(target_domains).difference(domains))
+        if absent:
+            raise DataError(f"target domains {absent} have no actions")
+        return cls(source=tuple(sorted(set(domains).difference(target_domains))),
+                   target=tuple(sorted(set(target_domains))))
+
     def __post_init__(self):
         overlap = set(self.source) & set(self.target)
         if overlap:
@@ -221,17 +234,21 @@ class DatasetSplit:
 
 class FeatureStore:
     """Immutable view over a manifest and its feature blobs, with its
-    actions as one `Actions` table."""
+    actions as one `Actions` table. `files` maps the name of each file a
+    loaded store was read from to its path."""
 
     def __init__(self, meta: dict, actions: Actions, vocab: list[str],
                  split: DatasetSplit, visual: np.ndarray,
                  text: np.ndarray | None = None):
         self.meta = meta
+        self.d_v, self.d_t, self.clips_per_action = (
+            int(meta[key]) for key in ("d_v", "d_t", "clips_per_action"))
         self.actions = actions
         self.vocab = vocab
         self.split = split
         self.visual = visual
         self.text = text
+        self.files: dict[str, Path] = {}
         self._validate()
 
     def _validate(self):
@@ -260,25 +277,15 @@ class FeatureStore:
             raise DataError(f"actions of domains {sorted(stray)} belong to neither "
                             "the source nor the target split")
         # each split is windowed on its own, so each must order into videos
-        for domains in (self.split.source, self.split.target):
-            _video_order(self.records_for(domains))
+        self._splits = {name: self.records_for(getattr(self.split, name))
+                        for name in ("source", "target")}
+        for table in self._splits.values():
+            _video_order(table)
 
     @property
     def records(self) -> list[ActionRecord]:
         """Every action as an `ActionRecord` view, built on first access."""
         return self.actions.views()
-
-    @property
-    def d_v(self) -> int:
-        return int(self.meta["d_v"])
-
-    @property
-    def d_t(self) -> int:
-        return int(self.meta["d_t"])
-
-    @property
-    def clips_per_action(self) -> int:
-        return int(self.meta["clips_per_action"])
 
     def clips(self, record: ActionRecord) -> np.ndarray:
         """Per-clip features for one action, shape (n_clips, D_V)."""
@@ -291,19 +298,20 @@ class FeatureStore:
         a sequence of `ActionRecord` views."""
         return self.actions.take(np.flatnonzero(self.actions.in_domains(domains)))
 
+    def split_actions(self, split: str) -> Actions:
+        """The actions of the `split` ("source" or "target") domains, in
+        store order, as one table built once; there must be at least one."""
+        actions = self._splits[split]
+        if not len(actions):
+            raise DataError(f"the dataset's {split} domains hold no actions")
+        return actions
+
     # -- persistence ---------------------------------------------------------
 
     def save(self, directory) -> Path:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         self.visual.astype("<f4").tofile(directory / "features.f32")
-        a = self.actions
-        tokens = a.tokens.tolist()
-        columns = (a.ids.tolist(), [a.video_names[c] for c in a.video.tolist()],
-                   [a.domain_names[c] for c in a.domain.tolist()], a.verbs.tolist(),
-                   a.nouns.tolist(),
-                   [tokens[s:e] for s, e in zip(a.token_start.tolist(), a.token_end.tolist())],
-                   a.temporal.tolist(), a.offsets.tolist(), a.n_clips.tolist())
         manifest = {
             "format": MANIFEST_FORMAT,
             "version": MANIFEST_VERSION,
@@ -315,7 +323,8 @@ class FeatureStore:
             "vocab": self.vocab,
             "domains": ([{"id": d, "split": "source"} for d in self.split.source]
                         + [{"id": d, "split": "target"} for d in self.split.target]),
-            "actions": [dict(zip(_ACTION_KEYS, values)) for values in zip(*columns)],
+            "actions": [dict(zip(_ACTION_KEYS, values))
+                        for values in zip(*self.actions.columns())],
         }
         if self.text is not None:
             self.text.astype("<f4").tofile(directory / "text_features.f32")
@@ -329,10 +338,9 @@ class FeatureStore:
         manifest_path = Path(manifest_path)
         if manifest_path.is_dir():
             manifest_path = manifest_path / "manifest.json"
-        if not manifest_path.exists():
-            raise DataError(f"no manifest at {manifest_path}")
         try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+            manifest = json.loads(_read("manifest", Path.read_text, manifest_path,
+                                        encoding="utf-8"))
         except (ValueError, RecursionError) as exc:
             # JSONDecodeError, UnicodeDecodeError, an int past Python's digit
             # limit, or nesting past the recursion limit
@@ -354,10 +362,10 @@ class FeatureStore:
             split = DatasetSplit(
                 source=tuple(d["id"] for d in manifest["domains"] if d["split"] == "source"),
                 target=tuple(d["id"] for d in manifest["domains"] if d["split"] == "target"))
-            visual = np.fromfile(base / manifest["feature_blob"], dtype="<f4")
+            visual = _read("features", np.fromfile, base / manifest["feature_blob"], dtype="<f4")
             text = None
             if manifest.get("text_blob"):
-                text = np.fromfile(base / manifest["text_blob"], dtype="<f4")
+                text = _read("features", np.fromfile, base / manifest["text_blob"], dtype="<f4")
             meta = {k: manifest[k] for k in ("name", "d_v", "d_t", "clips_per_action")}
             vocab = list(manifest["vocab"])
         except (KeyError, TypeError) as exc:
@@ -367,7 +375,18 @@ class FeatureStore:
                 raise DataError(f"{manifest_path}: {key!r} must be int, got {meta[key]!r}")
         if type(manifest["vocab"]) is not list or not {str}.issuperset(map(type, vocab)):
             raise DataError(f"{manifest_path}: 'vocab' must be a list of strings")
-        return cls(meta, actions, vocab, split, visual, text)
+        store = cls(meta, actions, vocab, split, visual, text)
+        store.files = {name: base / name for name in (manifest_path.name, manifest["feature_blob"],
+                                                      manifest.get("text_blob")) if name}
+        return store
+
+
+def _read(what: str, read, path, **kwargs):
+    """`read(path, **kwargs)`; an OSError is a DataError naming `what`."""
+    try:
+        return read(path, **kwargs)
+    except OSError as exc:
+        raise DataError(f"cannot read {what}: {exc}") from exc
 
 
 def _manifest_actions(actions) -> Actions:
@@ -734,27 +753,24 @@ def _clip_means(store: FeatureStore, actions: Actions) -> np.ndarray:
 
 
 class FeatureCache:
-    """Dense per-action features of the actions it serves (a table of
-    rows of `store`).
+    """Dense per-action features of the table `actions` (rows of `store`),
+    row i of the cache holding row i's.
 
     Each action's stored clips are averaged, and its narration embedded,
-    once; a batch is then one fancy index. The clip means are taken with
-    one gather and one sum per distinct clip count (`_clip_means`), the
-    narration embeddings with one per distinct length (`_narration_means`).
+    once; a batch of windows over that table is then one fancy index by
+    the windows' rows. The clip means are taken with one gather and one
+    sum per distinct clip count (`_clip_means`), the narration embeddings
+    with one per distinct length (`_narration_means`).
     """
 
     def __init__(self, store: FeatureStore, actions: Actions, *,
                  embedder: NarrationEmbedder | None = None, with_text: bool = False):
-        ids = actions.ids
-        # cache row of each action id; the last entry stays -1 and answers
-        # every id that is not cached
-        self._row = np.full(int(ids.max()) + 2 if len(ids) else 1, -1)
-        self._row[ids] = np.arange(len(ids))
+        self.actions = actions
         self.visual = _clip_means(store, actions)
         self.text = None
         if with_text:
             if store.text is not None:
-                self.text = store.text.reshape(-1, store.d_t)[ids].astype(np.float64)
+                self.text = store.text.reshape(-1, store.d_t)[actions.ids].astype(np.float64)
             elif embedder is not None:
                 self.text = _narration_means(embedder, actions)
             else:
@@ -764,12 +780,10 @@ class FeatureCache:
     def batch(self, windows: Windows) -> Batch:
         if not len(windows):
             raise DataError("cannot materialize an empty batch")
-        actions = windows.actions
-        ids = actions.ids[windows.rows]
-        rows = self._row[np.where((ids >= 0) & (ids < len(self._row)), ids, -1)]
-        if (rows < 0).any():
-            raise DataError(f"action {ids[rows < 0][0]} is not among the cached records")
-        center = windows.rows[:, windows.center]
+        actions, rows = windows.actions, windows.rows
+        if actions is not self.actions:
+            raise DataError("windows over another table: not among the cached records")
+        center = rows[:, windows.center]
         return Batch(
             visual=self.visual[rows],
             text=self.text[rows] if self.text is not None else None,
@@ -787,7 +801,7 @@ def read_annotation_csv(path) -> list[dict]:
     verb_class, noun_class, narration. Every int must fit in int64 and
     class ids must be >= 0."""
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _read("annotation CSV", open, path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in ANNOTATION_COLUMNS if c not in (reader.fieldnames or [])]
         if missing:
@@ -795,6 +809,8 @@ def read_annotation_csv(path) -> list[dict]:
         for row in reader:
             # the file line the row ends on: a quoted field may span lines
             lineno = reader.line_num
+            if None in row:                 # the reader's key for fields past the header
+                raise DataError(f"{path}: malformed row at line {lineno}: too many fields")
             try:
                 parsed = {
                     "video_id": row["video_id"],
@@ -838,7 +854,7 @@ def import_csv_dataset(csv_path, features_path, *, d_v: int, clips_per_action: i
     rows = read_annotation_csv(csv_path)
     if not rows:
         raise DataError(f"{csv_path}: no annotation rows")
-    visual = np.fromfile(features_path, dtype="<f4")
+    visual = _read("features", np.fromfile, features_path, dtype="<f4")
     expected = len(rows) * clips_per_action * d_v
     if visual.size != expected:
         raise DataError(f"{features_path}: got {visual.size} floats, expected "
@@ -855,17 +871,11 @@ def import_csv_dataset(csv_path, features_path, *, d_v: int, clips_per_action: i
         [clips_per_action] * n)
     text = None
     if text_features_path is not None:
-        text = np.fromfile(text_features_path, dtype="<f4")
+        text = _read("features", np.fromfile, text_features_path, dtype="<f4")
         if text.size != n * d_t:
             raise DataError(f"{text_features_path}: got {text.size} floats, "
                             f"expected {n * d_t}")
-    domains = sorted(actions.domain_names)
-    absent = sorted(set(target_domains).difference(domains))
-    if absent:
-        raise DataError(f"{csv_path}: target domains {absent} have no actions")
-    target = tuple(d for d in domains if d in set(target_domains))
-    source = tuple(d for d in domains if d not in set(target_domains))
+    split = DatasetSplit.from_targets(actions.domain_names, target_domains)
     meta = {"name": Path(csv_path).stem, "d_v": d_v, "d_t": d_t,
             "clips_per_action": clips_per_action}
-    return FeatureStore(meta, actions, list(vocab_index), DatasetSplit(source, target),
-                        visual, text)
+    return FeatureStore(meta, actions, list(vocab_index), split, visual, text)

@@ -154,12 +154,10 @@ def predict_windows(cache: FeatureCache, model: SeqDGModel,
 def sliding_window_predict(store: FeatureStore, model: SeqDGModel, *,
                            domains=None, k: int = 5) -> Predictions:
     """Predictions of every action of the requested domains (default: the
-    target split), in the store's record order, every video processed in
-    isolation."""
+    target split, which must hold one), in the store's record order, every
+    video processed in isolation."""
     cfg = model.config
-    if domains is None:
-        domains = store.split.target
-    actions = store.records_for(domains)
+    actions = store.split_actions("target") if domains is None else store.records_for(domains)
     windows = build_windows(actions, cfg.W)
     verb_logits, noun_logits = predict_windows(FeatureCache(store, actions), model, windows)
     # window i is centred on action i

@@ -123,7 +123,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op",
-                 "_grad_store")
+                 "_grad_store", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64, order="C", copy=True)

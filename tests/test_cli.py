@@ -175,6 +175,15 @@ class TestSynthGen:
         assert main(["synth-gen", "--config", str(bad),
                      "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("command", ["synth-gen", "train", "ablate"])
+    def test_config_path_that_is_a_directory_is_config_error(self, command, tmp_path,
+                                                             dataset_dir, capsys):
+        argv = [command, "--config", str(tmp_path), "--out", str(tmp_path / "out")]
+        if command != "synth-gen":
+            argv += ["--data", str(dataset_dir)]
+        assert main(argv) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section, key, value", [
         ("model", "clip_agg", "mean"), ("model", "relational_clips", None),
@@ -487,6 +496,38 @@ class TestAblate:
         assert prov["config"]["model"]["vocab_size"] == len(vocab)
 
 
+class TestProvenance:
+    @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+    def test_manifest_path_records_the_hashes_of_its_directory(self, command, tmp_path,
+                                                               dataset_dir, config_path,
+                                                               checkpoint_path):
+        hashes = []
+        for data in (dataset_dir, dataset_dir / "manifest.json"):
+            out = tmp_path / f"out{len(hashes)}"
+            extra = (["--checkpoint", str(checkpoint_path)] if command == "eval"
+                     else ["--config", str(config_path), "--epochs", "1"])
+            assert main([command, "--data", str(data), "--out", str(out), *extra]) == 0
+            hashes.append(json.loads((out / "config_resolved.json").read_text())["data_hashes"])
+        assert hashes[0] == hashes[1] == {
+            "manifest.json": sha(dataset_dir / "manifest.json"),
+            "features.f32": sha(dataset_dir / "features.f32")}
+
+    def test_blobs_named_otherwise_are_hashed(self, tmp_path, dataset_dir, checkpoint_path):
+        (dataset_dir / "features.f32").rename(dataset_dir / "clips.bin")
+        np.zeros(len(json.loads((dataset_dir / "manifest.json").read_text())["actions"]) * 16,
+                 dtype="<f4").tofile(dataset_dir / "narrations.bin")
+        edit_manifest(dataset_dir, lambda m: m.update(feature_blob="clips.bin",
+                                                      text_blob="narrations.bin"))
+        (dataset_dir / "manifest.json").rename(dataset_dir / "dataset.json")
+        out = tmp_path / "ev"
+        assert main(["eval", "--checkpoint", str(checkpoint_path), "--data",
+                     str(dataset_dir / "dataset.json"), "--out", str(out)]) == 0
+        prov = json.loads((out / "config_resolved.json").read_text())
+        assert prov["data_hashes"] == {
+            name: sha(dataset_dir / name)
+            for name in ("dataset.json", "clips.bin", "narrations.bin")}
+
+
 class TestSeqStats:
     def test_writes_tables(self, tmp_path):
         csv_path = tmp_path / "ann.csv"
@@ -630,6 +671,12 @@ class TestCheckpointInputErrors:
         assert self.eval(tmp_path, bad, dataset_dir) == 3
         assert "data error" in capsys.readouterr().err
 
+    def test_checkpoint_path_that_is_a_directory_is_data_error(self, tmp_path, dataset_dir,
+                                                               capsys):
+        assert self.eval(tmp_path, tmp_path, dataset_dir) == 3
+        assert "cannot read checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
     @given(data=st.data())
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -673,6 +720,9 @@ CORRUPT_MANIFESTS = {
     "vocab_str": lambda m: m.update(vocab="x" * len(m["vocab"])),
     "domain_listed_twice": lambda m: m["domains"].append(dict(m["domains"][0])),
     "temporal_index_gap": lambda m: m["actions"][2].update(temporal_index=100),
+    # blob names that resolve to the manifest's own directory
+    "feature_blob_empty": lambda m: m.update(feature_blob=""),
+    "text_blob_dot": lambda m: m.update(text_blob="."),
 }
 
 # any JSON value an action key could be set to: ints past either end of
@@ -1006,6 +1056,29 @@ class TestImportInputErrors:
         for command in (["import", *argv], ["seq-stats", *argv[:2]]):
             assert main([*command, "--out", str(tmp_path / "out")]) == 3
             assert "malformed row at line 4: too few fields" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    def test_csv_row_with_a_field_past_the_header_is_data_error(self, tmp_path, capsys):
+        argv = small_csv_dataset(tmp_path)
+        csv_path = Path(argv[1])
+        # an unquoted comma splits the last row's narration in two
+        csv_path.write_text(csv_path.read_text().rstrip("\r\n") + ",onion\n")
+        for command in (["import", *argv], ["seq-stats", *argv[:2]]):
+            assert main([*command, "--out", str(tmp_path / "out")]) == 3
+            assert "malformed row at line 4: too many fields" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--csv", "--features", "--text-features"])
+    def test_input_path_that_is_a_directory_is_data_error(self, flag, tmp_path, capsys):
+        argv = small_csv_dataset(tmp_path)
+        if flag == "--text-features":
+            argv += [flag, str(tmp_path)]
+        else:
+            argv[argv.index(flag) + 1] = str(tmp_path)
+        commands = [["import", *argv]] + ([["seq-stats", *argv[:2]]] if flag == "--csv" else [])
+        for command in commands:
+            assert main([*command, "--out", str(tmp_path / "out")]) == 3
+            assert "Is a directory" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
 
     def test_video_with_a_temporal_gap_is_data_error(self, tmp_path, capsys):

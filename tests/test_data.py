@@ -126,6 +126,16 @@ class TestFeatureStore:
         for rec in store.records:
             assert np.array_equal(again.clips(rec), store.clips(rec))
 
+    def test_each_split_is_one_table_and_an_empty_one_is_refused(self):
+        store = make_store(domains=("S0", "T0"), targets=("T0",))
+        for split in ("source", "target"):
+            actions = store.split_actions(split)
+            assert actions is store.split_actions(split)
+            domains = getattr(store.split, split)
+            assert actions.ids.tolist() == store.records_for(domains).ids.tolist()
+        with pytest.raises(DataError, match="the dataset's target domains hold no actions"):
+            make_store().split_actions("target")
+
     def test_split_domains_must_be_disjoint(self):
         with pytest.raises(DataError, match="overlap"):
             DatasetSplit(source=("S0", "S1"), target=("S1",))
@@ -530,6 +540,17 @@ class TestFeatureCache:
         for row, rec in zip(text, records):
             assert row.tobytes() == emb.embed(rec.narration).tobytes()
 
+    def test_batch_reads_the_cache_row_of_each_table_row(self):
+        # a table whose ids are not its row numbers, windowed on itself
+        store = make_store(n_actions=8)
+        actions = store.actions.take(np.array([5, 7, 4, 6, 1, 0, 3, 2]))
+        windows = build_windows(actions, W=3)
+        batch = FeatureCache(store, actions).batch(windows)
+        for window, visual in zip(windows, batch.visual):
+            for record, row in zip(window.records, visual):
+                mean = store.clips(record).astype(np.float64).mean(axis=0)
+                assert row.tobytes() == mean.tobytes()
+
     def test_serves_only_its_records(self):
         store = make_store()
         first_video = table([r for r in store.records if r.video_id == "v0"])
@@ -538,6 +559,10 @@ class TestFeatureCache:
         other = build_windows(table([r for r in store.records if r.video_id == "v1"]), W=1)
         with pytest.raises(DataError, match="not among the cached records"):
             cache.batch(other[:1])
+        # the cache serves windows over the table it was built on, and no copy of it
+        copy = build_windows(first_video.take(np.arange(len(first_video))), W=1)
+        with pytest.raises(DataError, match="not among the cached records"):
+            cache.batch(copy)
 
 
 class TestAnnotationCSV:
@@ -559,6 +584,13 @@ class TestAnnotationCSV:
         path.write_text("video_id,domain_id,temporal_index,verb_class,noun_class,narration\n"
                         "v0,P01,zero,1,2,open fridge\n")
         with pytest.raises(DataError, match="line 2"):
+            read_annotation_csv(path)
+
+    def test_row_longer_than_the_header_rejected(self, tmp_path):
+        path = tmp_path / "ann.csv"
+        path.write_text("video_id,domain_id,temporal_index,verb_class,noun_class,narration\n"
+                        "v1,d1,0,1,2,cut the,onion\n")
+        with pytest.raises(DataError, match="line 2: too many fields"):
             read_annotation_csv(path)
 
     def test_missing_column_rejected(self, tmp_path):
@@ -590,3 +622,24 @@ class TestAnnotationCSV:
         with pytest.raises(DataError, match="expected"):
             import_csv_dataset(csv_path, tmp_path / "feat.f32", d_v=4,
                                clips_per_action=3)
+
+    def test_import_splits_through_the_one_builder(self, tmp_path):
+        csv_path = tmp_path / "ann.csv"
+        write_annotation_csv(csv_path, self.rows() + [dict(self.rows()[0], video_id="v1",
+                                                           domain_id="P00")])
+        np.zeros(3 * 4, dtype="<f4").tofile(tmp_path / "feat.f32")
+
+        def imported(targets):
+            return import_csv_dataset(csv_path, tmp_path / "feat.f32", d_v=4,
+                                      clips_per_action=1, target_domains=targets)
+
+        assert imported(("P00",)).split == DatasetSplit(("P01",), ("P00",))
+        for targets in ((), ("P01",), ("P01", "P00", "P01")):
+            assert imported(targets).split == DatasetSplit.from_targets(("P01", "P00"), targets)
+        for targets in (("P09",), ("P01", "P09", "P08")):
+            with pytest.raises(DataError) as built:
+                DatasetSplit.from_targets(("P01", "P00"), targets)
+            with pytest.raises(DataError) as raised:
+                imported(targets)
+            assert str(raised.value) == str(built.value)
+        assert str(built.value) == "target domains ['P08', 'P09'] have no actions"

@@ -1,11 +1,13 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 import seqdg.tensor as T
 import seqdg.train
-from seqdg.data import Batch, DatasetSplit, FeatureStore
+from seqdg.data import Batch, DataError, DatasetSplit, FeatureStore
 from seqdg.model import ModelConfig, SeqDGModel
 from seqdg.train import (
     DivergenceError,
@@ -13,6 +15,7 @@ from seqdg.train import (
     composite_loss,
     fit,
     lr_at,
+    train_and_score,
 )
 from seqdg.data import ActionRecord
 from test_data import table
@@ -298,6 +301,41 @@ class TestFit:
             assert (quiet.source_verb_acc, quiet.source_noun_acc,
                     quiet.source_action_acc) == (None, None, None)
 
+    def test_each_step_releases_the_graph_of_the_one_before(self, monkeypatch):
+        # with the cycle collector off, only reference counting frees a
+        # graph: step i's loss must be gone when step i + 1's objective
+        # starts, and the last step's when the source split is scored
+        losses, alive = [], []
+
+        def tracking(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in losses))
+            total, parts = composite_loss(*args, **kwargs)
+            losses.append(weakref.ref(total))
+            return total, parts
+
+        def scoring(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in losses))
+            return predict(*args, **kwargs)
+
+        predict = seqdg.train.predict_windows
+        monkeypatch.setattr(seqdg.train, "composite_loss", tracking)
+        monkeypatch.setattr(seqdg.train, "predict_windows", scoring)
+        store = toy_store()
+        config = toy_train_config(epochs=2, batch_size=5)
+        gc.disable()
+        try:
+            fit(store, SeqDGModel.init(config.model, seed=0), config)
+        finally:
+            gc.enable()
+        assert len(losses) == 8
+        assert alive == [0] * 9
+
+    def test_store_without_source_actions_is_data_error(self):
+        store = toy_store(domains=("T0",), target=("T0",))
+        config = toy_train_config(epochs=1)
+        with pytest.raises(DataError, match="source domains hold no actions"):
+            fit(store, SeqDGModel.init(config.model, seed=0), config)
+
     def test_seqmix_stats_populated(self):
         store = toy_store()
         config = toy_train_config(epochs=2, p_mix=1.0)
@@ -356,3 +394,10 @@ class TestFlatSGD:
         before = model.params.flat.copy()
         optimizer.step(0.1)
         assert model.params.flat.tobytes() == before.tobytes()
+
+
+def test_train_and_score_without_target_actions_is_data_error(monkeypatch):
+    # refused before any training
+    monkeypatch.setattr(seqdg.train, "fit", None)
+    with pytest.raises(DataError, match="target domains hold no actions"):
+        train_and_score(toy_store(), toy_train_config(epochs=1))
