@@ -1,9 +1,10 @@
 """Window construction at video edges and the cross-domain mixing
-augmentation, with its bookkeeping, on the columnar action table."""
+augmentation, with its bookkeeping, on the columnar action table. Windows
+are arrays only: rows of the table and a padding mask."""
 
 import numpy as np
 
-from seqdg.data import SeqMixPool, SeqMixStats, build_windows
+from seqdg.data import SeqMixPool, SeqMixStats, build_windows, seqmix
 from seqdg.synth import SynthConfig, generate
 
 synth = SynthConfig(seed=3, videos_per_domain=1, actions_per_video=30)
@@ -33,25 +34,19 @@ def describe(slots):
              (int(source.verbs[row]), int(source.nouns[row]))) for row in slots]
 
 
-def draw(picked):
-    """One batch of SeqMix draws: the rows of the windows `picked`, mixed."""
-    return pool.draw(source_windows.rows[picked], source_windows.padding[picked],
-                     0.5, rng, stats)
-
-
-before = source_windows.rows[7]
-print("before:", describe(before))
+before = source_windows[[7]]
+print("before:", describe(before.rows[0]))
 after = before
-while (after == before).all():
-    after = draw([7])[0]
-print("after: ", describe(after))
+while (after.rows == before.rows).all():
+    after = seqmix(before, pool, 0.5, rng, stats)
+print("after: ", describe(after.rows[0]))
 print("(one slot changed domain; its verb/noun label is identical)")
 
 print()
 print("== the empirical replacement rate tracks the probability ==")
-# one draw mixes a whole batch: here 10,000 windows of S0's video
+# one call mixes a whole batch: here 10,000 windows of S0's video
 stats = SeqMixStats()
-draw(np.arange(10_000) % len(one_video))
+seqmix(source_windows[np.arange(10_000) % len(one_video)], pool, 0.5, rng, stats)
 print(f"draws {stats.draws}, replaced {stats.replaced} "
       f"(rate {stats.replaced / stats.draws:.3f}), "
       f"no candidate {stats.no_candidate}")

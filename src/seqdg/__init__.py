@@ -15,7 +15,6 @@ from seqdg.data import (
     DatasetSplit,
     FeatureStore,
     NarrationEmbedder,
-    SequenceWindow,
     SeqMixPool,
     SeqMixStats,
     build_windows,
@@ -55,7 +54,6 @@ __all__ = [
     "SeqDGModel",
     "SeqMixPool",
     "SeqMixStats",
-    "SequenceWindow",
     "SynthConfig",
     "SynthTruth",
     "Tensor",

@@ -55,7 +55,11 @@ EXIT_NUMERIC = 4
 def _out_dir(args) -> Path:
     root = os.environ.get("SEQDG_OUT_ROOT", "runs")
     out = Path(args.out) if args.out else Path(root) / args.command / time_tag()
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        # e.g. the path, or a directory on it, is an existing file
+        raise ConfigError([f"cannot create the output directory {out}: {exc}"]) from exc
     return out
 
 
@@ -205,10 +209,9 @@ def cmd_eval(args) -> int:
                         f"checkpoint's model reads {model.config.D_V}")
     actions = store.split_actions(args.split)
     _check_label_space(actions, model.config)
-    domains = getattr(store.split, args.split)
-    preds = sliding_window_predict(store, model, domains=domains, k=args.k)
+    preds = sliding_window_predict(store, model, split=args.split, k=args.k)
     labels = actions.labels()
-    results = {"split": args.split, "domains": list(domains),
+    results = {"split": args.split, "domains": list(getattr(store.split, args.split)),
                "n_actions": len(actions), "metrics": {},
                "k": {"verb": head_k(args.k, model.config.n_verbs),
                      "noun": head_k(args.k, model.config.n_nouns)}}
@@ -224,11 +227,12 @@ def cmd_eval(args) -> int:
                       seed=None, data_hashes=_data_hashes(store))
     if args.dump_predictions:
         with open(out / "predictions.jsonl", "w", encoding="utf-8") as fh:
-            for p, (verb, noun) in zip(preds, labels):
+            for action_id, (verb, noun), topk_verbs, topk_nouns in zip(
+                    preds.action_ids.tolist(), labels, preds.topk_verbs.tolist(),
+                    preds.topk_nouns.tolist()):
                 fh.write(json.dumps({
-                    "action_id": p.action_id, "verb": verb, "noun": noun,
-                    "topk_verbs": p.topk_verbs.tolist(),
-                    "topk_nouns": p.topk_nouns.tolist()}) + "\n")
+                    "action_id": action_id, "verb": verb, "noun": noun,
+                    "topk_verbs": topk_verbs, "topk_nouns": topk_nouns}) + "\n")
     top1 = results["metrics"]["top1"]
     print(f"{args.split} top-1: verb {top1['verb']:.1f} noun {top1['noun']:.1f} "
           f"action {top1['action']:.1f} ({len(actions)} actions)")

@@ -12,12 +12,14 @@ was read from. Training and evaluation slice a split's table into
 a padding mask, and assemble dense batches from those through a
 `FeatureCache`, the one place where an action's clips are averaged; its
 rows are the table's, so a batch indexes it by the windows' rows.
-`ActionRecord` and `SequenceWindow` are per-item views of these arrays,
-built only when something asks for them.
+Windows are arrays only: indexing them by a slice or an index array
+gives the `Windows` of those windows. `ActionRecord` is a per-row view
+of the table, built only when something asks for it.
 
-SeqMix lives here too: with a configured probability, one slot of a
-window is swapped for a same-label action from a different source
-domain, features, narration tokens and domain id travelling together.
+SeqMix lives here too: `seqmix` takes a batch of windows and, with a
+configured probability per window, swaps one slot for a same-label action
+from a different source domain, features, narration tokens and domain id
+travelling together; `SeqMixPool` holds each row's candidates.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import numpy as np
 __all__ = [
     "DataError",
     "ActionRecord",
-    "SequenceWindow",
     "Actions",
     "Windows",
     "DatasetSplit",
@@ -90,21 +91,6 @@ class ActionRecord:
     @property
     def label(self) -> tuple[int, int]:
         return (self.verb, self.noun)
-
-
-@dataclass(frozen=True)
-class SequenceWindow:
-    """A view of one window of `Windows`: W consecutive actions centered
-    on the one being classified. Slots outside the video replicate the
-    nearest real action and are flagged as padding; the center never is."""
-
-    records: tuple[ActionRecord, ...]
-    padding: tuple[bool, ...]
-    center: int
-
-    @property
-    def center_record(self) -> ActionRecord:
-        return self.records[self.center]
 
 
 def _intern(names: list) -> tuple[tuple, np.ndarray]:
@@ -493,41 +479,30 @@ def _first_failing_action(actions: Actions, d_v: int, size: int, vocab: int) -> 
 
 
 @dataclass(eq=False)
-class Windows(Sequence):
+class Windows:
     """Windows as rows of one `Actions` table: `rows[i]` holds the W slots
     of window i and `padding[i]` flags the slots that replicate an edge
-    action. The center slot is W // 2.
-
-    As a sequence it holds one `SequenceWindow` view per window, all built
-    on the first access and kept; a slice is a `Windows`."""
+    action. The center slot is W // 2, and window i's center action is
+    row `rows[i, center]`. Indexing by a slice or an index array gives
+    the `Windows` of those windows, over the same table."""
 
     actions: Actions
     rows: np.ndarray          # (N, W) int64
     padding: np.ndarray       # (N, W) bool
-    _views: list | None = field(default=None, init=False, repr=False)
 
     @property
     def center(self) -> int:
         return self.rows.shape[1] // 2
 
-    def views(self) -> list[SequenceWindow]:
-        if self._views is None:
-            records = self.actions.views()
-            self._views = [SequenceWindow(records=tuple(records[r] for r in rows),
-                                          padding=tuple(pads), center=self.center)
-                           for rows, pads in zip(self.rows.tolist(), self.padding.tolist())]
-        return self._views
-
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Windows(self.actions, self.rows[index], self.padding[index])
-        return self.views()[index]
-
-    def __iter__(self):
-        return iter(self.views())
+    def __getitem__(self, index) -> "Windows":
+        rows = self.rows[index]
+        if rows.ndim != 2:
+            raise TypeError("index Windows by a slice or an index array, not "
+                            f"{type(index).__name__}")
+        return Windows(self.actions, rows, self.padding[index])
 
 
 def _video_order(actions: Actions) -> tuple[np.ndarray, np.ndarray]:
@@ -661,54 +636,36 @@ class SeqMixPool:
         self.start = np.array(starts, dtype=np.int64)
         self.count = np.array(counts, dtype=np.int64)
 
-    def draw(self, rows: np.ndarray, padding: np.ndarray, p_mix: float, rng,
-             stats: SeqMixStats | None = None) -> np.ndarray:
-        """SeqMix for a batch of windows: `rows` (n, W) of the pool's table
-        and their padding flags. Each window mixes with probability
-        `p_mix`: one of its non-padding slots, drawn uniformly, is swapped
-        for one of that row's candidates, drawn uniformly. A window whose
-        slot has no candidate is left as it is. Every window takes its
-        three draws from `rng` whether it mixes or not. Returns the mixed
-        rows as a new array."""
-        n = len(rows)
-        mixes = rng.random(n) < p_mix
-        real = ~np.asarray(padding, dtype=bool)
-        nth = rng.integers(real.sum(axis=1))
-        slot = (np.cumsum(real, axis=1) > nth[:, None]).argmax(axis=1)
-        slot_rows = rows[np.arange(n), slot]
-        count = self.count[slot_rows]
-        pick = self.start[slot_rows] + rng.integers(np.maximum(count, 1))
-        swap = mixes & (count > 0)
-        mixed = rows.copy()
-        mixed[swap, slot[swap]] = self.candidates[pick[swap]]
-        if stats is not None:
-            stats.draws += n
-            stats.replaced += int(swap.sum())
-            stats.no_candidate += int((mixes & ~swap).sum())
-        return mixed
 
-
-def seqmix(window: SequenceWindow, pool: SeqMixPool, p_mix: float, rng,
-           stats: SeqMixStats | None = None) -> SequenceWindow:
-    """With probability `p_mix`, swap one non-padding slot for a same-label
-    action from a different source domain: `SeqMixPool.draw` on the one
-    window. Its actions must be rows of the pool's table, found by action
-    id. The swap carries features, narration tokens and domain id; labels
-    are equal by construction. If no candidate exists the window comes
-    back unchanged."""
-    ids = np.array([record.action_id for record in window.records])
-    found = pool.actions.ids == ids[:, None]
-    if not found.any(axis=1).all():
-        raise DataError("seqmix: the window holds an action outside the pool's table")
-    rows = found.argmax(axis=1)
-    mixed = pool.draw(rows[None], np.array([window.padding]), p_mix, rng, stats)[0]
-    changed = np.flatnonzero(mixed != rows)
-    if not len(changed):
-        return window
-    slot = int(changed[0])
-    new_records = list(window.records)
-    new_records[slot] = pool.actions[int(mixed[slot])]
-    return replace(window, records=tuple(new_records))
+def seqmix(windows: Windows, pool: SeqMixPool, p_mix: float, rng,
+           stats: SeqMixStats | None = None) -> Windows:
+    """SeqMix for a batch of windows over the pool's table. Each window
+    mixes with probability `p_mix`: one of its non-padding slots, drawn
+    uniformly, is swapped for one of that row's candidates, drawn
+    uniformly. The swap carries features, narration tokens and domain id;
+    labels are equal by construction. A window whose slot has no candidate
+    is left as it is. Every window takes its three draws from `rng`
+    whether it mixes or not. Returns the mixed windows, their rows a new
+    array and their padding unchanged."""
+    if windows.actions is not pool.actions:
+        raise DataError("seqmix: windows over another table than the pool's")
+    rows, padding = windows.rows, windows.padding
+    n = len(rows)
+    mixes = rng.random(n) < p_mix
+    real = ~padding
+    nth = rng.integers(real.sum(axis=1))
+    slot = (np.cumsum(real, axis=1) > nth[:, None]).argmax(axis=1)
+    slot_rows = rows[np.arange(n), slot]
+    count = pool.count[slot_rows]
+    pick = pool.start[slot_rows] + rng.integers(np.maximum(count, 1))
+    swap = mixes & (count > 0)
+    mixed = rows.copy()
+    mixed[swap, slot[swap]] = pool.candidates[pick[swap]]
+    if stats is not None:
+        stats.draws += n
+        stats.replaced += int(swap.sum())
+        stats.no_candidate += int((mixes & ~swap).sum())
+    return Windows(windows.actions, mixed, padding)
 
 
 # ---------------------------------------------------------------------------
@@ -798,40 +755,53 @@ class FeatureCache:
 
 def read_annotation_csv(path) -> list[dict]:
     """Rows of the annotation format: video_id, domain_id, temporal_index,
-    verb_class, noun_class, narration. Every int must fit in int64 and
-    class ids must be >= 0."""
-    rows = []
+    verb_class, noun_class, narration. The file must be UTF-8, every int
+    must fit in int64 and class ids must be >= 0."""
     with _read("annotation CSV", open, path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in ANNOTATION_COLUMNS if c not in (reader.fieldnames or [])]
-        if missing:
-            raise DataError(f"annotation CSV missing columns: {missing}")
-        for row in reader:
-            # the file line the row ends on: a quoted field may span lines
-            lineno = reader.line_num
-            if None in row:                 # the reader's key for fields past the header
-                raise DataError(f"{path}: malformed row at line {lineno}: too many fields")
-            try:
-                parsed = {
-                    "video_id": row["video_id"],
-                    "domain_id": row["domain_id"],
-                    "temporal_index": int(row["temporal_index"]),
-                    "verb_class": int(row["verb_class"]),
-                    "noun_class": int(row["noun_class"]),
-                    "narration": row["narration"],
-                }
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}: malformed row at line {lineno}: {exc}") from exc
-            if None in parsed.values():     # the reader's filler for a short row
-                raise DataError(f"{path}: malformed row at line {lineno}: too few fields")
-            for key in ("temporal_index", "verb_class", "noun_class"):
-                if parsed[key] not in _INT64:
-                    raise DataError(f"{path}: {key} {parsed[key]} at line {lineno} is "
-                                    "outside int64")
-            if parsed["verb_class"] < 0 or parsed["noun_class"] < 0:
-                raise DataError(f"{path}: negative label at line {lineno} (verb "
-                                f"{parsed['verb_class']}, noun {parsed['noun_class']})")
-            rows.append(parsed)
+        try:
+            return _annotation_rows(path, reader)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+        except csv.Error as exc:
+            # e.g. a field past the csv module's size limit; the DictReader
+            # counts lines only once a row is read, its reader as it goes
+            raise DataError(f"{path}: malformed row at line {reader.reader.line_num}: "
+                            f"{exc}") from exc
+
+
+def _annotation_rows(path, reader: csv.DictReader) -> list[dict]:
+    """The parsed rows of `reader`, an annotation CSV read from `path`."""
+    missing = [c for c in ANNOTATION_COLUMNS if c not in (reader.fieldnames or [])]
+    if missing:
+        raise DataError(f"annotation CSV missing columns: {missing}")
+    rows = []
+    for row in reader:
+        # the file line the row ends on: a quoted field may span lines
+        lineno = reader.line_num
+        if None in row:                 # the reader's key for fields past the header
+            raise DataError(f"{path}: malformed row at line {lineno}: too many fields")
+        try:
+            parsed = {
+                "video_id": row["video_id"],
+                "domain_id": row["domain_id"],
+                "temporal_index": int(row["temporal_index"]),
+                "verb_class": int(row["verb_class"]),
+                "noun_class": int(row["noun_class"]),
+                "narration": row["narration"],
+            }
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: malformed row at line {lineno}: {exc}") from exc
+        if None in parsed.values():     # the reader's filler for a short row
+            raise DataError(f"{path}: malformed row at line {lineno}: too few fields")
+        for key in ("temporal_index", "verb_class", "noun_class"):
+            if parsed[key] not in _INT64:
+                raise DataError(f"{path}: {key} {parsed[key]} at line {lineno} is "
+                                "outside int64")
+        if parsed["verb_class"] < 0 or parsed["noun_class"] < 0:
+            raise DataError(f"{path}: negative label at line {lineno} (verb "
+                            f"{parsed['verb_class']}, noun {parsed['noun_class']})")
+        rows.append(parsed)
     return rows
 
 

@@ -1,10 +1,12 @@
 """Sliding-window inference and top-k accuracy reporting.
 
-Each action is classified from the window centered on it, built exactly
-as in training (replicate-padded at video edges) but with no masking, no
-decoders, and no text. Metrics follow the verb/noun/action convention:
-an action counts as correct at k only if both the verb and the noun
-truth appear in their respective top-k lists.
+Each action of a split is classified from the window centered on it,
+built exactly as in training (replicate-padded at video edges) but with
+no masking, no decoders, and no text. The predictions come back stacked,
+one row per action in a `Predictions`, and are scored as arrays.
+Metrics follow the verb/noun/action convention: an action counts as
+correct at k only if both the verb and the noun truth appear in their
+respective top-k lists.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seqdg.data import FeatureCache, FeatureStore, build_windows
+from seqdg.data import FeatureCache, FeatureStore, Windows, build_windows
 from seqdg.model import SeqDGModel
 
 __all__ = [
@@ -41,7 +43,8 @@ INFERENCE_BATCH = 128
 
 @dataclass
 class Prediction:
-    """One action's row of a `Predictions`."""
+    """One action's prediction, the fields of one row of a `Predictions`;
+    `accuracy` also scores a sequence of these."""
     action_id: int
     verb_logits: np.ndarray
     noun_logits: np.ndarray
@@ -52,8 +55,7 @@ class Prediction:
 @dataclass
 class Predictions:
     """Stacked predictions: row i of each array belongs to action
-    `action_ids[i]`. `len()` counts actions; iterating yields one
-    `Prediction` of views per action."""
+    `action_ids[i]`. `len()` counts actions."""
     action_ids: np.ndarray
     verb_logits: np.ndarray
     noun_logits: np.ndarray
@@ -62,11 +64,6 @@ class Predictions:
 
     def __len__(self) -> int:
         return len(self.action_ids)
-
-    def __iter__(self):
-        for i, action_id in enumerate(self.action_ids.tolist()):
-            yield Prediction(action_id, self.verb_logits[i], self.noun_logits[i],
-                             self.topk_verbs[i], self.topk_nouns[i])
 
 
 def topk_indices(logits: np.ndarray, k: int) -> np.ndarray:
@@ -111,7 +108,7 @@ def scoring_threads(n_chunks: int) -> int:
 
 
 def predict_windows(cache: FeatureCache, model: SeqDGModel,
-                    windows) -> tuple[np.ndarray, np.ndarray]:
+                    windows: Windows) -> tuple[np.ndarray, np.ndarray]:
     """Stacked verb and noun logits of `windows`, `INFERENCE_BATCH` at a time.
 
     With n = `scoring_threads` above one, the calling thread and n - 1
@@ -152,12 +149,12 @@ def predict_windows(cache: FeatureCache, model: SeqDGModel,
 
 
 def sliding_window_predict(store: FeatureStore, model: SeqDGModel, *,
-                           domains=None, k: int = 5) -> Predictions:
-    """Predictions of every action of the requested domains (default: the
-    target split, which must hold one), in the store's record order, every
-    video processed in isolation."""
+                           split: str = "target", k: int = 5) -> Predictions:
+    """Predictions of every action of the `split` ("source" or "target"),
+    which must hold one, in the store's record order, every video
+    processed in isolation."""
     cfg = model.config
-    actions = store.split_actions("target") if domains is None else store.records_for(domains)
+    actions = store.split_actions(split)
     windows = build_windows(actions, cfg.W)
     verb_logits, noun_logits = predict_windows(FeatureCache(store, actions), model, windows)
     # window i is centred on action i

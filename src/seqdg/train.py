@@ -34,8 +34,8 @@ from seqdg.data import (
     NarrationEmbedder,
     SeqMixPool,
     SeqMixStats,
-    Windows,
     build_windows,
+    seqmix,
 )
 from seqdg.evaluate import accuracy, predict_windows, sliding_window_predict, topk_accuracy
 from seqdg.model import ModelConfig, ModelParams, SeqDGModel
@@ -280,12 +280,10 @@ def fit(store: FeatureStore, model: SeqDGModel, config: TrainConfig, *,
             order = _stream(config.seed, 3, epoch).permutation(len(windows))
             loss_sums = dict.fromkeys(LOSS_KEYS, 0.0)
             for b_index, start in enumerate(range(0, len(order), config.batch_size)):
-                picked = order[start:start + config.batch_size]
-                rows, padding = windows.rows[picked], windows.padding[picked]
+                chunk = windows[order[start:start + config.batch_size]]
                 if config.p_mix > 0:
-                    rows = pool.draw(rows, padding, config.p_mix,
-                                     _stream(config.seed, 5, epoch, b_index), stats)
-                chunk = Windows(actions, rows, padding)
+                    chunk = seqmix(chunk, pool, config.p_mix,
+                                   _stream(config.seed, 5, epoch, b_index), stats)
                 batch = cache.batch(chunk)
                 # the last step's graph goes only now: dropped before this batch
                 # was built, its heap went back to the system after every step

@@ -27,7 +27,7 @@ from seqdg.synth import SynthConfig, generate
 from seqdg.tensor import Tensor
 from seqdg.train import TrainConfig, fit, lr_at, objective_grad_check, train_and_score
 
-from test_data import mixing_setup, table
+from test_data import domain_windows, label_of, mixing_setup
 from test_seqstats import CRAFTED, brute_force_counts, corpus_from_label_rows
 
 
@@ -180,18 +180,19 @@ def test_criterion_3_permutation_property():
 def test_criterion_4_seqmix_contract():
     records = mixing_setup(n_domains=4, actions_per_domain=6)
     pool = SeqMixPool(records, [f"S{d}" for d in range(4)])
-    windows = build_windows(table([r for r in records if r.domain_id == "S0"]), W=3)
+    windows = domain_windows(records, "S0", 3)
     rng = np.random.default_rng(20_240)
     stats = SeqMixStats()
     n_draws = 20_000
     for i in range(n_draws):
-        win = windows[i % len(windows)]
+        win = windows[[i % len(windows)]]
         out = seqmix(win, pool, 0.5, rng, stats=stats)
-        if out is not win:
-            changed = [j for j in range(3) if out.records[j] is not win.records[j]]
+        changed = np.flatnonzero(out.rows[0] != win.rows[0])
+        if len(changed):
             assert len(changed) == 1
-            old, new = win.records[changed[0]], out.records[changed[0]]
-            assert new.domain_id != old.domain_id and new.label == old.label
+            old, new = win.rows[0, changed[0]], out.rows[0, changed[0]]
+            assert (records.domain[new] != records.domain[old]
+                    and label_of(records, new) == label_of(records, old))
     rate = stats.replaced / n_draws
     assert 0.48 <= rate <= 0.52, f"replacement rate {rate:.4f}"
     assert stats.no_candidate == 0
@@ -200,9 +201,9 @@ def test_criterion_4_seqmix_contract():
     iso = mixing_setup(n_domains=1, actions_per_domain=3)
     iso_pool = SeqMixPool(iso, ["S0"])
     iso_stats = SeqMixStats()
-    win = build_windows(iso, W=3)[1]
+    win = build_windows(iso, W=3)[[1]]
     out = seqmix(win, iso_pool, 1.0, np.random.default_rng(0), stats=iso_stats)
-    assert out.records == win.records
+    assert out.rows.tolist() == win.rows.tolist()
     assert iso_stats.no_candidate == 1
     ok(4, f"replacement rate {rate:.4f} in [0.48, 0.52] over 20000 draws, all "
           f"replacements cross-domain same-label, unsatisfiable pool counted")
@@ -262,10 +263,9 @@ def test_criterion_8_inference_purity(tmp_path):
     before = sliding_window_predict(store, load_model(full_path))
     after = sliding_window_predict(store, load_model(stripped_path))
     assert len(before) == len(after) > 0
-    for a, b in zip(before, after):
-        assert a.verb_logits.tobytes() == b.verb_logits.tobytes()
-        assert a.noun_logits.tobytes() == b.noun_logits.tobytes()
-        assert a.topk_verbs.tolist() == b.topk_verbs.tolist()
+    assert before.verb_logits.tobytes() == after.verb_logits.tobytes()
+    assert before.noun_logits.tobytes() == after.noun_logits.tobytes()
+    assert before.topk_verbs.tolist() == after.topk_verbs.tolist()
     ok(8, f"{len(before)} predictions bitwise identical after deleting every "
           f"text-side parameter from the checkpoint")
 

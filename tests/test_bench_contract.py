@@ -123,26 +123,48 @@ def test_records_for_items_carry_what_the_benchmark_reads(tiny_store):
             assert hasattr(record, attr), f"a records_for item has no {attr!r}"
 
 
+def test_fit_mixes_through_the_train_module_attribute(tiny_store, monkeypatch):
+    # the `data.seqmix` span wrapper is installed on `seqdg.train.seqmix`
+    import seqdg.train as train
+    from seqdg.model import ModelConfig, SeqDGModel
+
+    calls = []
+    original = train.seqmix
+
+    def counting(windows, *args, **kwargs):
+        calls.append(len(windows))
+        return original(windows, *args, **kwargs)
+
+    monkeypatch.setattr(train, "seqmix", counting)
+    windows = len(tiny_store.records_for(tiny_store.split.source))
+    for p_mix, batches in ((0.5, len(range(0, windows, 5))), (0.0, 0)):
+        calls.clear()
+        config = train.TrainConfig(model=ModelConfig(**TINY_MODEL), epochs=1, batch_size=5,
+                                   p_mix=p_mix)
+        train.fit(tiny_store, SeqDGModel.init(config.model, seed=0), config)
+        assert len(calls) == batches
+        assert sum(calls) == (windows if batches else 0)
+
+
 def test_fit_marks_each_epoch_start_and_draws_once_per_window(tiny_store, monkeypatch):
     # `bench/spans.py` times epochs from the calls of `seqdg.train.lr_at`, and
     # `workloads.check_fit` expects one SeqMix draw per window per epoch
     import seqdg.train as train
-    from seqdg.data import SeqMixPool
     from seqdg.model import ModelConfig, SeqDGModel
 
     events = []
-    lr_at, draw = train.lr_at, SeqMixPool.draw
+    lr_at, seqmix = train.lr_at, train.seqmix
 
     def marking_lr_at(epoch, config):
         events.append(("epoch", epoch))
         return lr_at(epoch, config)
 
-    def logging_draw(self, rows, *args, **kwargs):
-        events.append(("draw", len(rows)))
-        return draw(self, rows, *args, **kwargs)
+    def logging_seqmix(windows, *args, **kwargs):
+        events.append(("draw", len(windows)))
+        return seqmix(windows, *args, **kwargs)
 
     monkeypatch.setattr(train, "lr_at", marking_lr_at)
-    monkeypatch.setattr(SeqMixPool, "draw", logging_draw)
+    monkeypatch.setattr(train, "seqmix", logging_seqmix)
     config = train.TrainConfig(model=ModelConfig(**TINY_MODEL), epochs=3, batch_size=5,
                                p_mix=0.5)
     result = train.fit(tiny_store, SeqDGModel.init(config.model, seed=0), config)

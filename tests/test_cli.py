@@ -18,11 +18,10 @@ from seqdg.config import ABLATE_FIELDS, ConfigError, field_defaults, load_run_co
 from seqdg.data import (
     ActionRecord,
     FeatureStore,
-    SequenceWindow,
     build_windows,
     write_annotation_csv,
 )
-from seqdg.evaluate import sliding_window_predict
+from seqdg.evaluate import Prediction, sliding_window_predict
 from seqdg.model import ModelConfig, ModelParams, SeqDGModel
 from seqdg.synth import SynthConfig, bayes_accuracy_on_store, context_oracle_accuracy, generate
 from seqdg.train import TrainConfig, fit
@@ -368,7 +367,7 @@ class TestTrainEval:
         for k in (1, 5):
             hits = {}
             for head, label in (("verb", 0), ("noun", 1)):
-                logits = np.stack([getattr(p, f"{head}_logits") for p in preds])
+                logits = getattr(preds, f"{head}_logits")
                 ranked = np.argsort(-logits, axis=-1, kind="stable")[:, :k]
                 hits[head] = [r.label[label] in row for r, row in zip(records, ranked)]
             hits["action"] = [v and n for v, n in zip(hits["verb"], hits["noun"])]
@@ -997,12 +996,13 @@ def test_seed_flag_is_rejected_where_nothing_reads_it(command, tmp_path, dataset
 
 def test_eval_and_fit_build_no_record_or_window_views(tmp_path, config_path, monkeypatch):
     # `synth-gen`, `import`, `seqdg eval`, a SeqMix epoch, `synth.generate`
-    # and both synth oracles run on the columns alone
+    # and both synth oracles run on the columns alone; windows have no
+    # per-window view, and `--dump-predictions` writes from stacked arrays
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"built a {type(self).__name__}")
 
     monkeypatch.setattr(ActionRecord, "__init__", refuse)
-    monkeypatch.setattr(SequenceWindow, "__init__", refuse)
+    monkeypatch.setattr(Prediction, "__init__", refuse)
     with pytest.raises(AssertionError, match="built a ActionRecord"):
         ActionRecord(action_id=0, video_id="v", domain_id="S0", verb=0, noun=0,
                           narration=(), temporal_index=0, blob_offset=0, n_clips=1)
@@ -1022,6 +1022,26 @@ def test_eval_and_fit_build_no_record_or_window_views(tmp_path, config_path, mon
     store, truth = generate(SynthConfig(**SMALL_SYNTH["synth"]))
     assert context_oracle_accuracy(build_windows(store.actions, 5), truth.grammar) > 0
     assert bayes_accuracy_on_store(store, truth) > 0
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["the_file", "under_the_file"])
+@pytest.mark.parametrize("command", ["synth-gen", "import", "seq-stats", "train", "eval",
+                                     "ablate", "grad-check"])
+def test_out_naming_an_existing_file_is_config_error(command, under, tmp_path, config_path,
+                                                     dataset_dir, checkpoint_path, capsys):
+    argv = {"synth-gen": ["--config", str(config_path)],
+            "import": small_csv_dataset(tmp_path),
+            "seq-stats": small_csv_dataset(tmp_path)[:2],
+            "train": ["--config", str(config_path), "--data", str(dataset_dir)],
+            "eval": ["--checkpoint", str(checkpoint_path), "--data", str(dataset_dir)],
+            "ablate": ["--config", str(config_path), "--data", str(dataset_dir)],
+            "grad-check": []}[command]
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"not a directory\n")
+    out = taken / "run" if under else taken
+    assert main([command, *argv, "--out", str(out)]) == 2
+    assert f"cannot create the output directory {out}" in capsys.readouterr().err
+    assert taken.read_bytes() == b"not a directory\n"
 
 
 class TestImportInputErrors:
@@ -1087,6 +1107,26 @@ class TestImportInputErrors:
                      "--out", str(tmp_path / "out")]) == 3
         assert "'vS0': temporal indices must be consecutive" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_csv_that_is_not_utf8_is_data_error(self, tmp_path, capsys):
+        argv = small_csv_dataset(tmp_path)
+        csv_path = Path(argv[1])
+        # a Latin-1 e-acute in the first row's narration
+        csv_path.write_bytes(csv_path.read_bytes().replace(b",a\r\n", b",caf\xe9\r\n", 1))
+        for command in (["import", *argv], ["seq-stats", *argv[:2]]):
+            assert main([*command, "--out", str(tmp_path / "out")]) == 3
+            assert f"{csv_path}: not UTF-8 text" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    def test_csv_field_past_the_csv_module_limit_is_data_error(self, tmp_path, capsys):
+        rows = small_csv_rows()
+        rows[1]["narration"] = "a" * 200_000         # file line 3
+        argv = csv_dataset(tmp_path, rows)
+        for command in (["import", *argv], ["seq-stats", *argv[:2]]):
+            assert main([*command, "--out", str(tmp_path / "out")]) == 3
+            assert ("malformed row at line 3: field larger than field limit"
+                    in capsys.readouterr().err)
+            assert not (tmp_path / "out").exists()
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None,

@@ -209,17 +209,15 @@ class TestBuildWindows:
         records = [make_record(i) for i in range(7)]
         windows = build_windows(table(records), W=5)
         assert len(windows) == 7
-        first = windows[0]
-        ids = [r.action_id for r in first.records]
-        assert ids == [0, 0, 0, 1, 2]
-        assert first.padding == (True, True, False, False, False)
-        assert first.center == 2
+        assert windows.actions.ids[windows.rows[0]].tolist() == [0, 0, 0, 1, 2]
+        assert windows.padding[0].tolist() == [True, True, False, False, False]
+        assert windows.center == 2
 
     def test_degenerate_single_slot_windows(self):
         records = [make_record(i) for i in range(3)]
         windows = build_windows(table(records), W=1)
-        assert all(w.records == (records[i],) for i, w in enumerate(windows))
-        assert all(w.padding == (False,) for w in windows)
+        assert windows.rows.tolist() == [[0], [1], [2]]
+        assert windows.padding.tolist() == [[False]] * 3
 
     def test_counting_bijection_on_random_corpus(self):
         rng = np.random.default_rng(5)
@@ -232,7 +230,7 @@ class TestBuildWindows:
                 i += 1
         windows = build_windows(table(records), W=5)
         assert len(windows) == len(records)
-        centers = sorted(w.center_record.action_id for w in windows)
+        centers = sorted(windows.actions.ids[windows.rows[:, windows.center]].tolist())
         assert centers == sorted(r.action_id for r in records)
 
     def test_even_window_rejected(self):
@@ -272,13 +270,25 @@ class TestBuildWindows:
         shuffled = data.draw(st.permutations(ordered))
         records = [make_record(i, video=video, t=t) for i, (video, t) in enumerate(shuffled)]
         windows = build_windows(table(records), W=w)
-        assert [win.center_record.action_id for win in windows] == list(range(len(records)))
+        centers = windows.actions.ids[windows.rows[:, windows.center]]
+        assert centers.tolist() == list(range(len(records)))
         half = w // 2
-        for rec, win in zip(records, windows):
+        for rec, rows in zip(records, windows.rows.tolist()):
             last = lengths[int(rec.video_id[1:])] - 1
-            assert all(r.video_id == rec.video_id for r in win.records)
-            assert [r.temporal_index for r in win.records] == [
+            assert all(records[r].video_id == rec.video_id for r in rows)
+            assert [records[r].temporal_index for r in rows] == [
                 min(max(rec.temporal_index + off, 0), last) for off in range(-half, half + 1)]
+
+    def test_indexing_gives_windows_over_the_same_table(self):
+        actions = table([make_record(i) for i in range(7)])
+        windows = build_windows(actions, W=3)
+        for index in (slice(2, 5), np.array([6, 0, 0]), [1]):
+            part = windows[index]
+            assert part.actions is actions
+            assert part.rows.tolist() == windows.rows[index].tolist()
+            assert part.padding.tolist() == windows.padding[index].tolist()
+        with pytest.raises(TypeError, match="slice or an index array"):
+            windows[0]
 
 
 def single_action_store(clips):
@@ -372,81 +382,86 @@ def mixing_setup(n_domains=3, actions_per_domain=8):
     return table(records)
 
 
+def domain_windows(actions, domain, W):
+    """The windows over `actions` centred on the actions of `domain`."""
+    return build_windows(actions, W)[np.flatnonzero(actions.in_domains([domain]))]
+
+
+def label_of(actions, row):
+    return (int(actions.verbs[row]), int(actions.nouns[row]))
+
+
 class TestSeqMix:
     def test_probability_zero_never_changes_window(self):
         records = mixing_setup()
         pool = SeqMixPool(records, [f"S{d}" for d in range(3)])
         windows = build_windows(records, W=3)
         rng = np.random.default_rng(0)
-        for win in windows:
-            assert seqmix(win, pool, 0.0, rng) is win
+        for i in range(len(windows)):
+            win = windows[[i]]
+            out = seqmix(win, pool, 0.0, rng)
+            assert out.rows.tolist() == win.rows.tolist()
+            assert out.padding is win.padding
 
     def test_unsatisfiable_pool_counts_no_candidate(self):
         # the only matching labels live in the window's own domain
         records = table([make_record(i, video="S0_v0", domain="S0", verb=9, noun=9, t=i)
                          for i in range(3)])
         pool = SeqMixPool(records, ["S0"])
-        window = build_windows(records, W=3)[1]
+        window = build_windows(records, W=3)[[1]]
         stats = SeqMixStats()
         rng = np.random.default_rng(1)
         out = seqmix(window, pool, 1.0, rng, stats=stats)
-        assert out.records == window.records
+        assert out.rows.tolist() == window.rows.tolist()
         assert stats.no_candidate == 1
 
     def test_replacement_swaps_whole_tuple(self):
+        # a swapped row carries its features, narration and domain id
         records = mixing_setup()
         pool = SeqMixPool(records, ["S0", "S1", "S2"])
-        window = build_windows(table([r for r in records if r.domain_id == "S0"]), W=3)[1]
+        window = domain_windows(records, "S0", 3)[[1]]
         rng = np.random.default_rng(2)
         out = seqmix(window, pool, 1.0, rng)
-        changed = [i for i in range(3) if out.records[i] is not window.records[i]]
+        changed = np.flatnonzero(out.rows[0] != window.rows[0])
         assert len(changed) == 1
-        old, new = window.records[changed[0]], out.records[changed[0]]
-        assert new.domain_id != old.domain_id
-        assert new.label == old.label
-        assert out.padding == window.padding
+        old, new = window.rows[0, changed[0]], out.rows[0, changed[0]]
+        assert records.domain[new] != records.domain[old]
+        assert label_of(records, new) == label_of(records, old)
+        assert out.padding.tolist() == window.padding.tolist()
 
     def test_center_labels_never_change(self):
         records = mixing_setup()
         pool = SeqMixPool(records, ["S0", "S1", "S2"])
-        windows = build_windows(table([r for r in records if r.domain_id == "S0"]), W=3)
+        windows = domain_windows(records, "S0", 3)
         rng = np.random.default_rng(3)
-        for win in windows:
+        for i in range(len(windows)):
+            win = windows[[i]]
             out = seqmix(win, pool, 1.0, rng)
-            assert out.center_record.label == win.center_record.label
+            assert (label_of(records, out.rows[0, out.center])
+                    == label_of(records, win.rows[0, win.center]))
 
     def test_cross_domain_slot_present_iff_replaced(self):
         records = mixing_setup()
         pool = SeqMixPool(records, ["S0", "S1", "S2"])
-        windows = build_windows(table([r for r in records if r.domain_id == "S1"]), W=3)
+        windows = domain_windows(records, "S1", 3)
+        s1 = records.domain_names.index("S1")
         rng = np.random.default_rng(4)
         stats = SeqMixStats()
-        for win in list(windows) * 30:
+        for i in list(range(len(windows))) * 30:
             before = stats.replaced
-            out = seqmix(win, pool, 0.5, rng, stats=stats)
-            mixed = any(r.domain_id != "S1" for r in out.records)
+            out = seqmix(windows[[i]], pool, 0.5, rng, stats=stats)
+            mixed = bool((records.domain[out.rows[0]] != s1).any())
             assert mixed == (stats.replaced > before)
 
-    def test_monte_carlo_rate_and_constraint(self):
-        records = mixing_setup(n_domains=4, actions_per_domain=6)
-        pool = SeqMixPool(records, [f"S{d}" for d in range(4)])
-        windows = build_windows(table([r for r in records if r.domain_id == "S0"]), W=3)
-        rng = np.random.default_rng(20240)
+    def test_windows_over_another_table_are_refused(self):
+        # the windows' rows must index the pool's table: these are S0's own
+        records = mixing_setup()
+        pool = SeqMixPool(records, ["S0", "S1", "S2"])
+        s0 = records.take(np.flatnonzero(records.in_domains(["S0"])))
         stats = SeqMixStats()
-        n_draws = 20_000
-        for i in range(n_draws):
-            win = windows[i % len(windows)]
-            out = seqmix(win, pool, 0.5, rng, stats=stats)
-            if out is not win:
-                changed = [j for j in range(3)
-                           if out.records[j] is not win.records[j]]
-                assert len(changed) == 1
-                old, new = win.records[changed[0]], out.records[changed[0]]
-                assert new.domain_id != old.domain_id
-                assert new.label == old.label
-        rate = stats.replaced / n_draws
-        assert 0.48 <= rate <= 0.52
-        assert stats.no_candidate == 0
+        with pytest.raises(DataError, match="another table"):
+            seqmix(build_windows(s0, W=3), pool, 0.5, np.random.default_rng(0), stats)
+        assert stats.draws == 0
 
     def test_candidate_index_matches_a_scan_of_the_table(self):
         rng = np.random.default_rng(30)
@@ -470,7 +485,7 @@ class TestSeqMix:
         picked = np.arange(20_000) % len(windows)
         rows, padding = windows.rows[picked], windows.padding[picked]
         stats = SeqMixStats()
-        mixed = pool.draw(rows, padding, 0.5, np.random.default_rng(31), stats)
+        mixed = seqmix(windows[picked], pool, 0.5, np.random.default_rng(31), stats).rows
         changed = mixed != rows
         assert changed.sum(axis=1).max() == 1
         assert not (changed & padding).any()
@@ -493,7 +508,7 @@ class TestSeqMix:
         pool = SeqMixPool(records, ["S0"])
         windows = build_windows(records, W=3)
         stats = SeqMixStats()
-        mixed = pool.draw(windows.rows, windows.padding, 1.0, np.random.default_rng(0), stats)
+        mixed = seqmix(windows, pool, 1.0, np.random.default_rng(0), stats).rows
         assert mixed.tobytes() == windows.rows.tobytes()
         assert (stats.draws, stats.replaced, stats.no_candidate) == (3, 0, 3)
 
@@ -514,11 +529,10 @@ class TestFeatureCache:
         store = make_store(with_text=True)
         windows = build_windows(store.actions, W=1)
         batch = FeatureCache(store, store.actions, with_text=True).batch(windows[:1])
-        center = windows[0].center_record.action_id
-        expected = store.text[center * store.d_t:(center + 1) * store.d_t]
+        center = store.records[windows.rows[0, windows.center]]
+        expected = store.text[center.action_id * store.d_t:(center.action_id + 1) * store.d_t]
         np.testing.assert_allclose(batch.visual[0, 0],
-                                   store.clips(windows[0].center_record)
-                                   .astype(np.float64).mean(axis=0))
+                                   store.clips(center).astype(np.float64).mean(axis=0))
         np.testing.assert_allclose(batch.text[0, 0], expected.astype(np.float64))
 
     @pytest.mark.parametrize("dim", [1, 5])
@@ -546,8 +560,8 @@ class TestFeatureCache:
         actions = store.actions.take(np.array([5, 7, 4, 6, 1, 0, 3, 2]))
         windows = build_windows(actions, W=3)
         batch = FeatureCache(store, actions).batch(windows)
-        for window, visual in zip(windows, batch.visual):
-            for record, row in zip(window.records, visual):
+        for rows, visual in zip(windows.rows.tolist(), batch.visual):
+            for record, row in zip((actions[r] for r in rows), visual):
                 mean = store.clips(record).astype(np.float64).mean(axis=0)
                 assert row.tobytes() == mean.tobytes()
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqdg import evaluate
-from seqdg.data import FeatureCache, build_windows
+from seqdg.data import DatasetSplit, FeatureCache, FeatureStore, build_windows
 from seqdg.evaluate import (
     Prediction,
     accuracy,
@@ -117,7 +117,7 @@ class TestSlidingWindow:
         preds = sliding_window_predict(store, model)
         target_records = store.records_for(("T0",))
         assert len(preds) == len(target_records)
-        assert [p.action_id for p in preds] == [r.action_id for r in target_records]
+        assert preds.action_ids.tolist() == [r.action_id for r in target_records]
 
     def test_single_action_video_fully_padded(self):
         store = toy_store(n_videos=1, actions_per_video=1, domains=("T0",),
@@ -128,26 +128,28 @@ class TestSlidingWindow:
         assert len(preds) == 1
 
     def test_per_video_isolation(self):
-        # predictions for one video must not depend on other videos
+        # predictions for one video must not depend on other videos: S0's
+        # video scored with S1's (the source split) and alone (a store
+        # whose target split is S0)
         store, model = self.trained_setup()
-        full = sliding_window_predict(store, model, domains=("S0", "S1"))
-        solo = sliding_window_predict(store, model, domains=("S0",))
-        for a, b in zip(solo, full):
-            assert a.action_id == b.action_id
-            assert a.verb_logits.tobytes() == b.verb_logits.tobytes()
+        full = sliding_window_predict(store, model, split="source")
+        alone = FeatureStore(store.meta, store.actions, store.vocab,
+                             DatasetSplit(source=("S1", "T0"), target=("S0",)), store.visual)
+        solo = sliding_window_predict(alone, model)
+        n = len(solo)
+        assert 0 < n < len(full)
+        assert solo.action_ids.tolist() == full.action_ids[:n].tolist()
+        assert solo.verb_logits.tobytes() == full.verb_logits[:n].tobytes()
 
     def test_predictions_deterministic(self):
         store, model = self.trained_setup()
         a = sliding_window_predict(store, model)
         b = sliding_window_predict(store, model)
-        for x, y in zip(a, b):
-            assert x.verb_logits.tobytes() == y.verb_logits.tobytes()
-            assert x.noun_logits.tobytes() == y.noun_logits.tobytes()
+        assert a.verb_logits.tobytes() == b.verb_logits.tobytes()
+        assert a.noun_logits.tobytes() == b.noun_logits.tobytes()
 
     def test_predictions_identical_with_and_without_stored_text(self):
         # the inference path must never read text features from the store
-        from seqdg.data import FeatureStore
-
         store, model = self.trained_setup()
         with_text = FeatureStore(store.meta, store.actions, store.vocab,
                                  store.split, store.visual,
@@ -155,16 +157,18 @@ class TestSlidingWindow:
                                          dtype="<f4"))
         a = sliding_window_predict(store, model)
         b = sliding_window_predict(with_text, model)
-        for x, y in zip(a, b):
-            assert x.verb_logits.tobytes() == y.verb_logits.tobytes()
-            assert x.noun_logits.tobytes() == y.noun_logits.tobytes()
+        assert a.verb_logits.tobytes() == b.verb_logits.tobytes()
+        assert a.noun_logits.tobytes() == b.noun_logits.tobytes()
 
     def test_stacked_predictions_score_like_their_rows(self):
         store, model = self.trained_setup()
         preds = sliding_window_predict(store, model, k=2)
         labels = store.records_for(("T0",)).labels()
+        rows = [Prediction(action_id, preds.verb_logits[i], preds.noun_logits[i],
+                           preds.topk_verbs[i], preds.topk_nouns[i])
+                for i, action_id in enumerate(preds.action_ids.tolist())]
         for k in (1, 2):
-            assert accuracy(preds, labels, k) == accuracy(list(preds), labels, k)
+            assert accuracy(preds, labels, k) == accuracy(rows, labels, k)
 
     def test_evaluation_touches_no_gradient_machinery(self):
         store, model = self.trained_setup()
