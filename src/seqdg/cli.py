@@ -53,14 +53,20 @@ EXIT_NUMERIC = 4
 
 
 def _out_dir(args) -> Path:
+    """`--out`, reused if it exists; without it, a new directory
+    `$SEQDG_OUT_ROOT/<command>/<time>`, or `<time>-N` for the first N whose
+    name no other run has taken."""
     root = os.environ.get("SEQDG_OUT_ROOT", "runs")
-    out = Path(args.out) if args.out else Path(root) / args.command / time_tag()
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        # e.g. the path, or a directory on it, is an existing file
-        raise ConfigError([f"cannot create the output directory {out}: {exc}"]) from exc
-    return out
+    out = base = Path(args.out) if args.out else Path(root) / args.command / time_tag()
+    for suffix in itertools.count(1):
+        try:
+            out.mkdir(parents=True, exist_ok=bool(args.out))
+            return out
+        except OSError as exc:
+            if args.out or not isinstance(exc, FileExistsError):
+                # e.g. the path, or a directory on it, is an existing file
+                raise ConfigError([f"cannot create the output directory {out}: {exc}"]) from exc
+        out = base.with_name(f"{base.name}-{suffix}")
 
 
 def time_tag() -> str:

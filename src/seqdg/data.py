@@ -1,20 +1,22 @@
 """Dataset ingestion, window construction, and sequence mixing.
 
 A dataset on disk is a JSON manifest plus a flat little-endian float32
-feature blob (clips-major per action), optionally joined by a second blob
-of precomputed per-action text features. In memory it becomes a
-`FeatureStore` over an `Actions` table: one int64 column per integer
-field, video and domain ids interned as codes, and the narrations as one
-ragged token array. The store builds each split's table once and hands
-it out through `split_actions`, and a loaded store records the files it
-was read from. Training and evaluation slice a split's table into
-`Windows` of W consecutive actions, an (N, W) array of row indices with
-a padding mask, and assemble dense batches from those through a
-`FeatureCache`, the one place where an action's clips are averaged; its
-rows are the table's, so a batch indexes it by the windows' rows.
-Windows are arrays only: indexing them by a slice or an index array
-gives the `Windows` of those windows. `ActionRecord` is a per-row view
-of the table, built only when something asks for it.
+feature blob (clips-major per action), optionally joined by a second
+blob of precomputed per-action text features. The manifest is written as
+compact JSON with sorted keys (any indentation would force Python's
+pure-Python encoder); `load` reads any layout of the same value. In
+memory it becomes a `FeatureStore` over an `Actions` table: one int64
+column per integer field, video and domain ids interned as codes, and
+the narrations as one ragged token array. The store builds each split's
+table once and hands it out through `split_actions`, and a loaded store
+records the files it was read from. Training and evaluation slice a
+split's table into `Windows` of W consecutive actions, an (N, W) array
+of row indices with a padding mask, and assemble dense batches from
+those through a `FeatureCache`, the one place where an action's clips
+are averaged; its rows are the table's, so a batch indexes it by the
+windows' rows. Windows are arrays only: indexing them by a slice or an
+index array gives the `Windows` of those windows. `ActionRecord` is a
+per-row view of the table, built only when something asks for it.
 
 SeqMix lives here too: `seqmix` takes a batch of windows and, with a
 configured probability per window, swaps one slot for a same-label action
@@ -297,7 +299,7 @@ class FeatureStore:
     def save(self, directory) -> Path:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        self.visual.astype("<f4").tofile(directory / "features.f32")
+        self.visual.astype("<f4", copy=False).tofile(directory / "features.f32")
         manifest = {
             "format": MANIFEST_FORMAT,
             "version": MANIFEST_VERSION,
@@ -313,10 +315,11 @@ class FeatureStore:
                         for values in zip(*self.actions.columns())],
         }
         if self.text is not None:
-            self.text.astype("<f4").tofile(directory / "text_features.f32")
+            self.text.astype("<f4", copy=False).tofile(directory / "text_features.f32")
             manifest["text_blob"] = "text_features.f32"
         path = directory / "manifest.json"
-        path.write_text(json.dumps(manifest, indent=1, sort_keys=True), encoding="utf-8")
+        path.write_text(json.dumps(manifest, sort_keys=True, separators=(",", ":")),
+                        encoding="utf-8")
         return path
 
     @classmethod

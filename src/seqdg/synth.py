@@ -22,6 +22,7 @@ a maximum-a-posteriori context decoder over grammar states.
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -147,12 +148,51 @@ class Grammar:
         return counts
 
     def walk(self, length: int, rng) -> np.ndarray:
-        states = np.empty(length, dtype=np.int64)
-        state = int(rng.choice(self.n_states, p=self.start))
-        for t in range(length):
-            states[t] = state
-            state = int(rng.choice(self.n_states, p=self.transitions[state]))
-        return states
+        """A chain of `length` states drawn from one uniform per step.
+
+        The `length + 1` doubles of `rng.random` are the draws that a
+        `rng.choice(n_states, p=...)` per step takes: the start state, then
+        each state's successor, the last one drawn and dropped. Each state
+        is found as `choice` finds it, by a right-sided search of the
+        cumulative sum divided by its last entry, so the states and the
+        generator's state afterwards are those of the per-step loop. The
+        start vector and every transition row first get `choice`'s checks:
+        a NaN, a negative entry or a sum off 1 by more than sqrt(eps)
+        raises ValueError.
+        """
+        n = self.n_states
+        start = _checked_probabilities(self.start, (n,), "start vector")
+        transitions = _checked_probabilities(self.transitions, (n, n), "transition row")
+        start_cdf = start.cumsum()
+        start_cdf /= start_cdf[-1]
+        cdfs = transitions.cumsum(axis=1)
+        cdfs /= cdfs[:, -1:]
+        cdfs = cdfs.tolist()
+        uniforms = rng.random(length + 1).tolist()
+        # bisect_right on Python floats is searchsorted(side="right")
+        states = [bisect.bisect_right(start_cdf.tolist(), uniforms[0])]
+        for uniform in uniforms[1:length]:
+            states.append(bisect.bisect_right(cdfs[states[-1]], uniform))
+        return np.asarray(states[:length], dtype=np.int64)
+
+
+def _checked_probabilities(p, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """`p` as float64 after the checks `Generator.choice` makes on its `p`,
+    each made on every row of the last axis at once."""
+    atol = np.sqrt(np.finfo(np.float64).eps)
+    if isinstance(p, np.ndarray) and np.issubdtype(p.dtype, np.floating):
+        atol = max(atol, np.sqrt(np.finfo(p.dtype).eps))
+    p = np.asarray(p, dtype=np.float64)
+    if p.shape != shape:
+        raise ValueError(f"{what}: shape {p.shape} does not match the {shape[-1]} states")
+    totals = p.sum(axis=-1)
+    for bad, message in ((np.isnan(totals), "Probabilities contain NaN"),
+                         ((p < 0).any(axis=-1), "Probabilities are not non-negative"),
+                         (np.abs(totals - 1.0) > atol, "Probabilities do not sum to 1")):
+        if bad.any():
+            where = f" {int(np.flatnonzero(bad)[0])}" if p.ndim > 1 else ""
+            raise ValueError(f"{message} ({what}{where})")
+    return p
 
 
 def build_recipe_grammar(config: SynthConfig) -> tuple[Grammar, list[tuple[int, int]]]:

@@ -549,6 +549,29 @@ class TestSeqStats:
         assert main(["seq-stats", "--csv", str(tmp_path / "no.csv"),
                      "--out", str(tmp_path / "o")]) == 3
 
+    def test_runs_in_one_second_get_their_own_default_directories(self, tmp_path,
+                                                                   monkeypatch):
+        monkeypatch.setattr(cli, "time_tag", lambda: "20260101-000000")
+        monkeypatch.setenv("SEQDG_OUT_ROOT", str(tmp_path / "runs"))
+        csvs = [tmp_path / f"ann{i}.csv" for i in range(3)]
+        for csv_path in csvs:
+            write_annotation_csv(csv_path, small_csv_rows())
+            assert main(["seq-stats", "--csv", str(csv_path)]) == 0
+        root = tmp_path / "runs" / "seq-stats"
+        names = ["20260101-000000", "20260101-000000-1", "20260101-000000-2"]
+        assert sorted(path.name for path in root.iterdir()) == names
+        for name, csv_path in zip(names, csvs):
+            prov = json.loads((root / name / "config_resolved.json").read_text())
+            assert prov["config"]["csv"] == str(csv_path)
+
+    def test_default_root_naming_a_file_is_config_error(self, tmp_path, monkeypatch, capsys):
+        csv_path = tmp_path / "ann.csv"
+        write_annotation_csv(csv_path, small_csv_rows())
+        (tmp_path / "taken").write_bytes(b"")
+        monkeypatch.setenv("SEQDG_OUT_ROOT", str(tmp_path / "taken"))
+        assert main(["seq-stats", "--csv", str(csv_path)]) == 2
+        assert "cannot create the output directory" in capsys.readouterr().err
+
 
 class TestGradCheckCommand:
     def test_passes_and_writes_report(self, tmp_path):

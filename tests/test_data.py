@@ -1,4 +1,5 @@
 import itertools
+import json
 from dataclasses import fields, replace
 
 import numpy as np
@@ -125,6 +126,48 @@ class TestFeatureStore:
         assert again.split == store.split
         for rec in store.records:
             assert np.array_equal(again.clips(rec), store.clips(rec))
+
+    @pytest.mark.parametrize("with_text", [False, True])
+    def test_save_load_save_is_byte_identical(self, tmp_path, with_text):
+        make_store(with_text=with_text, seed=4).save(tmp_path / "a")
+        FeatureStore.load(tmp_path / "a").save(tmp_path / "b")
+        names = sorted(path.name for path in (tmp_path / "a").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "b").iterdir())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("with_text", [False, True])
+    def test_manifest_is_compact_json_of_the_indented_layouts_value(self, tmp_path, with_text):
+        store = make_store(n_actions=12, n_videos=3, domains=("S0", "T0", "S1"),
+                           targets=("T0",), with_text=with_text, seed=5)
+        # the value the indented layout held, built from the store's own fields
+        expected = {
+            "format": "seqdg.dataset", "version": 1, "name": "toy", "d_v": 4, "d_t": 3,
+            "clips_per_action": 2, "feature_blob": "features.f32", "vocab": store.vocab,
+            "domains": [{"id": "S0", "split": "source"}, {"id": "S1", "split": "source"},
+                        {"id": "T0", "split": "target"}],
+            "actions": [{f.name: list(getattr(r, f.name)) if f.name == "narration"
+                         else getattr(r, f.name) for f in fields(ActionRecord)}
+                        for r in store.records]}
+        if with_text:
+            expected["text_blob"] = "text_features.f32"
+        text = store.save(tmp_path / "ds").read_text(encoding="utf-8")
+        assert json.loads(text) == expected
+        assert text == json.dumps(expected, sort_keys=True, separators=(",", ":"))
+
+    @pytest.mark.parametrize("with_text", [False, True])
+    def test_an_indented_manifest_loads_the_same_store(self, tmp_path, with_text):
+        store = make_store(n_actions=12, n_videos=3, domains=("S0", "T0", "S1"),
+                           targets=("T0",), with_text=with_text, seed=6)
+        path = store.save(tmp_path / "ds")
+        path.write_text(json.dumps(json.loads(path.read_text(encoding="utf-8")),
+                                   indent=1, sort_keys=True), encoding="utf-8")
+        again = FeatureStore.load(path)
+        assert again.actions.columns() == store.actions.columns()
+        assert (again.split, again.vocab, again.meta) == (store.split, store.vocab, store.meta)
+        assert again.visual.tobytes() == store.visual.tobytes()
+        if with_text:
+            assert again.text.tobytes() == store.text.tobytes()
 
     def test_each_split_is_one_table_and_an_empty_one_is_refused(self):
         store = make_store(domains=("S0", "T0"), targets=("T0",))

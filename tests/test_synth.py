@@ -5,6 +5,7 @@ import pytest
 
 from seqdg.data import DataError, build_windows
 from seqdg.synth import (
+    Grammar,
     SynthConfig,
     bayes_accuracy_on_store,
     bayes_accuracy_sampled,
@@ -73,6 +74,72 @@ class TestGrammar:
         states = grammar.walk(12, np.random.default_rng(0))
         for a, b in zip(states, states[1:]):
             assert b == (a + 1) % grammar.n_states
+
+
+def choice_walk(grammar: Grammar, length: int, rng) -> np.ndarray:
+    """The reference walk: one `rng.choice` per step."""
+    states = np.empty(length, dtype=np.int64)
+    state = int(rng.choice(grammar.n_states, p=grammar.start))
+    for t in range(length):
+        states[t] = state
+        state = int(rng.choice(grammar.n_states, p=grammar.transitions[state]))
+    return states
+
+
+def random_grammar(n_states: int, seed: int) -> Grammar:
+    rng = np.random.default_rng(seed)
+    transitions = rng.random((n_states, n_states))
+    transitions /= transitions.sum(axis=1, keepdims=True)
+    start = rng.random(n_states)
+    return Grammar(transitions=transitions, verbs=np.arange(n_states),
+                   nouns=np.arange(n_states), start=start / start.sum())
+
+
+WALK_GRAMMARS = {
+    "recipe": lambda: build_recipe_grammar(SynthConfig())[0],
+    "recipe_no_pairs": lambda: build_recipe_grammar(
+        SynthConfig(n_ambiguous_pairs=0, n_verbs=24, n_nouns=15))[0],
+    "uniform": lambda: uniform_grammar(range(10), [0, 1] * 5),
+    "random_7": lambda: random_grammar(7, seed=11),
+}
+
+
+class TestWalkMatchesChoice:
+    @pytest.mark.parametrize("name", sorted(WALK_GRAMMARS))
+    @pytest.mark.parametrize("length", [1, 2, 7, 80])
+    def test_states_and_generator_state(self, name, length):
+        grammar = WALK_GRAMMARS[name]()
+        for seed in range(5):
+            rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            states = grammar.walk(length, rng)
+            assert states.dtype == np.int64
+            assert np.array_equal(states, choice_walk(grammar, length, reference_rng))
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize("bad, message", [
+        ([np.nan, 0.5, 0.5], "contain NaN"),
+        ([-0.1, 0.6, 0.5], "not non-negative"),
+        ([0.3, 0.3, 0.3], "do not sum to 1"),
+    ])
+    @pytest.mark.parametrize("where", ["start", "transition row"])
+    def test_bad_probabilities_raise_as_choice_does(self, bad, message, where):
+        grammar = uniform_grammar(range(3), range(3))
+        if where == "start":
+            grammar.start = np.array(bad)
+        else:
+            grammar.transitions[1] = bad
+        with pytest.raises(ValueError, match=message):
+            np.random.default_rng(0).choice(3, p=bad)
+        with pytest.raises(ValueError, match=f"{message} \\({where}"):
+            grammar.walk(5, np.random.default_rng(0))
+
+    def test_a_start_vector_of_the_wrong_size_raises(self):
+        grammar = uniform_grammar(range(3), range(3))
+        grammar.start = np.full(4, 0.25)
+        with pytest.raises(ValueError, match="a and p must have same size"):
+            np.random.default_rng(0).choice(3, p=grammar.start)
+        with pytest.raises(ValueError, match="start vector: shape"):
+            grammar.walk(5, np.random.default_rng(0))
 
 
 class TestGenerate:
