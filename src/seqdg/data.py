@@ -2,12 +2,17 @@
 
 A dataset on disk is a JSON manifest plus a flat little-endian float32
 feature blob (clips-major per action), optionally joined by a second
-blob of precomputed per-action text features. The manifest is written as
-compact JSON with sorted keys (any indentation would force Python's
-pure-Python encoder); `load` reads any layout of the same value. In
-memory it becomes a `FeatureStore` over an `Actions` table: one int64
-column per integer field, video and domain ids interned as codes, and
-the narrations as one ragged token array. The store builds each split's
+blob of precomputed per-action text features. The manifest (version 2)
+holds the actions as columns, one JSON list per field, with the
+narrations as their lengths plus one flat list of tokens. It is written
+as compact JSON with sorted keys (any indentation would force Python's
+pure-Python encoder); `load` reads any layout of the same value, and
+turns a version-1 manifest (one object per action) into the same
+columns. Each column's types are checked in one pass, and an error names
+the column and its first bad entry. In memory the columns become a
+`FeatureStore` over an `Actions` table: one int64 column per integer
+field, video and domain ids interned as codes, and the narrations as one
+ragged token array. The store builds each split's
 table once and hands it out through `split_actions`, and a loaded store
 records the files it was read from. Training and evaluation slice a
 split's table into `Windows` of W consecutive actions, an (N, W) array
@@ -56,7 +61,7 @@ __all__ = [
 ]
 
 MANIFEST_FORMAT = "seqdg.dataset"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 ANNOTATION_COLUMNS = ["video_id", "domain_id", "temporal_index",
                       "verb_class", "noun_class", "narration"]
 
@@ -65,13 +70,18 @@ class DataError(Exception):
     """Malformed or inconsistent dataset input."""
 
 
-# every key of a manifest action, in ActionRecord's field order, and the
-# exact JSON type of its value (a JSON true is not an int); `save` writes
-# and `_manifest_actions` reads these keys
-_ACTION_KEYS = ("action_id", "video_id", "domain_id", "verb", "noun", "narration",
-                "temporal_index", "blob_offset", "n_clips")
-_ACTION_TYPES = (int, str, str, int, int, list, int, int, int)
-_action_values = operator.itemgetter(*_ACTION_KEYS)
+# every action column of a manifest and the exact JSON type of its
+# entries (a JSON true is not an int). Each column holds one entry per
+# action, except `narration_tokens`: the narrations concatenated, as many
+# tokens as `narration_lengths` sums to. `Actions.to_columns` gives and
+# `Actions.from_columns` takes these columns; `_manifest_table` checks them.
+_COLUMNS = {"action_id": int, "video_id": str, "domain_id": str, "verb": int, "noun": int,
+            "temporal_index": int, "blob_offset": int, "n_clips": int,
+            "narration_lengths": int, "narration_tokens": int}
+# the keys of an action object of a version-1 manifest, in ActionRecord's
+# field order
+_V1_KEYS = ("action_id", "video_id", "domain_id", "verb", "noun", "narration",
+            "temporal_index", "blob_offset", "n_clips")
 _INT64 = range(-2**63, 2**63)
 
 
@@ -134,19 +144,19 @@ class Actions(Sequence):
     _views: list | None = field(default=None, init=False, repr=False)
 
     @classmethod
-    def from_columns(cls, ids, videos, domains, verbs, nouns, narrations, temporal,
-                     offsets, n_clips) -> "Actions":
-        """A table from one list of values per key, in `_ACTION_KEYS`
-        order. An int outside int64 raises OverflowError."""
-        video_names, video = _intern(videos)
-        domain_names, domain = _intern(domains)
-        lengths = np.fromiter(map(len, narrations), np.int64, len(narrations))
+    def from_columns(cls, *, action_id, video_id, domain_id, verb, noun, temporal_index,
+                     blob_offset, n_clips, narration_lengths, narration_tokens) -> "Actions":
+        """The one builder of a table: one sequence per manifest column
+        (`_COLUMNS`), row i's narration being the next `narration_lengths[i]`
+        entries of `narration_tokens`. The lengths must be non-negative and
+        sum to the token count; an int outside int64 raises OverflowError."""
+        video_names, video = _intern(video_id)
+        domain_names, domain = _intern(domain_id)
+        ids, verbs, nouns, temporal, offsets, n_clips, lengths, tokens = (
+            np.array(column, dtype=np.int64) for column in (
+                action_id, verb, noun, temporal_index, blob_offset, n_clips,
+                narration_lengths, narration_tokens))
         token_end = np.cumsum(lengths)
-        tokens = np.fromiter(itertools.chain.from_iterable(narrations), np.int64,
-                             int(lengths.sum()))
-        ids, verbs, nouns, temporal, offsets, n_clips = (
-            np.array(column, dtype=np.int64)
-            for column in (ids, verbs, nouns, temporal, offsets, n_clips))
         return cls(ids, video, video_names, domain, domain_names, verbs, nouns, temporal,
                    offsets, n_clips, token_end - lengths, token_end, tokens)
 
@@ -169,19 +179,30 @@ class Actions(Sequence):
         return tuple(tuple(self.tokens[start:end].tolist()) for start, end in
                      zip(self.token_start[rows].tolist(), self.token_end[rows].tolist()))
 
-    def columns(self) -> tuple[list, ...]:
-        """One list per key in `_ACTION_KEYS` order, as `from_columns` takes."""
-        tokens = self.tokens.tolist()
-        return (self.ids.tolist(), [self.video_names[c] for c in self.video.tolist()],
-                [self.domain_names[c] for c in self.domain.tolist()], self.verbs.tolist(),
-                self.nouns.tolist(), [tuple(tokens[start:end]) for start, end in
-                                      zip(self.token_start.tolist(), self.token_end.tolist())],
-                self.temporal.tolist(), self.offsets.tolist(), self.n_clips.tolist())
+    def to_columns(self) -> dict[str, list]:
+        """The table as manifest columns (`_COLUMNS`) of JSON values, as
+        `from_columns` takes them; `narration_tokens` holds only the rows'
+        own narrations, in row order."""
+        lengths = self.token_end - self.token_start
+        # each row's tokens moved from its own start to where its output starts
+        gather = np.arange(lengths.sum()) + np.repeat(self.token_start + lengths
+                                                      - np.cumsum(lengths), lengths)
+        return {"action_id": self.ids.tolist(),
+                "video_id": [self.video_names[c] for c in self.video.tolist()],
+                "domain_id": [self.domain_names[c] for c in self.domain.tolist()],
+                "verb": self.verbs.tolist(), "noun": self.nouns.tolist(),
+                "temporal_index": self.temporal.tolist(), "blob_offset": self.offsets.tolist(),
+                "n_clips": self.n_clips.tolist(), "narration_lengths": lengths.tolist(),
+                "narration_tokens": self.tokens[gather].tolist()}
 
     def views(self) -> list[ActionRecord]:
         """One `ActionRecord` per row, built once."""
         if self._views is None:
-            self._views = list(map(ActionRecord, *self.columns()))
+            columns = self.to_columns()
+            tokens = iter(columns["narration_tokens"])
+            columns["narration"] = [tuple(itertools.islice(tokens, n))
+                                    for n in columns["narration_lengths"]]
+            self._views = list(map(ActionRecord, *map(columns.get, _V1_KEYS)))
         return self._views
 
     def __len__(self) -> int:
@@ -311,8 +332,7 @@ class FeatureStore:
             "vocab": self.vocab,
             "domains": ([{"id": d, "split": "source"} for d in self.split.source]
                         + [{"id": d, "split": "target"} for d in self.split.target]),
-            "actions": [dict(zip(_ACTION_KEYS, values))
-                        for values in zip(*self.actions.columns())],
+            "actions": self.actions.to_columns(),
         }
         if self.text is not None:
             self.text.astype("<f4", copy=False).tofile(directory / "text_features.f32")
@@ -338,11 +358,13 @@ class FeatureStore:
             raise DataError(f"{manifest_path}: manifest must be a JSON object")
         if manifest.get("format") != MANIFEST_FORMAT:
             raise DataError(f"unrecognized manifest format {manifest.get('format')!r}")
-        if manifest.get("version") != MANIFEST_VERSION:
-            raise DataError(f"unsupported manifest version {manifest.get('version')!r}")
+        version = manifest.get("version")
+        if type(version) is not int or version not in (1, MANIFEST_VERSION):
+            raise DataError(f"unsupported manifest version {version!r}")
         base = manifest_path.parent
         try:
-            actions = _manifest_actions(manifest["actions"])
+            columns = manifest["actions"]
+            actions = _manifest_table(_v1_columns(columns) if version == 1 else columns)
             unsplit = [d["id"] for d in manifest["domains"]
                        if d["split"] not in ("source", "target")]
             if unsplit:
@@ -378,55 +400,76 @@ def _read(what: str, read, path, **kwargs):
         raise DataError(f"cannot read {what}: {exc}") from exc
 
 
-def _manifest_actions(actions) -> Actions:
-    """The manifest's action list as a table: every key present with its
-    exact JSON type, every narration token an int, and every int inside
-    int64. The types are checked one column at a time; only when a check
-    fails does a scan, action by action, name the first bad action."""
-    # outside the scan's reach: a non-iterable `actions` is a malformed manifest
-    kinds = set(map(type, actions))
+def _manifest_table(columns) -> Actions:
+    """The table of a manifest's action columns (version 2). Each column is
+    checked in one pass: present, a list, as long as `action_id` (the
+    tokens as long as the lengths' sum), every entry of its exact JSON type,
+    no length negative and every int inside int64. A failing check raises a
+    DataError that names the column and its first bad entry."""
+    if type(columns) is not dict:
+        raise DataError("manifest 'actions' must be an object of columns")
+    for names, what in ((_COLUMNS.keys() - columns.keys(), "no column"),
+                        (columns.keys() - _COLUMNS.keys(), "an unknown column")):
+        if names:
+            raise DataError(f"manifest 'actions' has {what} {sorted(names)[0]!r}")
+    for name, kind in _COLUMNS.items():
+        column = columns[name]
+        if type(column) is not list:
+            raise DataError(f"manifest column {name!r} must be a list, got {column!r}")
+        if name != "narration_tokens" and len(column) != len(columns["action_id"]):
+            raise DataError(f"manifest column {name!r} holds {len(column)} entries, "
+                            f"'action_id' {len(columns['action_id'])}")
+        if not {kind}.issuperset(map(type, column)):
+            index, value = next((index, value) for index, value in enumerate(column)
+                                if type(value) is not kind)
+            raise DataError(f"manifest column {name!r}, entry {index}: must be "
+                            f"{kind.__name__}, got {value!r}")
+    lengths, tokens = columns["narration_lengths"], columns["narration_tokens"]
+    if lengths and min(lengths) < 0:
+        index = next(index for index, length in enumerate(lengths) if length < 0)
+        raise DataError(f"manifest column 'narration_lengths', entry {index}: negative "
+                        f"length {lengths[index]}")
+    if sum(lengths) != len(tokens):
+        raise DataError(f"manifest column 'narration_lengths' sums to {sum(lengths)}, but "
+                        f"'narration_tokens' holds {len(tokens)} tokens")
     try:
-        if not kinds <= {dict}:
-            raise TypeError("an action is not an object")
-        columns = [list(map(operator.itemgetter(key), actions)) for key in _ACTION_KEYS]
-        if (any(not {kind}.issuperset(map(type, column))
-                for kind, column in zip(_ACTION_TYPES, columns))
-                or not {int}.issuperset(map(type, itertools.chain.from_iterable(columns[5])))):
-            raise TypeError("an action value has the wrong type")
-    except (KeyError, TypeError):
-        for index, action in enumerate(actions):
-            _check_action(index, action)
-        raise
-    try:
-        return Actions.from_columns(*columns)
+        return Actions.from_columns(**columns)
     except OverflowError:
-        for index, action in enumerate(actions):
-            for key, kind in zip(_ACTION_KEYS, _ACTION_TYPES):
-                values = action[key] if kind is list else (action[key],) if kind is int else ()
-                outside = [value for value in values if value not in _INT64]
-                if outside:
-                    raise DataError(f"manifest action {index}: {key!r} holds {outside[0]}, "
-                                    "outside int64") from None
-        raise
+        name, index = next((name, index) for name, kind in _COLUMNS.items() if kind is int
+                           for index, value in enumerate(columns[name]) if value not in _INT64)
+        raise DataError(f"manifest column {name!r}, entry {index}: {columns[name][index]} "
+                        "is outside int64") from None
 
 
-def _check_action(index: int, action):
-    """Raise the DataError that names the first thing wrong with manifest
-    action `index`: not an object, a missing key, a value of another type,
-    or a narration token that is not an int."""
-    if type(action) is not dict:
-        raise DataError(f"manifest action {index} is not an object")
+def _v1_columns(actions) -> dict[str, list]:
+    """A version-1 action list, one object per action, as the columns that
+    `_manifest_table` checks. Each key is pulled out as a column; only when
+    that fails does a scan, action by action, name the first action that
+    is not an object, lacks a key or has a narration that is not a list.
+    Keys past `_V1_KEYS` are ignored."""
     try:
-        values = _action_values(action)
-    except KeyError as exc:
-        raise DataError(f"manifest action {index} has no {exc}") from None
-    if tuple(map(type, values)) != _ACTION_TYPES:
-        key, kind, value = next(entry for entry in zip(_ACTION_KEYS, _ACTION_TYPES, values)
-                                if type(entry[2]) is not entry[1])
-        raise DataError(f"manifest action {index}: {key!r} must be {kind.__name__}, "
-                        f"got {value!r}")
-    if not {int}.issuperset(map(type, values[5])):
-        raise DataError(f"manifest action {index}: narration tokens must be ints")
+        if type(actions) is not list or not {dict}.issuperset(map(type, actions)):
+            raise TypeError("an action is not an object")
+        columns = {key: list(map(operator.itemgetter(key), actions)) for key in _V1_KEYS}
+        narrations = columns.pop("narration")
+        if not {list}.issuperset(map(type, narrations)):
+            raise TypeError("a narration is not a list")
+    except (KeyError, TypeError):
+        if type(actions) is not list:
+            raise DataError("a version-1 manifest's 'actions' must be a list") from None
+        for index, action in enumerate(actions):
+            if type(action) is not dict:
+                raise DataError(f"manifest action {index} is not an object") from None
+            missing = [key for key in _V1_KEYS if key not in action]
+            if missing:
+                raise DataError(f"manifest action {index} has no {missing[0]!r}") from None
+            if type(action["narration"]) is not list:
+                raise DataError(f"manifest action {index}: 'narration' must be list, "
+                                f"got {action['narration']!r}") from None
+        raise
+    columns["narration_lengths"] = list(map(len, narrations))
+    columns["narration_tokens"] = list(itertools.chain.from_iterable(narrations))
+    return columns
 
 
 def _any_token(actions: Actions, flags: np.ndarray) -> np.ndarray:
@@ -838,10 +881,13 @@ def import_csv_dataset(csv_path, features_path, *, d_v: int, clips_per_action: i
                    for token in row["narration"].split()] for row in rows]
     n, size = len(rows), clips_per_action * d_v
     actions = Actions.from_columns(
-        range(n), [row["video_id"] for row in rows], [row["domain_id"] for row in rows],
-        [row["verb_class"] for row in rows], [row["noun_class"] for row in rows],
-        narrations, [row["temporal_index"] for row in rows], [i * size for i in range(n)],
-        [clips_per_action] * n)
+        action_id=range(n), video_id=[row["video_id"] for row in rows],
+        domain_id=[row["domain_id"] for row in rows], verb=[row["verb_class"] for row in rows],
+        noun=[row["noun_class"] for row in rows],
+        temporal_index=[row["temporal_index"] for row in rows],
+        blob_offset=[i * size for i in range(n)], n_clips=[clips_per_action] * n,
+        narration_lengths=list(map(len, narrations)),
+        narration_tokens=list(itertools.chain.from_iterable(narrations)))
     text = None
     if text_features_path is not None:
         text = _read("features", np.fromfile, text_features_path, dtype="<f4")

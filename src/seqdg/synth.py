@@ -355,9 +355,11 @@ def generate(config: SynthConfig) -> tuple[FeatureStore, SynthTruth]:
     states = np.concatenate(walks)
     verbs, nouns, ids = grammar.verbs[states], grammar.nouns[states], np.arange(len(states))
     actions = Actions.from_columns(
-        ids, videos, domains, verbs, nouns, np.stack([verbs, config.n_verbs + nouns], 1).tolist(),
-        ids % length, ids * config.clips_per_action * config.d_v,
-        np.full(len(ids), config.clips_per_action))
+        action_id=ids, video_id=videos, domain_id=domains, verb=verbs, noun=nouns,
+        temporal_index=ids % length, blob_offset=ids * config.clips_per_action * config.d_v,
+        n_clips=np.full(len(ids), config.clips_per_action),
+        narration_lengths=np.full(len(ids), 2),
+        narration_tokens=np.stack([verbs, config.n_verbs + nouns], 1).reshape(-1))
     vocab = [f"verb{v}" for v in range(config.n_verbs)] + \
             [f"noun{n}" for n in range(config.n_nouns)]
     meta = {"name": f"synth-{config.seed}", "d_v": config.d_v, "d_t": config.d_t,

@@ -25,6 +25,7 @@ from seqdg.evaluate import Prediction, sliding_window_predict
 from seqdg.model import ModelConfig, ModelParams, SeqDGModel
 from seqdg.synth import SynthConfig, bayes_accuracy_on_store, context_oracle_accuracy, generate
 from seqdg.train import TrainConfig, fit
+from test_data import to_v1
 
 SMALL_SYNTH = {
     "synth": {"n_source_domains": 2, "n_target_domains": 1,
@@ -330,8 +331,10 @@ class TestTrainEval:
         assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.ckpt"),
                      "--data", str(data_dir), "--out", str(eval_dir),
                      "--dump-predictions"]) == 0
-        labels = {a["action_id"]: (a["verb"], a["noun"]) for a in json.loads(
-            (data_dir / "manifest.json").read_text())["actions"] if a["domain_id"] == "T0"}
+        columns = json.loads((data_dir / "manifest.json").read_text())["actions"]
+        labels = {i: (verb, noun) for i, verb, noun, domain in zip(
+            columns["action_id"], columns["verb"], columns["noun"], columns["domain_id"])
+            if domain == "T0"}
         preds = [json.loads(line) for line in
                  (eval_dir / "predictions.jsonl").read_text().splitlines()]
         assert sorted(p["action_id"] for p in preds) == sorted(labels)
@@ -513,8 +516,9 @@ class TestProvenance:
 
     def test_blobs_named_otherwise_are_hashed(self, tmp_path, dataset_dir, checkpoint_path):
         (dataset_dir / "features.f32").rename(dataset_dir / "clips.bin")
-        np.zeros(len(json.loads((dataset_dir / "manifest.json").read_text())["actions"]) * 16,
-                 dtype="<f4").tofile(dataset_dir / "narrations.bin")
+        n_actions = len(json.loads((dataset_dir / "manifest.json").read_text())
+                        ["actions"]["action_id"])
+        np.zeros(n_actions * 16, dtype="<f4").tofile(dataset_dir / "narrations.bin")
         edit_manifest(dataset_dir, lambda m: m.update(feature_blob="clips.bin",
                                                       text_blob="narrations.bin"))
         (dataset_dir / "manifest.json").rename(dataset_dir / "dataset.json")
@@ -722,12 +726,21 @@ class TestCheckpointInputErrors:
                 == (tmp_path / "ev_current" / "results.json").read_bytes())
 
 
+def set_entry(manifest, column, index, value):
+    manifest["actions"][column][index] = value
+
+
+def column_of(manifest, column, replace):
+    """Set each entry of the action column `column` to `replace(entry)`."""
+    manifest["actions"][column] = list(map(replace, manifest["actions"][column]))
+
+
 CORRUPT_MANIFESTS = {
-    "missing_key": lambda m: m["actions"][0].pop("verb"),
-    "wrong_type": lambda m: m["actions"][0].update(verb="3"),
-    "duplicate_id": lambda m: m["actions"][1].update(
-        action_id=m["actions"][0]["action_id"]),
-    "id_out_of_range": lambda m: m["actions"][0].update(action_id=len(m["actions"])),
+    "missing_key": lambda m: m["actions"].pop("verb"),
+    "wrong_type": lambda m: set_entry(m, "verb", 0, "3"),
+    "duplicate_id": lambda m: set_entry(m, "action_id", 1, m["actions"]["action_id"][0]),
+    "id_out_of_range": lambda m: set_entry(m, "action_id", 0,
+                                           len(m["actions"]["action_id"])),
     "d_v_str": lambda m: m.update(d_v="x"),
     "d_t_float": lambda m: m.update(d_t=16.0),
     "clips_per_action_null": lambda m: m.update(clips_per_action=None),
@@ -735,19 +748,48 @@ CORRUPT_MANIFESTS = {
     "clips_per_action_negative": lambda m: m.update(clips_per_action=-3),
     # the dataset's domains are S0 and S1 (source) and T0 (target)
     "unknown_split": lambda m: m["domains"][1].update(split="validation"),
-    "unlisted_domain": lambda m: [a.update(domain_id="S9") for a in m["actions"]
-                                  if a["domain_id"] == "S1"],
+    "unlisted_domain": lambda m: column_of(m, "domain_id",
+                                           lambda d: "S9" if d == "S1" else d),
     # a string as long as the vocabulary, so that every narration token
     # still indexes it
     "vocab_str": lambda m: m.update(vocab="x" * len(m["vocab"])),
     "domain_listed_twice": lambda m: m["domains"].append(dict(m["domains"][0])),
-    "temporal_index_gap": lambda m: m["actions"][2].update(temporal_index=100),
+    "temporal_index_gap": lambda m: set_entry(m, "temporal_index", 2, 100),
     # blob names that resolve to the manifest's own directory
     "feature_blob_empty": lambda m: m.update(feature_blob=""),
     "text_blob_dot": lambda m: m.update(text_blob="."),
 }
 
-# any JSON value an action key could be set to: ints past either end of
+
+def negative_first_length(manifest):
+    # the second narration takes the first's tokens, so the lengths still sum
+    # to the token count
+    lengths = manifest["actions"]["narration_lengths"]
+    lengths[:2] = [-1, lengths[0] + lengths[1] + 1]
+
+
+# malformed action columns, and the message that names each one's column
+# and entry
+CORRUPT_COLUMNS = {
+    "missing_column": (lambda m: m["actions"].pop("noun"), "has no column 'noun'"),
+    "unknown_column": (lambda m: m["actions"].update(narration=[]),
+                       "has an unknown column 'narration'"),
+    "ragged_column": (lambda m: m["actions"]["temporal_index"].pop(),
+                      "column 'temporal_index' holds 95 entries, 'action_id' 96"),
+    "true_in_an_int_column": (lambda m: set_entry(m, "n_clips", 5, True),
+                              "column 'n_clips', entry 5: must be int, got True"),
+    "int_past_int64": (lambda m: set_entry(m, "blob_offset", 7, 2**63),
+                       "column 'blob_offset', entry 7: 9223372036854775808 is outside int64"),
+    "negative_narration_length": (negative_first_length,
+                                  "column 'narration_lengths', entry 0: negative length -1"),
+    "lengths_off_the_token_count": (lambda m: m["actions"]["narration_tokens"].append(0),
+                                    "'narration_lengths' sums to 192, but "
+                                    "'narration_tokens' holds 193 tokens"),
+    "actions_a_list": (lambda m: m.update(actions=[m["actions"]]),
+                       "'actions' must be an object of columns"),
+}
+
+# any JSON value an action entry could be set to: ints past either end of
 # int64, bools, floats including NaN and +-Infinity, strings, null, and
 # lists mixing these
 MANIFEST_VALUES = st.one_of(
@@ -760,8 +802,26 @@ MANIFEST_VALUES = st.one_of(
 
 @st.composite
 def fuzzed_manifests(draw, manifest: dict) -> dict:
-    """A copy of `manifest` with one key of one action deleted or set to a
-    drawn JSON value."""
+    """A copy of `manifest` (version 2) with one entry of one action column
+    set to a drawn JSON value, or one whole column deleted or replaced by
+    one."""
+    manifest = json.loads(json.dumps(manifest))
+    columns = manifest["actions"]
+    name = draw(st.sampled_from(sorted(columns)))
+    edit = draw(st.sampled_from(["entry", "delete", "replace"]))
+    if edit == "entry":
+        columns[name][draw(st.integers(0, len(columns[name]) - 1))] = draw(MANIFEST_VALUES)
+    elif edit == "delete":
+        del columns[name]
+    else:
+        columns[name] = draw(MANIFEST_VALUES)
+    return manifest
+
+
+@st.composite
+def fuzzed_v1_manifests(draw, manifest: dict) -> dict:
+    """A copy of `manifest` (version 1) with one key of one action deleted
+    or set to a drawn JSON value."""
     manifest = json.loads(json.dumps(manifest))
     action = manifest["actions"][draw(st.integers(0, len(manifest["actions"]) - 1))]
     key = draw(st.sampled_from(sorted(action)))
@@ -797,43 +857,57 @@ class TestManifestInputErrors:
         assert "not valid JSON" in capsys.readouterr().err
         assert not (tmp_path / "ev").exists()
 
+    @pytest.mark.parametrize("case", sorted(CORRUPT_COLUMNS))
+    def test_malformed_column_names_its_column_and_entry(self, case, tmp_path, dataset_dir,
+                                                         checkpoint_path, capsys):
+        edit, message = CORRUPT_COLUMNS[case]
+        edit_manifest(dataset_dir, edit)
+        assert main(["eval", "--checkpoint", str(checkpoint_path), "--data",
+                     str(dataset_dir), "--out", str(tmp_path / "ev")]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "ev").exists()
+
     @given(data=st.data())
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_fuzzed_manifest_loads_or_is_data_error(self, data, tmp_path, dataset_dir,
                                                     checkpoint_path):
         # the fixtures are only read; each example rewrites the one
-        # manifest next to a copy of the feature blob
+        # manifest next to a copy of the feature blob, once fuzzed as
+        # columns and once in the version-1 layout
         fuzzed, out = tmp_path / "fuzzed", tmp_path / "ev"
         if not fuzzed.exists():
             fuzzed.mkdir()
             shutil.copy(dataset_dir / "features.f32", fuzzed)
         manifest = json.loads((dataset_dir / "manifest.json").read_text())
-        (fuzzed / "manifest.json").write_text(json.dumps(data.draw(fuzzed_manifests(manifest))))
-        shutil.rmtree(out, ignore_errors=True)
-        code = main(["eval", "--checkpoint", str(checkpoint_path), "--data", str(fuzzed),
-                     "--out", str(out)])
-        assert code in (0, 3)
-        assert code == 0 or not out.exists()
+        for drawn in (fuzzed_manifests(manifest), fuzzed_v1_manifests(to_v1(manifest))):
+            (fuzzed / "manifest.json").write_text(json.dumps(data.draw(drawn)))
+            shutil.rmtree(out, ignore_errors=True)
+            code = main(["eval", "--checkpoint", str(checkpoint_path), "--data", str(fuzzed),
+                         "--out", str(out)])
+            assert code in (0, 3)
+            assert code == 0 or not out.exists()
 
 
 NEGATIVE_LABELS = {
-    "negative_verb": lambda m: m["actions"][3].update(verb=-1),
-    "negative_noun": lambda m: m["actions"][3].update(noun=-1),
+    "negative_verb": lambda m: set_entry(m, "verb", 3, -1),
+    "negative_noun": lambda m: set_entry(m, "noun", 3, -1),
 }
 
 
 def no_actions(manifest, dataset_dir):
-    manifest["actions"] = []
+    manifest["actions"] = {name: [] for name in manifest["actions"]}
     (dataset_dir / "features.f32").write_bytes(b"")
 
 
 EMPTY_DATA = {
     "no_actions": no_actions,
     # every action moved to the target domain, or the target's moved to a source one
-    "empty_source": lambda m, _dir: [a.update(domain_id="T0") for a in m["actions"]],
-    "empty_target": lambda m, _dir: [a.update(domain_id="S0") for a in m["actions"]
-                                     if a["domain_id"] == "T0"],
+    "empty_source": lambda m, _dir: column_of(m, "domain_id", lambda d: "T0"),
+    "empty_target": lambda m, _dir: column_of(m, "domain_id",
+                                              lambda d: "S0" if d == "T0" else d),
 }
 
 
@@ -963,8 +1037,7 @@ class TestStoreConsistencyErrors:
         def zero_width(manifest):
             # every feature handle stays inside the (now empty) blob
             manifest["d_v"] = 0
-            for action in manifest["actions"]:
-                action["blob_offset"] = 0
+            column_of(manifest, "blob_offset", lambda offset: 0)
 
         edit_manifest(dataset_dir, zero_width)
         (dataset_dir / "features.f32").write_bytes(b"")

@@ -23,13 +23,32 @@ from seqdg.data import (
     seqmix,
     write_annotation_csv,
 )
-from seqdg.data import _first_failing_action, _manifest_actions
+from seqdg.data import _first_failing_action, _manifest_table, _v1_columns
+
+
+def record_columns(records) -> dict:
+    """The manifest columns of `ActionRecord`s, in their order."""
+    columns = {f.name: [getattr(r, f.name) for r in records]
+               for f in fields(ActionRecord) if f.name != "narration"}
+    columns["narration_lengths"] = [len(r.narration) for r in records]
+    columns["narration_tokens"] = [token for r in records for token in r.narration]
+    return columns
 
 
 def table(records):
     """The `Actions` table of hand-built `ActionRecord`s, in their order."""
-    return Actions.from_columns(*([getattr(r, f.name) for r in records]
-                                  for f in fields(ActionRecord)))
+    return Actions.from_columns(**record_columns(records))
+
+
+def to_v1(manifest: dict) -> dict:
+    """A version-2 manifest in the version-1 layout: one object per action,
+    its narration a list of tokens."""
+    columns = dict(manifest["actions"])
+    tokens = iter(columns.pop("narration_tokens"))
+    columns["narration"] = [list(itertools.islice(tokens, n))
+                            for n in columns.pop("narration_lengths")]
+    return {**manifest, "version": 1,
+            "actions": [dict(zip(columns, values)) for values in zip(*columns.values())]}
 
 
 def make_record(i, video="v0", domain="S0", verb=0, noun=0, t=None, d_v=4, clips=2):
@@ -140,15 +159,20 @@ class TestFeatureStore:
     def test_manifest_is_compact_json_of_the_indented_layouts_value(self, tmp_path, with_text):
         store = make_store(n_actions=12, n_videos=3, domains=("S0", "T0", "S1"),
                            targets=("T0",), with_text=with_text, seed=5)
-        # the value the indented layout held, built from the store's own fields
+        # the version-2 value, built from the store's own fields: one list
+        # per column, the narrations as lengths plus one flat token list
+        records = store.records
         expected = {
-            "format": "seqdg.dataset", "version": 1, "name": "toy", "d_v": 4, "d_t": 3,
+            "format": "seqdg.dataset", "version": 2, "name": "toy", "d_v": 4, "d_t": 3,
             "clips_per_action": 2, "feature_blob": "features.f32", "vocab": store.vocab,
             "domains": [{"id": "S0", "split": "source"}, {"id": "S1", "split": "source"},
                         {"id": "T0", "split": "target"}],
-            "actions": [{f.name: list(getattr(r, f.name)) if f.name == "narration"
-                         else getattr(r, f.name) for f in fields(ActionRecord)}
-                        for r in store.records]}
+            "actions": {
+                **{name: [getattr(r, name) for r in records]
+                   for name in ("action_id", "video_id", "domain_id", "verb", "noun",
+                                "temporal_index", "blob_offset", "n_clips")},
+                "narration_lengths": [len(r.narration) for r in records],
+                "narration_tokens": [t for r in records for t in r.narration]}}
         if with_text:
             expected["text_blob"] = "text_features.f32"
         text = store.save(tmp_path / "ds").read_text(encoding="utf-8")
@@ -163,11 +187,67 @@ class TestFeatureStore:
         path.write_text(json.dumps(json.loads(path.read_text(encoding="utf-8")),
                                    indent=1, sort_keys=True), encoding="utf-8")
         again = FeatureStore.load(path)
-        assert again.actions.columns() == store.actions.columns()
+        assert again.actions.to_columns() == store.actions.to_columns()
         assert (again.split, again.vocab, again.meta) == (store.split, store.vocab, store.meta)
         assert again.visual.tobytes() == store.visual.tobytes()
         if with_text:
             assert again.text.tobytes() == store.text.tobytes()
+
+    @pytest.mark.parametrize("indent", [None, 1], ids=["compact", "indented"])
+    @pytest.mark.parametrize("with_text", [False, True])
+    def test_a_version_1_manifest_loads_the_same_store(self, tmp_path, with_text, indent):
+        store = make_store(n_actions=12, n_videos=3, domains=("S0", "T0", "S1"),
+                           targets=("T0",), with_text=with_text, seed=7)
+        path = store.save(tmp_path / "ds")
+        v2_text = path.read_text(encoding="utf-8")
+        v1 = to_v1(json.loads(v2_text))
+        assert v1["actions"][1]["narration"] == list(store.records[1].narration)
+        separators = (",", ":") if indent is None else None
+        path.write_text(json.dumps(v1, indent=indent, sort_keys=True, separators=separators),
+                        encoding="utf-8")
+        again = FeatureStore.load(path)
+        assert again.actions.to_columns() == store.actions.to_columns()
+        assert again.records == store.records
+        assert (again.split, again.vocab, again.meta) == (store.split, store.vocab, store.meta)
+        assert again.visual.tobytes() == store.visual.tobytes()
+        if with_text:
+            assert again.text.tobytes() == store.text.tobytes()
+        # `save` writes version 2 only: the re-save is the fresh save's bytes
+        assert again.save(tmp_path / "again").read_text(encoding="utf-8") == v2_text
+        for name in ("features.f32", "text_features.f32") if with_text else ("features.f32",):
+            assert ((tmp_path / "again" / name).read_bytes()
+                    == (tmp_path / "ds" / name).read_bytes())
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda actions: actions.__setitem__(2, [actions[2]]),
+         "manifest action 2 is not an object"),
+        (lambda actions: actions[3].pop("n_clips"), "manifest action 3 has no 'n_clips'"),
+        (lambda actions: actions[4].update(narration="ab"),
+         "manifest action 4: 'narration' must be list, got 'ab'"),
+        # past the row scan, a value is named by the column it is read into
+        (lambda actions: actions[5].update(verb=True),
+         "manifest column 'verb', entry 5: must be int, got True"),
+        (lambda actions: actions[1].update(narration=[0, "x"]),
+         "manifest column 'narration_tokens', entry 3: must be int, got 'x'"),
+        (lambda actions: actions[6].update(temporal_index=-2**63 - 1),
+         "manifest column 'temporal_index', entry 6: -9223372036854775809 is outside int64"),
+    ], ids=["not_an_object", "missing_key", "narration_not_a_list", "true_as_an_int",
+            "token_not_an_int", "int_past_int64"])
+    def test_a_bad_version_1_action_is_named(self, tmp_path, edit, message):
+        path = make_store(n_actions=8).save(tmp_path / "ds")
+        manifest = to_v1(json.loads(path.read_text(encoding="utf-8")))
+        edit(manifest["actions"])
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            FeatureStore.load(path)
+        assert str(exc.value) == message
+
+    def test_a_version_1_actions_object_is_refused(self, tmp_path):
+        path = make_store().save(tmp_path / "ds")
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**manifest, "version": 1}), encoding="utf-8")
+        with pytest.raises(DataError, match="version-1 manifest's 'actions' must be a list"):
+            FeatureStore.load(path)
 
     def test_each_split_is_one_table_and_an_empty_one_is_refused(self):
         store = make_store(domains=("S0", "T0"), targets=("T0",))
@@ -206,30 +286,32 @@ class TestFeatureStore:
                          max_size=8),
            d_v=st.one_of(st.integers(-1, 4), EXTREME_INTS), size=st.integers(0, 40))
     def test_masks_find_the_action_the_scalar_checks_reject(self, rows, d_v, size):
-        # the rows as manifest actions, read into columns the way `load` reads them
-        actions = [{"action_id": a, "video_id": "v", "domain_id": "S0", "verb": v,
-                    "noun": n, "narration": list(tokens), "temporal_index": 0,
-                    "blob_offset": o, "n_clips": c} for a, v, n, o, c, tokens in rows]
-        outside = next(((i, key) for i, action in enumerate(actions)
-                        for key in ("action_id", "verb", "noun", "narration",
-                                    "blob_offset", "n_clips")
-                        if any(not -2**63 <= x < 2**63 for x in (
-                            action[key] if key == "narration" else [action[key]]))), None)
-        if outside is not None:
-            # no column can hold the value, so loading names it
-            with pytest.raises(DataError, match=f"manifest action {outside[0]}: "
-                                                f"'{outside[1]}' holds .*, outside int64"):
-                _manifest_actions(actions)
-            return
+        # the rows as manifest columns and as version-1 actions, each read
+        # into a table the way `load` reads it
         records = [ActionRecord(action_id=a, video_id="v", domain_id="S0", verb=v, noun=n,
                                 narration=tuple(tokens), temporal_index=0, blob_offset=o,
                                 n_clips=c) for a, v, n, o, c, tokens in rows]
+        columns = record_columns(records)
+        v1 = to_v1({"actions": columns})["actions"]
+        outside = next(((name, index) for name in ("action_id", "verb", "noun", "blob_offset",
+                                                   "n_clips", "narration_tokens")
+                        for index, x in enumerate(columns[name])
+                        if not -2**63 <= x < 2**63), None)
+        if outside is not None:
+            # no column can hold the value, so loading names its column and entry
+            for read in (lambda: _manifest_table(columns),
+                         lambda: _manifest_table(_v1_columns(v1))):
+                with pytest.raises(DataError, match=f"manifest column '{outside[0]}', "
+                                                    f"entry {outside[1]}: .* is outside int64"):
+                    read()
+            return
         want = first_failing_reference(records, d_v, size, vocab=5)
-        got = _first_failing_action(_manifest_actions(actions), d_v, size, vocab=5)
-        if d_v < 1:
-            assert got == 0  # the scalar checks then run over every action
-        else:
-            assert got == want
+        for actions in (_manifest_table(columns), _manifest_table(_v1_columns(v1))):
+            got = _first_failing_action(actions, d_v, size, vocab=5)
+            if d_v < 1:
+                assert got == 0  # the scalar checks then run over every action
+            else:
+                assert got == want
 
     @pytest.mark.parametrize("temporal", [(0, 1, 3), (0, 1, 1), (1, 0, 0)])
     def test_each_split_orders_into_videos(self, temporal):

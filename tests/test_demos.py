@@ -1,7 +1,9 @@
-"""Every demo script runs to completion. Demos 01 and 02 walk through the
-tensor engine and the model wiring, which no other test runs as scripts."""
+"""Every demo script runs to completion, and so does the README's library
+example. Demos 01 and 02 walk through the tensor engine and the model
+wiring, which no other test runs as scripts."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,5 +18,18 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_library_example_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("\n## Library\n"):]
+    example = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    assert "epochs=15" in example
+    script = tmp_path / "library_example.py"
+    script.write_text(example.replace("epochs=15", "epochs=1"), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
