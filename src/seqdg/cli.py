@@ -5,6 +5,11 @@ Subcommands cover the whole pipeline: `synth-gen` (benchmark datasets),
 window-length grid), `seq-stats` (repeated-sequence tables), and
 `grad-check` (finite-difference verification of the full model).
 
+`ablate` trains its grid through `train.train_and_score_cells`: with
+BLAS pinned to one thread, its cells are fitted in as many processes as
+there are usable CPUs (at most one per cell), and the rows are bitwise
+those of one process; `taskset -c 0 seqdg ablate ...` fits them in one.
+
 Every run writes its resolved configuration, the seed, and the hashes of
 its input data into the output directory, so a run is reproducible from
 that directory alone. Exit codes: 0 success, 2 configuration error,
@@ -43,7 +48,7 @@ from seqdg.train import (
     TrainConfig,
     fit,
     objective_grad_check,
-    train_and_score,
+    train_and_score_cells,
 )
 
 EXIT_OK = 0
@@ -264,9 +269,11 @@ def cmd_ablate(args) -> int:
             SeqDGModel.init(config.model, seed=config.seed)
     out = _out_dir(args)
     _write_provenance(out, "ablate", run.to_dict(), run.train.seed, _data_hashes(store))
+    scores = iter(train_and_score_cells([(store, config) for *_, configs in cells
+                                         for config in configs]))
     rows = []
     for w, p_mix, lam_v, lam_t, configs in cells:
-        accs = [train_and_score(store, config) for config in configs]
+        accs = [next(scores).top1 for _config in configs]
         rows.append({"W": w, "p_mix": p_mix, "lambda_rv": lam_v, "lambda_rt": lam_t,
                      "target_action_top1": round(float(np.mean(accs)), 2),
                      "per_seed": [round(a, 2) for a in accs]})

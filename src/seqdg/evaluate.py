@@ -26,6 +26,7 @@ __all__ = [
     "Predictions",
     "head_k",
     "topk_indices",
+    "cpu_slots",
     "scoring_threads",
     "predict_windows",
     "sliding_window_predict",
@@ -95,16 +96,22 @@ def _blas_threads(cpus: int) -> int:
     return cpus
 
 
-def scoring_threads(n_chunks: int) -> int:
-    """Threads that score `n_chunks` inference chunks: the CPUs this
-    process may use over the threads each BLAS call takes, and no more
-    than leaves each thread two chunks. With BLAS unpinned its own threads
-    already fill the CPUs, and the answer is 1."""
+def cpu_slots() -> int:
+    """Threads or processes that may run at once beside BLAS: the CPUs
+    this process may use over the threads each BLAS call takes, at least
+    one. With BLAS unpinned its own threads already fill the CPUs, and
+    the answer is 1. Scoring threads and fitting processes share it."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus // _blas_threads(cpus), n_chunks // 2))
+    return max(1, cpus // _blas_threads(cpus))
+
+
+def scoring_threads(n_chunks: int) -> int:
+    """Threads that score `n_chunks` inference chunks: `cpu_slots`, and no
+    more than leaves each thread two chunks."""
+    return max(1, min(cpu_slots(), n_chunks // 2))
 
 
 def predict_windows(cache: FeatureCache, model: SeqDGModel,

@@ -14,14 +14,27 @@ checkpoints. `fit` scores the source split (top-1) after every epoch
 when it writes a metrics file, and otherwise only after the last epoch,
 since only the metrics file reads the earlier ones.
 
-Two library entry points wrap the loop: `train_and_score`, one cell of an
-ablation (train, then target-split action top-1), and
-`objective_grad_check`, the finite-difference check of the full objective.
+Library entry points wrap the loop. `train_and_score_cells` trains and
+scores a list of ablation cells (each a store and a config; train, then
+target-split action top-1), and `train_and_score` is its one-cell case.
+Cells are independent and deterministic, so it fits them on every usable
+CPU: the calling process and `fit_processes(len(cells)) - 1` forked
+workers each claim the next unfitted cell until none is left, and the
+calling process then scores them all. With BLAS unpinned, on one usable
+CPU (`taskset -c 0`) or without the `fork` start method the calling
+process fits every cell itself, in the same loop; the scores are bitwise
+the same either way. `objective_grad_check` is the finite-difference
+check of the full objective.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import multiprocessing
+import pickle
+import sys
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +50,13 @@ from seqdg.data import (
     build_windows,
     seqmix,
 )
-from seqdg.evaluate import accuracy, predict_windows, sliding_window_predict, topk_accuracy
+from seqdg.evaluate import (
+    accuracy,
+    cpu_slots,
+    predict_windows,
+    sliding_window_predict,
+    topk_accuracy,
+)
 from seqdg.model import ModelConfig, ModelParams, SeqDGModel
 from seqdg.tensor import GradCheckReport, NonFiniteError, Tensor
 
@@ -47,9 +66,12 @@ __all__ = [
     "EpochMetrics",
     "TrainResult",
     "DivergenceError",
+    "CellScore",
     "composite_loss",
     "lr_at",
     "fit",
+    "fit_processes",
+    "train_and_score_cells",
     "train_and_score",
     "objective_grad_check",
 ]
@@ -66,6 +88,11 @@ class DivergenceError(RuntimeError):
                          + (f": {cause}" if cause else ""))
         self.epoch = epoch
         self.batch = batch
+        self.cause = cause
+
+    def __reduce__(self):
+        # a worker process sends it to the caller pickled
+        return type(self), (self.epoch, self.batch, self.cause)
 
 
 @dataclass
@@ -320,14 +347,141 @@ def fit(store: FeatureStore, model: SeqDGModel, config: TrainConfig, *,
                        rng_state=rng_state)
 
 
+@dataclass
+class CellScore:
+    """One ablation cell's target-split action top-1 (%), and the seconds
+    its fit (in whichever process fitted it) and its scoring took."""
+
+    top1: float
+    seconds: float
+
+
+def fit_processes(n_cells: int) -> int:
+    """Processes that fit `n_cells` ablation cells: `cpu_slots()`, no more
+    than one per cell, and 1 where processes cannot be forked."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return max(1, min(n_cells, cpu_slots()))
+
+
+def _fit_cell(store: FeatureStore, config: TrainConfig) -> tuple[np.ndarray, float]:
+    """Initialise one cell's model from its config and fit it; return the
+    trained parameter buffer and the seconds that took."""
+    start = time.perf_counter()
+    model = SeqDGModel.init(config.model, seed=config.seed)
+    fit(store, model, config)
+    return model.params.flat, time.perf_counter() - start
+
+
+def _claims(counter, n_cells: int):
+    """The cells one process fits: each time, the next index that no
+    process has claimed from the shared `counter`, until none is left."""
+    while True:
+        with counter.get_lock():
+            index = counter.value
+            counter.value = index + 1
+        if index >= n_cells:
+            return
+        yield index
+
+
+def _fit_worker(cells, counter, sender):
+    """A forked worker: fit claimed cells until none is left, then send
+    their (index, seconds) pairs and, one message each, their parameter
+    buffers. On an error, end every process's claiming, send the error
+    instead (as a RuntimeError of its message if it does not pickle) and
+    exit with code 1."""
+    try:
+        fitted = [(i, *_fit_cell(*cells[i])) for i in _claims(counter, len(cells))]
+    except BaseException as exc:  # every error is the caller's to raise
+        with counter.get_lock():
+            counter.value = len(cells)
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+        sender.send(("error", exc))
+        sys.exit(1)
+    sender.send(("done", [(i, seconds) for i, _flat, seconds in fitted]))
+    for _i, flat, _seconds in fitted:
+        sender.send_bytes(flat)
+
+
+def _receive(worker, receiver, flats, fit_s):
+    """Read one worker's results into `flats` and `fit_s` and wait for it
+    to exit; raise the error it sent, or a RuntimeError if it ended
+    without sending."""
+    try:
+        kind, payload = receiver.recv()
+    except EOFError:
+        worker.join()
+        raise RuntimeError(f"a fitting process ended with exit code {worker.exitcode} "
+                           "before sending its cells") from None
+    if kind == "error":
+        raise payload
+    for i, seconds in payload:
+        flats[i] = np.frombuffer(receiver.recv_bytes())
+        fit_s[i] = seconds
+    worker.join()
+
+
+def train_and_score_cells(cells) -> list[CellScore]:
+    """Train and score ablation cells, each a (store, config) pair: each
+    cell's model is initialised from its config (seeded by its seed) and
+    fitted on its store's source split, and its target-split action top-1
+    (%) is returned, in cell order. The calling process fits cell 0 and
+    then claims the next cell each time, beside `fit_processes - 1`
+    forked workers that do the same; it scores every cell once every
+    worker has exited. An error in any cell is raised here; every worker
+    has been terminated and joined on return, on every exit path."""
+    cells = list(cells)
+    for store, _config in cells:
+        store.split_actions("target")  # refused before anything trains
+    if not cells:
+        return []
+    n = fit_processes(len(cells))
+    # forked, not spawned: a worker reads the caller's stores and cells as
+    # they are, and the caller runs no other thread here (scoring pools
+    # are joined before `predict_windows` returns)
+    context = multiprocessing.get_context("fork" if n > 1 else None)
+    counter = context.Value("q", 1)  # cell 0 is the caller's
+    flats, fit_s = [None] * len(cells), [0.0] * len(cells)
+    workers = []
+    try:
+        for _ in range(n - 1):
+            receiver, sender = context.Pipe(duplex=False)
+            worker = context.Process(target=_fit_worker, args=(cells, counter, sender),
+                                     daemon=True)
+            worker.start()
+            sender.close()
+            workers.append((worker, receiver))
+        for i in itertools.chain([0], _claims(counter, len(cells))):
+            flats[i], fit_s[i] = _fit_cell(*cells[i])
+        for worker, receiver in workers:
+            _receive(worker, receiver, flats, fit_s)
+    finally:
+        for worker, receiver in workers:
+            if worker.is_alive():
+                worker.terminate()
+            worker.join()
+            receiver.close()
+    scores = []
+    for i, (store, config) in enumerate(cells):
+        start = time.perf_counter()
+        model = SeqDGModel.init(config.model, seed=config.seed)
+        model.params.flat[...] = flats[i]
+        flats[i] = None
+        top1 = accuracy(sliding_window_predict(store, model),
+                        store.split_actions("target").labels(), k=1)[2]
+        scores.append(CellScore(top1, fit_s[i] + time.perf_counter() - start))
+    return scores
+
+
 def train_and_score(store: FeatureStore, config: TrainConfig) -> float:
     """One ablation cell: initialise a model from `config` (seeded by its
     seed), fit it on the source split and return its target-split action
     top-1 (%)."""
-    targets = store.split_actions("target")
-    model = SeqDGModel.init(config.model, seed=config.seed)
-    fit(store, model, config)
-    return accuracy(sliding_window_predict(store, model), targets.labels(), k=1)[2]
+    return train_and_score_cells([(store, config)])[0].top1
 
 
 def objective_grad_check(text_loss: str, *, seed: int = 0, data_seed: int = 0,

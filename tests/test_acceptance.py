@@ -3,7 +3,8 @@ with its measured values when it holds (pytest shows the prints with -s,
 and always on failure).
 
 Criteria 5-7 share one grid of seeded training runs on the default
-synthetic benchmark (six settings x five seeds), built once per session.
+synthetic benchmark (six settings x five seeds), built once per session
+and fitted on every usable CPU (`train.train_and_score_cells`).
 """
 
 import os
@@ -25,7 +26,13 @@ from seqdg.model import (
 from seqdg.seqstats import count_all_categories, count_repeats, format_table
 from seqdg.synth import SynthConfig, generate
 from seqdg.tensor import Tensor
-from seqdg.train import TrainConfig, fit, lr_at, objective_grad_check, train_and_score
+from seqdg.train import (
+    TrainConfig,
+    fit,
+    lr_at,
+    objective_grad_check,
+    train_and_score_cells,
+)
 
 from test_data import domain_windows, label_of, mixing_setup
 from test_seqstats import CRAFTED, brute_force_counts, corpus_from_label_rows
@@ -56,26 +63,32 @@ def bench_model_config(synth: SynthConfig, W: int) -> ModelConfig:
                        vocab_size=synth.n_verbs + synth.n_nouns)
 
 
-def bench_run(seed: int, W: int, lam: float, p_mix: float) -> float:
-    """Train one arm on the default benchmark; return target action top-1."""
-    synth = SynthConfig(seed=seed)
-    store, _ = generate(synth)
-    model_cfg = bench_model_config(synth, W)
-    train_cfg = TrainConfig(model=model_cfg, lambda_rv=lam, lambda_rt=lam,
-                            p_mix=p_mix, batch_size=16, lr=0.1,
-                            lr_decay_epochs=(9, 12), epochs=15, seed=seed)
-    return train_and_score(store, train_cfg)
+def bench_train_config(synth: SynthConfig, W: int, lam: float, p_mix: float) -> TrainConfig:
+    """One arm's training config on the default benchmark of `synth`."""
+    return TrainConfig(model=bench_model_config(synth, W), lambda_rv=lam, lambda_rt=lam,
+                       p_mix=p_mix, batch_size=16, lr=0.1, lr_decay_epochs=(9, 12),
+                       epochs=15, seed=synth.seed)
 
 
 @pytest.fixture(scope="session")
 def bench_grid():
+    """Every arm on every seed's store, the 30 cells trained and scored by
+    `train_and_score_cells`. An arm's timing sums, per seed, the
+    generation of the seed's store and the cell's fit and scoring."""
+    stores, generate_s = {}, {}
+    for seed in SEEDS:
+        start = time.monotonic()
+        stores[seed] = generate(SynthConfig(seed=seed))[0]
+        generate_s[seed] = time.monotonic() - start
+    cells = [(seed, arm) for seed in SEEDS for arm in ARMS]
+    scores = train_and_score_cells(
+        [(stores[seed], bench_train_config(SynthConfig(seed=seed), **ARMS[arm]))
+         for seed, arm in cells])
     results = {arm: {} for arm in ARMS}
     timings = {arm: 0.0 for arm in ARMS}
-    for seed in SEEDS:
-        for arm, spec in ARMS.items():
-            start = time.monotonic()
-            results[arm][seed] = bench_run(seed, **spec)
-            timings[arm] += time.monotonic() - start
+    for (seed, arm), score in zip(cells, scores):
+        results[arm][seed] = score.top1
+        timings[arm] += generate_s[seed] + score.seconds
     means = {arm: float(np.mean(list(per_seed.values())))
              for arm, per_seed in results.items()}
     return {"results": results, "means": means, "timings": timings}

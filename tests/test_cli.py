@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import shutil
 import struct
 import threading
@@ -24,8 +25,10 @@ from seqdg.data import (
 from seqdg.evaluate import Prediction, sliding_window_predict
 from seqdg.model import ModelConfig, ModelParams, SeqDGModel
 from seqdg.synth import SynthConfig, bayes_accuracy_on_store, context_oracle_accuracy, generate
-from seqdg.train import TrainConfig, fit
+from seqdg.tensor import NonFiniteError
+from seqdg.train import CellScore, DivergenceError, TrainConfig, fit
 from test_data import to_v1
+from test_train import patch_fit, pin
 
 SMALL_SYNTH = {
     "synth": {"n_source_domains": 2, "n_target_domains": 1,
@@ -468,8 +471,12 @@ class TestAblate:
     def test_bad_late_grid_value_trains_nothing(self, axis, values, tmp_path, dataset_dir,
                                                monkeypatch, capsys):
         trained = []
-        monkeypatch.setattr(cli, "train_and_score",
-                            lambda store, config: trained.append(config) or 50.0)
+
+        def train_and_score_cells(cells):
+            trained.extend(cells)
+            return [CellScore(50.0, 0.0)] * len(cells)
+
+        monkeypatch.setattr(cli, "train_and_score_cells", train_and_score_cells)
         cfg = json.loads(json.dumps(SMALL_SYNTH))
         cfg["ablate"][axis] = values
         path = tmp_path / "grid.json"
@@ -480,6 +487,72 @@ class TestAblate:
         assert trained == []
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    def grid(self, tmp_path, **train):
+        """SMALL_SYNTH with a four-cell grid (W 1 and 3, seeds 0 and 1),
+        its `train` section updated by `train`; the config's path."""
+        cfg = json.loads(json.dumps(SMALL_SYNTH))
+        cfg["train"].update(train)
+        cfg["ablate"]["seeds"] = [0, 1]
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(cfg))
+        return path
+
+    def ablate_on(self, cpus, config, dataset_dir, out, monkeypatch, capsys):
+        """`seqdg ablate` with `cpus` usable CPUs and BLAS on one thread;
+        its exit code, standard output and standard error."""
+        pin(monkeypatch, cpus)
+        capsys.readouterr()
+        code = main(["ablate", "--config", str(config), "--data", str(dataset_dir),
+                     "--out", str(out)])
+        assert multiprocessing.active_children() == []
+        return (code, *capsys.readouterr())
+
+    def test_rows_are_byte_identical_on_one_and_two_cpus(self, tmp_path, dataset_dir,
+                                                         monkeypatch, capsys):
+        config = self.grid(tmp_path, lambda_rv=1.0, lambda_rt=1.0)
+        outputs, pids = [], []
+        for cpus in (1, 2):
+            log = patch_fit(monkeypatch, tmp_path, wait=cpus == 2)
+            outputs.append(self.ablate_on(cpus, config, dataset_dir, tmp_path / f"cpus{cpus}",
+                                          monkeypatch, capsys)[:2])
+            pids.append({line.split()[0] for line in log.read_text().splitlines()})
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+        assert [len(p) for p in pids] == [1, 2]  # with two CPUs a worker fitted cells
+        assert ((tmp_path / "cpus1" / "ablation.json").read_bytes()
+                == (tmp_path / "cpus2" / "ablation.json").read_bytes())
+
+    def test_divergence_exits_4_as_in_one_process(self, tmp_path, dataset_dir, monkeypatch,
+                                                  capsys):
+        # every cell diverges, so the caller's own cell 0 raises first
+        config = self.grid(tmp_path, lr=1e9, epochs=4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            runs = [self.ablate_on(cpus, config, dataset_dir, tmp_path / f"cpus{cpus}",
+                                   monkeypatch, capsys) for cpus in (1, 2)]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 4 and runs[0][2].startswith("numerical failure: non-finite")
+        for cpus in (1, 2):
+            assert not (tmp_path / f"cpus{cpus}" / "ablation.json").exists()
+
+    @pytest.mark.parametrize("exc", [DivergenceError(1, 2, "overflow"),
+                                     NonFiniteError("add produced inf")])
+    def test_an_error_in_a_worker_exits_4_as_in_one_process(self, exc, tmp_path, dataset_dir,
+                                                             monkeypatch, capsys):
+        # the first seed-1 cell raises; with two CPUs a worker fits it
+        def fail_seed_1(config, in_worker):
+            if config.seed == 1:
+                assert in_worker == (cpus == 2)
+                raise exc
+
+        config = self.grid(tmp_path)
+        runs = []
+        for cpus in (1, 2):
+            patch_fit(monkeypatch, tmp_path, wait=cpus == 2, before=fail_seed_1)
+            runs.append(self.ablate_on(cpus, config, dataset_dir, tmp_path / f"cpus{cpus}",
+                                       monkeypatch, capsys))
+            assert not (tmp_path / f"cpus{cpus}" / "ablation.json").exists()
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 4 and runs[0][2] == f"numerical failure: {exc}\n"
 
     def test_token_text_loss_records_the_vocab_size_it_trains_with(self, tmp_path,
                                                                    dataset_dir):

@@ -18,7 +18,7 @@ from seqdg.evaluate import (
 )
 from seqdg.model import ModelConfig, SeqDGModel
 from seqdg.tensor import NonFiniteError
-from test_train import toy_store
+from test_train import pin, toy_store
 
 
 def pred_from(verb_logits, noun_logits, k=5):
@@ -182,17 +182,6 @@ def serial_logits(cache, model, windows, batch):
              for start in range(0, len(windows), batch)]
     return (np.concatenate([verb for verb, _noun in parts]),
             np.concatenate([noun for _verb, noun in parts]))
-
-
-def pin(monkeypatch, cpus, blas="1"):
-    """Make `scoring_threads` see `cpus` usable CPUs and BLAS on `blas`
-    threads (None: unset)."""
-    monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    if blas is None:
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
 
 
 class ThreadLog:

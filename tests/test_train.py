@@ -1,21 +1,30 @@
 import gc
 import json
+import multiprocessing
+import os
+import time
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import seqdg.tensor as T
 import seqdg.train
+from seqdg import evaluate
 from seqdg.data import Batch, DataError, DatasetSplit, FeatureStore
 from seqdg.model import ModelConfig, SeqDGModel
+from seqdg.tensor import NonFiniteError
 from seqdg.train import (
     DivergenceError,
+    _claims,
     TrainConfig,
     composite_loss,
     fit,
+    fit_processes,
     lr_at,
     train_and_score,
+    train_and_score_cells,
 )
 from seqdg.data import ActionRecord
 from test_data import table
@@ -401,3 +410,174 @@ def test_train_and_score_without_target_actions_is_data_error(monkeypatch):
     monkeypatch.setattr(seqdg.train, "fit", None)
     with pytest.raises(DataError, match="target domains hold no actions"):
         train_and_score(toy_store(), toy_train_config(epochs=1))
+
+
+def pin(monkeypatch, cpus, blas="1"):
+    """Make the CPU budget (`evaluate.cpu_slots`) see `cpus` usable CPUs
+    and BLAS on `blas` threads (None: unset)."""
+    monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    if blas is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+
+
+def patch_fit(monkeypatch, tmp_path, wait=True, before=None):
+    """Patch `fit` to log the pid, seed and W of each fit to
+    `tmp_path/fits.log`, from whichever process runs it, then call
+    `before(config, in_worker)` if given. With `wait`, the calling
+    process's fit of seed 0 first waits (up to 10 s) until a worker has
+    begun a fit, so that a worker claims a cell. Returns the log's path."""
+    caller = os.getpid()
+    log = tmp_path / "fits.log"
+    log.unlink(missing_ok=True)
+
+    def logged_fit(store, model, config, **kwargs):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {config.seed} {config.W}\n")
+        in_worker = os.getpid() != caller
+        deadline = time.monotonic() + 10
+        while wait and not in_worker and config.seed == 0 and len(log.read_text().split()) < 6:
+            assert time.monotonic() < deadline, "no worker began a fit"
+            time.sleep(0.01)
+        if before:
+            before(config, in_worker)
+        return fit(store, model, config, **kwargs)
+
+    monkeypatch.setattr(seqdg.train, "fit", logged_fit)
+    return log
+
+
+class Unpicklable(Exception):
+    def __init__(self, code, why):
+        super().__init__(f"{why} ({code})")
+
+
+class TestCellRunner:
+    """`train_and_score_cells` on a three-domain toy store. The runs that
+    fork start one worker at most: two processes in all."""
+
+    @pytest.fixture
+    def store(self):
+        return toy_store(n_videos=3, domains=("S0", "S1", "T0"), target=("T0",))
+
+    def cells(self, store, seeds=(0, 1, 2), Ws=(1, 3)):
+        return [(store, toy_train_config(model=replace(toy_train_config().model, W=w),
+                                         seed=seed))
+                for w in Ws for seed in seeds]
+
+    @pytest.mark.parametrize("env, cpus, n_cells, n", [
+        ({}, 4, 10, 1),                                     # BLAS unpinned
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 4, 2),
+        ({"OMP_NUM_THREADS": "1"}, 64, 30, 30),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8, 3, 3),           # one process per cell
+        ({"OPENBLAS_NUM_THREADS": "2"}, 8, 10, 4),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 5, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 1, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 0, 1),
+    ])
+    def test_process_count_follows_cpus_blas_and_cells(self, env, cpus, n_cells, n,
+                                                       monkeypatch):
+        pin(monkeypatch, cpus, blas=None)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert fit_processes(n_cells) == n
+        # one budget: scoring threads read the same CPUs over BLAS threads
+        assert fit_processes(10**6) == evaluate.cpu_slots() == evaluate.scoring_threads(10**7)
+
+    def test_one_process_without_fork(self, monkeypatch):
+        pin(monkeypatch, 4)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert fit_processes(10) == 1
+
+    def test_two_processes_claim_every_cell_once(self):
+        context = multiprocessing.get_context("fork")
+        counter = context.Value("q", 0)
+        receiver, sender = context.Pipe(duplex=False)
+        worker = context.Process(target=lambda: sender.send(list(_claims(counter, 20000))))
+        worker.start()
+        mine = list(_claims(counter, 20000))
+        theirs = receiver.recv()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert sorted(mine + theirs) == list(range(20000))
+
+    def test_scores_are_bitwise_equal_in_one_and_two_processes(self, store, monkeypatch,
+                                                               tmp_path):
+        scored = []
+        original = seqdg.train.sliding_window_predict
+
+        def recording(store, model, **kwargs):
+            preds = original(store, model, **kwargs)
+            scored.append(preds.verb_logits.tobytes() + preds.noun_logits.tobytes())
+            return preds
+
+        monkeypatch.setattr(seqdg.train, "sliding_window_predict", recording)
+        runs = {}
+        for cpus in (1, 2):
+            pin(monkeypatch, cpus)
+            log = patch_fit(monkeypatch, tmp_path, wait=cpus == 2)
+            scored.clear()
+            scores = train_and_score_cells(self.cells(store))
+            assert multiprocessing.active_children() == []
+            assert all(score.seconds > 0 for score in scores)
+            runs[cpus] = ([score.top1 for score in scores], list(scored),
+                          [line.split() for line in log.read_text().splitlines()])
+        assert runs[1][:2] == runs[2][:2]
+        assert len(runs[1][1]) == 6
+        # in one process the caller fitted every cell; in two, it fitted
+        # cell 0 and a worker at least one other, each cell once
+        assert {pid for pid, *_ in runs[1][2]} == {str(os.getpid())}
+        assert [str(os.getpid()), "0", "1"] in runs[2][2]
+        assert len({pid for pid, *_ in runs[2][2]}) == 2
+        assert sorted(fit[1:] for fit in runs[2][2]) == sorted(fit[1:] for fit in runs[1][2])
+
+    @pytest.mark.parametrize("exc, raised, message", [
+        (DivergenceError(2, 5, "overflow"), DivergenceError,
+         "non-finite training loss at epoch 2, batch 5: overflow"),
+        (NonFiniteError("add produced inf"), NonFiniteError, "add produced inf"),
+        (Unpicklable(7, "no pickling"), RuntimeError, "Unpicklable: no pickling (7)"),
+    ])
+    def test_an_error_in_a_worker_is_raised_and_no_worker_outlives_it(
+            self, exc, raised, message, store, monkeypatch, tmp_path):
+        pin(monkeypatch, 2)
+
+        def fail_in_worker(config, in_worker):
+            if in_worker:
+                raise exc
+
+        patch_fit(monkeypatch, tmp_path, before=fail_in_worker)
+        with pytest.raises(raised) as info:
+            train_and_score_cells(self.cells(store))
+        assert str(info.value) == message
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_is_an_error(self, store, monkeypatch, tmp_path):
+        pin(monkeypatch, 2)
+
+        def die_in_worker(config, in_worker):
+            if in_worker:
+                os._exit(3)
+
+        patch_fit(monkeypatch, tmp_path, before=die_in_worker)
+        with pytest.raises(RuntimeError, match="exit code 3"):
+            train_and_score_cells(self.cells(store))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("exc", [DivergenceError(0, 1), KeyboardInterrupt()])
+    def test_the_callers_error_terminates_a_busy_worker(self, exc, store, monkeypatch,
+                                                        tmp_path):
+        pin(monkeypatch, 2)
+
+        def stall_worker_fail_caller(config, in_worker):
+            if in_worker:
+                time.sleep(60)
+            raise exc
+
+        start = time.monotonic()
+        patch_fit(monkeypatch, tmp_path, before=stall_worker_fail_caller)
+        with pytest.raises(type(exc)):
+            train_and_score_cells(self.cells(store))
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - start < 30
