@@ -3,22 +3,23 @@ dataset whose center actions are deliberately ambiguous without context,
 check the oracle floor and ceiling, then train the full sequence model
 against the single-action baseline and compare on the unseen domain.
 
-Runs in about 10 s (9-11 s over three runs on a 2-vCPU VM; reduced
-sizes, the acceptance suite runs the full benchmark over five seeds).
+The model and schedule are `bench_config.json`'s, and the two arms run
+through `train.score_arms`, as `seqdg ablate` and the acceptance grid
+do. Reduced sizes; the acceptance suite runs five seeds.
 """
 
-import time
+from dataclasses import replace
+from pathlib import Path
 
-from seqdg.evaluate import accuracy, sliding_window_predict
-from seqdg.model import ModelConfig, SeqDGModel
+from seqdg.config import load_run_config
+from seqdg.data import build_windows
 from seqdg.synth import (
     SynthConfig,
     bayes_accuracy_on_store,
     context_oracle_accuracy,
     generate,
 )
-from seqdg.data import build_windows
-from seqdg.train import TrainConfig, fit
+from seqdg.train import score_arms
 
 synth = SynthConfig(seed=0, videos_per_domain=2, actions_per_video=56)
 store, truth = generate(synth)
@@ -34,29 +35,15 @@ print(f"single-action Bayes accuracy (features only): {bayes:.1f}%")
 print(f"context oracle accuracy (neighbor labels):    {oracle:.1f}%")
 print(f"the gap a sequence model can exploit:         {oracle - bayes:.1f} points")
 
-
-def train_and_eval(W, lam, p_mix, tag):
-    model_cfg = ModelConfig(W=W, D=64, D_V=synth.d_v, D_T=synth.d_t,
-                            n_enc_layers=2, n_dec_layers=1, n_heads=4,
-                            n_verbs=synth.n_verbs, n_nouns=synth.n_nouns,
-                            d_ff=128, vocab_size=synth.n_verbs + synth.n_nouns)
-    train_cfg = TrainConfig(model=model_cfg, lambda_rv=lam, lambda_rt=lam,
-                            p_mix=p_mix, batch_size=16, lr=0.1,
-                            lr_decay_epochs=(9, 12), epochs=15, seed=0)
-    model = SeqDGModel.init(model_cfg, seed=0)
-    start = time.time()
-    result = fit(store, model, train_cfg)
-    preds = sliding_window_predict(store, model)
-    labels = store.records_for(store.split.target).labels()
-    verb, noun, action = accuracy(preds, labels, k=1)
-    print(f"{tag}: target verb {verb:.1f} noun {noun:.1f} action {action:.1f} "
-          f"(source {result.metrics[-1].source_action_acc:.1f}, "
-          f"{time.time() - start:.0f}s)")
-    return action
-
-
 print()
 print("== single-action baseline vs the full sequence model ==")
-base = train_and_eval(W=1, lam=0.0, p_mix=0.0, tag="baseline W=1      ")
-full = train_and_eval(W=5, lam=1.0, p_mix=0.5, tag="full model W=5    ")
-print(f"cross-domain gain from sequence context: {full - base:+.1f} points")
+bench = load_run_config(Path(__file__).resolve().parent / "bench_config.json")
+arms = {"baseline W=1": replace(bench.train, model=replace(bench.model, W=1),
+                                lambda_rv=0.0, lambda_rt=0.0, p_mix=0.0),
+        "full model W=5": replace(bench.train, model=replace(bench.model, W=5),
+                                  lambda_rv=1.0, lambda_rt=1.0, p_mix=0.5)}
+scores = {tag: cells[0] for tag, cells in score_arms(arms, [0], {0: store}).items()}
+for tag, score in scores.items():
+    print(f"{tag:<14}: target action top-1 {score.top1:.1f} ({score.seconds:.0f}s)")
+gain = scores["full model W=5"].top1 - scores["baseline W=1"].top1
+print(f"cross-domain gain from sequence context: {gain:+.1f} points")

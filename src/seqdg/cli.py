@@ -5,10 +5,10 @@ Subcommands cover the whole pipeline: `synth-gen` (benchmark datasets),
 window-length grid), `seq-stats` (repeated-sequence tables), and
 `grad-check` (finite-difference verification of the full model).
 
-`ablate` trains its grid through `train.train_and_score_cells`: with
-BLAS pinned to one thread, its cells are fitted in as many processes as
-there are usable CPUs (at most one per cell), and the rows are bitwise
-those of one process; `taskset -c 0 seqdg ablate ...` fits them in one.
+`ablate` trains an arm per combination of its axes at each grid seed
+through `train.score_arms`, on every usable CPU when BLAS is pinned to
+one thread; its rows are bitwise those of one process, which `taskset
+-c 0 seqdg ablate ...` forces.
 
 Every run writes its resolved configuration, the seed, and the hashes of
 its input data into the output directory, so a run is reproducible from
@@ -48,7 +48,7 @@ from seqdg.train import (
     TrainConfig,
     fit,
     objective_grad_check,
-    train_and_score_cells,
+    score_arms,
 )
 
 EXIT_OK = 0
@@ -254,31 +254,28 @@ def cmd_ablate(args) -> int:
     store = FeatureStore.load(args.data)
     run = _train_config_for(store, args)
     store.split_actions("target")
-    grid = run.ablate
-    # every cell's config is checked, also against the dataset, and its
-    # model allocated once, before the first one trains
-    cells = [(w, p_mix, lam_v, lam_t,
-              [replace(run.train, model=replace(run.model, W=w), p_mix=p_mix,
-                       lambda_rv=lam_v, lambda_rt=lam_t, seed=seed).check()
-               for seed in grid["seeds"]])
-             for w, p_mix, lam_v, lam_t in itertools.product(
-                 grid["W"], grid["p_mix"], grid["lambda_rv"], grid["lambda_rt"])]
-    for *_, configs in cells:
-        for config in configs:
-            _check_labels(store, config)
-            SeqDGModel.init(config.model, seed=config.seed)
+    grid, seeds = run.ablate, run.ablate["seeds"]
+    # checked before any output: each arm and seed, each arm's labels and model allocation
+    arms = {(w, p_mix, lam_v, lam_t): replace(
+                run.train, model=replace(run.model, W=w), p_mix=p_mix, lambda_rv=lam_v,
+                lambda_rt=lam_t).check()
+            for w, p_mix, lam_v, lam_t in itertools.product(
+                grid["W"], grid["p_mix"], grid["lambda_rv"], grid["lambda_rt"])}
+    for seed in seeds:
+        replace(run.train, seed=seed).check()
+    for config in arms.values():
+        _check_labels(store, config)
+        SeqDGModel.init(config.model, seed=config.seed)
     out = _out_dir(args)
-    _write_provenance(out, "ablate", run.to_dict(), run.train.seed, _data_hashes(store))
-    scores = iter(train_and_score_cells([(store, config) for *_, configs in cells
-                                         for config in configs]))
+    _write_provenance(out, "ablate", run.to_dict(), seeds[0], _data_hashes(store))
     rows = []
-    for w, p_mix, lam_v, lam_t, configs in cells:
-        accs = [next(scores).top1 for _config in configs]
+    for (w, p_mix, lam_v, lam_t), scores in score_arms(
+            arms, seeds, dict.fromkeys(seeds, store)).items():
+        accs = [score.top1 for score in scores]
         rows.append({"W": w, "p_mix": p_mix, "lambda_rv": lam_v, "lambda_rt": lam_t,
                      "target_action_top1": round(float(np.mean(accs)), 2),
                      "per_seed": [round(a, 2) for a in accs]})
-        print(f"W={w} p_mix={p_mix} lrv={lam_v} lrt={lam_t}: "
-              f"{rows[-1]['target_action_top1']:.2f}")
+        print(f"W={w} p_mix={p_mix} lrv={lam_v} lrt={lam_t}: {rows[-1]['target_action_top1']:.2f}")
     _write_json(out / "ablation.json", {"grid": grid, "rows": rows})
     return EXIT_OK
 

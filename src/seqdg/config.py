@@ -27,7 +27,7 @@ SECTIONS = ("synth", "model", "train", "ablate")
 ABLATE_FIELDS = {"W": "W", "p_mix": "p_mix", "lambda_rv": "lambda_rv",
                  "lambda_rt": "lambda_rt", "seeds": "seed"}
 DEFAULT_ABLATE = {"W": [1, 5], "p_mix": [0.0, 0.5], "lambda_rv": [0.0, 1.0],
-                  "lambda_rt": [0.0, 1.0], "seeds": [0]}
+                  "lambda_rt": [0.0, 1.0]}
 
 
 class ConfigError(Exception):
@@ -92,8 +92,9 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Parse and validate a config file, then apply `overrides`.
 
     Each override that is not None sets its key in every section with a
-    field of that name, over what the file says. Raises ConfigError
-    carrying every violation found in one pass.
+    field of that name, over what the file says; the grid's seeds are the
+    `seed` override, else the file's `ablate.seeds`, else `[train.seed]`.
+    Raises ConfigError carrying every violation found in one pass.
     """
     problems: list[str] = []
     raw: dict = {}
@@ -148,6 +149,8 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
     problems.extend(f"model/train: {e}" for e in train.validate())
     if problems:
         raise ConfigError(problems)
+    if "seed" in overrides or "seeds" not in ablate:
+        ablate["seeds"] = [train.seed]
     return RunConfig(synth=synth, train=train, ablate=ablate)
 
 

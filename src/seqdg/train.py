@@ -15,16 +15,15 @@ when it writes a metrics file, and otherwise only after the last epoch,
 since only the metrics file reads the earlier ones.
 
 Library entry points wrap the loop. `train_and_score_cells` trains and
-scores a list of ablation cells (each a store and a config; train, then
-target-split action top-1), and `train_and_score` is its one-cell case.
-Cells are independent and deterministic, so it fits them on every usable
-CPU: the calling process and `fit_processes(len(cells)) - 1` forked
-workers each claim the next unfitted cell until none is left, and the
-calling process then scores them all. With BLAS unpinned, on one usable
-CPU (`taskset -c 0`) or without the `fork` start method the calling
-process fits every cell itself, in the same loop; the scores are bitwise
-the same either way. `objective_grad_check` is the finite-difference
-check of the full objective.
+scores a list of cells (each a store and a config; train, then
+target-split action top-1), and `score_arms` runs an ablation grid
+through it: every arm (a key and its config) at every seed. Cells are
+independent and deterministic, so it fits them on every usable CPU, in
+forked workers beside the calling process; with BLAS unpinned, on one
+usable CPU (`taskset -c 0`) or without the `fork` start method the
+calling process fits every cell itself, and the scores are bitwise the
+same either way. `objective_grad_check` is the finite-difference check
+of the full objective.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import multiprocessing
 import pickle
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,7 +71,7 @@ __all__ = [
     "fit",
     "fit_processes",
     "train_and_score_cells",
-    "train_and_score",
+    "score_arms",
     "objective_grad_check",
 ]
 
@@ -477,11 +476,13 @@ def train_and_score_cells(cells) -> list[CellScore]:
     return scores
 
 
-def train_and_score(store: FeatureStore, config: TrainConfig) -> float:
-    """One ablation cell: initialise a model from `config` (seeded by its
-    seed), fit it on the source split and return its target-split action
-    top-1 (%)."""
-    return train_and_score_cells([(store, config)])[0].top1
+def score_arms(arms: dict, seeds, stores: dict) -> dict:
+    """Train and score each arm (a key mapped to its `TrainConfig`) at each
+    seed on `stores[seed]`, arm-major and seed-minor, every cell checked
+    before any fit; returns each key's `CellScore`s in seed order."""
+    scores = iter(train_and_score_cells([(stores[seed], replace(config, seed=seed).check())
+                                         for config in arms.values() for seed in seeds]))
+    return {key: [next(scores) for _seed in seeds] for key in arms}
 
 
 def objective_grad_check(text_loss: str, *, seed: int = 0, data_seed: int = 0,

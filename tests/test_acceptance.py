@@ -2,19 +2,23 @@
 with its measured values when it holds (pytest shows the prints with -s,
 and always on failure).
 
-Criteria 5-7 share one grid of seeded training runs on the default
-synthetic benchmark (six settings x five seeds), built once per session
-and fitted on every usable CPU (`train.train_and_score_cells`).
+Criteria 5-7 share one grid on the default synthetic benchmark (six arms
+x five seeds, one generated store per seed) with the model and schedule
+of `demos/bench_config.json`, built once per session by
+`train.score_arms` and fitted on every usable CPU.
 """
 
 import os
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import seqdg.tensor as T
 from seqdg.checkpoint import load_model, save_checkpoint, strip_text_parameters
+from seqdg.config import load_run_config
 from seqdg.data import SeqMixPool, SeqMixStats, build_windows, seqmix
 from seqdg.evaluate import sliding_window_predict
 from seqdg.model import (
@@ -31,11 +35,13 @@ from seqdg.train import (
     fit,
     lr_at,
     objective_grad_check,
-    train_and_score_cells,
+    score_arms,
 )
 
 from test_data import domain_windows, label_of, mixing_setup
 from test_seqstats import CRAFTED, brute_force_counts, corpus_from_label_rows
+
+BENCH = load_run_config(Path(__file__).resolve().parents[1] / "demos" / "bench_config.json")
 
 
 def ok(criterion: int, message: str):
@@ -56,42 +62,23 @@ ARMS = {
 }
 
 
-def bench_model_config(synth: SynthConfig, W: int) -> ModelConfig:
-    return ModelConfig(W=W, D=64, D_V=synth.d_v, D_T=synth.d_t, n_enc_layers=2,
-                       n_dec_layers=1, n_heads=4, n_verbs=synth.n_verbs,
-                       n_nouns=synth.n_nouns, d_ff=128,
-                       vocab_size=synth.n_verbs + synth.n_nouns)
-
-
-def bench_train_config(synth: SynthConfig, W: int, lam: float, p_mix: float) -> TrainConfig:
-    """One arm's training config on the default benchmark of `synth`."""
-    return TrainConfig(model=bench_model_config(synth, W), lambda_rv=lam, lambda_rt=lam,
-                       p_mix=p_mix, batch_size=16, lr=0.1, lr_decay_epochs=(9, 12),
-                       epochs=15, seed=synth.seed)
-
-
 @pytest.fixture(scope="session")
 def bench_grid():
     """Every arm on every seed's store, the 30 cells trained and scored by
-    `train_and_score_cells`. An arm's timing sums, per seed, the
-    generation of the seed's store and the cell's fit and scoring."""
+    `score_arms`: each arm's mean target top-1 and its timing, which sums,
+    per seed, the generation of the seed's store and the cell's fit and
+    scoring."""
     stores, generate_s = {}, {}
     for seed in SEEDS:
         start = time.monotonic()
         stores[seed] = generate(SynthConfig(seed=seed))[0]
         generate_s[seed] = time.monotonic() - start
-    cells = [(seed, arm) for seed in SEEDS for arm in ARMS]
-    scores = train_and_score_cells(
-        [(stores[seed], bench_train_config(SynthConfig(seed=seed), **ARMS[arm]))
-         for seed, arm in cells])
-    results = {arm: {} for arm in ARMS}
-    timings = {arm: 0.0 for arm in ARMS}
-    for (seed, arm), score in zip(cells, scores):
-        results[arm][seed] = score.top1
-        timings[arm] += generate_s[seed] + score.seconds
-    means = {arm: float(np.mean(list(per_seed.values())))
-             for arm, per_seed in results.items()}
-    return {"results": results, "means": means, "timings": timings}
+    scores = score_arms({arm: replace(BENCH.train, model=replace(BENCH.model, W=a["W"]),
+                                      lambda_rv=a["lam"], lambda_rt=a["lam"], p_mix=a["p_mix"])
+                         for arm, a in ARMS.items()}, SEEDS, stores)
+    return {"means": {arm: float(np.mean([s.top1 for s in scores[arm]])) for arm in ARMS},
+            "timings": {arm: sum(generate_s[seed] + s.seconds
+                                 for seed, s in zip(SEEDS, scores[arm])) for arm in ARMS}}
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +252,7 @@ def test_criterion_7_window_length_sweep(bench_grid):
 def test_criterion_8_inference_purity(tmp_path):
     synth = SynthConfig(seed=7, videos_per_domain=2, actions_per_video=24)
     store, _ = generate(synth)
-    model_cfg = bench_model_config(synth, W=5)
+    model_cfg = BENCH.model
     train_cfg = TrainConfig(model=model_cfg, batch_size=16, lr=0.1,
                             lr_decay_epochs=(50, 75), epochs=2, seed=7)
     model = SeqDGModel.init(model_cfg, seed=7)
@@ -331,7 +318,7 @@ def test_criterion_10_seq_stats_oracle():
 
 def test_criterion_11_determinism(tmp_path):
     synth = SynthConfig(seed=11, videos_per_domain=2, actions_per_video=24)
-    model_cfg = bench_model_config(synth, W=3)
+    model_cfg = replace(BENCH.model, W=3)
     artifacts = []
     for run in range(2):
         store, _ = generate(synth)

@@ -105,7 +105,7 @@ def test_train_and_score_predicts_through_the_train_module_attribute(tiny_store,
 
     monkeypatch.setattr(train, "sliding_window_predict", counting)
     config = train.TrainConfig(model=ModelConfig(**TINY_MODEL), epochs=1, batch_size=8)
-    train.train_and_score(tiny_store, config)
+    train.train_and_score_cells([(tiny_store, config)])
     assert len(calls) == 1
 
 

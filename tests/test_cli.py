@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import seqdg.train
 from seqdg import cli, evaluate
 from seqdg.checkpoint import load_model, save_checkpoint
 from seqdg.cli import main
@@ -25,7 +26,7 @@ from seqdg.data import (
 from seqdg.evaluate import Prediction, sliding_window_predict
 from seqdg.model import ModelConfig, ModelParams, SeqDGModel
 from seqdg.synth import SynthConfig, bayes_accuracy_on_store, context_oracle_accuracy, generate
-from seqdg.tensor import NonFiniteError
+from seqdg.tensor import NonFiniteError, Tensor, grad_check, mse
 from seqdg.train import CellScore, DivergenceError, TrainConfig, fit
 from test_data import to_v1
 from test_train import patch_fit, pin
@@ -49,6 +50,17 @@ SMALL_SYNTH = {
 def config_path(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(SMALL_SYNTH))
+    return path
+
+
+def edited_config(tmp_path, **sections):
+    """A copy of the SMALL_SYNTH config file, each section named in
+    `sections` updated by its dict; its path."""
+    cfg = json.loads(json.dumps(SMALL_SYNTH))
+    for section, values in sections.items():
+        cfg[section].update(values)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(cfg))
     return path
 
 
@@ -161,6 +173,12 @@ class TestConfigLoading:
         run = load_run_config(config_path, {"seed": 99})
         assert run.synth.seed == 99
         assert run.train.seed == 99
+        assert run.ablate["seeds"] == [99]  # over the file's grid seeds
+
+    def test_grid_seeds_the_file_leaves_out_are_the_train_seed(self, tmp_path):
+        path = tmp_path / "seeded.json"
+        path.write_text(json.dumps({"train": {"seed": 3}}))
+        assert load_run_config(path).ablate["seeds"] == [3]
 
 
 class TestSynthGen:
@@ -195,10 +213,7 @@ class TestSynthGen:
         ("train", "seqmix_exclude_center", False), ("train", "n_clips_sample", None),
         ("synth", "context_margin", 30.0)])
     def test_retired_keys_are_config_errors(self, tmp_path, section, key, value):
-        cfg = json.loads(json.dumps(SMALL_SYNTH))
-        cfg[section][key] = value
-        path = tmp_path / "retired.json"
-        path.write_text(json.dumps(cfg))
+        path = edited_config(tmp_path, **{section: {key: value}})
         assert main(["synth-gen", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
 
 
@@ -266,12 +281,7 @@ class TestTrainEval:
 
     def test_lr_schedule_logged(self, tmp_path, config_path, dataset_dir):
         run_dir = tmp_path / "run_sched"
-        cfg = json.loads(Path(config_path).read_text())
-        cfg["train"]["epochs"] = 2
-        cfg["train"]["lr"] = 0.005
-        cfg["train"]["lr_decay_epochs"] = [1]
-        sched = tmp_path / "sched.json"
-        sched.write_text(json.dumps(cfg))
+        sched = edited_config(tmp_path, train={"epochs": 2, "lr": 0.005, "lr_decay_epochs": [1]})
         assert main(["train", "--config", str(sched), "--data", str(dataset_dir),
                      "--out", str(run_dir)]) == 0
         lrs = [json.loads(line)["lr"] for line in
@@ -354,11 +364,8 @@ class TestTrainEval:
         assert results["metrics"] == recount
 
     def test_default_k_beyond_the_class_counts_scores_every_class(self, tmp_path):
-        cfg = json.loads(json.dumps(SMALL_SYNTH))
-        cfg["synth"].update(n_ambiguous_pairs=0, n_verbs=4, n_nouns=3)
-        cfg["model"].update(n_verbs=4, n_nouns=3, vocab_size=7)
-        path = tmp_path / "few_classes.json"
-        path.write_text(json.dumps(cfg))
+        path = edited_config(tmp_path, synth={"n_ambiguous_pairs": 0, "n_verbs": 4, "n_nouns": 3},
+                             model={"n_verbs": 4, "n_nouns": 3, "vocab_size": 7})
         data_dir, run_dir, eval_dir = tmp_path / "data", tmp_path / "run", tmp_path / "eval"
         assert main(["synth-gen", "--config", str(path), "--out", str(data_dir)]) == 0
         assert main(["train", "--config", str(path), "--data", str(data_dir),
@@ -422,11 +429,7 @@ class TestTrainEval:
         assert not out.exists()
 
     def test_divergent_lr_exit_code(self, tmp_path, config_path, dataset_dir):
-        cfg = json.loads(Path(config_path).read_text())
-        cfg["train"]["lr"] = 1e9
-        cfg["train"]["epochs"] = 4
-        blowup = tmp_path / "blowup.json"
-        blowup.write_text(json.dumps(cfg))
+        blowup = edited_config(tmp_path, train={"lr": 1e9, "epochs": 4})
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["train", "--config", str(blowup), "--data",
                          str(dataset_dir), "--out", str(tmp_path / "div")])
@@ -476,11 +479,8 @@ class TestAblate:
             trained.extend(cells)
             return [CellScore(50.0, 0.0)] * len(cells)
 
-        monkeypatch.setattr(cli, "train_and_score_cells", train_and_score_cells)
-        cfg = json.loads(json.dumps(SMALL_SYNTH))
-        cfg["ablate"][axis] = values
-        path = tmp_path / "grid.json"
-        path.write_text(json.dumps(cfg))
+        monkeypatch.setattr(seqdg.train, "train_and_score_cells", train_and_score_cells)
+        path = edited_config(tmp_path, ablate={axis: values})
         out = tmp_path / "ablate"
         assert main(["ablate", "--config", str(path), "--data", str(dataset_dir),
                      "--out", str(out)]) == 2
@@ -491,12 +491,7 @@ class TestAblate:
     def grid(self, tmp_path, **train):
         """SMALL_SYNTH with a four-cell grid (W 1 and 3, seeds 0 and 1),
         its `train` section updated by `train`; the config's path."""
-        cfg = json.loads(json.dumps(SMALL_SYNTH))
-        cfg["train"].update(train)
-        cfg["ablate"]["seeds"] = [0, 1]
-        path = tmp_path / "grid.json"
-        path.write_text(json.dumps(cfg))
-        return path
+        return edited_config(tmp_path, train=train, ablate={"seeds": [0, 1]})
 
     def ablate_on(self, cpus, config, dataset_dir, out, monkeypatch, capsys):
         """`seqdg ablate` with `cpus` usable CPUs and BLAS on one thread;
@@ -554,15 +549,29 @@ class TestAblate:
         assert runs[0] == runs[1]
         assert runs[0][0] == 4 and runs[0][2] == f"numerical failure: {exc}\n"
 
+    @pytest.mark.parametrize("flag, trained", [(["--seed", "7"], [7]), ([], [1, 0])],
+                             ids=["seed_flag", "file_seeds"])
+    def test_the_grid_trains_the_seed_flag_else_the_files_seeds(self, flag, trained, tmp_path,
+                                                                dataset_dir, monkeypatch):
+        pin(monkeypatch, 1)
+        log = patch_fit(monkeypatch, tmp_path, wait=False)
+        path = edited_config(tmp_path, train={"seed": 3}, ablate={"W": [3], "seeds": [1, 0]})
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--config", str(path), "--data", str(dataset_dir),
+                     "--out", str(out), "--epochs", "1", *flag]) == 0
+        assert [int(line.split()[1]) for line in log.read_text().splitlines()] == trained
+        prov = json.loads((out / "config_resolved.json").read_text())
+        assert (prov["seed"], prov["config"]["ablate"]["seeds"]) == (trained[0], trained)
+        ablation = json.loads((out / "ablation.json").read_text())
+        assert ablation["grid"]["seeds"] == trained
+        assert len(ablation["rows"][0]["per_seed"]) == len(trained)
+
     def test_token_text_loss_records_the_vocab_size_it_trains_with(self, tmp_path,
                                                                    dataset_dir):
-        cfg = json.loads(json.dumps(SMALL_SYNTH))
-        del cfg["model"]["vocab_size"]
-        cfg["train"]["text_loss"] = "token_cross_entropy"
-        cfg["ablate"] = {"W": [3], "p_mix": [0.0], "lambda_rv": [0.0],
-                         "lambda_rt": [1.0], "seeds": [0]}
-        path = tmp_path / "token.json"
-        path.write_text(json.dumps(cfg))
+        # vocab_size null: the file leaves the token loss's vocabulary unsized
+        path = edited_config(tmp_path, model={"vocab_size": None},
+                             train={"text_loss": "token_cross_entropy"},
+                             ablate={"W": [3], "lambda_rt": [1.0]})
         out = tmp_path / "ablate"
         assert main(["ablate", "--config", str(path), "--data", str(dataset_dir),
                      "--out", str(out), "--epochs", "1"]) == 0
@@ -651,12 +660,31 @@ class TestSeqStats:
 
 
 class TestGradCheckCommand:
-    def test_passes_and_writes_report(self, tmp_path):
-        out = tmp_path / "gc"
-        assert main(["grad-check", "--out", str(out), "--tol", "1e-3"]) == 0
-        report = json.loads((out / "grad_check.json").read_text())
+    """The command's wiring and report. Criterion 1 runs the full-objective
+    check; here `grad_check` checks a small mean squared error instead, at
+    tolerance 0 (which no check passes) for the text losses in `failing`."""
+
+    def run(self, tmp_path, monkeypatch, failing=()):
+        def check(text_loss, *, seed, data_seed, h, tol):
+            theta = Tensor(np.arange(4.0), requires_grad=True)
+            return grad_check(lambda: mse(theta, Tensor(np.ones(4))), {"theta": theta}, h=h,
+                              tol=0.0 if text_loss in failing else tol)
+
+        monkeypatch.setattr(cli, "objective_grad_check", check)
+        code = main(["grad-check", "--out", str(tmp_path / "gc"), "--tol", "1e-3"])
+        return code, json.loads((tmp_path / "gc" / "grad_check.json").read_text())
+
+    def test_passes_and_writes_report(self, tmp_path, monkeypatch):
+        code, report = self.run(tmp_path, monkeypatch)
+        assert code == 0
         assert set(report) == {"mse", "token_cross_entropy"}
         assert all(r["passed"] for r in report.values())
+
+    def test_a_failed_check_exits_4_and_still_writes_its_report(self, tmp_path, monkeypatch):
+        code, report = self.run(tmp_path, monkeypatch, failing=("token_cross_entropy",))
+        assert code == 4
+        assert {kind: r["passed"] for kind, r in report.items()} == {
+            "mse": True, "token_cross_entropy": False}
 
 
 def split_checkpoint(raw: bytes):
@@ -1050,16 +1078,13 @@ class TestLabelAndEmptyDataErrors:
             rng.standard_normal(len(rows) * 16).astype("<f4").tofile(text)
             argv += ["--text-features", str(text)]
         assert main(argv) == 0
-        cfg = json.loads(json.dumps(SMALL_SYNTH))
-        cfg["train"]["batch_size"] = 4
+        train = {"batch_size": 4}
         if case == "token_loss":
-            cfg["train"]["text_loss"] = "token_cross_entropy"
+            train["text_loss"] = "token_cross_entropy"
         if command == "ablate":
             # only the grid's second lambda_rt reads narrations
-            cfg["train"].update(lambda_rv=0.0, lambda_rt=0.0)
-            cfg["ablate"]["lambda_rt"] = [0.0, 1.0]
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(cfg))
+            train.update(lambda_rv=0.0, lambda_rt=0.0)
+        config = edited_config(tmp_path, train=train, ablate={"lambda_rt": [0.0, 1.0]})
         out = tmp_path / "out"
         assert main([command, "--config", str(config), "--data", str(tmp_path / "data"),
                      "--out", str(out)]) == 3
@@ -1125,10 +1150,7 @@ class TestStoreConsistencyErrors:
         assert not (tmp_path / "out").exists()
 
     def test_synth_text_width_below_one_is_config_error(self, tmp_path, capsys):
-        cfg = json.loads(json.dumps(SMALL_SYNTH))
-        cfg["synth"]["d_t"] = 0
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(cfg))
+        path = edited_config(tmp_path, synth={"d_t": 0})
         assert main(["synth-gen", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "d_t must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -1357,15 +1379,6 @@ def test_video_with_a_temporal_gap_writes_nothing(command, tmp_path, dataset_dir
     assert not (tmp_path / "out").exists()
 
 
-def with_section(tmp_path, section, **values):
-    """A copy of the SMALL_SYNTH config file with `values` set in `section`."""
-    cfg = json.loads(json.dumps(SMALL_SYNTH))
-    cfg[section].update(values)
-    path = tmp_path / "edited.json"
-    path.write_text(json.dumps(cfg))
-    return path
-
-
 class TestRunFailsBeforeAnyOutput:
     def run(self, command, config, tmp_path, dataset_dir, *flags):
         argv = [command, "--config", str(config), "--out", str(tmp_path / "out"), *flags]
@@ -1376,7 +1389,7 @@ class TestRunFailsBeforeAnyOutput:
                                            config_path, capsys):
         if command == "ablate":
             # the grid's second seed
-            code = self.run(command, with_section(tmp_path, "ablate", seeds=[0, -1]),
+            code = self.run(command, edited_config(tmp_path, ablate={"seeds": [0, -1]}),
                             tmp_path, dataset_dir)
         else:
             code = self.run(command, config_path, tmp_path, dataset_dir, "--seed", "-1")
@@ -1398,7 +1411,7 @@ class TestRunFailsBeforeAnyOutput:
     ])
     def test_model_too_large_to_allocate_is_config_error(self, command, section, key, value,
                                                          tmp_path, dataset_dir, capsys):
-        config = with_section(tmp_path, section, **{key: value})
+        config = edited_config(tmp_path, **{section: {key: value}})
         assert self.run(command, config, tmp_path, dataset_dir) == 2
         assert "cannot allocate the model" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -1416,7 +1429,7 @@ class TestRunFailsBeforeAnyOutput:
     ])
     def test_int_past_the_float_range_is_config_error(self, command, section, key,
                                                       tmp_path, dataset_dir, capsys):
-        config = with_section(tmp_path, section, **{key: 10**400})
+        config = edited_config(tmp_path, **{section: {key: 10**400}})
         assert self.run(command, config, tmp_path, dataset_dir) == 2
         assert f"{section}: {key} cannot be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

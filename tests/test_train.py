@@ -16,6 +16,7 @@ from seqdg.data import Batch, DataError, DatasetSplit, FeatureStore
 from seqdg.model import ModelConfig, SeqDGModel
 from seqdg.tensor import NonFiniteError
 from seqdg.train import (
+    CellScore,
     DivergenceError,
     _claims,
     TrainConfig,
@@ -23,7 +24,7 @@ from seqdg.train import (
     fit,
     fit_processes,
     lr_at,
-    train_and_score,
+    score_arms,
     train_and_score_cells,
 )
 from seqdg.data import ActionRecord
@@ -409,7 +410,7 @@ def test_train_and_score_without_target_actions_is_data_error(monkeypatch):
     # refused before any training
     monkeypatch.setattr(seqdg.train, "fit", None)
     with pytest.raises(DataError, match="target domains hold no actions"):
-        train_and_score(toy_store(), toy_train_config(epochs=1))
+        train_and_score_cells([(toy_store(), toy_train_config(epochs=1))])
 
 
 def pin(monkeypatch, cpus, blas="1"):
@@ -455,17 +456,19 @@ class Unpicklable(Exception):
 
 
 class TestCellRunner:
-    """`train_and_score_cells` on a three-domain toy store. The runs that
-    fork start one worker at most: two processes in all."""
+    """`train_and_score_cells`, and the grid path `score_arms` over it, on
+    a three-domain toy store. The runs that fork start one worker at most."""
 
     @pytest.fixture
     def store(self):
         return toy_store(n_videos=3, domains=("S0", "S1", "T0"), target=("T0",))
 
-    def cells(self, store, seeds=(0, 1, 2), Ws=(1, 3)):
-        return [(store, toy_train_config(model=replace(toy_train_config().model, W=w),
-                                         seed=seed))
-                for w in Ws for seed in seeds]
+    def arms(self, Ws=(1, 3)):
+        return {w: toy_train_config(model=replace(toy_train_config().model, W=w)) for w in Ws}
+
+    def cells(self, store, seeds=(0, 1, 2)):  # the grid of `arms()`, by hand
+        return [(store, replace(config, seed=seed))
+                for config in self.arms().values() for seed in seeds]
 
     @pytest.mark.parametrize("env, cpus, n_cells, n", [
         ({}, 4, 10, 1),                                     # BLAS unpinned
@@ -524,6 +527,10 @@ class TestCellRunner:
             assert all(score.seconds > 0 for score in scores)
             runs[cpus] = ([score.top1 for score in scores], list(scored),
                           [line.split() for line in log.read_text().splitlines()])
+            # the grid path, on the same store for every seed, scores the same bits
+            scored.clear()
+            grid = score_arms(self.arms(), (0, 1, 2), dict.fromkeys((0, 1, 2), store))
+            assert ([score.top1 for arm in grid.values() for score in arm], scored) == runs[1][:2]
         assert runs[1][:2] == runs[2][:2]
         assert len(runs[1][1]) == 6
         # in one process the caller fitted every cell; in two, it fitted
@@ -581,3 +588,19 @@ class TestCellRunner:
             train_and_score_cells(self.cells(store))
         assert multiprocessing.active_children() == []
         assert time.monotonic() - start < 30
+
+    def test_the_grid_runs_arm_major_and_seed_minor_on_each_seeds_store(self, monkeypatch):
+        stores, ran = {seed: toy_store(seed=seed) for seed in (0, 1)}, []
+        monkeypatch.setattr(seqdg.train, "train_and_score_cells", lambda cells: ran.extend(cells)
+                            or [CellScore(float(i), 0.0) for i in range(len(cells))])
+        scores = score_arms(self.arms(), [1, 0], stores)
+        assert [(config.W, config.seed) for _, config in ran] == [(1, 1), (1, 0), (3, 1), (3, 0)]
+        assert all(store is stores[config.seed] for store, config in ran)
+        assert {w: [score.top1 for score in arm] for w, arm in scores.items()} == {
+            1: [0.0, 1.0], 3: [2.0, 3.0]}
+
+    def test_a_negative_grid_seed_is_refused_before_any_fit(self, store, monkeypatch, tmp_path):
+        log = patch_fit(monkeypatch, tmp_path, wait=False)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            score_arms(self.arms(), [0, -1], dict.fromkeys([0, -1], store))
+        assert not log.exists()
