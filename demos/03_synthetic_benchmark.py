@@ -3,12 +3,12 @@ dataset whose center actions are deliberately ambiguous without context,
 check the oracle floor and ceiling, then train the full sequence model
 against the single-action baseline and compare on the unseen domain.
 
-The model and schedule are `bench_config.json`'s, and the two arms run
-through `train.score_arms`, as `seqdg ablate` and the acceptance grid
-do. Reduced sizes; the acceptance suite runs five seeds.
+The model and schedule are `bench_config.json`'s; the two arms, each the
+fields it sets on that config, run through `train.score_arms`, as `seqdg
+ablate` and the acceptance grid do. Reduced sizes; the acceptance suite
+runs five seeds.
 """
 
-from dataclasses import replace
 from pathlib import Path
 
 from seqdg.config import load_run_config
@@ -38,11 +38,9 @@ print(f"the gap a sequence model can exploit:         {oracle - bayes:.1f} point
 print()
 print("== single-action baseline vs the full sequence model ==")
 bench = load_run_config(Path(__file__).resolve().parent / "bench_config.json")
-arms = {"baseline W=1": replace(bench.train, model=replace(bench.model, W=1),
-                                lambda_rv=0.0, lambda_rt=0.0, p_mix=0.0),
-        "full model W=5": replace(bench.train, model=replace(bench.model, W=5),
-                                  lambda_rv=1.0, lambda_rt=1.0, p_mix=0.5)}
-scores = {tag: cells[0] for tag, cells in score_arms(arms, [0], {0: store}).items()}
+arms = {"baseline W=1": dict(W=1, lambda_rv=0.0, lambda_rt=0.0, p_mix=0.0),
+        "full model W=5": dict(W=5, lambda_rv=1.0, lambda_rt=1.0, p_mix=0.5)}
+scores = {tag: cells[0] for tag, cells in score_arms(bench.train, arms, [0], {0: store}).items()}
 for tag, score in scores.items():
     print(f"{tag:<14}: target action top-1 {score.top1:.1f} ({score.seconds:.0f}s)")
 gain = scores["full model W=5"].top1 - scores["baseline W=1"].top1

@@ -5,10 +5,10 @@ Subcommands cover the whole pipeline: `synth-gen` (benchmark datasets),
 window-length grid), `seq-stats` (repeated-sequence tables), and
 `grad-check` (finite-difference verification of the full model).
 
-`ablate` trains an arm per combination of its axes at each grid seed
-through `train.score_arms`, on every usable CPU when BLAS is pinned to
-one thread; its rows are bitwise those of one process, which `taskset
--c 0 seqdg ablate ...` forces.
+`ablate` trains an arm per combination of its axes (a flag pins its axis
+to its value) at each grid seed through `train.score_arms`, on every
+usable CPU when BLAS is pinned to one thread; its rows are bitwise those
+of one process, which `taskset -c 0 seqdg ablate ...` forces.
 
 Every run writes its resolved configuration, the seed, and the hashes of
 its input data into the output directory, so a run is reproducible from
@@ -24,13 +24,12 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from seqdg.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from seqdg.config import ConfigError, file_sha256, load_run_config
+from seqdg.config import ABLATE_FIELDS, ConfigError, file_sha256, load_run_config
 from seqdg.data import (
     Actions,
     DataError,
@@ -42,7 +41,7 @@ from seqdg.evaluate import accuracy, head_k, sliding_window_predict
 from seqdg.model import ModelConfig, SeqDGModel
 from seqdg.seqstats import count_all_categories, format_table, table_to_dict
 from seqdg.synth import generate_to
-from seqdg.tensor import NonFiniteError
+from seqdg.tensor import NonFiniteError, check_step
 from seqdg.train import (
     DivergenceError,
     TrainConfig,
@@ -255,27 +254,23 @@ def cmd_ablate(args) -> int:
     run = _train_config_for(store, args)
     store.split_actions("target")
     grid, seeds = run.ablate, run.ablate["seeds"]
-    # checked before any output: each arm and seed, each arm's labels and model allocation
-    arms = {(w, p_mix, lam_v, lam_t): replace(
-                run.train, model=replace(run.model, W=w), p_mix=p_mix, lambda_rv=lam_v,
-                lambda_rt=lam_t).check()
-            for w, p_mix, lam_v, lam_t in itertools.product(
-                grid["W"], grid["p_mix"], grid["lambda_rv"], grid["lambda_rt"])}
-    for seed in seeds:
-        replace(run.train, seed=seed).check()
-    for config in arms.values():
+    axes = [axis for axis in ABLATE_FIELDS if axis != "seeds"]
+    arms = {values: dict(zip(axes, values))
+            for values in itertools.product(*(grid[axis] for axis in axes))}
+    # checked before any output: each arm at each seed, each arm's labels and model allocation
+    for fields in arms.values():
+        config = [run.train.with_fields(**fields, seed=seed) for seed in seeds][0]
         _check_labels(store, config)
         SeqDGModel.init(config.model, seed=config.seed)
     out = _out_dir(args)
     _write_provenance(out, "ablate", run.to_dict(), seeds[0], _data_hashes(store))
+    scores = score_arms(run.train, arms, seeds, dict.fromkeys(seeds, store))
     rows = []
-    for (w, p_mix, lam_v, lam_t), scores in score_arms(
-            arms, seeds, dict.fromkeys(seeds, store)).items():
-        accs = [score.top1 for score in scores]
-        rows.append({"W": w, "p_mix": p_mix, "lambda_rv": lam_v, "lambda_rt": lam_t,
-                     "target_action_top1": round(float(np.mean(accs)), 2),
+    for key, fields in arms.items():
+        accs = [score.top1 for score in scores[key]]
+        rows.append({**fields, "target_action_top1": round(float(np.mean(accs)), 2),
                      "per_seed": [round(a, 2) for a in accs]})
-        print(f"W={w} p_mix={p_mix} lrv={lam_v} lrt={lam_t}: {rows[-1]['target_action_top1']:.2f}")
+        print("W={} p_mix={} lrv={} lrt={}: {:.2f}".format(*key, rows[-1]["target_action_top1"]))
     _write_json(out / "ablation.json", {"grid": grid, "rows": rows})
     return EXIT_OK
 
@@ -295,8 +290,11 @@ def cmd_seq_stats(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    out = _out_dir(args)
     seed = args.seed or 0
+    if seed < 0:
+        raise ConfigError([f"seed must be >= 0, got {seed}"])
+    check_step(args.h)
+    out = _out_dir(args)
     reports = {}
     elapsed = {}
     for kind in ("mse", "token_cross_entropy"):

@@ -91,9 +91,9 @@ def field_problems(section: str, payload, defaults: dict) -> list[str]:
 def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Parse and validate a config file, then apply `overrides`.
 
-    Each override that is not None sets its key in every section with a
-    field of that name, over what the file says; the grid's seeds are the
-    `seed` override, else the file's `ablate.seeds`, else `[train.seed]`.
+    Each override that is not None sets its field in every section, and
+    pins the grid axis that sweeps it, over what the file says; a grid
+    axis the file leaves out takes `DEFAULT_ABLATE`, or `[train.seed]`.
     Raises ConfigError carrying every violation found in one pass.
     """
     problems: list[str] = []
@@ -125,9 +125,8 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
     problems += field_problems("ablate", ablate_raw, dict.fromkeys(ABLATE_FIELDS, []))
     if problems:
         raise ConfigError(problems)
-    ablate = {**DEFAULT_ABLATE, **ablate_raw}
     swept = {**defaults["model"], **defaults["train"]}
-    for key, values in ablate.items():
+    for key, values in ablate_raw.items():
         if not values:
             problems.append(f"ablate: {key} must be a non-empty list")
         elif not all(_fits(swept[ABLATE_FIELDS[key]], v) for v in values):
@@ -149,8 +148,9 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
     problems.extend(f"model/train: {e}" for e in train.validate())
     if problems:
         raise ConfigError(problems)
-    if "seed" in overrides or "seeds" not in ablate:
-        ablate["seeds"] = [train.seed]
+    ablate = {axis: [overrides[name]] if name in overrides
+              else ablate_raw.get(axis, DEFAULT_ABLATE.get(axis, [train.seed]))
+              for axis, name in ABLATE_FIELDS.items()}
     return RunConfig(synth=synth, train=train, ablate=ablate)
 
 

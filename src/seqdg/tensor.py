@@ -78,6 +78,7 @@ __all__ = [
     "cross_entropy",
     "sum_all",
     "grad_check",
+    "check_step",
     "GradCheckReport",
     "ParamCheck",
 ]
@@ -883,6 +884,11 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
+def check_step(h: float):
+    if not (1e-6 <= h <= 1e-4):  # the steps `grad_check` takes
+        raise ValueError(f"grad_check: h={h:g} outside [1e-6, 1e-4]")
+
+
 def grad_check(f, params: dict[str, Tensor], h: float = 1e-5, tol: float = 1e-6,
                rel_floor: float = 1e-3) -> GradCheckReport:
     """Compare analytic gradients of scalar `f()` against central differences.
@@ -895,9 +901,7 @@ def grad_check(f, params: dict[str, Tensor], h: float = 1e-5, tol: float = 1e-6,
     about eps*scale/h where scale is the size of intermediate values
     (roughly 1e-11 per unit of internal magnitude at h=1e-5).
     """
-    if not (1e-6 <= h <= 1e-4):
-        raise ValueError(f"grad_check: h={h:g} outside [1e-6, 1e-4]")
-
+    check_step(h)
     with no_grad():
         first = f().item()
         second = f().item()

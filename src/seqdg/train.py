@@ -16,14 +16,14 @@ since only the metrics file reads the earlier ones.
 
 Library entry points wrap the loop. `train_and_score_cells` trains and
 scores a list of cells (each a store and a config; train, then
-target-split action top-1), and `score_arms` runs an ablation grid
-through it: every arm (a key and its config) at every seed. Cells are
-independent and deterministic, so it fits them on every usable CPU, in
-forked workers beside the calling process; with BLAS unpinned, on one
-usable CPU (`taskset -c 0`) or without the `fork` start method the
-calling process fits every cell itself, and the scores are bitwise the
-same either way. `objective_grad_check` is the finite-difference check
-of the full objective.
+target-split action top-1), and `score_arms` runs an ablation grid through
+it: every arm (the fields `TrainConfig.with_fields` sets on a base config)
+at every seed. Cells are independent and deterministic, so it fits them on
+every usable CPU, in forked workers beside the calling process; with BLAS
+unpinned, on one usable CPU (`taskset -c 0`) or without the `fork` start
+method the calling process fits every cell itself, and the scores are
+bitwise the same either way. `objective_grad_check` is the
+finite-difference check of the full objective.
 """
 
 from __future__ import annotations
@@ -146,6 +146,11 @@ class TrainConfig:
         if errs:
             raise ValueError("invalid train config: " + "; ".join(errs))
         return self
+
+    def with_fields(self, **fields) -> "TrainConfig":
+        """A checked copy setting each named field, in `model` if it is a model field."""
+        model = {k: fields.pop(k) for k in list(fields) if k in ModelConfig.__dataclass_fields__}
+        return replace(self, model=replace(self.model, **model), **fields).check()
 
     def to_dict(self) -> dict:
         d = {k: getattr(self, k) for k in self.__dataclass_fields__ if k != "model"}
@@ -476,12 +481,12 @@ def train_and_score_cells(cells) -> list[CellScore]:
     return scores
 
 
-def score_arms(arms: dict, seeds, stores: dict) -> dict:
-    """Train and score each arm (a key mapped to its `TrainConfig`) at each
-    seed on `stores[seed]`, arm-major and seed-minor, every cell checked
-    before any fit; returns each key's `CellScore`s in seed order."""
-    scores = iter(train_and_score_cells([(stores[seed], replace(config, seed=seed).check())
-                                         for config in arms.values() for seed in seeds]))
+def score_arms(base: TrainConfig, arms: dict, seeds, stores: dict) -> dict:
+    """Train and score each arm (a key mapped to the fields it sets on
+    `base`) at each seed on `stores[seed]`, arm-major and seed-minor, every
+    cell checked before any fit; returns each key's scores in seed order."""
+    scores = iter(train_and_score_cells([(stores[seed], base.with_fields(**fields, seed=seed))
+                                         for fields in arms.values() for seed in seeds]))
     return {key: [next(scores) for _seed in seeds] for key in arms}
 
 

@@ -4,8 +4,9 @@ and always on failure).
 
 Criteria 5-7 share one grid on the default synthetic benchmark (six arms
 x five seeds, one generated store per seed) with the model and schedule
-of `demos/bench_config.json`, built once per session by
-`train.score_arms` and fitted on every usable CPU.
+of `demos/bench_config.json`, each arm the fields it sets on that config,
+built once per session by `train.score_arms` and fitted on every usable
+CPU.
 """
 
 import os
@@ -53,12 +54,12 @@ def ok(criterion: int, message: str):
 
 SEEDS = (0, 1, 2, 3, 4)
 ARMS = {
-    "baseline": dict(W=1, lam=0.0, p_mix=0.0),
-    "sequence": dict(W=5, lam=0.0, p_mix=0.0),
-    "seqmix": dict(W=5, lam=0.0, p_mix=0.5),
-    "full": dict(W=5, lam=1.0, p_mix=0.5),
-    "w3": dict(W=3, lam=1.0, p_mix=0.5),
-    "w7": dict(W=7, lam=1.0, p_mix=0.5),
+    "baseline": dict(W=1, lambda_rv=0.0, lambda_rt=0.0, p_mix=0.0),
+    "sequence": dict(W=5, lambda_rv=0.0, lambda_rt=0.0, p_mix=0.0),
+    "seqmix": dict(W=5, lambda_rv=0.0, lambda_rt=0.0, p_mix=0.5),
+    "full": dict(W=5, lambda_rv=1.0, lambda_rt=1.0, p_mix=0.5),
+    "w3": dict(W=3, lambda_rv=1.0, lambda_rt=1.0, p_mix=0.5),
+    "w7": dict(W=7, lambda_rv=1.0, lambda_rt=1.0, p_mix=0.5),
 }
 
 
@@ -73,9 +74,7 @@ def bench_grid():
         start = time.monotonic()
         stores[seed] = generate(SynthConfig(seed=seed))[0]
         generate_s[seed] = time.monotonic() - start
-    scores = score_arms({arm: replace(BENCH.train, model=replace(BENCH.model, W=a["W"]),
-                                      lambda_rv=a["lam"], lambda_rt=a["lam"], p_mix=a["p_mix"])
-                         for arm, a in ARMS.items()}, SEEDS, stores)
+    scores = score_arms(BENCH.train, ARMS, SEEDS, stores)
     return {"means": {arm: float(np.mean([s.top1 for s in scores[arm]])) for arm in ARMS},
             "timings": {arm: sum(generate_s[seed] + s.seconds
                                  for seed, s in zip(SEEDS, scores[arm])) for arm in ARMS}}

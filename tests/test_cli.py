@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -174,6 +175,12 @@ class TestConfigLoading:
         assert run.synth.seed == 99
         assert run.train.seed == 99
         assert run.ablate["seeds"] == [99]  # over the file's grid seeds
+
+    def test_every_axis_flag_pins_its_axis(self, config_path):
+        flags = {"W": 5, "p_mix": 0.25, "lambda_rv": 0.5, "lambda_rt": 0.75, "seed": 4}
+        run = load_run_config(config_path, flags)
+        assert run.ablate == {axis: [flags[field]] for axis, field in ABLATE_FIELDS.items()}
+        assert load_run_config(config_path).ablate == SMALL_SYNTH["ablate"]
 
     def test_grid_seeds_the_file_leaves_out_are_the_train_seed(self, tmp_path):
         path = tmp_path / "seeded.json"
@@ -457,6 +464,19 @@ class TestTrainEval:
         assert threading.active_count() == before
 
 
+def record_cells(monkeypatch) -> list:
+    """Stub `train.train_and_score_cells` to train nothing and score each
+    cell 50; the list it records the cells it is given in."""
+    cells = []
+
+    def train_and_score_cells(given):
+        cells.extend(given)
+        return [CellScore(50.0, 0.0)] * len(given)
+
+    monkeypatch.setattr(seqdg.train, "train_and_score_cells", train_and_score_cells)
+    return cells
+
+
 class TestAblate:
     def test_all_components_off_is_single_action_baseline(self, tmp_path,
                                                           config_path,
@@ -473,13 +493,7 @@ class TestAblate:
                                               ("lambda_rv", [0.0, -1.0])])
     def test_bad_late_grid_value_trains_nothing(self, axis, values, tmp_path, dataset_dir,
                                                monkeypatch, capsys):
-        trained = []
-
-        def train_and_score_cells(cells):
-            trained.extend(cells)
-            return [CellScore(50.0, 0.0)] * len(cells)
-
-        monkeypatch.setattr(seqdg.train, "train_and_score_cells", train_and_score_cells)
+        trained = record_cells(monkeypatch)
         path = edited_config(tmp_path, ablate={axis: values})
         out = tmp_path / "ablate"
         assert main(["ablate", "--config", str(path), "--data", str(dataset_dir),
@@ -566,6 +580,25 @@ class TestAblate:
         assert ablation["grid"]["seeds"] == trained
         assert len(ablation["rows"][0]["per_seed"]) == len(trained)
 
+    def test_axis_flags_train_one_arm_with_their_values(self, tmp_path, config_path,
+                                                        dataset_dir, monkeypatch):
+        # the file's grid has W 1 and 3; the flags pin every axis
+        cells = record_cells(monkeypatch)
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--config", str(config_path), "--data", str(dataset_dir),
+                     "--out", str(out), "--W", "3",
+                     "--p-mix", "0.0", "--lambda-rv", "0.0", "--lambda-rt", "0.0"]) == 0
+        arm = {"W": 3, "p_mix": 0.0, "lambda_rv": 0.0, "lambda_rt": 0.0}
+        assert [(c.W, c.p_mix, c.lambda_rv, c.lambda_rt, c.seed) for _, c in cells] == [
+            (3, 0.0, 0.0, 0.0, 0)]
+        rows = json.loads((out / "ablation.json").read_text())["rows"]
+        assert [{k: row[k] for k in arm} for row in rows] == [arm]
+        prov = json.loads((out / "config_resolved.json").read_text())["config"]
+        assert prov["model"]["W"] == 3
+        assert {k: prov["train"][k] for k in ("p_mix", "lambda_rv", "lambda_rt")} == {
+            "p_mix": 0.0, "lambda_rv": 0.0, "lambda_rt": 0.0}
+        assert {axis: prov["ablate"][axis] for axis in arm} == {k: [v] for k, v in arm.items()}
+
     def test_token_text_loss_records_the_vocab_size_it_trains_with(self, tmp_path,
                                                                    dataset_dir):
         # vocab_size null: the file leaves the token loss's vocabulary unsized
@@ -578,6 +611,47 @@ class TestAblate:
         vocab = json.loads((dataset_dir / "manifest.json").read_text())["vocab"]
         prov = json.loads((out / "config_resolved.json").read_text())
         assert prov["config"]["model"]["vocab_size"] == len(vocab)
+
+
+# a valid value for each train or model field that a flag sets, each
+# unlike SMALL_SYNTH's (and so unlike every value its grid sweeps)
+FLAG_VALUES = {"seed": 5, "W": 5, "lambda_rv": 0.5, "lambda_rt": 0.25, "p_mix": 0.75,
+               "epochs": 1}
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_every_train_or_model_flag_reaches_what_ran(command, tmp_path, config_path,
+                                                    dataset_dir, monkeypatch):
+    """Each flag that sets a train or model field shows up in what ran (the
+    checkpoint header under `train`; every trained cell's config and
+    ablation row under `ablate`) and in `config_resolved.json`."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    sections = {"model": set(field_defaults(ModelConfig)),
+                "train": set(field_defaults(TrainConfig)) - {"model"}}
+    flags = {a.option_strings[0]: a.dest for a in sub._actions
+             if a.dest in sections["model"] | sections["train"]}
+    assert sorted(flags.values()) == sorted(FLAG_VALUES)  # a new flag needs a value here
+    cells = record_cells(monkeypatch)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config_path), "--data", str(dataset_dir), "--out", str(out)]
+    assert main(argv + [x for flag, dest in flags.items()
+                        for x in (flag, str(FLAG_VALUES[dest]))]) == 0
+    if command == "train":
+        header = split_checkpoint((out / "checkpoint.ckpt").read_bytes())[0]
+        ran = [{"model": header["config"], "train": header["extra"]["train"]}]
+    else:
+        ran = [{"model": c.model.to_dict(), "train": c.to_dict()} for _, c in cells]
+        ablation = json.loads((out / "ablation.json").read_text())
+        assert ran and ablation["grid"]["seeds"] == [FLAG_VALUES["seed"]]
+        assert all(row[field] == FLAG_VALUES[field] for row in ablation["rows"]
+                   for field in row.keys() & FLAG_VALUES.keys())
+    resolved = json.loads((out / "config_resolved.json").read_text())
+    assert resolved["seed"] == FLAG_VALUES["seed"]
+    for field, value in FLAG_VALUES.items():
+        section = "model" if field in sections["model"] else "train"
+        assert resolved["config"][section][field] == value, field
+        assert all(what[section][field] == value for what in ran), field
 
 
 class TestProvenance:
@@ -1381,10 +1455,11 @@ def test_video_with_a_temporal_gap_writes_nothing(command, tmp_path, dataset_dir
 
 class TestRunFailsBeforeAnyOutput:
     def run(self, command, config, tmp_path, dataset_dir, *flags):
-        argv = [command, "--config", str(config), "--out", str(tmp_path / "out"), *flags]
-        return main(argv if command == "synth-gen" else argv + ["--data", str(dataset_dir)])
+        inputs = {"synth-gen": ["--config", str(config)], "grad-check": []}.get(
+            command, ["--config", str(config), "--data", str(dataset_dir)])
+        return main([command, *inputs, "--out", str(tmp_path / "out"), *flags])
 
-    @pytest.mark.parametrize("command", ["synth-gen", "train", "ablate"])
+    @pytest.mark.parametrize("command", ["synth-gen", "train", "ablate", "grad-check"])
     def test_negative_seed_is_config_error(self, command, tmp_path, dataset_dir,
                                            config_path, capsys):
         if command == "ablate":
@@ -1395,6 +1470,11 @@ class TestRunFailsBeforeAnyOutput:
             code = self.run(command, config_path, tmp_path, dataset_dir, "--seed", "-1")
         assert code == 2
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_grad_check_step_outside_its_range_is_config_error(self, tmp_path, capsys):
+        assert self.run("grad-check", None, tmp_path, None, "--h", "1") == 2
+        assert "h=1 outside [1e-6, 1e-4]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     # every size holds 2^55 floats (2^58 bytes), past any address space, so

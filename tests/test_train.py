@@ -2,9 +2,9 @@ import gc
 import json
 import multiprocessing
 import os
+import re
 import time
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,6 +78,43 @@ class TestLearningRateSchedule:
     def test_decay_epochs_must_increase(self):
         cfg = toy_train_config(lr_decay_epochs=(10, 10))
         assert any("increasing" in e for e in cfg.validate())
+
+
+class TestWithFields:
+    """`TrainConfig.with_fields`, the one rule that routes an ablation arm's
+    fields: a model field into `model`, any other into the train config."""
+
+    # a valid value for every field, each unlike the toy config's
+    OTHER = TrainConfig(
+        model=ModelConfig(W=5, D=16, D_V=4, D_T=16, n_enc_layers=2, n_dec_layers=0,
+                          n_heads=4, n_verbs=6, n_nouns=7, d_ff=8, vocab_size=9,
+                          layer_norm_eps=1e-6),
+        lambda_rv=0.5, lambda_rt=0.25, text_loss="token_cross_entropy", p_mix=0.75,
+        batch_size=8, lr=0.5, lr_decay_epochs=(3,), lr_decay_factor=2.0, epochs=5,
+        momentum=0.5, seed=6)
+
+    def test_every_field_lands_in_its_own_section(self):
+        base = toy_train_config()
+        model = self.OTHER.model.to_dict()
+        train = {name: getattr(self.OTHER, name) for name in TrainConfig.__dataclass_fields__
+                 if name != "model"}
+        # every value differs from the base's, so each section equals
+        # OTHER's only if every field of its own was set in it
+        assert all(value != getattr(base.model, name) for name, value in model.items())
+        assert all(value != getattr(base, name) for name, value in train.items())
+        assert base.with_fields(**model, **train) == self.OTHER
+        assert base == toy_train_config()  # a copy: the base is unchanged
+
+    @pytest.mark.parametrize("name", ["mystery", "model"])
+    def test_an_unknown_name_raises(self, name):
+        with pytest.raises(TypeError):
+            toy_train_config().with_fields(**{name: 1})
+
+    @pytest.mark.parametrize("fields, message", [({"W": 4}, "W must be odd"),
+                                                 ({"p_mix": 2.0}, "p_mix must be in [0, 1]")])
+    def test_an_invalid_value_raises_value_error(self, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            toy_train_config().with_fields(**fields)
 
 
 class TestCompositeLoss:
@@ -463,12 +500,11 @@ class TestCellRunner:
     def store(self):
         return toy_store(n_videos=3, domains=("S0", "S1", "T0"), target=("T0",))
 
-    def arms(self, Ws=(1, 3)):
-        return {w: toy_train_config(model=replace(toy_train_config().model, W=w)) for w in Ws}
+    arms = {1: {"W": 1}, 3: {"W": 3}}
 
-    def cells(self, store, seeds=(0, 1, 2)):  # the grid of `arms()`, by hand
-        return [(store, replace(config, seed=seed))
-                for config in self.arms().values() for seed in seeds]
+    def cells(self, store, seeds=(0, 1, 2)):  # the grid of `arms`, by hand
+        return [(store, toy_train_config().with_fields(**fields, seed=seed))
+                for fields in self.arms.values() for seed in seeds]
 
     @pytest.mark.parametrize("env, cpus, n_cells, n", [
         ({}, 4, 10, 1),                                     # BLAS unpinned
@@ -529,7 +565,8 @@ class TestCellRunner:
                           [line.split() for line in log.read_text().splitlines()])
             # the grid path, on the same store for every seed, scores the same bits
             scored.clear()
-            grid = score_arms(self.arms(), (0, 1, 2), dict.fromkeys((0, 1, 2), store))
+            grid = score_arms(toy_train_config(), self.arms, (0, 1, 2),
+                              dict.fromkeys((0, 1, 2), store))
             assert ([score.top1 for arm in grid.values() for score in arm], scored) == runs[1][:2]
         assert runs[1][:2] == runs[2][:2]
         assert len(runs[1][1]) == 6
@@ -593,7 +630,7 @@ class TestCellRunner:
         stores, ran = {seed: toy_store(seed=seed) for seed in (0, 1)}, []
         monkeypatch.setattr(seqdg.train, "train_and_score_cells", lambda cells: ran.extend(cells)
                             or [CellScore(float(i), 0.0) for i in range(len(cells))])
-        scores = score_arms(self.arms(), [1, 0], stores)
+        scores = score_arms(toy_train_config(), self.arms, [1, 0], stores)
         assert [(config.W, config.seed) for _, config in ran] == [(1, 1), (1, 0), (3, 1), (3, 0)]
         assert all(store is stores[config.seed] for store, config in ran)
         assert {w: [score.top1 for score in arm] for w, arm in scores.items()} == {
@@ -602,5 +639,5 @@ class TestCellRunner:
     def test_a_negative_grid_seed_is_refused_before_any_fit(self, store, monkeypatch, tmp_path):
         log = patch_fit(monkeypatch, tmp_path, wait=False)
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            score_arms(self.arms(), [0, -1], dict.fromkeys([0, -1], store))
+            score_arms(toy_train_config(), self.arms, [0, -1], dict.fromkeys([0, -1], store))
         assert not log.exists()
