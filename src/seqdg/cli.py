@@ -12,18 +12,25 @@ of one process, which `taskset -c 0 seqdg ablate ...` forces.
 
 Every run writes its resolved configuration, the seed, and the hashes of
 its input data into the output directory, so a run is reproducible from
-that directory alone. Exit codes: 0 success, 2 configuration error,
-3 data error, 4 numerical failure.
+that directory alone. A dataset's files are hashed by `_loaded`, on one
+worker thread from the moment the store loads: `eval` checks and scores
+meanwhile and takes the hashes only to write its provenance, the other
+commands take them at once. The thread has ended when `_loaded`'s block
+exits, so none is alive when `ablate` forks its fitting processes.
+Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +103,23 @@ def _data_hashes(store: FeatureStore) -> dict:
     return {name: file_sha256(path) for name, path in store.files.items()}
 
 
+@contextlib.contextmanager
+def _loaded(path):
+    """The store loaded from `path`, and a function that returns its
+    `_data_hashes`. The hashes are taken on one worker thread beside
+    whatever the block does; the thread has ended when the block exits,
+    however it exits."""
+    store = FeatureStore.load(path)
+    with ThreadPoolExecutor(1) as pool:
+        yield store, pool.submit(_data_hashes, store).result
+
+
+def _load_hashed(path) -> tuple[FeatureStore, dict]:
+    """The store loaded from `path` and its `_data_hashes`, taken at once."""
+    with _loaded(path) as (store, data_hashes):
+        return store, data_hashes()
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -103,8 +127,8 @@ def _data_hashes(store: FeatureStore) -> dict:
 def cmd_synth_gen(args) -> int:
     run = load_run_config(args.config, {"seed": args.seed})
     out = _out_dir(args)
-    store = FeatureStore.load(generate_to(run.synth, out))
-    _write_provenance(out, "synth-gen", run.to_dict(), run.synth.seed, _data_hashes(store))
+    store, data_hashes = _load_hashed(generate_to(run.synth, out))
+    _write_provenance(out, "synth-gen", run.to_dict(), run.synth.seed, data_hashes)
     print(f"wrote {len(store.actions)} actions across "
           f"{len(store.split.source)} source + {len(store.split.target)} target "
           f"domains to {out}")
@@ -119,12 +143,12 @@ def cmd_import(args) -> int:
                                target_domains=targets)
     out = _out_dir(args)
     # read back, so that provenance hashes the files as they were written
-    store = FeatureStore.load(store.save(out))
+    store, data_hashes = _load_hashed(store.save(out))
     _write_provenance(out, "import", {
         "csv": str(args.csv), "features": str(args.features),
         "d_v": args.d_v, "d_t": args.d_t, "clips_per_action": args.clips,
         "target_domains": list(targets),
-    }, seed=None, data_hashes=_data_hashes(store))
+    }, seed=None, data_hashes=data_hashes)
     print(f"imported {len(store.actions)} actions "
           f"({len(store.vocab)} vocab tokens) to {out}")
     return EXIT_OK
@@ -185,12 +209,12 @@ def _check_labels(store: FeatureStore, config: TrainConfig):
 
 
 def cmd_train(args) -> int:
-    store = FeatureStore.load(args.data)
+    store, data_hashes = _load_hashed(args.data)
     run = _train_config_for(store, args)
     config = run.train
     model = SeqDGModel.init(config.model, seed=config.seed)
     out = _out_dir(args)
-    _write_provenance(out, "train", run.to_dict(), config.seed, _data_hashes(store))
+    _write_provenance(out, "train", run.to_dict(), config.seed, data_hashes)
     result = fit(store, model, config, metrics_path=out / "metrics.jsonl")
     save_checkpoint(out / "checkpoint.ckpt", model.params,
                     rng_state=result.rng_state,
@@ -211,30 +235,32 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    store = FeatureStore.load(args.data)
-    params, header = load_checkpoint(args.checkpoint)
-    model = SeqDGModel(params)
-    if store.d_v != model.config.D_V:
-        raise DataError(f"the dataset's features are {store.d_v} wide, the "
-                        f"checkpoint's model reads {model.config.D_V}")
-    actions = store.split_actions(args.split)
-    _check_label_space(actions, model.config)
-    preds = sliding_window_predict(store, model, split=args.split, k=args.k)
-    labels = actions.labels()
-    results = {"split": args.split, "domains": list(getattr(store.split, args.split)),
-               "n_actions": len(actions), "metrics": {},
-               "k": {"verb": head_k(args.k, model.config.n_verbs),
-                     "noun": head_k(args.k, model.config.n_nouns)}}
-    for k in (1, args.k):
-        verb, noun, action = accuracy(preds, labels, k=k)
-        results["metrics"][f"top{k}"] = {"verb": round(verb, 1),
-                                         "noun": round(noun, 1),
-                                         "action": round(action, 1)}
-    out = _out_dir(args)
-    _write_json(out / "results.json", results)
-    _write_provenance(out, "eval", {"checkpoint": str(args.checkpoint),
-                                    "split": args.split, "k": args.k},
-                      seed=None, data_hashes=_data_hashes(store))
+    if args.k < 1:
+        raise ConfigError([f"k must be >= 1, got {args.k}"])
+    with _loaded(args.data) as (store, data_hashes):
+        params, header = load_checkpoint(args.checkpoint)
+        model = SeqDGModel(params)
+        if store.d_v != model.config.D_V:
+            raise DataError(f"the dataset's features are {store.d_v} wide, the "
+                            f"checkpoint's model reads {model.config.D_V}")
+        actions = store.split_actions(args.split)
+        _check_label_space(actions, model.config)
+        preds = sliding_window_predict(store, model, split=args.split, k=args.k)
+        labels = actions.labels()
+        results = {"split": args.split, "domains": list(getattr(store.split, args.split)),
+                   "n_actions": len(actions), "metrics": {},
+                   "k": {"verb": head_k(args.k, model.config.n_verbs),
+                         "noun": head_k(args.k, model.config.n_nouns)}}
+        for k in (1, args.k):
+            verb, noun, action = accuracy(preds, labels, k=k)
+            results["metrics"][f"top{k}"] = {"verb": round(verb, 1),
+                                             "noun": round(noun, 1),
+                                             "action": round(action, 1)}
+        out = _out_dir(args)
+        _write_json(out / "results.json", results)
+        _write_provenance(out, "eval", {"checkpoint": str(args.checkpoint),
+                                        "split": args.split, "k": args.k},
+                          seed=None, data_hashes=data_hashes())
     if args.dump_predictions:
         with open(out / "predictions.jsonl", "w", encoding="utf-8") as fh:
             for action_id, (verb, noun), topk_verbs, topk_nouns in zip(
@@ -250,7 +276,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    store = FeatureStore.load(args.data)
+    store, data_hashes = _load_hashed(args.data)
     run = _train_config_for(store, args)
     store.split_actions("target")
     grid, seeds = run.ablate, run.ablate["seeds"]
@@ -263,7 +289,7 @@ def cmd_ablate(args) -> int:
         _check_labels(store, config)
         SeqDGModel.init(config.model, seed=config.seed)
     out = _out_dir(args)
-    _write_provenance(out, "ablate", run.to_dict(), seeds[0], _data_hashes(store))
+    _write_provenance(out, "ablate", run.to_dict(), seeds[0], data_hashes)
     scores = score_arms(run.train, arms, seeds, dict.fromkeys(seeds, store))
     rows = []
     for key, fields in arms.items():
@@ -294,6 +320,8 @@ def cmd_grad_check(args) -> int:
     if seed < 0:
         raise ConfigError([f"seed must be >= 0, got {seed}"])
     check_step(args.h)
+    if not args.tol >= 0:
+        raise ConfigError([f"tol must be >= 0, got {args.tol}"])
     out = _out_dir(args)
     reports = {}
     elapsed = {}

@@ -2,19 +2,26 @@
 
 A dataset on disk is a JSON manifest plus a flat little-endian float32
 feature blob (clips-major per action), optionally joined by a second
-blob of precomputed per-action text features. The manifest (version 2)
-holds the actions as columns, one JSON list per field, with the
-narrations as their lengths plus one flat list of tokens. It is written
-as compact JSON with sorted keys (any indentation would force Python's
-pure-Python encoder); `load` reads any layout of the same value, and
-turns a version-1 manifest (one object per action) into the same
-columns. Each column's types are checked in one pass, and an error names
-the column and its first bad entry. In memory the columns become a
-`FeatureStore` over an `Actions` table: one int64 column per integer
-field, video and domain ids interned as codes, and the narrations as one
-ragged token array. The store builds each split's
+blob of precomputed per-action text features. The manifest (version 3)
+is a small header: the action table lives in a third blob that it
+names, little-endian int64, one column per field back to back in
+`_COLUMNS` order and then every narration's tokens. The header gives
+the action and token counts and the tables of video and domain names
+that the video and domain columns are codes into. It is written as
+compact JSON with sorted keys (any indentation would force Python's
+pure-Python encoder); `load` reads any layout of the same value. A
+version-2 manifest (one JSON list per column) and a version-1 manifest
+(one object per action) still load: their columns are type-checked in
+one pass, and an error names the column and its first bad entry; their
+ids are then interned into codes and name tables. From there every
+version takes the one builder and the same checks (codes inside their
+tables, narration lengths against the token count). In memory the
+columns become a `FeatureStore` over an `Actions` table: one int64
+column per integer field, video and domain ids as codes, and the
+narrations as one ragged token array. The store builds each split's
 table once and hands it out through `split_actions`, and a loaded store
-records the files it was read from. Training and evaluation slice a
+records the files it was read from, the action blob among them.
+Training and evaluation slice a
 split's table into `Windows` of W consecutive actions, an (N, W) array
 of row indices with a padding mask, and assemble dense batches from
 those through a `FeatureCache`, the one place where an action's clips
@@ -61,7 +68,8 @@ __all__ = [
 ]
 
 MANIFEST_FORMAT = "seqdg.dataset"
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
+ACTION_BLOB = "actions.i64"
 ANNOTATION_COLUMNS = ["video_id", "domain_id", "temporal_index",
                       "verb_class", "noun_class", "narration"]
 
@@ -71,10 +79,14 @@ class DataError(Exception):
 
 
 # every action column of a manifest and the exact JSON type of its
-# entries (a JSON true is not an int). Each column holds one entry per
-# action, except `narration_tokens`: the narrations concatenated, as many
-# tokens as `narration_lengths` sums to. `Actions.to_columns` gives and
-# `Actions.from_columns` takes these columns; `_manifest_table` checks them.
+# entries in a version-2 manifest (a JSON true is not an int). Each column
+# holds one entry per action, except `narration_tokens`: the narrations
+# concatenated, as many tokens as `narration_lengths` sums to. A version-3
+# action blob holds the columns in this order, back to back as int64, the
+# video and domain ids as codes into the header's name tables.
+# `Actions.to_columns` gives and `Actions.from_columns` takes the JSON
+# columns, `Actions.to_arrays` and `Actions.from_codes` the int64 ones;
+# `_manifest_table` checks the JSON columns and `_blob_table` the blob.
 _COLUMNS = {"action_id": int, "video_id": str, "domain_id": str, "verb": int, "noun": int,
             "temporal_index": int, "blob_offset": int, "n_clips": int,
             "narration_lengths": int, "narration_tokens": int}
@@ -83,6 +95,8 @@ _COLUMNS = {"action_id": int, "video_id": str, "domain_id": str, "verb": int, "n
 _V1_KEYS = ("action_id", "video_id", "domain_id", "verb", "noun", "narration",
             "temporal_index", "blob_offset", "n_clips")
 _INT64 = range(-2**63, 2**63)
+# the keys of a version-3 manifest's `actions` header
+_BLOB_KEYS = {"blob", "n_actions", "n_tokens", "video_names", "domain_names"}
 
 
 @dataclass(frozen=True)
@@ -146,19 +160,30 @@ class Actions(Sequence):
     @classmethod
     def from_columns(cls, *, action_id, video_id, domain_id, verb, noun, temporal_index,
                      blob_offset, n_clips, narration_lengths, narration_tokens) -> "Actions":
-        """The one builder of a table: one sequence per manifest column
-        (`_COLUMNS`), row i's narration being the next `narration_lengths[i]`
-        entries of `narration_tokens`. The lengths must be non-negative and
-        sum to the token count; an int outside int64 raises OverflowError."""
+        """The table of one sequence of JSON values per manifest column
+        (`_COLUMNS`): video and domain ids interned into codes and name
+        tables in order of first appearance, every other column made int64
+        (an int outside int64 raises OverflowError), then `from_codes`."""
         video_names, video = _intern(video_id)
         domain_names, domain = _intern(domain_id)
         ids, verbs, nouns, temporal, offsets, n_clips, lengths, tokens = (
             np.array(column, dtype=np.int64) for column in (
                 action_id, verb, noun, temporal_index, blob_offset, n_clips,
                 narration_lengths, narration_tokens))
+        return cls.from_codes(video_names, domain_names, ids, video, domain, verbs, nouns,
+                              temporal, offsets, n_clips, lengths, tokens)
+
+    @classmethod
+    def from_codes(cls, video_names, domain_names, *columns) -> "Actions":
+        """The one builder of a table: the int64 `columns` in `_COLUMNS`
+        order, video and domain ids as codes into `video_names` and
+        `domain_names`, row i's narration being the next `narration_lengths[i]`
+        entries of `narration_tokens`. The codes must index their tables and
+        the lengths be non-negative and sum to the token count (`_checked`)."""
+        ids, video, domain, verbs, nouns, temporal, offsets, n_clips, lengths, tokens = columns
         token_end = np.cumsum(lengths)
-        return cls(ids, video, video_names, domain, domain_names, verbs, nouns, temporal,
-                   offsets, n_clips, token_end - lengths, token_end, tokens)
+        return cls(ids, video, tuple(video_names), domain, tuple(domain_names), verbs, nouns,
+                   temporal, offsets, n_clips, token_end - lengths, token_end, tokens)
 
     def take(self, rows) -> "Actions":
         """The table of `rows` (an index array), in that order."""
@@ -179,21 +204,26 @@ class Actions(Sequence):
         return tuple(tuple(self.tokens[start:end].tolist()) for start, end in
                      zip(self.token_start[rows].tolist(), self.token_end[rows].tolist()))
 
-    def to_columns(self) -> dict[str, list]:
-        """The table as manifest columns (`_COLUMNS`) of JSON values, as
-        `from_columns` takes them; `narration_tokens` holds only the rows'
-        own narrations, in row order."""
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """The table as int64 columns (`_COLUMNS`), as `from_codes` takes
+        them and a version-3 blob holds them: video and domain ids as
+        codes, and `narration_tokens` only the rows' own narrations, in row
+        order."""
         lengths = self.token_end - self.token_start
         # each row's tokens moved from its own start to where its output starts
         gather = np.arange(lengths.sum()) + np.repeat(self.token_start + lengths
                                                       - np.cumsum(lengths), lengths)
-        return {"action_id": self.ids.tolist(),
-                "video_id": [self.video_names[c] for c in self.video.tolist()],
-                "domain_id": [self.domain_names[c] for c in self.domain.tolist()],
-                "verb": self.verbs.tolist(), "noun": self.nouns.tolist(),
-                "temporal_index": self.temporal.tolist(), "blob_offset": self.offsets.tolist(),
-                "n_clips": self.n_clips.tolist(), "narration_lengths": lengths.tolist(),
-                "narration_tokens": self.tokens[gather].tolist()}
+        return dict(zip(_COLUMNS, (self.ids, self.video, self.domain, self.verbs, self.nouns,
+                                   self.temporal, self.offsets, self.n_clips, lengths,
+                                   self.tokens[gather])))
+
+    def to_columns(self) -> dict[str, list]:
+        """The table as manifest columns (`_COLUMNS`) of JSON values, as
+        `from_columns` takes them."""
+        columns = {name: column.tolist() for name, column in self.to_arrays().items()}
+        for name, names in (("video_id", self.video_names), ("domain_id", self.domain_names)):
+            columns[name] = [names[code] for code in columns[name]]
+        return columns
 
     def views(self) -> list[ActionRecord]:
         """One `ActionRecord` per row, built once."""
@@ -321,6 +351,9 @@ class FeatureStore:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         self.visual.astype("<f4", copy=False).tofile(directory / "features.f32")
+        columns = self.actions.to_arrays()
+        np.concatenate(list(columns.values())).astype("<i8", copy=False).tofile(
+            directory / ACTION_BLOB)
         manifest = {
             "format": MANIFEST_FORMAT,
             "version": MANIFEST_VERSION,
@@ -332,7 +365,10 @@ class FeatureStore:
             "vocab": self.vocab,
             "domains": ([{"id": d, "split": "source"} for d in self.split.source]
                         + [{"id": d, "split": "target"} for d in self.split.target]),
-            "actions": self.actions.to_columns(),
+            "actions": {"blob": ACTION_BLOB, "n_actions": len(self.actions),
+                        "n_tokens": len(columns["narration_tokens"]),
+                        "video_names": list(self.actions.video_names),
+                        "domain_names": list(self.actions.domain_names)},
         }
         if self.text is not None:
             self.text.astype("<f4", copy=False).tofile(directory / "text_features.f32")
@@ -359,12 +395,15 @@ class FeatureStore:
         if manifest.get("format") != MANIFEST_FORMAT:
             raise DataError(f"unrecognized manifest format {manifest.get('format')!r}")
         version = manifest.get("version")
-        if type(version) is not int or version not in (1, MANIFEST_VERSION):
+        if type(version) is not int or version not in (1, 2, MANIFEST_VERSION):
             raise DataError(f"unsupported manifest version {version!r}")
         base = manifest_path.parent
         try:
-            columns = manifest["actions"]
-            actions = _manifest_table(_v1_columns(columns) if version == 1 else columns)
+            columns, action_blob = manifest["actions"], None
+            if version == MANIFEST_VERSION:
+                actions, action_blob = _blob_table(columns, base)
+            else:
+                actions = _manifest_table(_v1_columns(columns) if version == 1 else columns)
             unsplit = [d["id"] for d in manifest["domains"]
                        if d["split"] not in ("source", "target")]
             if unsplit:
@@ -388,7 +427,8 @@ class FeatureStore:
             raise DataError(f"{manifest_path}: 'vocab' must be a list of strings")
         store = cls(meta, actions, vocab, split, visual, text)
         store.files = {name: base / name for name in (manifest_path.name, manifest["feature_blob"],
-                                                      manifest.get("text_blob")) if name}
+                                                      manifest.get("text_blob"), action_blob)
+                       if name}
         return store
 
 
@@ -402,10 +442,10 @@ def _read(what: str, read, path, **kwargs):
 
 def _manifest_table(columns) -> Actions:
     """The table of a manifest's action columns (version 2). Each column is
-    checked in one pass: present, a list, as long as `action_id` (the
-    tokens as long as the lengths' sum), every entry of its exact JSON type,
-    no length negative and every int inside int64. A failing check raises a
-    DataError that names the column and its first bad entry."""
+    checked in one pass: present, a list, as long as `action_id`, every
+    entry of its exact JSON type and every int inside int64; then the
+    table passes `_checked`. A failing check raises a DataError that names
+    the column and its first bad entry."""
     if type(columns) is not dict:
         raise DataError("manifest 'actions' must be an object of columns")
     for names, what in ((_COLUMNS.keys() - columns.keys(), "no column"),
@@ -424,21 +464,86 @@ def _manifest_table(columns) -> Actions:
                                 if type(value) is not kind)
             raise DataError(f"manifest column {name!r}, entry {index}: must be "
                             f"{kind.__name__}, got {value!r}")
-    lengths, tokens = columns["narration_lengths"], columns["narration_tokens"]
-    if lengths and min(lengths) < 0:
-        index = next(index for index, length in enumerate(lengths) if length < 0)
-        raise DataError(f"manifest column 'narration_lengths', entry {index}: negative "
-                        f"length {lengths[index]}")
-    if sum(lengths) != len(tokens):
-        raise DataError(f"manifest column 'narration_lengths' sums to {sum(lengths)}, but "
-                        f"'narration_tokens' holds {len(tokens)} tokens")
     try:
-        return Actions.from_columns(**columns)
+        actions = Actions.from_columns(**columns)
     except OverflowError:
         name, index = next((name, index) for name, kind in _COLUMNS.items() if kind is int
                            for index, value in enumerate(columns[name]) if value not in _INT64)
         raise DataError(f"manifest column {name!r}, entry {index}: {columns[name][index]} "
                         "is outside int64") from None
+    return _checked(actions)
+
+
+def _blob_table(header, base: Path) -> tuple[Actions, str]:
+    """The table of a version-3 manifest's `actions` header, read from the
+    int64 blob it names (relative to `base`), and the blob's name. The
+    header must hold exactly `_BLOB_KEYS`: the counts ints >= 0, each name
+    table a list of distinct strings. The blob must hold exactly the
+    columns and tokens the counts give; then the table passes `_checked`.
+    A failing check raises a DataError that names the key or column and
+    its first bad entry."""
+    if type(header) is not dict:
+        raise DataError("manifest 'actions' must be an object")
+    for names, what in ((_BLOB_KEYS - header.keys(), "no key"),
+                        (header.keys() - _BLOB_KEYS, "an unknown key")):
+        if names:
+            raise DataError(f"manifest 'actions' has {what} {sorted(names)[0]!r}")
+    name = header["blob"]
+    if type(name) is not str:
+        raise DataError(f"manifest 'actions' key 'blob' must be str, got {name!r}")
+    for key in ("n_actions", "n_tokens"):
+        if type(header[key]) is not int or header[key] < 0:
+            raise DataError(f"manifest 'actions' key {key!r} must be an int >= 0, "
+                            f"got {header[key]!r}")
+    for key in ("video_names", "domain_names"):
+        names = header[key]
+        if type(names) is not list:
+            raise DataError(f"manifest 'actions' key {key!r} must be a list of distinct "
+                            f"strings, got {type(names).__name__}")
+        if not {str}.issuperset(map(type, names)) or len(set(names)) != len(names):
+            seen = set()
+            for index, value in enumerate(names):
+                if type(value) is not str or value in seen:
+                    raise DataError(f"manifest 'actions' key {key!r}, entry {index}: must "
+                                    f"be a distinct str, got {value!r}")
+                seen.add(value)
+    n, n_tokens = header["n_actions"], header["n_tokens"]
+    raw = _read("action blob", np.fromfile, base / name, dtype=np.uint8)
+    rows = len(_COLUMNS) - 1
+    expected = (rows * n + n_tokens) * 8
+    if raw.size != expected:
+        raise DataError(f"action blob {name!r} holds {raw.size} bytes, the manifest's "
+                        f"{n} actions and {n_tokens} tokens need {expected}")
+    values = raw.view("<i8").astype(np.int64, copy=False)
+    actions = Actions.from_codes(header["video_names"], header["domain_names"],
+                                 *values[:rows * n].reshape(rows, n), values[rows * n:])
+    return _checked(actions), name
+
+
+def _checked(actions: Actions) -> Actions:
+    """`actions`, once every video and domain code indexes its name table,
+    no narration length is negative and the lengths sum to the token count;
+    otherwise a DataError names the column and its first bad entry. Every
+    manifest version's table passes here."""
+    for name, codes, names in (("video_id", actions.video, actions.video_names),
+                               ("domain_id", actions.domain, actions.domain_names)):
+        outside = np.flatnonzero((codes < 0) | (codes >= len(names)))
+        if outside.size:
+            index = outside[0]
+            raise DataError(f"manifest column {name!r}, entry {index}: code {codes[index]} "
+                            f"is outside its {len(names)} names")
+    lengths = actions.token_end - actions.token_start
+    negative = np.flatnonzero(lengths < 0)
+    if negative.size:
+        index = negative[0]
+        raise DataError(f"manifest column 'narration_lengths', entry {index}: negative "
+                        f"length {lengths[index]}")
+    n_tokens = len(actions.tokens)
+    # a length past the token count could wrap the int64 sum back onto it
+    if lengths.max(initial=0) > n_tokens or actions.token_end[-1:].sum() != n_tokens:
+        raise DataError(f"manifest column 'narration_lengths' sums to {sum(lengths.tolist())}, "
+                        f"but 'narration_tokens' holds {n_tokens} tokens")
+    return actions
 
 
 def _v1_columns(actions) -> dict[str, list]:

@@ -3,7 +3,9 @@
 Each action of a split is classified from the window centered on it,
 built exactly as in training (replicate-padded at video edges) but with
 no masking, no decoders, and no text. The predictions come back stacked,
-one row per action in a `Predictions`, and are scored as arrays.
+one row per action in a `Predictions`, and are scored as arrays. Each
+head is ranked once: the top-k ranking a `Predictions` holds serves its
+accuracy at every k up to it.
 Metrics follow the verb/noun/action convention: an action counts as
 correct at k only if both the verb and the noun truth appear in their
 respective top-k lists.
@@ -170,35 +172,47 @@ def sliding_window_predict(store: FeatureStore, model: SeqDGModel, *,
                        topk_indices(noun_logits, head_k(k, cfg.n_nouns)))
 
 
-def _in_topk(logits: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+def _in_topk(logits: np.ndarray, labels: np.ndarray, k: int,
+             ranking: np.ndarray | None = None) -> np.ndarray:
     """Whether each row's label is among its top `head_k` logits; a label
-    outside the class range never is."""
-    return (topk_indices(logits, head_k(k, logits.shape[-1])) == labels[:, None]).any(axis=-1)
+    outside the class range never is. The top ids are the first columns of
+    `ranking`, the rows' stable ranking (best first, as `topk_indices`
+    gives it), when it holds that many, else the logits are ranked afresh."""
+    k = head_k(k, logits.shape[-1])
+    top = (ranking[:, :k] if ranking is not None and 1 <= k <= ranking.shape[-1]
+           else topk_indices(logits, k))
+    return (top == labels[:, None]).any(axis=-1)
+
+
+def _percentages(v_ok: np.ndarray, n_ok: np.ndarray) -> tuple[float, float, float]:
+    """Verb%, noun% and action% (both heads correct) of per-row hits."""
+    n = len(v_ok)
+    return (100.0 * int(v_ok.sum()) / n, 100.0 * int(n_ok.sum()) / n,
+            100.0 * int((v_ok & n_ok).sum()) / n)
 
 
 def topk_accuracy(verb_logits: np.ndarray, noun_logits: np.ndarray, verbs, nouns,
                   k: int = 1) -> tuple[float, float, float]:
     """Top-k verb%, noun%, and action% (both heads correct) of stacked
     logits, shape (N, classes), against N (verb, noun) labels."""
-    v_ok = _in_topk(verb_logits, np.asarray(verbs), k)
-    n_ok = _in_topk(noun_logits, np.asarray(nouns), k)
-    n = len(v_ok)
-    return (100.0 * int(v_ok.sum()) / n, 100.0 * int(n_ok.sum()) / n,
-            100.0 * int((v_ok & n_ok).sum()) / n)
+    return _percentages(_in_topk(verb_logits, np.asarray(verbs), k),
+                        _in_topk(noun_logits, np.asarray(nouns), k))
 
 
 def accuracy(predictions, labels, k: int = 1) -> tuple[float, float, float]:
     """Top-k verb%, noun%, and action% (both heads correct) of a
     `Predictions`, or of a sequence of `Prediction`s, over aligned (verb,
-    noun) label pairs."""
+    noun) label pairs. A `Predictions` is scored from the top-k ranking it
+    holds when that reaches k, so it is ranked once for every k up to it."""
     if len(predictions) != len(labels):
         raise ValueError(f"{len(predictions)} predictions vs {len(labels)} labels")
     if not len(predictions):
         raise ValueError("empty prediction set")
     if isinstance(predictions, Predictions):
-        verb_logits, noun_logits = predictions.verb_logits, predictions.noun_logits
+        heads = ((predictions.verb_logits, predictions.topk_verbs),
+                 (predictions.noun_logits, predictions.topk_nouns))
     else:
-        verb_logits = np.stack([p.verb_logits for p in predictions])
-        noun_logits = np.stack([p.noun_logits for p in predictions])
-    verbs, nouns = np.asarray(labels).T
-    return topk_accuracy(verb_logits, noun_logits, verbs, nouns, k)
+        heads = ((np.stack([p.verb_logits for p in predictions]), None),
+                 (np.stack([p.noun_logits for p in predictions]), None))
+    return _percentages(*(_in_topk(logits, truth, k, ranking) for (logits, ranking), truth
+                          in zip(heads, np.asarray(labels).T)))

@@ -29,7 +29,7 @@ from seqdg.model import ModelConfig, ModelParams, SeqDGModel
 from seqdg.synth import SynthConfig, bayes_accuracy_on_store, context_oracle_accuracy, generate
 from seqdg.tensor import NonFiniteError, Tensor, grad_check, mse
 from seqdg.train import CellScore, DivergenceError, TrainConfig, fit
-from test_data import to_v1
+from test_data import to_v1, to_v2
 from test_train import patch_fit, pin
 
 SMALL_SYNTH = {
@@ -351,10 +351,9 @@ class TestTrainEval:
         assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.ckpt"),
                      "--data", str(data_dir), "--out", str(eval_dir),
                      "--dump-predictions"]) == 0
-        columns = json.loads((data_dir / "manifest.json").read_text())["actions"]
-        labels = {i: (verb, noun) for i, verb, noun, domain in zip(
-            columns["action_id"], columns["verb"], columns["noun"], columns["domain_id"])
-            if domain == "T0"}
+        # `import` numbers the actions in CSV row order
+        labels = {i: (row["verb_class"], row["noun_class"]) for i, row in enumerate(rows)
+                  if row["domain_id"] == "T0"}
         preds = [json.loads(line) for line in
                  (eval_dir / "predictions.jsonl").read_text().splitlines()]
         assert sorted(p["action_id"] for p in preds) == sorted(labels)
@@ -395,9 +394,13 @@ class TestTrainEval:
                 name: round(100.0 * sum(h) / len(records), 1) for name, h in hits.items()}
 
     @pytest.mark.parametrize("k", ["0", "-1"])
-    def test_k_below_one_is_config_error(self, k, tmp_path, dataset_dir, checkpoint_path):
-        assert main(["eval", "--checkpoint", str(checkpoint_path), "--data",
-                     str(dataset_dir), "--out", str(tmp_path / "ev"), f"--k={k}"]) == 2
+    def test_k_below_one_is_config_error(self, k, tmp_path, capsys):
+        # refused before any input is read: neither path exists
+        assert main(["eval", "--checkpoint", str(tmp_path / "no.ckpt"), "--data",
+                     str(tmp_path / "no_data"), "--out", str(tmp_path / "ev"),
+                     f"--k={k}"]) == 2
+        assert f"k must be >= 1, got {k}" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
 
     def test_missing_data_dir_is_data_error(self, tmp_path, config_path):
         assert main(["train", "--config", str(config_path), "--data",
@@ -667,24 +670,66 @@ class TestProvenance:
             assert main([command, "--data", str(data), "--out", str(out), *extra]) == 0
             hashes.append(json.loads((out / "config_resolved.json").read_text())["data_hashes"])
         assert hashes[0] == hashes[1] == {
-            "manifest.json": sha(dataset_dir / "manifest.json"),
-            "features.f32": sha(dataset_dir / "features.f32")}
+            name: sha(dataset_dir / name)
+            for name in ("manifest.json", "features.f32", "actions.i64")}
 
     def test_blobs_named_otherwise_are_hashed(self, tmp_path, dataset_dir, checkpoint_path):
         (dataset_dir / "features.f32").rename(dataset_dir / "clips.bin")
-        n_actions = len(json.loads((dataset_dir / "manifest.json").read_text())
-                        ["actions"]["action_id"])
-        np.zeros(n_actions * 16, dtype="<f4").tofile(dataset_dir / "narrations.bin")
-        edit_manifest(dataset_dir, lambda m: m.update(feature_blob="clips.bin",
-                                                      text_blob="narrations.bin"))
-        (dataset_dir / "manifest.json").rename(dataset_dir / "dataset.json")
+        (dataset_dir / "actions.i64").rename(dataset_dir / "table.bin")
+        manifest = json.loads((dataset_dir / "manifest.json").read_text())
+        np.zeros(manifest["actions"]["n_actions"] * 16, dtype="<f4").tofile(
+            dataset_dir / "narrations.bin")
+        manifest.update(feature_blob="clips.bin", text_blob="narrations.bin")
+        manifest["actions"]["blob"] = "table.bin"
+        (dataset_dir / "manifest.json").unlink()
+        (dataset_dir / "dataset.json").write_text(json.dumps(manifest))
         out = tmp_path / "ev"
         assert main(["eval", "--checkpoint", str(checkpoint_path), "--data",
                      str(dataset_dir / "dataset.json"), "--out", str(out)]) == 0
         prov = json.loads((out / "config_resolved.json").read_text())
         assert prov["data_hashes"] == {
             name: sha(dataset_dir / name)
-            for name in ("dataset.json", "clips.bin", "narrations.bin")}
+            for name in ("dataset.json", "clips.bin", "narrations.bin", "table.bin")}
+
+
+class TestHashThread:
+    """The data hashes are taken on one worker thread that has ended when
+    the command returns, on success and on error alike."""
+
+    @pytest.mark.parametrize("outcome", ["ok", "data_error"])
+    @pytest.mark.parametrize("command", ["eval", "train", "ablate"])
+    def test_no_thread_outlives_the_command(self, command, outcome, tmp_path, dataset_dir,
+                                            config_path, monkeypatch):
+        record_cells(monkeypatch)
+        # the dataset has 8 verbs: a model of 4 fails the label check after
+        # the store has loaded
+        n_verbs = SMALL_SYNTH["model"]["n_verbs"] if outcome == "ok" else 4
+        if command == "eval":
+            params = ModelParams(ModelConfig(**{**SMALL_SYNTH["model"], "n_verbs": n_verbs}),
+                                 seed=0)
+            source = ["--checkpoint", str(save_checkpoint(tmp_path / "m.ckpt", params))]
+        else:
+            source = ["--config", str(edited_config(tmp_path, model={"n_verbs": n_verbs})),
+                      "--epochs", "1"]
+        before = threading.active_count()
+        code = main([command, *source, "--data", str(dataset_dir), "--out",
+                     str(tmp_path / "out")])
+        assert code == (0 if outcome == "ok" else 3)
+        assert threading.active_count() == before
+
+    def test_no_hash_thread_is_alive_when_ablate_forks(self, tmp_path, dataset_dir,
+                                                       config_path, monkeypatch):
+        alive = []
+
+        def train_and_score_cells(given):
+            alive.append(threading.active_count())
+            return [CellScore(50.0, 0.0)] * len(given)
+
+        monkeypatch.setattr(seqdg.train, "train_and_score_cells", train_and_score_cells)
+        before = threading.active_count()
+        assert main(["ablate", "--config", str(config_path), "--data", str(dataset_dir),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert alive == [before]
 
 
 class TestSeqStats:
@@ -964,6 +1009,115 @@ CORRUPT_COLUMNS = {
                        "'actions' must be an object of columns"),
 }
 
+# the columns of a version-3 action blob, in the order it holds them; the
+# narration tokens follow
+BLOB_COLUMNS = ("action_id", "video_id", "domain_id", "verb", "noun", "temporal_index",
+                "blob_offset", "n_clips", "narration_lengths")
+
+
+def blob_entries(column, values: dict):
+    """An edit of a version-3 dataset that sets entries of the blob column
+    `column`: `values` maps an action's row to its new value."""
+    def edit(manifest, blob):
+        start = BLOB_COLUMNS.index(column) * manifest["actions"]["n_actions"]
+        for row, value in values.items():
+            blob[start + row] = value
+        return blob.tobytes()
+    return edit
+
+
+def header(key, value):
+    """An edit of a version-3 dataset that sets key `key` of the manifest's
+    action header to `value`, leaving the blob as it is."""
+    def edit(manifest, blob):
+        manifest["actions"][key] = value
+        return blob.tobytes()
+    return edit
+
+
+def repeat_first_name(manifest, blob):
+    names = manifest["actions"]["video_names"]
+    names[3] = names[0]
+    return blob.tobytes()
+
+
+def drop_key(manifest, blob):
+    del manifest["actions"]["n_tokens"]
+    return blob.tobytes()
+
+
+# malformed version-3 input, as an edit of the manifest (in place) and of
+# the action blob's int64 entries (the blob's new bytes, or None to delete
+# it), and the message that names it. The dataset holds 96 actions of two
+# tokens each, over 6 videos and 3 domains.
+CORRUPT_V3 = {
+    "blob_missing": (lambda m, b: None, "cannot read action blob"),
+    "blob_a_directory": (header("blob", "."), "cannot read action blob"),
+    "blob_not_a_string": (header("blob", ["actions.i64"]),
+                          "key 'blob' must be str, got ['actions.i64']"),
+    "blob_one_entry_short": (lambda m, b: b[:-1].tobytes(),
+                             "holds 8440 bytes, the manifest's 96 actions and 192 tokens "
+                             "need 8448"),
+    "blob_one_byte_over": (lambda m, b: b.tobytes() + b"\0", "holds 8449 bytes"),
+    "missing_key": (drop_key, "manifest 'actions' has no key 'n_tokens'"),
+    "unknown_key": (header("narration_tokens", []),
+                    "manifest 'actions' has an unknown key 'narration_tokens'"),
+    "n_actions_a_string": (header("n_actions", "96"),
+                           "key 'n_actions' must be an int >= 0, got '96'"),
+    "n_actions_a_float": (header("n_actions", 96.0),
+                          "key 'n_actions' must be an int >= 0, got 96.0"),
+    "n_tokens_true": (header("n_tokens", True), "key 'n_tokens' must be an int >= 0, got True"),
+    "n_tokens_negative": (header("n_tokens", -8), "key 'n_tokens' must be an int >= 0, got -8"),
+    "video_names_an_object": (header("video_names", {"S0_v0": 0}),
+                              "key 'video_names' must be a list of distinct strings, got dict"),
+    "video_name_repeated": (repeat_first_name,
+                            "key 'video_names', entry 3: must be a distinct str, got 'S0_v0'"),
+    "domain_name_not_a_string": (header("domain_names", ["S0", 1, "T0"]),
+                                 "key 'domain_names', entry 1: must be a distinct str, got 1"),
+    "video_code_outside_its_table": (blob_entries("video_id", {5: 6}),
+                                     "column 'video_id', entry 5: code 6 is outside its 6 names"),
+    "negative_domain_code": (blob_entries("domain_id", {7: -1}),
+                             "column 'domain_id', entry 7: code -1 is outside its 3 names"),
+    # the second narration takes the first's tokens, so the lengths still sum
+    # to the token count
+    "negative_narration_length": (blob_entries("narration_lengths", {0: -1, 1: 5}),
+                                  "column 'narration_lengths', entry 0: negative length -1"),
+    "lengths_off_the_token_count": (blob_entries("narration_lengths", {3: 3}),
+                                    "'narration_lengths' sums to 193, but 'narration_tokens' "
+                                    "holds 192 tokens"),
+    # four lengths of 2^62 + 2 wrap the int64 sum back onto the token count
+    "lengths_wrapping_the_sum": (blob_entries("narration_lengths",
+                                              dict.fromkeys(range(4), 2**62 + 2)),
+                                 f"'narration_lengths' sums to {2**64 + 192}, but "
+                                 "'narration_tokens' holds 192 tokens"),
+}
+
+
+def edit_v3(dataset_dir, edit):
+    """Rewrite the dataset's version-3 manifest and action blob as `edit`
+    leaves them."""
+    path, blob_path = dataset_dir / "manifest.json", dataset_dir / "actions.i64"
+    manifest = json.loads(path.read_text())
+    blob = edit(manifest, np.fromfile(blob_path, dtype="<i8"))
+    path.write_text(json.dumps(manifest))
+    if blob is None:
+        blob_path.unlink()
+    else:
+        blob_path.write_bytes(blob)
+
+
+@st.composite
+def fuzzed_blobs(draw, blob: bytes) -> bytes:
+    """A copy of a version-3 action blob with one int64 entry set to a drawn
+    int64, or cut short at a drawn byte."""
+    if draw(st.booleans()):
+        return blob[:draw(st.integers(0, len(blob) - 1))]
+    values = np.frombuffer(blob, dtype="<i8").copy()
+    values[draw(st.integers(0, len(values) - 1))] = draw(
+        st.one_of(st.integers(-3, 200), st.integers(-2**63, 2**63 - 1)))
+    return values.tobytes()
+
+
 # any JSON value an action entry could be set to: ints past either end of
 # int64, bools, floats including NaN and +-Infinity, strings, null, and
 # lists mixing these
@@ -1011,10 +1165,7 @@ class TestManifestInputErrors:
     @pytest.mark.parametrize("case", sorted(CORRUPT_MANIFESTS))
     def test_malformed_action_is_data_error(self, case, tmp_path, dataset_dir,
                                             checkpoint_path, capsys):
-        path = dataset_dir / "manifest.json"
-        manifest = json.loads(path.read_text())
-        CORRUPT_MANIFESTS[case](manifest)
-        path.write_text(json.dumps(manifest))
+        edit_manifest(dataset_dir, CORRUPT_MANIFESTS[case])
         assert main(["eval", "--checkpoint", str(checkpoint_path), "--data",
                      str(dataset_dir), "--out", str(tmp_path / "ev")]) == 3
         assert "data error" in capsys.readouterr().err
@@ -1044,6 +1195,38 @@ class TestManifestInputErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "ev").exists()
 
+    @pytest.mark.parametrize("case", sorted(CORRUPT_V3))
+    def test_malformed_version_3_input_is_data_error(self, case, tmp_path, dataset_dir,
+                                                     checkpoint_path, capsys):
+        edit, message = CORRUPT_V3[case]
+        edit_v3(dataset_dir, edit)
+        assert main(["eval", "--checkpoint", str(checkpoint_path), "--data",
+                     str(dataset_dir), "--out", str(tmp_path / "ev")]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "ev").exists()
+
+    def test_versions_1_and_2_load_the_store_and_results_of_version_3(self, tmp_path,
+                                                                      dataset_dir,
+                                                                      checkpoint_path):
+        v2 = v2_manifest(dataset_dir)
+        store = FeatureStore.load(dataset_dir)
+        outputs = []
+        for manifest in (None, v2, to_v1(v2)):
+            if manifest is not None:
+                (dataset_dir / "manifest.json").write_text(json.dumps(manifest))
+                again = FeatureStore.load(dataset_dir)
+                assert again.actions.to_columns() == store.actions.to_columns()
+                assert (again.split, again.vocab, again.meta) == (store.split, store.vocab,
+                                                                  store.meta)
+            out = tmp_path / f"ev{len(outputs)}"
+            assert main(["eval", "--checkpoint", str(checkpoint_path), "--data",
+                         str(dataset_dir), "--out", str(out), "--dump-predictions"]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("results.json", "predictions.jsonl")])
+        assert outputs[0] == outputs[1] == outputs[2]
+
     @given(data=st.data())
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1051,14 +1234,22 @@ class TestManifestInputErrors:
                                                     checkpoint_path):
         # the fixtures are only read; each example rewrites the one
         # manifest next to a copy of the feature blob, once fuzzed as
-        # columns and once in the version-1 layout
+        # version-2 columns, once in the version-1 layout, and once as the
+        # version-3 manifest over a fuzzed action blob
         fuzzed, out = tmp_path / "fuzzed", tmp_path / "ev"
         if not fuzzed.exists():
             fuzzed.mkdir()
             shutil.copy(dataset_dir / "features.f32", fuzzed)
-        manifest = json.loads((dataset_dir / "manifest.json").read_text())
-        for drawn in (fuzzed_manifests(manifest), fuzzed_v1_manifests(to_v1(manifest))):
-            (fuzzed / "manifest.json").write_text(json.dumps(data.draw(drawn)))
+        manifest = v2_manifest(dataset_dir)
+        blob = (dataset_dir / "actions.i64").read_bytes()
+        for version, drawn in ((2, fuzzed_manifests(manifest)),
+                               (1, fuzzed_v1_manifests(to_v1(manifest))),
+                               (3, fuzzed_blobs(blob))):
+            if version == 3:
+                (fuzzed / "actions.i64").write_bytes(data.draw(drawn))
+                shutil.copy(dataset_dir / "manifest.json", fuzzed)
+            else:
+                (fuzzed / "manifest.json").write_text(json.dumps(data.draw(drawn)))
             shutil.rmtree(out, ignore_errors=True)
             code = main(["eval", "--checkpoint", str(checkpoint_path), "--data", str(fuzzed),
                          "--out", str(out)])
@@ -1086,11 +1277,19 @@ EMPTY_DATA = {
 }
 
 
+def v2_manifest(dataset_dir) -> dict:
+    """The dataset's manifest in the version-2 layout (`to_v2`): one JSON
+    list per action column."""
+    manifest = json.loads((dataset_dir / "manifest.json").read_text())
+    return to_v2(manifest, FeatureStore.load(dataset_dir).records)
+
+
 def edit_manifest(dataset_dir, edit):
-    path = dataset_dir / "manifest.json"
-    manifest = json.loads(path.read_text())
+    """Rewrite the dataset's manifest in the version-2 layout, as `edit`
+    leaves it."""
+    manifest = v2_manifest(dataset_dir)
     edit(manifest)
-    path.write_text(json.dumps(manifest))
+    (dataset_dir / "manifest.json").write_text(json.dumps(manifest))
 
 
 class TestLabelAndEmptyDataErrors:
@@ -1475,6 +1674,15 @@ class TestRunFailsBeforeAnyOutput:
     def test_grad_check_step_outside_its_range_is_config_error(self, tmp_path, capsys):
         assert self.run("grad-check", None, tmp_path, None, "--h", "1") == 2
         assert "h=1 outside [1e-6, 1e-4]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_grad_check_tolerance_below_zero_or_nan_is_config_error(self, tol, tmp_path,
+                                                                    monkeypatch, capsys):
+        # refused before the check runs
+        monkeypatch.setattr(cli, "objective_grad_check", None)
+        assert self.run("grad-check", None, tmp_path, None, "--tol", tol) == 2
+        assert f"tol must be >= 0, got {float(tol)}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     # every size holds 2^55 floats (2^58 bytes), past any address space, so

@@ -1,5 +1,6 @@
 import itertools
 import json
+import struct
 from dataclasses import fields, replace
 
 import numpy as np
@@ -38,6 +39,12 @@ def record_columns(records) -> dict:
 def table(records):
     """The `Actions` table of hand-built `ActionRecord`s, in their order."""
     return Actions.from_columns(**record_columns(records))
+
+
+def to_v2(manifest: dict, records) -> dict:
+    """A manifest in the version-2 layout: its header, with the action
+    columns of `records` (the store's, in order) as JSON lists."""
+    return {**manifest, "version": 2, "actions": record_columns(records)}
 
 
 def to_v1(manifest: dict) -> dict:
@@ -159,25 +166,30 @@ class TestFeatureStore:
     def test_manifest_is_compact_json_of_the_indented_layouts_value(self, tmp_path, with_text):
         store = make_store(n_actions=12, n_videos=3, domains=("S0", "T0", "S1"),
                            targets=("T0",), with_text=with_text, seed=5)
-        # the version-2 value, built from the store's own fields: one list
-        # per column, the narrations as lengths plus one flat token list
+        # the version-3 value: a header whose action table is an int64 blob
+        # of the columns back to back, then the tokens, built from the
+        # store's own fields
         records = store.records
         expected = {
-            "format": "seqdg.dataset", "version": 2, "name": "toy", "d_v": 4, "d_t": 3,
+            "format": "seqdg.dataset", "version": 3, "name": "toy", "d_v": 4, "d_t": 3,
             "clips_per_action": 2, "feature_blob": "features.f32", "vocab": store.vocab,
             "domains": [{"id": "S0", "split": "source"}, {"id": "S1", "split": "source"},
                         {"id": "T0", "split": "target"}],
-            "actions": {
-                **{name: [getattr(r, name) for r in records]
-                   for name in ("action_id", "video_id", "domain_id", "verb", "noun",
-                                "temporal_index", "blob_offset", "n_clips")},
-                "narration_lengths": [len(r.narration) for r in records],
-                "narration_tokens": [t for r in records for t in r.narration]}}
+            "actions": {"blob": "actions.i64", "n_actions": 12, "n_tokens": 24,
+                        "video_names": ["v0", "v1", "v2"], "domain_names": ["S0", "T0", "S1"]}}
         if with_text:
             expected["text_blob"] = "text_features.f32"
         text = store.save(tmp_path / "ds").read_text(encoding="utf-8")
         assert json.loads(text) == expected
         assert text == json.dumps(expected, sort_keys=True, separators=(",", ":"))
+        codes = {"video_id": expected["actions"]["video_names"].index,
+                 "domain_id": expected["actions"]["domain_names"].index}
+        blob = [codes.get(name, int)(getattr(r, name)) for name in (
+            "action_id", "video_id", "domain_id", "verb", "noun", "temporal_index",
+            "blob_offset", "n_clips") for r in records]
+        blob += [len(r.narration) for r in records] + [t for r in records for t in r.narration]
+        assert (tmp_path / "ds" / "actions.i64").read_bytes() == struct.pack(f"<{len(blob)}q",
+                                                                          *blob)
 
     @pytest.mark.parametrize("with_text", [False, True])
     def test_an_indented_manifest_loads_the_same_store(self, tmp_path, with_text):
@@ -196,15 +208,29 @@ class TestFeatureStore:
     @pytest.mark.parametrize("indent", [None, 1], ids=["compact", "indented"])
     @pytest.mark.parametrize("with_text", [False, True])
     def test_a_version_1_manifest_loads_the_same_store(self, tmp_path, with_text, indent):
+        self.check_an_old_version_loads_the_same_store(tmp_path, with_text, indent, version=1)
+
+    @pytest.mark.parametrize("indent", [None, 1], ids=["compact", "indented"])
+    @pytest.mark.parametrize("with_text", [False, True])
+    def test_a_version_2_manifest_loads_the_same_store(self, tmp_path, with_text, indent):
+        self.check_an_old_version_loads_the_same_store(tmp_path, with_text, indent, version=2)
+
+    @staticmethod
+    def check_an_old_version_loads_the_same_store(tmp_path, with_text, indent, version):
         store = make_store(n_actions=12, n_videos=3, domains=("S0", "T0", "S1"),
                            targets=("T0",), with_text=with_text, seed=7)
         path = store.save(tmp_path / "ds")
-        v2_text = path.read_text(encoding="utf-8")
-        v1 = to_v1(json.loads(v2_text))
-        assert v1["actions"][1]["narration"] == list(store.records[1].narration)
+        v3_text = path.read_text(encoding="utf-8")
+        old = to_v2(json.loads(v3_text), store.records)
+        if version == 1:
+            old = to_v1(old)
+            assert old["actions"][1]["narration"] == list(store.records[1].narration)
         separators = (",", ":") if indent is None else None
-        path.write_text(json.dumps(v1, indent=indent, sort_keys=True, separators=separators),
+        path.write_text(json.dumps(old, indent=indent, sort_keys=True, separators=separators),
                         encoding="utf-8")
+        # an older manifest's actions are read from the manifest alone
+        v3_blob = (tmp_path / "ds" / "actions.i64").read_bytes()
+        (tmp_path / "ds" / "actions.i64").unlink()
         again = FeatureStore.load(path)
         assert again.actions.to_columns() == store.actions.to_columns()
         assert again.records == store.records
@@ -212,9 +238,12 @@ class TestFeatureStore:
         assert again.visual.tobytes() == store.visual.tobytes()
         if with_text:
             assert again.text.tobytes() == store.text.tobytes()
-        # `save` writes version 2 only: the re-save is the fresh save's bytes
-        assert again.save(tmp_path / "again").read_text(encoding="utf-8") == v2_text
-        for name in ("features.f32", "text_features.f32") if with_text else ("features.f32",):
+        blobs = ["features.f32"] + (["text_features.f32"] if with_text else [])
+        assert sorted(again.files) == sorted(["manifest.json", *blobs])
+        # `save` writes version 3 only: the re-save is the fresh save's bytes
+        assert again.save(tmp_path / "again").read_text(encoding="utf-8") == v3_text
+        assert (tmp_path / "again" / "actions.i64").read_bytes() == v3_blob
+        for name in blobs:
             assert ((tmp_path / "again" / name).read_bytes()
                     == (tmp_path / "ds" / name).read_bytes())
 
@@ -234,8 +263,9 @@ class TestFeatureStore:
     ], ids=["not_an_object", "missing_key", "narration_not_a_list", "true_as_an_int",
             "token_not_an_int", "int_past_int64"])
     def test_a_bad_version_1_action_is_named(self, tmp_path, edit, message):
-        path = make_store(n_actions=8).save(tmp_path / "ds")
-        manifest = to_v1(json.loads(path.read_text(encoding="utf-8")))
+        store = make_store(n_actions=8)
+        path = store.save(tmp_path / "ds")
+        manifest = to_v1(to_v2(json.loads(path.read_text(encoding="utf-8")), store.records))
         edit(manifest["actions"])
         path.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(DataError) as exc:

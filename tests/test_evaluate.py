@@ -10,6 +10,7 @@ from seqdg import evaluate
 from seqdg.data import DatasetSplit, FeatureCache, FeatureStore, build_windows
 from seqdg.evaluate import (
     Prediction,
+    Predictions,
     accuracy,
     predict_windows,
     sliding_window_predict,
@@ -95,6 +96,29 @@ class TestAccuracy:
                 100.0 * sum(a and b for a, b in zip(v_ok, n_ok)) / 30)
         assert topk_accuracy(verb, noun, verbs, nouns, k) == want
 
+    def test_predictions_are_scored_from_the_ranking_they_hold(self, monkeypatch):
+        # tie-heavy logits, ranked once at width 3: every k up to 3 reads
+        # that ranking and ranks nothing again; k = 4 ranks afresh
+        rng = np.random.default_rng(0)
+        values = np.array([-1.0, -0.0, 0.0, 1.0])
+        verb = values[rng.integers(4, size=(30, 6))]
+        noun = values[rng.integers(4, size=(30, 5))]
+        labels = list(zip(rng.integers(-1, 7, size=30).tolist(),
+                          rng.integers(-1, 6, size=30).tolist()))
+        preds = Predictions(np.arange(30), verb, noun, topk_indices(verb, 3),
+                            topk_indices(noun, 3))
+        calls = []
+        monkeypatch.setattr(evaluate, "topk_indices",
+                            lambda logits, k: calls.append(k) or topk_indices(logits, k))
+        verbs, nouns = np.array(labels).T
+        for k in (1, 2, 3, 4):
+            want = topk_accuracy(verb, noun, verbs, nouns, k)
+            calls.clear()
+            assert accuracy(preds, labels, k) == want
+            assert calls == ([] if k < 4 else [4, 4])
+        with pytest.raises(ValueError, match="top-0 of 6 classes"):
+            accuracy(preds, labels, 0)
+
     def test_label_outside_class_range_is_a_miss(self):
         preds = [pred_from([0.0, 1.0], [1.0, 0.0])]
         assert accuracy(preds, [(7, 0)], k=1) == (0.0, 100.0, 0.0)
@@ -167,7 +191,7 @@ class TestSlidingWindow:
         rows = [Prediction(action_id, preds.verb_logits[i], preds.noun_logits[i],
                            preds.topk_verbs[i], preds.topk_nouns[i])
                 for i, action_id in enumerate(preds.action_ids.tolist())]
-        for k in (1, 2):
+        for k in (1, 2, 3):
             assert accuracy(preds, labels, k) == accuracy(rows, labels, k)
 
     def test_evaluation_touches_no_gradient_machinery(self):

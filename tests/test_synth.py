@@ -147,7 +147,7 @@ class TestGenerate:
         cfg = small_config()
         generate_to(cfg, tmp_path / "a")
         generate_to(cfg, tmp_path / "b")
-        for name in ("manifest.json", "features.f32", "generator_truth.json"):
+        for name in ("manifest.json", "actions.i64", "features.f32", "generator_truth.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), name
 
