@@ -21,6 +21,21 @@ share one affine forward and backward (`_affine`, `_affine_backward`) and
 one head-split softmax (`_heads`), and check every intermediate for NaN
 and Inf as an op checks its result.
 
+An op computes in place only in arrays it has made in the same call:
+never in an input, in the upstream delta `dout`, or in an array it has
+handed out (its result, the attention weights). Inside that rule the
+fused ops save array passes. The softmax scales, shifts, exponentiates
+and normalises its scores' array in place; its row maximum is an
+elementwise `np.maximum` over the key columns, exact like any maximum and
+so the bits of `max(axis=-1)`, at a fraction of the cost of numpy's
+reduction over a short last axis. The heads' context and the q, k and v
+deltas are written by their products straight into merged (..., L, D)
+arrays, and the layer norm centres, scales and applies its affine in
+place, so its forward makes two full-size arrays (the normalised input,
+which backward keeps, and the result). Every sum stays numpy's own
+reduction, whose association sets the bits: each output and gradient is
+bit for bit that of the plain expressions.
+
 A trainable parameter (`parameter`) is a leaf over storage its owner
 lays out: its data is a view into one parameter buffer and its gradient
 a view into one gradient buffer, so an optimizer updates every
@@ -484,40 +499,58 @@ def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     return np.swapaxes(x.reshape(x.shape[:-1] + (n_heads, x.shape[-1] // n_heads)), -2, -3)
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    """(..., H, L, dh) -> (..., L, H * dh)."""
-    x = np.swapaxes(x, -2, -3)
-    return x.reshape(x.shape[:-2] + (-1,))
-
-
 def _heads(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int):
     """Multi-head scaled dot-product attention of arrays that fit it.
 
     Returns the context (..., Lq, D), the weights (..., H, Lq, Lk), and
     the backward: a function of the context's delta and three flags that
     returns the deltas of q, k and v, None for one not asked for.
+
+    The softmax works in place in the scores' array, and its row maximum
+    is taken column by column (`_row_max`). The context and the deltas of
+    q, k and v are written by their products straight into merged
+    (..., L, D) arrays, through head views of them (`_split_heads`).
     """
     qh, kh, vh = _split_heads(q, n_heads), _split_heads(k, n_heads), _split_heads(v, n_heads)
     c = 1.0 / np.sqrt(q.shape[-1] // n_heads)
-    scores = (qh @ np.swapaxes(kh, -1, -2)) * c
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    weights = e / e.sum(axis=-1, keepdims=True)
+    weights = qh @ np.swapaxes(kh, -1, -2)
+    weights *= c
+    weights -= _row_max(weights)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    ctx = np.empty(q.shape)
+    np.matmul(weights, vh, out=_split_heads(ctx, n_heads))
 
     def backward(dout: np.ndarray, need_q: bool, need_k: bool, need_v: bool):
         dctx = _split_heads(dout, n_heads)
         dq = dk = dv = None
         if need_v:
-            dv = _merge_heads(np.swapaxes(weights, -1, -2) @ dctx)
+            dv = np.empty(v.shape)
+            np.matmul(np.swapaxes(weights, -1, -2), dctx, out=_split_heads(dv, n_heads))
         if need_q or need_k:
-            dw = dctx @ np.swapaxes(vh, -1, -2)
-            dscores = (dw - (dw * weights).sum(axis=-1, keepdims=True)) * weights * c
+            dscores = dctx @ np.swapaxes(vh, -1, -2)
+            dscores -= (dscores * weights).sum(axis=-1, keepdims=True)
+            dscores *= weights
+            dscores *= c
             if need_q:
-                dq = _merge_heads(dscores @ kh)
+                dq = np.empty(q.shape)
+                np.matmul(dscores, kh, out=_split_heads(dq, n_heads))
             if need_k:
-                dk = _merge_heads(np.swapaxes(dscores, -1, -2) @ qh)
+                dk = np.empty(k.shape)
+                np.matmul(np.swapaxes(dscores, -1, -2), qh, out=_split_heads(dk, n_heads))
         return dq, dk, dv
 
-    return _merge_heads(weights @ vh), weights, backward
+    return ctx, weights, backward
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """`x.max(axis=-1, keepdims=True)`, as an elementwise maximum over the
+    columns: a maximum is exact, so the bits are the same, and a short
+    last axis costs numpy's reduction far more than a few column passes."""
+    out = x[..., :1].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(out, x[..., j:j + 1], out=out)
+    return out
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> tuple[Tensor, Tensor]:
@@ -597,7 +630,8 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
         need_hidden = x.requires_grad or w1.requires_grad or b1.requires_grad
         dhidden = _affine_backward(hidden, w2, b2, dout, need_hidden)
         if dhidden is not None:
-            dx = _affine_backward(x.data, w1, b1, dhidden * (hidden > 0.0), x.requires_grad)
+            dhidden *= hidden > 0.0
+            dx = _affine_backward(x.data, w1, b1, dhidden, x.requires_grad)
             if dx is not None:
                 _acc(x, dx, True)
 
@@ -748,37 +782,46 @@ def add_layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor,
     if x.shape != residual.shape:
         raise ShapeError(f"add_layer_norm: shapes {x.shape} and {residual.shape} differ")
     return _normalize(x.data + residual.data, (x, residual), gain, bias, eps,
-                      "add_layer_norm")
+                      "add_layer_norm", owned=True)
 
 
 def _normalize(s: np.ndarray, inputs: tuple, gain: Tensor, bias: Tensor, eps: float,
-               op: str) -> Tensor:
-    """Layer norm of `s`, the sum of `inputs`; each input gets its gradient."""
+               op: str, owned: bool = False) -> Tensor:
+    """Layer norm of `s`, the sum of `inputs`; each input gets its gradient.
+    `owned` says the caller has just made `s`, so it is centred in place."""
     d = s.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"{op}: gain {gain.shape} / bias {bias.shape} "
                          f"do not match feature width {d}")
     # `mean` is this sum divided by the count: the same bits, less Python per call
     mu = s.sum(axis=-1, keepdims=True) / d
-    centered = s - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = xhat * gain.data + bias.data
+    xhat = np.subtract(s, mu, out=s if owned else None)
+    out = xhat * xhat  # the squared deviations, then the result
+    inv = out.sum(axis=-1, keepdims=True) / d  # the variance, then 1 / sqrt(var + eps)
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
 
     def backward(dout):
+        prod = None
         if gain.requires_grad:
-            _acc(gain, np.add.reduce((dout * xhat).reshape(-1, d), axis=0,
-                                     out=_grad_target(gain)), True)
+            prod = dout * xhat
+            _acc(gain, np.add.reduce(prod.reshape(-1, d), axis=0, out=_grad_target(gain)),
+                 True)
         if bias.requires_grad:
             _acc(bias, np.add.reduce(dout.reshape(-1, d), axis=0, out=_grad_target(bias)),
                  True)
         takers = [t for t in inputs if t.requires_grad]
         if takers:
-            dy = dout * gain.data
-            m1 = dy.sum(axis=-1, keepdims=True) / d
-            m2 = (dy * xhat).sum(axis=-1, keepdims=True) / d
-            ds = inv * (dy - m1 - xhat * m2)
+            ds = dout * gain.data
+            m1 = ds.sum(axis=-1, keepdims=True) / d
+            m2 = np.multiply(ds, xhat, out=prod).sum(axis=-1, keepdims=True) / d
+            ds -= m1
+            ds -= np.multiply(xhat, m2, out=prod)
+            ds *= inv
             for t in takers[:-1]:
                 _acc(t, ds)
             _acc(takers[-1], ds, True)

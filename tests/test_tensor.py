@@ -240,11 +240,9 @@ def projections(p):
     return [(p[f"w{name}"], p[f"b{name}"]) for name in "qkvo"]
 
 
-@pytest.mark.parametrize("name", sorted(OPS))
-@pytest.mark.parametrize("seed", range(10))
-def test_every_op_passes_gradcheck(name, seed):
-    rng = np.random.default_rng(1000 + seed)
-    params = {
+def op_params(rng) -> dict:
+    """The inputs of the `OPS` table, drawn from `rng`."""
+    return {
         "a": Tensor(rng.standard_normal((3, 4)), requires_grad=True),
         "b": Tensor(rng.standard_normal((3, 4)), requires_grad=True),
         "w": Tensor(rng.standard_normal((4, 5)), requires_grad=True),
@@ -268,6 +266,13 @@ def test_every_op_passes_gradcheck(name, seed):
         "w2": Tensor(0.5 * rng.standard_normal((6, 4)), requires_grad=True),
         "b2": Tensor(rng.standard_normal(4), requires_grad=True),
     }
+
+
+@pytest.mark.parametrize("name", sorted(OPS))
+@pytest.mark.parametrize("seed", range(10))
+def test_every_op_passes_gradcheck(name, seed):
+    rng = np.random.default_rng(1000 + seed)
+    params = op_params(rng)
     op = OPS[name]
 
     def f():
@@ -280,6 +285,26 @@ def test_every_op_passes_gradcheck(name, seed):
     used = {k: v for k, v in params.items()}
     report = grad_check(f, used, h=1e-5, tol=1e-6)
     assert report.passed, f"{name}: {report.summary()}"
+
+
+@pytest.mark.parametrize("name", sorted(OPS))
+@pytest.mark.parametrize("seed", range(3))
+def test_no_op_writes_into_what_it_was_given(name, seed):
+    """Forward and backward leave every input's data, the upstream delta
+    and the forward output byte for byte as they were: an op computes in
+    place only in arrays it has made in the same call."""
+    rng = np.random.default_rng(2000 + seed)
+    params = op_params(rng)
+    inputs = {key: t.data.tobytes() for key, t in params.items()}
+    out = OPS[name](params)
+    forward = out.data.tobytes()
+    upstream = np.asarray(rng.standard_normal(out.shape))
+    given = upstream.tobytes()
+    out._backward(upstream)
+    assert any(t.grad is not None for t in params.values())
+    assert {key: t.data.tobytes() for key, t in params.items()} == inputs
+    assert upstream.tobytes() == given
+    assert out.data.tobytes() == forward
 
 
 def split_heads(x, n_heads):
@@ -469,6 +494,103 @@ class TestFusedOps:
         T._acc(a, delta)
         assert (a.grad == 2.0).all()
         assert (b.grad == 1.0).all() and (delta == 1.0).all()
+
+
+def reference_heads(q, k, v, n_heads, dout):
+    """`_heads`'s context, weights and q, k and v deltas, written as
+    reductions over the last axis and merge copies: its bitwise oracle."""
+    def split(x):
+        return np.swapaxes(x.reshape(x.shape[:-1] + (n_heads, x.shape[-1] // n_heads)), -2, -3)
+
+    def merge(x):
+        x = np.swapaxes(x, -2, -3)
+        return x.reshape(x.shape[:-2] + (-1,))
+
+    qh, kh, vh = split(q), split(k), split(v)
+    c = 1.0 / np.sqrt(q.shape[-1] // n_heads)
+    scores = (qh @ np.swapaxes(kh, -1, -2)) * c
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    dctx = split(dout)
+    dv = merge(np.swapaxes(weights, -1, -2) @ dctx)
+    dw = dctx @ np.swapaxes(vh, -1, -2)
+    dscores = (dw - (dw * weights).sum(axis=-1, keepdims=True)) * weights * c
+    dq = merge(dscores @ kh)
+    dk = merge(np.swapaxes(dscores, -1, -2) @ qh)
+    return merge(weights @ vh), weights, scores, (dq, dk, dv)
+
+
+class TestFusedOpBits:
+    """The fused ops' in-place arithmetic gives the bits of the plain
+    expressions it replaces."""
+
+    # leading axes, Lq, Lk, width, heads, scale of q and k
+    HEADS = {
+        "encoder": ((3,), 7, 7, 8, 4, 1.0),
+        "bench_chunk": ((128,), 7, 7, 64, 4, 1.0),
+        "reduced_last_layer": ((5,), 2, 7, 8, 4, 1.0),
+        "one_key": ((4,), 3, 1, 6, 2, 1.0),
+        "two_leading_axes": ((2, 3), 3, 5, 6, 2, 1.0),
+        "scores_in_the_hundreds": ((4,), 7, 7, 8, 2, 12.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(HEADS))
+    def test_heads_equal_the_plain_expressions(self, case):
+        lead, lq, lk, d, n_heads, size = self.HEADS[case]
+        rng = np.random.default_rng(5)
+        q = size * rng.standard_normal(lead + (lq, d))
+        k = size * rng.standard_normal(lead + (lk, d))
+        v = rng.standard_normal(lead + (lk, d))
+        dout = rng.standard_normal(lead + (lq, d))
+        given = [a.copy() for a in (q, k, v, dout)]
+        ctx, weights, backward = T._heads(q, k, v, n_heads)
+        deltas = backward(dout, True, True, True)
+        want_ctx, want_weights, scores, want_deltas = reference_heads(q, k, v, n_heads, dout)
+        if size > 1.0:
+            assert np.abs(scores).max() > 100.0
+        assert np.array_equal(weights, want_weights)
+        assert np.array_equal(ctx, want_ctx)
+        for got, want in zip(deltas, want_deltas):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert all(np.array_equal(a, b) for a, b in zip((q, k, v, dout), given))
+        # a delta not asked for is not made; the others keep their bits
+        for i in range(3):
+            need = [j == i for j in range(3)]
+            only = backward(dout, *need)
+            assert [x is None for x in only] == [not flag for flag in need]
+            assert np.array_equal(only[i], want_deltas[i])
+
+    def test_feed_forward_masks_the_hidden_delta(self):
+        rng = np.random.default_rng(6)
+        x, w1, b1, w2, b2 = (rng.standard_normal(shape) for shape in
+                             ((4, 7, 6), (6, 10), (10,), (10, 6), (6,)))
+        dout = rng.standard_normal((4, 7, 6))
+        x_t = Tensor(x, requires_grad=True)
+        out = T.feed_forward(x_t, *(Tensor(a, requires_grad=True) for a in (w1, b1, w2, b2)))
+        out._backward(dout)
+        # `_affine`'s one GEMM over the flattened leading axes, forward and back
+        hidden = (x.reshape(-1, 6) @ w1 + b1).reshape(4, 7, 10)
+        dhidden = (dout.reshape(-1, 6) @ np.ascontiguousarray(w2.T)).reshape(4, 7, 10)
+        assert (hidden > 0).any() and (hidden <= 0).any()
+        want = ((dhidden * (hidden > 0)).reshape(-1, 10) @ np.ascontiguousarray(w1.T))
+        assert np.array_equal(x_t.grad, want.reshape(x.shape))
+
+    def test_add_layer_norm_equals_layer_norm_of_the_sum(self):
+        rng = np.random.default_rng(8)
+        x, r = (rng.standard_normal((3, 5, 8)) * 40 + 3 for _ in range(2))
+        g, b = rng.standard_normal(8), rng.standard_normal(8)
+        dout = rng.standard_normal((3, 5, 8))
+        fused = [Tensor(a, requires_grad=True) for a in (x, r, g, b)]
+        out = T.add_layer_norm(*fused, eps=1e-5)
+        out._backward(dout)
+        plain = [Tensor(a, requires_grad=True) for a in (x + r, g, b)]
+        want = T.layer_norm(*plain, eps=1e-5)
+        want._backward(dout)
+        assert np.array_equal(out.data, want.data)
+        assert np.array_equal(fused[0].grad, plain[0].grad)
+        assert np.array_equal(fused[1].grad, plain[0].grad)
+        for got, ref in zip(fused[2:], plain[1:]):
+            assert np.array_equal(got.grad, ref.grad)
 
 
 class TestGraphProperties:
