@@ -885,12 +885,17 @@ class FeatureCache:
                 raise DataError("text requested but the store has no text "
                                 "features and no embedder was given")
 
+    def rows(self, windows: Windows) -> np.ndarray:
+        """The cache rows of `windows`, which must be windows over the table
+        the cache was built on."""
+        if windows.actions is not self.actions:
+            raise DataError("windows over another table: not among the cached records")
+        return windows.rows
+
     def batch(self, windows: Windows) -> Batch:
         if not len(windows):
             raise DataError("cannot materialize an empty batch")
-        actions, rows = windows.actions, windows.rows
-        if actions is not self.actions:
-            raise DataError("windows over another table: not among the cached records")
+        actions, rows = self.actions, self.rows(windows)
         center = rows[:, windows.center]
         return Batch(
             visual=self.visual[rows],

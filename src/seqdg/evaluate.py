@@ -2,10 +2,12 @@
 
 Each action of a split is classified from the window centered on it,
 built exactly as in training (replicate-padded at video edges) but with
-no masking, no decoders, and no text. The predictions come back stacked,
-one row per action in a `Predictions`, and are scored as arrays. Each
-head is ranked once: the top-k ranking a `Predictions` holds serves its
-accuracy at every k up to it.
+no masking, no decoders, and no text. An action sits in up to W windows,
+but its features are projected once per call: the windows are scored
+from a table of every action's projection. The predictions come back
+stacked, one row per action in a `Predictions`, and are scored as
+arrays. Each head is ranked once: the top-k ranking a `Predictions`
+holds serves its accuracy at every k up to it.
 Metrics follow the verb/noun/action convention: an action counts as
 correct at k only if both the verb and the noun truth appear in their
 respective top-k lists.
@@ -37,10 +39,13 @@ __all__ = [
 ]
 
 
-# windows per inference forward, in `fit`'s source accuracy and in
-# `sliding_window_predict`: on one thread, 2,400 windows of the bench-width
-# model took 121 ms at 128 against 157 ms at 256 (2-vCPU VM, BLAS on one
-# thread), and chunks of 16 to 512 give bitwise-equal logits
+# windows per inference chunk, in `fit`'s source accuracy and in
+# `sliding_window_predict`. 2,400 windows of the bench-width model, at 96 /
+# 128 / 192 / 256 (two runs, medians of 21 calls, 2-vCPU VM, BLAS on one
+# thread): 114 / 105 / 107 / 128 and 127 / 122 / 121 / 123 ms on one
+# scoring thread, 80 / 72 / 82 / 89 and 60 / 55 / 56 / 53 ms on two; no
+# size beats 128 beyond the noise. Chunks of 16 to 512 give bitwise-equal
+# logits.
 INFERENCE_BATCH = 128
 
 
@@ -120,14 +125,21 @@ def predict_windows(cache: FeatureCache, model: SeqDGModel,
                     windows: Windows) -> tuple[np.ndarray, np.ndarray]:
     """Stacked verb and noun logits of `windows`, `INFERENCE_BATCH` at a time.
 
-    With n = `scoring_threads` above one, the calling thread and n - 1
-    pool threads score the chunks, each taking the next unscored chunk
-    until none is left, so a thread that is held up leaves its share to
-    the others. Every chunk is the same computation on any thread, so the
+    The calling thread projects every action of the cache once
+    (`SeqDGModel.project`); each chunk then reads its windows' rows of
+    that table (`SeqDGModel.predict_rows`), so no `Batch` is built. With
+    n = `scoring_threads` above one, the calling thread and n - 1 pool
+    threads score the chunks, each taking the next unscored chunk until
+    none is left, so a thread that is held up leaves its share to the
+    others. Every chunk is the same computation on any thread, so the
     logits are bitwise those of one thread. Every pool thread has ended
     on return.
     """
     cfg = model.config
+    if not len(windows):
+        return np.empty((0, cfg.n_verbs)), np.empty((0, cfg.n_nouns))
+    rows = cache.rows(windows)
+    table = model.project(cache.visual)
     starts = range(0, len(windows), INFERENCE_BATCH)
     parts = [None] * len(starts)
     claim = threading.Lock()
@@ -139,8 +151,7 @@ def predict_windows(cache: FeatureCache, model: SeqDGModel,
                 i = next(unscored, None)
             if i is None:
                 return
-            chunk = windows[starts[i]:starts[i] + INFERENCE_BATCH]
-            parts[i] = model.predict_logits(cache.batch(chunk).visual)
+            parts[i] = model.predict_rows(table, rows[starts[i]:starts[i] + INFERENCE_BATCH])
 
     n = scoring_threads(len(starts))
     if n == 1:
@@ -151,8 +162,6 @@ def predict_windows(cache: FeatureCache, model: SeqDGModel,
             score()
             for future in others:
                 future.result()
-    if not parts:
-        return np.empty((0, cfg.n_verbs)), np.empty((0, cfg.n_nouns))
     return (np.concatenate([verb for verb, _noun in parts]),
             np.concatenate([noun for _verb, noun in parts]))
 

@@ -5,7 +5,11 @@ two learnable classification tokens (verb slot, noun slot). Training adds
 a reconstruction path: the center position of the visual and text streams
 is zeroed, and two decoders rebuild each stream while attending across to
 the other, unmasked one. Inference uses only the encoder and the two
-classifier heads; nothing on the text side is ever read. The heads read
+classifier heads; nothing on the text side is ever read. It runs in two
+steps: `SeqDGModel.project` maps each action's features once, and
+`SeqDGModel.predict_rows` builds each window's encoder input by gathering
+its rows of that table, adding the positions and writing the two
+classification tokens, with no graph node for any of it. The heads read
 only the two classification slots, so at inference the last encoder layer
 updates just those two rows: its queries, residual norms and feed-forward
 run on the slots, while its keys and values still span all W + 2 rows.
@@ -584,22 +588,68 @@ class SeqDGModel:
         return out
 
     def predict_logits(self, visual) -> tuple[np.ndarray, np.ndarray]:
-        """Inference: encode and classify. No masking, no decoders, no text.
+        """Inference on windows of features (..., W, D_V): `project` their
+        rows once, then `predict_rows` every window from that table.
 
-        Bitwise equal to `classify(encode_sequence(visual).cls_slots)`, with
-        less work: every encoder layer but the last runs on all W + 2 rows,
-        and the last updates only the two classification slots, the only
-        rows the heads read.
+        Bitwise equal to `classify(encode_sequence(visual).cls_slots)`.
         """
         cfg = self.config
-        layers = self.params.encoder
+        visual = np.asarray(visual, dtype=np.float64)
+        if visual.ndim < 2 or visual.shape[-2] != cfg.W or visual.shape[-1] != cfg.D_V:
+            raise ShapeError(f"predict_logits: expected windows of shape (..., {cfg.W}, "
+                             f"{cfg.D_V}), got {visual.shape}")
+        table = self.project(visual.reshape(-1, cfg.D_V))
+        return self.predict_rows(table, np.arange(len(table)).reshape(visual.shape[:-1]))
+
+    def project(self, visual) -> np.ndarray:
+        """The (N, D) projections of N actions' (N, D_V) features, each row
+        the bits a window's projection gives that action in any slot.
+
+        `_affine` projects a window of W > 1 rows as one GEMM and a window
+        of one row as numpy's single-row product, and the two differ in
+        the last bits. So at W = 1 the table is N windows of one row, and
+        above it one GEMM of at least two rows.
+        """
+        cfg = self.config
+        visual = np.asarray(visual, dtype=np.float64)
+        if visual.ndim != 2 or visual.shape[1] != cfg.D_V:
+            raise ShapeError(f"project: expected features of shape (N, {cfg.D_V}), got "
+                             f"{visual.shape}")
+        n = len(visual)
+        if cfg.W == 1:
+            visual = visual[:, None]
+        elif n == 1:
+            visual = np.concatenate([visual, visual])
         with T.no_grad():
-            seq = _input_sequence(visual, self.params)
+            return _linear(Tensor(visual), self.params.proj).data.reshape(-1, cfg.D)[:n]
+
+    def predict_rows(self, table: np.ndarray, rows: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Verb and noun logits of windows given as rows (..., W) of a
+        `project` table. No masking, no decoders, no text.
+
+        The encoder input is one gather of the table plus the positions,
+        with the two classification tokens written after them. Every
+        encoder layer but the last runs on all W + 2 rows, and the last
+        updates only the two classification slots, the only rows the
+        heads read.
+        """
+        cfg = self.config
+        params, layers = self.params, self.params.encoder
+        if rows.ndim < 1 or rows.shape[-1] != cfg.W:
+            raise ShapeError(f"predict_rows: expected windows of {cfg.W} rows, got shape "
+                             f"{rows.shape}")
+        seq = np.empty(rows.shape[:-1] + (cfg.W + 2, cfg.D))
+        np.add(table[rows], params.pos.data, out=seq[..., :cfg.W, :])
+        seq[..., cfg.W, :] = params.cls_verb.data
+        seq[..., cfg.W + 1, :] = params.cls_noun.data
+        with T.no_grad():
+            seq = T.adopt(seq)
             for layer in layers[:-1]:
                 seq = encoder_layer(seq, layer, cfg.n_heads, cfg.layer_norm_eps)
             slots = T.narrow(seq, -2, cfg.W, 2)
             if layers:
                 slots = encoder_layer(seq, layers[-1], cfg.n_heads, cfg.layer_norm_eps,
                                       rows=slots)
-            verb, noun = classify(slots, self.params)
+            verb, noun = classify(slots, params)
         return verb.data, noun.data

@@ -44,7 +44,9 @@ the parameter; the first delta is then written into its slice, by the
 affine maps and the layer norms straight from their GEMM or reduction. Any
 other tensor's gradient is its own array: the first delta an op has
 just made becomes it, and a delta that is a view of another node's
-gradient is copied.
+gradient is copied. A literal `Tensor` copies its array; `adopt` takes
+an array its caller has just built (the inference forward's encoder
+input) as it is, with an op result's finiteness check.
 
 An optional leading batch axis (or several) is supported everywhere:
 matmul broadcasts over leading axes and reduces gradients back, and `add`
@@ -65,6 +67,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "parameter",
+    "adopt",
     "ShapeError",
     "NonFiniteError",
     "NonDeterministicError",
@@ -222,6 +225,13 @@ def parameter(data: np.ndarray, grad_store: np.ndarray) -> Tensor:
     out.requires_grad = True
     out._grad_store = grad_store
     return out
+
+
+def adopt(data: np.ndarray) -> Tensor:
+    """A tensor outside any graph over `data`, an array the caller has just
+    made and hands over: taken as is (not copied) and checked for NaN and
+    Inf as an op result is (a `NonFiniteError` names op 'input')."""
+    return _node(data, (), "input", None)
 
 
 def _graph_free(data: np.ndarray, op: str) -> Tensor:

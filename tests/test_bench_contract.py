@@ -77,13 +77,13 @@ def test_no_scoring_thread_outlives_the_predict_call(tiny_store, monkeypatch):
     model = SeqDGModel.init(ModelConfig(**TINY_MODEL), seed=0)
     before = set(threading.enumerate())
     started = set()
-    predict = model.predict_logits
+    predict = model.predict_rows
 
-    def recording(visual):
+    def recording(table, rows):
         started.update(set(threading.enumerate()) - before)
-        return predict(visual)
+        return predict(table, rows)
 
-    model.predict_logits = recording
+    model.predict_rows = recording
     evaluate.sliding_window_predict(tiny_store, model)
     assert len(started) == 1
     assert set(threading.enumerate()) == before

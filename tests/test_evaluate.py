@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqdg import evaluate
-from seqdg.data import DatasetSplit, FeatureCache, FeatureStore, build_windows
+from seqdg import tensor as T
+from seqdg.data import Actions, DataError, DatasetSplit, FeatureCache, FeatureStore, build_windows
 from seqdg.evaluate import (
     Prediction,
     Predictions,
@@ -17,8 +18,8 @@ from seqdg.evaluate import (
     topk_accuracy,
     topk_indices,
 )
-from seqdg.model import ModelConfig, SeqDGModel
-from seqdg.tensor import NonFiniteError
+from seqdg.model import ModelConfig, SeqDGModel, classify, encode_sequence
+from seqdg.tensor import NonFiniteError, ShapeError
 from test_train import pin, toy_store
 
 
@@ -209,31 +210,31 @@ def serial_logits(cache, model, windows, batch):
 
 
 class ThreadLog:
-    """Wraps a `predict_logits` to record the thread and first feature
-    value of every chunk it scores. With `pool_first`, the calling
-    thread's calls wait (up to 10 s) until a pool thread has begun one, so
-    that a pool thread scores at least one chunk; with `poison`, a pool
-    thread's chunk is scored as NaN features."""
+    """Wraps a `predict_rows` to record the thread and the window rows of
+    every chunk it scores. With `pool_first`, the calling thread's calls
+    wait (up to 10 s) until a pool thread has begun one, so that a pool
+    thread scores at least one chunk; with `poison`, a pool thread's chunk
+    is scored from a table of NaN."""
 
     def __init__(self, predict, pool_first=False, poison=False):
         self.predict, self.pool_first, self.poison = predict, pool_first, poison
         self.calls = []
         self.pool_began = threading.Event()
 
-    def __call__(self, visual):
+    def __call__(self, table, rows):
         thread = threading.current_thread()
-        self.calls.append((thread, visual.flat[0]))
+        self.calls.append((thread, rows.tobytes()))
         if thread is threading.main_thread():
             if self.pool_first:
                 assert self.pool_began.wait(timeout=10), "no pool thread scored a chunk"
         else:
             self.pool_began.set()
             if self.poison:
-                visual = np.full_like(visual, np.nan)
-        return self.predict(visual)
+                table = np.full_like(table, np.nan)
+        return self.predict(table, rows)
 
     def threads(self) -> set:
-        return {thread for thread, _first in self.calls}
+        return {thread for thread, _chunk in self.calls}
 
 
 def check_threads_ended(before: int):
@@ -260,8 +261,8 @@ class TestThreadedScoring:
         return (FeatureCache(store, actions), SeqDGModel.init(cfg, seed=3),
                 build_windows(actions, cfg.W))
 
-    def first_values(self, cache, windows):
-        return sorted(cache.batch(windows[start:start + self.BATCH]).visual.flat[0]
+    def chunks(self, windows):
+        return sorted(windows.rows[start:start + self.BATCH].tobytes()
                       for start in range(0, len(windows), self.BATCH))
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -276,7 +277,7 @@ class TestThreadedScoring:
         chunks = -(-n_windows // self.BATCH)
         n = min(cpus, chunks // 2) or 1
         assert evaluate.scoring_threads(chunks) == n
-        log = model.predict_logits = ThreadLog(model.predict_logits, pool_first=n > 1)
+        log = model.predict_rows = ThreadLog(model.predict_rows, pool_first=n > 1)
         before = threading.active_count()
         verb, noun = predict_windows(cache, model, windows)
         check_threads_ended(before)
@@ -284,16 +285,15 @@ class TestThreadedScoring:
         # every chunk scored once, by at most n threads, and by a pool
         # thread exactly when n > 1 (on tiny chunks a pool thread may claim
         # them all before the calling thread claims one)
-        assert sorted(first for _thread, first in log.calls) == self.first_values(cache,
-                                                                                  windows)
+        assert sorted(chunk for _thread, chunk in log.calls) == self.chunks(windows)
         assert len(log.threads()) <= n
         assert (log.threads() != {threading.main_thread()}) == (n > 1)
 
     def test_nonfinite_chunk_on_a_pool_thread_propagates(self, scoring, monkeypatch):
         cache, model, windows = scoring
         pin(monkeypatch, 2)
-        log = model.predict_logits = ThreadLog(model.predict_logits, pool_first=True,
-                                               poison=True)
+        log = model.predict_rows = ThreadLog(model.predict_rows, pool_first=True,
+                                             poison=True)
         before = threading.active_count()
         with pytest.raises(NonFiniteError):
             predict_windows(cache, model, windows)
@@ -304,18 +304,17 @@ class TestThreadedScoring:
         cache, model, windows = scoring
         want = serial_logits(cache, model, windows, self.BATCH)
         pin(monkeypatch, 4)
-        predict = model.predict_logits
+        predict = model.predict_rows
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             before = threading.active_count()
             for _ in range(3):
-                log = model.predict_logits = ThreadLog(predict)
+                log = model.predict_rows = ThreadLog(predict)
                 verb, noun = predict_windows(cache, model, windows)
                 assert verb.tobytes() == want[0].tobytes()
                 assert noun.tobytes() == want[1].tobytes()
-                assert sorted(first for _t, first in log.calls) == self.first_values(cache,
-                                                                                     windows)
+                assert sorted(chunk for _t, chunk in log.calls) == self.chunks(windows)
                 assert len(log.threads()) <= 4
         finally:
             sys.setswitchinterval(interval)
@@ -345,3 +344,100 @@ class TestThreadedScoring:
         monkeypatch.delattr(evaluate.os, "sched_getaffinity")
         monkeypatch.setattr(evaluate.os, "cpu_count", lambda: 3)
         assert evaluate.scoring_threads(100) == 3
+
+
+class TestProjectedScoring:
+    """`predict_windows` projects each action of the cache once and scores
+    every chunk from that table."""
+
+    BATCH = 4
+
+    def setup(self, monkeypatch, W, cpus=1, n_videos=3, actions_per_video=7):
+        """By default 21 windows (6 chunks, the last one short) over three
+        videos."""
+        monkeypatch.setattr(evaluate, "INFERENCE_BATCH", self.BATCH)
+        pin(monkeypatch, cpus)
+        store = toy_store(n_videos=n_videos, actions_per_video=actions_per_video)
+        actions = store.records_for(store.split.source)
+        cfg = ModelConfig(W=W, D=8, D_V=6, D_T=8, n_enc_layers=2, n_dec_layers=0,
+                          n_heads=2, n_verbs=3, n_nouns=2, d_ff=16)
+        return (FeatureCache(store, actions), SeqDGModel.init(cfg, seed=W),
+                build_windows(actions, W))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("W", [1, 3, 5, 7])
+    def test_bitwise_equal_to_the_per_window_oracle(self, W, cpus, monkeypatch):
+        cache, model, windows = self.setup(monkeypatch, W, cpus)
+        assert evaluate.scoring_threads(6) == cpus
+        verb, noun = predict_windows(cache, model, windows)
+        with T.no_grad():
+            want = [classify(encode_sequence(cache.batch(windows[i:i + 1]).visual,
+                                             model.params).cls_slots, model.params)
+                    for i in range(len(windows))]
+        assert verb.tobytes() == np.concatenate([v.data for v, _n in want]).tobytes()
+        assert noun.tobytes() == np.concatenate([n.data for _v, n in want]).tobytes()
+
+    @pytest.mark.parametrize("W", [1, 3, 5, 7])
+    def test_a_one_action_table_scores_like_its_window(self, W, monkeypatch):
+        # every slot of the one window is the one action
+        cache, model, windows = self.setup(monkeypatch, W, n_videos=1, actions_per_video=1)
+        assert len(cache.actions) == 1
+        verb, _noun = predict_windows(cache, model, windows)
+        with T.no_grad():
+            want, _ = classify(encode_sequence(cache.batch(windows).visual,
+                                               model.params).cls_slots, model.params)
+        assert verb.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("W", [1, 5])
+    def test_each_action_is_projected_once_per_call(self, W, cpus, monkeypatch):
+        cache, model, windows = self.setup(monkeypatch, W, cpus)
+        rows = []
+        affine = T._affine
+
+        def counting_affine(x, w, b):
+            if w is model.params.proj.weight.data:
+                rows.append(int(np.prod(x.shape[:-1])))
+            return affine(x, w, b)
+
+        monkeypatch.setattr(T, "_affine", counting_affine)
+        predict_windows(cache, model, windows)
+        assert rows == [len(cache.actions)] == [21]
+        rows.clear()
+        predict_windows(cache, model, windows[:5])
+        assert rows == [21]
+
+    def test_scoring_builds_no_batch_and_reads_no_narration(self, monkeypatch):
+        cache, model, windows = self.setup(monkeypatch, 5, cpus=2)
+        calls = []
+        for cls, name in ((FeatureCache, "batch"), (Actions, "narrations")):
+            original = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda *args, _name=name, _original=original:
+                                calls.append(_name) or _original(*args))
+        predict_windows(cache, model, windows)
+        assert calls == []
+        cache.batch(windows[:1])
+        assert calls == ["batch", "narrations"]
+
+    def test_windows_over_another_table_are_a_data_error(self, monkeypatch):
+        cache, model, windows = self.setup(monkeypatch, 3)
+        other = build_windows(cache.actions[:], 3)
+        with pytest.raises(DataError, match="windows over another table"):
+            predict_windows(cache, model, other)
+
+    def test_windows_of_another_length_are_a_shape_error(self, monkeypatch):
+        cache, model, _windows = self.setup(monkeypatch, 3, cpus=2)
+        before = threading.active_count()
+        with pytest.raises(ShapeError, match="expected windows of 3 rows"):
+            predict_windows(cache, model, build_windows(cache.actions, 5))
+        check_threads_ended(before)
+
+    @pytest.mark.parametrize("row", [0, 20])
+    def test_a_nan_feature_is_nonfinite_and_no_thread_outlives_the_call(self, row,
+                                                                        monkeypatch):
+        cache, model, windows = self.setup(monkeypatch, 5, cpus=2)
+        cache.visual[row, 1] = np.nan
+        before = threading.active_count()
+        with pytest.raises(NonFiniteError):
+            predict_windows(cache, model, windows)
+        check_threads_ended(before)
