@@ -9,13 +9,13 @@ names, little-endian int64, one column per field back to back in
 the action and token counts and the tables of video and domain names
 that the video and domain columns are codes into. It is written as
 compact JSON with sorted keys (any indentation would force Python's
-pure-Python encoder); `load` reads any layout of the same value. A
-version-2 manifest (one JSON list per column) and a version-1 manifest
-(one object per action) still load: their columns are type-checked in
-one pass, and an error names the column and its first bad entry; their
-ids are then interned into codes and name tables. From there every
-version takes the one builder and the same checks (codes inside their
-tables, narration lengths against the token count). In memory the
+pure-Python encoder); `load` reads any layout of the same value. Each
+blob is read as bytes that must hold a whole number of its values
+(`_blob`), and the action blob exactly the columns and tokens the
+header counts; the table then passes one check (codes inside their
+tables, narration lengths against the token count). Versions 1 and 2,
+which kept the actions in the manifest, are no longer read: `seqdg
+synth-gen` and `seqdg import` rewrite a store. In memory the
 columns become a `FeatureStore` over an `Actions` table: one int64
 column per integer field, video and domain ids as codes, and the
 narrations as one ragged token array. The store builds each split's
@@ -41,7 +41,6 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -78,24 +77,17 @@ class DataError(Exception):
     """Malformed or inconsistent dataset input."""
 
 
-# every action column of a manifest and the exact JSON type of its
-# entries in a version-2 manifest (a JSON true is not an int). Each column
-# holds one entry per action, except `narration_tokens`: the narrations
-# concatenated, as many tokens as `narration_lengths` sums to. A version-3
-# action blob holds the columns in this order, back to back as int64, the
-# video and domain ids as codes into the header's name tables.
-# `Actions.to_columns` gives and `Actions.from_columns` takes the JSON
-# columns, `Actions.to_arrays` and `Actions.from_codes` the int64 ones;
-# `_manifest_table` checks the JSON columns and `_blob_table` the blob.
-_COLUMNS = {"action_id": int, "video_id": str, "domain_id": str, "verb": int, "noun": int,
-            "temporal_index": int, "blob_offset": int, "n_clips": int,
-            "narration_lengths": int, "narration_tokens": int}
-# the keys of an action object of a version-1 manifest, in ActionRecord's
-# field order
-_V1_KEYS = ("action_id", "video_id", "domain_id", "verb", "noun", "narration",
-            "temporal_index", "blob_offset", "n_clips")
+# every column of an action table, in the order the action blob holds
+# them, back to back as int64, the video and domain ids as codes into the
+# header's name tables. Each column holds one entry per action, except
+# `narration_tokens`: the narrations concatenated, as many tokens as
+# `narration_lengths` sums to. `Actions.to_arrays` gives and
+# `Actions.from_codes` takes the columns, `_blob_table` reads them, and
+# `Actions.from_columns` takes them as Python values with the ids as names.
+_COLUMNS = ("action_id", "video_id", "domain_id", "verb", "noun", "temporal_index",
+            "blob_offset", "n_clips", "narration_lengths", "narration_tokens")
 _INT64 = range(-2**63, 2**63)
-# the keys of a version-3 manifest's `actions` header
+# the keys of a manifest's `actions` header
 _BLOB_KEYS = {"blob", "n_actions", "n_tokens", "video_names", "domain_names"}
 
 
@@ -160,10 +152,10 @@ class Actions(Sequence):
     @classmethod
     def from_columns(cls, *, action_id, video_id, domain_id, verb, noun, temporal_index,
                      blob_offset, n_clips, narration_lengths, narration_tokens) -> "Actions":
-        """The table of one sequence of JSON values per manifest column
-        (`_COLUMNS`): video and domain ids interned into codes and name
-        tables in order of first appearance, every other column made int64
-        (an int outside int64 raises OverflowError), then `from_codes`."""
+        """The table of one sequence of values per column (`_COLUMNS`):
+        video and domain ids interned into codes and name tables in order of
+        first appearance, every other column made int64 (an int outside
+        int64 raises OverflowError), then `from_codes`."""
         video_names, video = _intern(video_id)
         domain_names, domain = _intern(domain_id)
         ids, verbs, nouns, temporal, offsets, n_clips, lengths, tokens = (
@@ -206,7 +198,7 @@ class Actions(Sequence):
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         """The table as int64 columns (`_COLUMNS`), as `from_codes` takes
-        them and a version-3 blob holds them: video and domain ids as
+        them and the action blob holds them: video and domain ids as
         codes, and `narration_tokens` only the rows' own narrations, in row
         order."""
         lengths = self.token_end - self.token_start
@@ -217,22 +209,15 @@ class Actions(Sequence):
                                    self.temporal, self.offsets, self.n_clips, lengths,
                                    self.tokens[gather])))
 
-    def to_columns(self) -> dict[str, list]:
-        """The table as manifest columns (`_COLUMNS`) of JSON values, as
-        `from_columns` takes them."""
-        columns = {name: column.tolist() for name, column in self.to_arrays().items()}
-        for name, names in (("video_id", self.video_names), ("domain_id", self.domain_names)):
-            columns[name] = [names[code] for code in columns[name]]
-        return columns
-
     def views(self) -> list[ActionRecord]:
         """One `ActionRecord` per row, built once."""
         if self._views is None:
-            columns = self.to_columns()
-            tokens = iter(columns["narration_tokens"])
-            columns["narration"] = [tuple(itertools.islice(tokens, n))
-                                    for n in columns["narration_lengths"]]
-            self._views = list(map(ActionRecord, *map(columns.get, _V1_KEYS)))
+            self._views = list(map(
+                ActionRecord, self.ids.tolist(),
+                map(self.video_names.__getitem__, self.video.tolist()),
+                map(self.domain_names.__getitem__, self.domain.tolist()),
+                self.verbs.tolist(), self.nouns.tolist(), self.narrations(slice(None)),
+                self.temporal.tolist(), self.offsets.tolist(), self.n_clips.tolist()))
         return self._views
 
     def __len__(self) -> int:
@@ -395,15 +380,14 @@ class FeatureStore:
         if manifest.get("format") != MANIFEST_FORMAT:
             raise DataError(f"unrecognized manifest format {manifest.get('format')!r}")
         version = manifest.get("version")
-        if type(version) is not int or version not in (1, 2, MANIFEST_VERSION):
+        if type(version) is int and version in (1, 2):
+            raise DataError(f"manifest version {version} is no longer read; re-run `seqdg "
+                            "synth-gen` or `seqdg import` to rewrite the store")
+        if type(version) is not int or version != MANIFEST_VERSION:
             raise DataError(f"unsupported manifest version {version!r}")
         base = manifest_path.parent
         try:
-            columns, action_blob = manifest["actions"], None
-            if version == MANIFEST_VERSION:
-                actions, action_blob = _blob_table(columns, base)
-            else:
-                actions = _manifest_table(_v1_columns(columns) if version == 1 else columns)
+            actions, action_blob = _blob_table(manifest["actions"], base)
             unsplit = [d["id"] for d in manifest["domains"]
                        if d["split"] not in ("source", "target")]
             if unsplit:
@@ -412,10 +396,10 @@ class FeatureStore:
             split = DatasetSplit(
                 source=tuple(d["id"] for d in manifest["domains"] if d["split"] == "source"),
                 target=tuple(d["id"] for d in manifest["domains"] if d["split"] == "target"))
-            visual = _read("features", np.fromfile, base / manifest["feature_blob"], dtype="<f4")
+            visual = _blob("feature blob", base / manifest["feature_blob"], "<f4")
             text = None
             if manifest.get("text_blob"):
-                text = _read("features", np.fromfile, base / manifest["text_blob"], dtype="<f4")
+                text = _blob("text blob", base / manifest["text_blob"], "<f4")
             meta = {k: manifest[k] for k in ("name", "d_v", "d_t", "clips_per_action")}
             vocab = list(manifest["vocab"])
         except (KeyError, TypeError) as exc:
@@ -440,42 +424,20 @@ def _read(what: str, read, path, **kwargs):
         raise DataError(f"cannot read {what}: {exc}") from exc
 
 
-def _manifest_table(columns) -> Actions:
-    """The table of a manifest's action columns (version 2). Each column is
-    checked in one pass: present, a list, as long as `action_id`, every
-    entry of its exact JSON type and every int inside int64; then the
-    table passes `_checked`. A failing check raises a DataError that names
-    the column and its first bad entry."""
-    if type(columns) is not dict:
-        raise DataError("manifest 'actions' must be an object of columns")
-    for names, what in ((_COLUMNS.keys() - columns.keys(), "no column"),
-                        (columns.keys() - _COLUMNS.keys(), "an unknown column")):
-        if names:
-            raise DataError(f"manifest 'actions' has {what} {sorted(names)[0]!r}")
-    for name, kind in _COLUMNS.items():
-        column = columns[name]
-        if type(column) is not list:
-            raise DataError(f"manifest column {name!r} must be a list, got {column!r}")
-        if name != "narration_tokens" and len(column) != len(columns["action_id"]):
-            raise DataError(f"manifest column {name!r} holds {len(column)} entries, "
-                            f"'action_id' {len(columns['action_id'])}")
-        if not {kind}.issuperset(map(type, column)):
-            index, value = next((index, value) for index, value in enumerate(column)
-                                if type(value) is not kind)
-            raise DataError(f"manifest column {name!r}, entry {index}: must be "
-                            f"{kind.__name__}, got {value!r}")
-    try:
-        actions = Actions.from_columns(**columns)
-    except OverflowError:
-        name, index = next((name, index) for name, kind in _COLUMNS.items() if kind is int
-                           for index, value in enumerate(columns[name]) if value not in _INT64)
-        raise DataError(f"manifest column {name!r}, entry {index}: {columns[name][index]} "
-                        "is outside int64") from None
-    return _checked(actions)
+def _blob(what: str, path: Path, dtype: str) -> np.ndarray:
+    """The blob at `path` as `dtype` values: its bytes, viewed as `dtype`
+    once they hold a whole number of values. A trailing part of a value is
+    a DataError naming `what` and the blob, never a value dropped."""
+    raw = _read(what, np.fromfile, path, dtype=np.uint8)
+    size = np.dtype(dtype).itemsize
+    if raw.size % size:
+        raise DataError(f"{what} {Path(path).name!r} holds {raw.size} bytes, not a whole "
+                        f"number of {size}-byte values")
+    return raw.view(dtype)
 
 
 def _blob_table(header, base: Path) -> tuple[Actions, str]:
-    """The table of a version-3 manifest's `actions` header, read from the
+    """The table of a manifest's `actions` header, read from the
     int64 blob it names (relative to `base`), and the blob's name. The
     header must hold exactly `_BLOB_KEYS`: the counts ints >= 0, each name
     table a list of distinct strings. The blob must hold exactly the
@@ -508,13 +470,12 @@ def _blob_table(header, base: Path) -> tuple[Actions, str]:
                                     f"be a distinct str, got {value!r}")
                 seen.add(value)
     n, n_tokens = header["n_actions"], header["n_tokens"]
-    raw = _read("action blob", np.fromfile, base / name, dtype=np.uint8)
+    values = _blob("action blob", base / name, "<i8")
     rows = len(_COLUMNS) - 1
-    expected = (rows * n + n_tokens) * 8
-    if raw.size != expected:
-        raise DataError(f"action blob {name!r} holds {raw.size} bytes, the manifest's "
-                        f"{n} actions and {n_tokens} tokens need {expected}")
-    values = raw.view("<i8").astype(np.int64, copy=False)
+    if values.size != rows * n + n_tokens:
+        raise DataError(f"action blob {name!r} holds {values.nbytes} bytes, the manifest's "
+                        f"{n} actions and {n_tokens} tokens need {(rows * n + n_tokens) * 8}")
+    values = values.astype(np.int64, copy=False)
     actions = Actions.from_codes(header["video_names"], header["domain_names"],
                                  *values[:rows * n].reshape(rows, n), values[rows * n:])
     return _checked(actions), name
@@ -523,8 +484,7 @@ def _blob_table(header, base: Path) -> tuple[Actions, str]:
 def _checked(actions: Actions) -> Actions:
     """`actions`, once every video and domain code indexes its name table,
     no narration length is negative and the lengths sum to the token count;
-    otherwise a DataError names the column and its first bad entry. Every
-    manifest version's table passes here."""
+    otherwise a DataError names the column and its first bad entry."""
     for name, codes, names in (("video_id", actions.video, actions.video_names),
                                ("domain_id", actions.domain, actions.domain_names)):
         outside = np.flatnonzero((codes < 0) | (codes >= len(names)))
@@ -544,37 +504,6 @@ def _checked(actions: Actions) -> Actions:
         raise DataError(f"manifest column 'narration_lengths' sums to {sum(lengths.tolist())}, "
                         f"but 'narration_tokens' holds {n_tokens} tokens")
     return actions
-
-
-def _v1_columns(actions) -> dict[str, list]:
-    """A version-1 action list, one object per action, as the columns that
-    `_manifest_table` checks. Each key is pulled out as a column; only when
-    that fails does a scan, action by action, name the first action that
-    is not an object, lacks a key or has a narration that is not a list.
-    Keys past `_V1_KEYS` are ignored."""
-    try:
-        if type(actions) is not list or not {dict}.issuperset(map(type, actions)):
-            raise TypeError("an action is not an object")
-        columns = {key: list(map(operator.itemgetter(key), actions)) for key in _V1_KEYS}
-        narrations = columns.pop("narration")
-        if not {list}.issuperset(map(type, narrations)):
-            raise TypeError("a narration is not a list")
-    except (KeyError, TypeError):
-        if type(actions) is not list:
-            raise DataError("a version-1 manifest's 'actions' must be a list") from None
-        for index, action in enumerate(actions):
-            if type(action) is not dict:
-                raise DataError(f"manifest action {index} is not an object") from None
-            missing = [key for key in _V1_KEYS if key not in action]
-            if missing:
-                raise DataError(f"manifest action {index} has no {missing[0]!r}") from None
-            if type(action["narration"]) is not list:
-                raise DataError(f"manifest action {index}: 'narration' must be list, "
-                                f"got {action['narration']!r}") from None
-        raise
-    columns["narration_lengths"] = list(map(len, narrations))
-    columns["narration_tokens"] = list(itertools.chain.from_iterable(narrations))
-    return columns
 
 
 def _any_token(actions: Actions, flags: np.ndarray) -> np.ndarray:
@@ -980,7 +909,7 @@ def import_csv_dataset(csv_path, features_path, *, d_v: int, clips_per_action: i
     rows = read_annotation_csv(csv_path)
     if not rows:
         raise DataError(f"{csv_path}: no annotation rows")
-    visual = _read("features", np.fromfile, features_path, dtype="<f4")
+    visual = _blob("features", features_path, "<f4")
     expected = len(rows) * clips_per_action * d_v
     if visual.size != expected:
         raise DataError(f"{features_path}: got {visual.size} floats, expected "
@@ -1000,7 +929,7 @@ def import_csv_dataset(csv_path, features_path, *, d_v: int, clips_per_action: i
         narration_tokens=list(itertools.chain.from_iterable(narrations)))
     text = None
     if text_features_path is not None:
-        text = _read("features", np.fromfile, text_features_path, dtype="<f4")
+        text = _blob("text features", text_features_path, "<f4")
         if text.size != n * d_t:
             raise DataError(f"{text_features_path}: got {text.size} floats, "
                             f"expected {n * d_t}")

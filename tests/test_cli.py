@@ -946,69 +946,6 @@ class TestCheckpointInputErrors:
                 == (tmp_path / "ev_current" / "results.json").read_bytes())
 
 
-def set_entry(manifest, column, index, value):
-    manifest["actions"][column][index] = value
-
-
-def column_of(manifest, column, replace):
-    """Set each entry of the action column `column` to `replace(entry)`."""
-    manifest["actions"][column] = list(map(replace, manifest["actions"][column]))
-
-
-CORRUPT_MANIFESTS = {
-    "missing_key": lambda m: m["actions"].pop("verb"),
-    "wrong_type": lambda m: set_entry(m, "verb", 0, "3"),
-    "duplicate_id": lambda m: set_entry(m, "action_id", 1, m["actions"]["action_id"][0]),
-    "id_out_of_range": lambda m: set_entry(m, "action_id", 0,
-                                           len(m["actions"]["action_id"])),
-    "d_v_str": lambda m: m.update(d_v="x"),
-    "d_t_float": lambda m: m.update(d_t=16.0),
-    "clips_per_action_null": lambda m: m.update(clips_per_action=None),
-    "d_t_zero": lambda m: m.update(d_t=0),
-    "clips_per_action_negative": lambda m: m.update(clips_per_action=-3),
-    # the dataset's domains are S0 and S1 (source) and T0 (target)
-    "unknown_split": lambda m: m["domains"][1].update(split="validation"),
-    "unlisted_domain": lambda m: column_of(m, "domain_id",
-                                           lambda d: "S9" if d == "S1" else d),
-    # a string as long as the vocabulary, so that every narration token
-    # still indexes it
-    "vocab_str": lambda m: m.update(vocab="x" * len(m["vocab"])),
-    "domain_listed_twice": lambda m: m["domains"].append(dict(m["domains"][0])),
-    "temporal_index_gap": lambda m: set_entry(m, "temporal_index", 2, 100),
-    # blob names that resolve to the manifest's own directory
-    "feature_blob_empty": lambda m: m.update(feature_blob=""),
-    "text_blob_dot": lambda m: m.update(text_blob="."),
-}
-
-
-def negative_first_length(manifest):
-    # the second narration takes the first's tokens, so the lengths still sum
-    # to the token count
-    lengths = manifest["actions"]["narration_lengths"]
-    lengths[:2] = [-1, lengths[0] + lengths[1] + 1]
-
-
-# malformed action columns, and the message that names each one's column
-# and entry
-CORRUPT_COLUMNS = {
-    "missing_column": (lambda m: m["actions"].pop("noun"), "has no column 'noun'"),
-    "unknown_column": (lambda m: m["actions"].update(narration=[]),
-                       "has an unknown column 'narration'"),
-    "ragged_column": (lambda m: m["actions"]["temporal_index"].pop(),
-                      "column 'temporal_index' holds 95 entries, 'action_id' 96"),
-    "true_in_an_int_column": (lambda m: set_entry(m, "n_clips", 5, True),
-                              "column 'n_clips', entry 5: must be int, got True"),
-    "int_past_int64": (lambda m: set_entry(m, "blob_offset", 7, 2**63),
-                       "column 'blob_offset', entry 7: 9223372036854775808 is outside int64"),
-    "negative_narration_length": (negative_first_length,
-                                  "column 'narration_lengths', entry 0: negative length -1"),
-    "lengths_off_the_token_count": (lambda m: m["actions"]["narration_tokens"].append(0),
-                                    "'narration_lengths' sums to 192, but "
-                                    "'narration_tokens' holds 193 tokens"),
-    "actions_a_list": (lambda m: m.update(actions=[m["actions"]]),
-                       "'actions' must be an object of columns"),
-}
-
 # the columns of a version-3 action blob, in the order it holds them; the
 # narration tokens follow
 BLOB_COLUMNS = ("action_id", "video_id", "domain_id", "verb", "noun", "temporal_index",
@@ -1026,13 +963,19 @@ def blob_entries(column, values: dict):
     return edit
 
 
+def manifest_edit(change):
+    """An edit of a version-3 dataset that applies `change` to the manifest,
+    leaving the action blob as it is."""
+    def edit(manifest, blob):
+        change(manifest)
+        return blob.tobytes()
+    return edit
+
+
 def header(key, value):
     """An edit of a version-3 dataset that sets key `key` of the manifest's
     action header to `value`, leaving the blob as it is."""
-    def edit(manifest, blob):
-        manifest["actions"][key] = value
-        return blob.tobytes()
-    return edit
+    return manifest_edit(lambda m: m["actions"].__setitem__(key, value))
 
 
 def repeat_first_name(manifest, blob):
@@ -1044,6 +987,20 @@ def repeat_first_name(manifest, blob):
 def drop_key(manifest, blob):
     del manifest["actions"]["n_tokens"]
     return blob.tobytes()
+
+
+def one_more_token(manifest, blob):
+    manifest["actions"]["n_tokens"] += 1
+    return blob.tobytes() + bytes(8)
+
+
+def rename_domain(old, new):
+    """An edit of a version-3 dataset that renames domain `old` in the
+    action header's name table, so that its actions carry the name `new`."""
+    def change(manifest):
+        names = manifest["actions"]["domain_names"]
+        names[names.index(old)] = new
+    return manifest_edit(change)
 
 
 # malformed version-3 input, as an edit of the manifest (in place) and of
@@ -1090,6 +1047,46 @@ CORRUPT_V3 = {
                                               dict.fromkeys(range(4), 2**62 + 2)),
                                  f"'narration_lengths' sums to {2**64 + 192}, but "
                                  "'narration_tokens' holds 192 tokens"),
+    "tokens_past_the_lengths": (one_more_token, "'narration_lengths' sums to 192, but "
+                                                "'narration_tokens' holds 193 tokens"),
+    "actions_a_list": (manifest_edit(lambda m: m.update(actions=[m["actions"]])),
+                       "manifest 'actions' must be an object"),
+}
+
+
+# values of a version-3 dataset that break a rule of the store's own
+# checks, not of the action header or blob, as edits like `CORRUPT_V3`'s,
+# and the message of the rule each one breaks. The dataset's domains are S0
+# and S1 (source) and T0 (target); its first video's actions are rows 0-15
+# in temporal order.
+CORRUPT_MANIFESTS = {
+    "duplicate_id": (blob_entries("action_id", {1: 0}), "duplicate action id 0"),
+    "id_out_of_range": (blob_entries("action_id", {0: 96}), "action id 96 outside [0, 96)"),
+    "d_v_str": (manifest_edit(lambda m: m.update(d_v="x")), "'d_v' must be int, got 'x'"),
+    "d_t_float": (manifest_edit(lambda m: m.update(d_t=16.0)),
+                  "'d_t' must be int, got 16.0"),
+    "clips_per_action_null": (manifest_edit(lambda m: m.update(clips_per_action=None)),
+                              "'clips_per_action' must be int, got None"),
+    "d_t_zero": (manifest_edit(lambda m: m.update(d_t=0)), "d_t must be >= 1, got 0"),
+    "clips_per_action_negative": (manifest_edit(lambda m: m.update(clips_per_action=-3)),
+                                  "clips_per_action must be >= 1, got -3"),
+    "unknown_split": (manifest_edit(lambda m: m["domains"][1].update(split="validation")),
+                      "domains ['S1'] have a split that is neither 'source' nor 'target'"),
+    "unlisted_domain": (rename_domain("S1", "S9"), "actions of domains ['S9'] belong to "
+                                                   "neither the source nor the target split"),
+    # a string as long as the vocabulary, so that every narration token
+    # still indexes it
+    "vocab_str": (manifest_edit(lambda m: m.update(vocab="x" * len(m["vocab"]))),
+                  "'vocab' must be a list of strings"),
+    "domain_listed_twice": (manifest_edit(lambda m: m["domains"].append(dict(m["domains"][0]))),
+                            "domains ['S0'] are listed more than once"),
+    "temporal_index_gap": (blob_entries("temporal_index", {2: 100}),
+                           "video 'S0_v0': temporal indices must be consecutive and unique"),
+    # blob names that resolve to the manifest's own directory
+    "feature_blob_empty": (manifest_edit(lambda m: m.update(feature_blob="")),
+                           "cannot read feature blob"),
+    "text_blob_dot": (manifest_edit(lambda m: m.update(text_blob=".")),
+                      "cannot read text blob"),
 }
 
 
@@ -1118,58 +1115,42 @@ def fuzzed_blobs(draw, blob: bytes) -> bytes:
     return values.tobytes()
 
 
-# any JSON value an action entry could be set to: ints past either end of
-# int64, bools, floats including NaN and +-Infinity, strings, null, and
-# lists mixing these
-MANIFEST_VALUES = st.one_of(
-    st.none(), st.booleans(), st.integers(),
-    st.integers(min_value=2**63), st.integers(max_value=-2**63 - 1), st.floats(),
-    st.text(max_size=8),
-    st.lists(st.one_of(st.integers(), st.integers(min_value=2**63), st.booleans(),
-                       st.none(), st.floats(), st.text(max_size=3)), max_size=4))
-
-
 @st.composite
-def fuzzed_manifests(draw, manifest: dict) -> dict:
-    """A copy of `manifest` (version 2) with one entry of one action column
-    set to a drawn JSON value, or one whole column deleted or replaced by
-    one."""
-    manifest = json.loads(json.dumps(manifest))
-    columns = manifest["actions"]
-    name = draw(st.sampled_from(sorted(columns)))
-    edit = draw(st.sampled_from(["entry", "delete", "replace"]))
-    if edit == "entry":
-        columns[name][draw(st.integers(0, len(columns[name]) - 1))] = draw(MANIFEST_VALUES)
-    elif edit == "delete":
-        del columns[name]
-    else:
-        columns[name] = draw(MANIFEST_VALUES)
-    return manifest
-
-
-@st.composite
-def fuzzed_v1_manifests(draw, manifest: dict) -> dict:
-    """A copy of `manifest` (version 1) with one key of one action deleted
-    or set to a drawn JSON value."""
-    manifest = json.loads(json.dumps(manifest))
-    action = manifest["actions"][draw(st.integers(0, len(manifest["actions"]) - 1))]
-    key = draw(st.sampled_from(sorted(action)))
+def fuzzed_float_blobs(draw, blob: bytes) -> bytes:
+    """A copy of a float32 blob cut short at a drawn byte, or with 1-3 drawn
+    bytes appended."""
     if draw(st.booleans()):
-        del action[key]
-    else:
-        action[key] = draw(MANIFEST_VALUES)
-    return manifest
+        return blob[:draw(st.integers(0, len(blob) - 1))]
+    return blob + draw(st.binary(min_size=1, max_size=3))
+
+
+def with_text_blob(dataset_dir):
+    """Add a text blob of zeros, one `d_t` row per action, to the dataset."""
+    path = dataset_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["text_blob"] = "text_features.f32"
+    path.write_text(json.dumps(manifest))
+    (dataset_dir / "text_features.f32").write_bytes(
+        bytes(4 * manifest["d_t"] * manifest["actions"]["n_actions"]))
 
 
 class TestManifestInputErrors:
+    @staticmethod
+    def refused(edit, message, tmp_path, dataset_dir, checkpoint_path, capsys):
+        """`seqdg eval` of the dataset as `edit` leaves it exits 3 with
+        `message`, no traceback and no output directory."""
+        edit_v3(dataset_dir, edit)
+        assert main(["eval", "--checkpoint", str(checkpoint_path), "--data",
+                     str(dataset_dir), "--out", str(tmp_path / "ev")]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "ev").exists()
+
     @pytest.mark.parametrize("case", sorted(CORRUPT_MANIFESTS))
     def test_malformed_action_is_data_error(self, case, tmp_path, dataset_dir,
                                             checkpoint_path, capsys):
-        edit_manifest(dataset_dir, CORRUPT_MANIFESTS[case])
-        assert main(["eval", "--checkpoint", str(checkpoint_path), "--data",
-                     str(dataset_dir), "--out", str(tmp_path / "ev")]) == 3
-        assert "data error" in capsys.readouterr().err
-        assert not (tmp_path / "ev").exists()
+        self.refused(*CORRUPT_MANIFESTS[case], tmp_path, dataset_dir, checkpoint_path, capsys)
 
     @pytest.mark.parametrize("damage", [lambda raw: raw + b"\xff",
                                         lambda raw: b"[" * 100_000],
@@ -1183,113 +1164,104 @@ class TestManifestInputErrors:
         assert "not valid JSON" in capsys.readouterr().err
         assert not (tmp_path / "ev").exists()
 
-    @pytest.mark.parametrize("case", sorted(CORRUPT_COLUMNS))
-    def test_malformed_column_names_its_column_and_entry(self, case, tmp_path, dataset_dir,
-                                                         checkpoint_path, capsys):
-        edit, message = CORRUPT_COLUMNS[case]
-        edit_manifest(dataset_dir, edit)
-        assert main(["eval", "--checkpoint", str(checkpoint_path), "--data",
-                     str(dataset_dir), "--out", str(tmp_path / "ev")]) == 3
-        err = capsys.readouterr().err
-        assert "data error" in err and message in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "ev").exists()
-
     @pytest.mark.parametrize("case", sorted(CORRUPT_V3))
     def test_malformed_version_3_input_is_data_error(self, case, tmp_path, dataset_dir,
                                                      checkpoint_path, capsys):
-        edit, message = CORRUPT_V3[case]
-        edit_v3(dataset_dir, edit)
-        assert main(["eval", "--checkpoint", str(checkpoint_path), "--data",
-                     str(dataset_dir), "--out", str(tmp_path / "ev")]) == 3
-        err = capsys.readouterr().err
-        assert "data error" in err and message in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "ev").exists()
+        self.refused(*CORRUPT_V3[case], tmp_path, dataset_dir, checkpoint_path, capsys)
 
-    def test_versions_1_and_2_load_the_store_and_results_of_version_3(self, tmp_path,
-                                                                      dataset_dir,
-                                                                      checkpoint_path):
-        v2 = v2_manifest(dataset_dir)
-        store = FeatureStore.load(dataset_dir)
-        outputs = []
-        for manifest in (None, v2, to_v1(v2)):
-            if manifest is not None:
-                (dataset_dir / "manifest.json").write_text(json.dumps(manifest))
-                again = FeatureStore.load(dataset_dir)
-                assert again.actions.to_columns() == store.actions.to_columns()
-                assert (again.split, again.vocab, again.meta) == (store.split, store.vocab,
-                                                                  store.meta)
-            out = tmp_path / f"ev{len(outputs)}"
-            assert main(["eval", "--checkpoint", str(checkpoint_path), "--data",
-                         str(dataset_dir), "--out", str(out), "--dump-predictions"]) == 0
-            outputs.append([(out / name).read_bytes()
-                            for name in ("results.json", "predictions.jsonl")])
-        assert outputs[0] == outputs[1] == outputs[2]
+    @pytest.mark.parametrize("name, change, message", [
+        ("features.f32", 2, "feature blob 'features.f32' holds 12290 bytes"),
+        ("text_features.f32", -1, "text blob 'text_features.f32' holds 6143 bytes"),
+    ], ids=["feature_blob_two_bytes_over", "text_blob_one_byte_short"])
+    def test_a_partial_float_is_data_error(self, name, change, message, tmp_path, dataset_dir,
+                                           checkpoint_path, capsys):
+        with_text_blob(dataset_dir)
+        FeatureStore.load(dataset_dir)      # whole, both float blobs load
+        path = dataset_dir / name
+        raw = path.read_bytes()
+        path.write_bytes(raw + bytes(change) if change > 0 else raw[:change])
+        self.refused(lambda m, b: b.tobytes(), message + ", not a whole number of 4-byte values",
+                     tmp_path, dataset_dir, checkpoint_path, capsys)
+
+    @pytest.mark.parametrize("version, message", [
+        (1, "manifest version 1 is no longer read; re-run `seqdg synth-gen` or `seqdg "
+            "import` to rewrite the store"),
+        (2, "manifest version 2 is no longer read; re-run `seqdg synth-gen` or `seqdg "
+            "import` to rewrite the store"),
+        (0, "unsupported manifest version 0"), (4, "unsupported manifest version 4"),
+        ("3", "unsupported manifest version '3'"), (3.0, "unsupported manifest version 3.0"),
+        (True, "unsupported manifest version True"),
+        (None, "unsupported manifest version None"),
+    ], ids=["1", "2", "0", "4", "string_3", "float_3", "true", "null"])
+    def test_a_manifest_of_another_version_is_refused(self, version, message, tmp_path,
+                                                      dataset_dir, checkpoint_path, capsys):
+        def edit(manifest, blob):
+            if type(version) is int and version in (1, 2):
+                # the layout such a writer left: the actions in the manifest
+                old = to_v2(dict(manifest), FeatureStore.load(dataset_dir).records)
+                manifest.update(old if version == 2 else to_v1(old))
+                return None
+            manifest["version"] = version
+            return blob.tobytes()
+        self.refused(edit, message, tmp_path, dataset_dir, checkpoint_path, capsys)
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_fuzzed_manifest_loads_or_is_data_error(self, data, tmp_path, dataset_dir,
                                                     checkpoint_path):
-        # the fixtures are only read; each example rewrites the one
-        # manifest next to a copy of the feature blob, once fuzzed as
-        # version-2 columns, once in the version-1 layout, and once as the
-        # version-3 manifest over a fuzzed action blob
+        # the fixtures are only read; each example copies the dataset, with
+        # a text blob added, and fuzzes one blob of the copy at a time: the
+        # action blob, the feature blob and the text blob
         fuzzed, out = tmp_path / "fuzzed", tmp_path / "ev"
         if not fuzzed.exists():
-            fuzzed.mkdir()
-            shutil.copy(dataset_dir / "features.f32", fuzzed)
-        manifest = v2_manifest(dataset_dir)
-        blob = (dataset_dir / "actions.i64").read_bytes()
-        for version, drawn in ((2, fuzzed_manifests(manifest)),
-                               (1, fuzzed_v1_manifests(to_v1(manifest))),
-                               (3, fuzzed_blobs(blob))):
-            if version == 3:
-                (fuzzed / "actions.i64").write_bytes(data.draw(drawn))
-                shutil.copy(dataset_dir / "manifest.json", fuzzed)
-            else:
-                (fuzzed / "manifest.json").write_text(json.dumps(data.draw(drawn)))
+            shutil.copytree(dataset_dir, fuzzed)
+            with_text_blob(fuzzed)
+        blobs = {name: (fuzzed / name).read_bytes()
+                 for name in ("actions.i64", "features.f32", "text_features.f32")}
+        for name, drawn in (("actions.i64", fuzzed_blobs(blobs["actions.i64"])),
+                            ("features.f32", fuzzed_float_blobs(blobs["features.f32"])),
+                            ("text_features.f32",
+                             fuzzed_float_blobs(blobs["text_features.f32"]))):
+            (fuzzed / name).write_bytes(data.draw(drawn))
             shutil.rmtree(out, ignore_errors=True)
             code = main(["eval", "--checkpoint", str(checkpoint_path), "--data", str(fuzzed),
                          "--out", str(out)])
+            (fuzzed / name).write_bytes(blobs[name])
             assert code in (0, 3)
             assert code == 0 or not out.exists()
 
 
 NEGATIVE_LABELS = {
-    "negative_verb": lambda m: set_entry(m, "verb", 3, -1),
-    "negative_noun": lambda m: set_entry(m, "noun", 3, -1),
+    "negative_verb": blob_entries("verb", {3: -1}),
+    "negative_noun": blob_entries("noun", {3: -1}),
 }
 
 
-def no_actions(manifest, dataset_dir):
-    manifest["actions"] = {name: [] for name in manifest["actions"]}
+def no_actions(manifest, blob, dataset_dir):
+    manifest["actions"].update(n_actions=0, n_tokens=0)
     (dataset_dir / "features.f32").write_bytes(b"")
+    return b""
 
 
+def move_domains(moved: dict):
+    """An edit of a version-3 dataset that moves the actions of each domain
+    code in `moved` to the code it maps to."""
+    def edit(manifest, blob, _dir):
+        n = manifest["actions"]["n_actions"]
+        codes = blob[BLOB_COLUMNS.index("domain_id") * n:][:n]
+        codes[:] = [moved.get(code, code) for code in codes.tolist()]
+        return blob.tobytes()
+    return edit
+
+
+# the dataset's domain codes are S0 0, S1 1 and T0 2
 EMPTY_DATA = {
     "no_actions": no_actions,
     # every action moved to the target domain, or the target's moved to a source one
-    "empty_source": lambda m, _dir: column_of(m, "domain_id", lambda d: "T0"),
-    "empty_target": lambda m, _dir: column_of(m, "domain_id",
-                                              lambda d: "S0" if d == "T0" else d),
+    "empty_source": move_domains({0: 2, 1: 2}),
+    "empty_target": move_domains({2: 0}),
 }
-
-
-def v2_manifest(dataset_dir) -> dict:
-    """The dataset's manifest in the version-2 layout (`to_v2`): one JSON
-    list per action column."""
-    manifest = json.loads((dataset_dir / "manifest.json").read_text())
-    return to_v2(manifest, FeatureStore.load(dataset_dir).records)
-
-
-def edit_manifest(dataset_dir, edit):
-    """Rewrite the dataset's manifest in the version-2 layout, as `edit`
-    leaves it."""
-    manifest = v2_manifest(dataset_dir)
-    edit(manifest)
-    (dataset_dir / "manifest.json").write_text(json.dumps(manifest))
 
 
 class TestLabelAndEmptyDataErrors:
@@ -1303,9 +1275,9 @@ class TestLabelAndEmptyDataErrors:
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_negative_label_is_data_error(self, command, case, tmp_path, dataset_dir,
                                           config_path, checkpoint_path, capsys):
-        edit_manifest(dataset_dir, NEGATIVE_LABELS[case])
+        edit_v3(dataset_dir, NEGATIVE_LABELS[case])
         assert self.run(command, tmp_path, dataset_dir, config_path, checkpoint_path) == 3
-        assert "negative label" in capsys.readouterr().err
+        assert "action 3: negative label" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_negative_csv_label_is_data_error(self, tmp_path, capsys):
@@ -1370,9 +1342,13 @@ class TestLabelAndEmptyDataErrors:
         ("ablate", "no_actions"), ("ablate", "empty_source"), ("ablate", "empty_target")])
     def test_empty_data_is_data_error(self, command, case, tmp_path, dataset_dir,
                                       config_path, checkpoint_path, capsys):
-        edit_manifest(dataset_dir, lambda m: EMPTY_DATA[case](m, dataset_dir))
+        edit_v3(dataset_dir, lambda m, b: EMPTY_DATA[case](m, b, dataset_dir))
         assert self.run(command, tmp_path, dataset_dir, config_path, checkpoint_path) == 3
-        assert "data error" in capsys.readouterr().err
+        # `eval` reads the target split; `train` and `ablate` the source first
+        split = {"empty_source": "source", "empty_target": "target"}.get(
+            case, "target" if command == "eval" else "source")
+        assert f"data error: the dataset's {split} domains hold no actions" in (
+            capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
 
@@ -1405,12 +1381,12 @@ class TestStoreConsistencyErrors:
 
     def test_manifest_feature_width_zero_is_data_error(self, tmp_path, dataset_dir,
                                                        checkpoint_path, capsys):
-        def zero_width(manifest):
+        def zero_width(manifest, blob):
             # every feature handle stays inside the (now empty) blob
             manifest["d_v"] = 0
-            column_of(manifest, "blob_offset", lambda offset: 0)
+            return blob_entries("blob_offset", dict.fromkeys(range(96), 0))(manifest, blob)
 
-        edit_manifest(dataset_dir, zero_width)
+        edit_v3(dataset_dir, zero_width)
         (dataset_dir / "features.f32").write_bytes(b"")
         assert self.eval(tmp_path, dataset_dir, checkpoint_path) == 3
         assert "d_v must be >= 1" in capsys.readouterr().err
@@ -1645,7 +1621,7 @@ def fuzzed_annotation_rows(draw) -> list[dict]:
 @pytest.mark.parametrize("command", ["train", "ablate"])
 def test_video_with_a_temporal_gap_writes_nothing(command, tmp_path, dataset_dir,
                                                   config_path, capsys):
-    edit_manifest(dataset_dir, CORRUPT_MANIFESTS["temporal_index_gap"])
+    edit_v3(dataset_dir, CORRUPT_MANIFESTS["temporal_index_gap"][0])
     assert main([command, "--config", str(config_path), "--data", str(dataset_dir),
                  "--out", str(tmp_path / "out")]) == 3
     assert "temporal indices must be consecutive and unique" in capsys.readouterr().err

@@ -24,7 +24,7 @@ from seqdg.data import (
     seqmix,
     write_annotation_csv,
 )
-from seqdg.data import _first_failing_action, _manifest_table, _v1_columns
+from seqdg.data import _first_failing_action
 
 
 def record_columns(records) -> dict:
@@ -39,6 +39,12 @@ def record_columns(records) -> dict:
 def table(records):
     """The `Actions` table of hand-built `ActionRecord`s, in their order."""
     return Actions.from_columns(**record_columns(records))
+
+
+def table_values(actions: Actions) -> tuple:
+    """A table as plain values: its int64 columns and its name tables."""
+    return ({name: column.tolist() for name, column in actions.to_arrays().items()},
+            actions.video_names, actions.domain_names)
 
 
 def to_v2(manifest: dict, records) -> dict:
@@ -98,7 +104,9 @@ CORRUPT_ACTIONS = {
 
 
 EXTREME_INTS = st.sampled_from([-2**64, -2**63, 2**31, 2**62, 2**63 - 1, 2**63, 10**30])
-ANY_INT = st.one_of(st.integers(-2, 8), EXTREME_INTS)
+# ints an int64 column can hold: each action rule's boundary values and
+# both ends of int64
+INT64_INTS = st.sampled_from([0, -1, 1, 2, 5, 8, -2, -2**63, 2**31, 2**62, 2**63 - 1])
 
 
 def window_indices(records, W):
@@ -199,85 +207,11 @@ class TestFeatureStore:
         path.write_text(json.dumps(json.loads(path.read_text(encoding="utf-8")),
                                    indent=1, sort_keys=True), encoding="utf-8")
         again = FeatureStore.load(path)
-        assert again.actions.to_columns() == store.actions.to_columns()
+        assert table_values(again.actions) == table_values(store.actions)
         assert (again.split, again.vocab, again.meta) == (store.split, store.vocab, store.meta)
         assert again.visual.tobytes() == store.visual.tobytes()
         if with_text:
             assert again.text.tobytes() == store.text.tobytes()
-
-    @pytest.mark.parametrize("indent", [None, 1], ids=["compact", "indented"])
-    @pytest.mark.parametrize("with_text", [False, True])
-    def test_a_version_1_manifest_loads_the_same_store(self, tmp_path, with_text, indent):
-        self.check_an_old_version_loads_the_same_store(tmp_path, with_text, indent, version=1)
-
-    @pytest.mark.parametrize("indent", [None, 1], ids=["compact", "indented"])
-    @pytest.mark.parametrize("with_text", [False, True])
-    def test_a_version_2_manifest_loads_the_same_store(self, tmp_path, with_text, indent):
-        self.check_an_old_version_loads_the_same_store(tmp_path, with_text, indent, version=2)
-
-    @staticmethod
-    def check_an_old_version_loads_the_same_store(tmp_path, with_text, indent, version):
-        store = make_store(n_actions=12, n_videos=3, domains=("S0", "T0", "S1"),
-                           targets=("T0",), with_text=with_text, seed=7)
-        path = store.save(tmp_path / "ds")
-        v3_text = path.read_text(encoding="utf-8")
-        old = to_v2(json.loads(v3_text), store.records)
-        if version == 1:
-            old = to_v1(old)
-            assert old["actions"][1]["narration"] == list(store.records[1].narration)
-        separators = (",", ":") if indent is None else None
-        path.write_text(json.dumps(old, indent=indent, sort_keys=True, separators=separators),
-                        encoding="utf-8")
-        # an older manifest's actions are read from the manifest alone
-        v3_blob = (tmp_path / "ds" / "actions.i64").read_bytes()
-        (tmp_path / "ds" / "actions.i64").unlink()
-        again = FeatureStore.load(path)
-        assert again.actions.to_columns() == store.actions.to_columns()
-        assert again.records == store.records
-        assert (again.split, again.vocab, again.meta) == (store.split, store.vocab, store.meta)
-        assert again.visual.tobytes() == store.visual.tobytes()
-        if with_text:
-            assert again.text.tobytes() == store.text.tobytes()
-        blobs = ["features.f32"] + (["text_features.f32"] if with_text else [])
-        assert sorted(again.files) == sorted(["manifest.json", *blobs])
-        # `save` writes version 3 only: the re-save is the fresh save's bytes
-        assert again.save(tmp_path / "again").read_text(encoding="utf-8") == v3_text
-        assert (tmp_path / "again" / "actions.i64").read_bytes() == v3_blob
-        for name in blobs:
-            assert ((tmp_path / "again" / name).read_bytes()
-                    == (tmp_path / "ds" / name).read_bytes())
-
-    @pytest.mark.parametrize("edit, message", [
-        (lambda actions: actions.__setitem__(2, [actions[2]]),
-         "manifest action 2 is not an object"),
-        (lambda actions: actions[3].pop("n_clips"), "manifest action 3 has no 'n_clips'"),
-        (lambda actions: actions[4].update(narration="ab"),
-         "manifest action 4: 'narration' must be list, got 'ab'"),
-        # past the row scan, a value is named by the column it is read into
-        (lambda actions: actions[5].update(verb=True),
-         "manifest column 'verb', entry 5: must be int, got True"),
-        (lambda actions: actions[1].update(narration=[0, "x"]),
-         "manifest column 'narration_tokens', entry 3: must be int, got 'x'"),
-        (lambda actions: actions[6].update(temporal_index=-2**63 - 1),
-         "manifest column 'temporal_index', entry 6: -9223372036854775809 is outside int64"),
-    ], ids=["not_an_object", "missing_key", "narration_not_a_list", "true_as_an_int",
-            "token_not_an_int", "int_past_int64"])
-    def test_a_bad_version_1_action_is_named(self, tmp_path, edit, message):
-        store = make_store(n_actions=8)
-        path = store.save(tmp_path / "ds")
-        manifest = to_v1(to_v2(json.loads(path.read_text(encoding="utf-8")), store.records))
-        edit(manifest["actions"])
-        path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(DataError) as exc:
-            FeatureStore.load(path)
-        assert str(exc.value) == message
-
-    def test_a_version_1_actions_object_is_refused(self, tmp_path):
-        path = make_store().save(tmp_path / "ds")
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-        path.write_text(json.dumps({**manifest, "version": 1}), encoding="utf-8")
-        with pytest.raises(DataError, match="version-1 manifest's 'actions' must be a list"):
-            FeatureStore.load(path)
 
     def test_each_split_is_one_table_and_an_empty_one_is_refused(self):
         store = make_store(domains=("S0", "T0"), targets=("T0",))
@@ -312,36 +246,34 @@ class TestFeatureStore:
         assert str(exc.value).startswith(CORRUPT_ACTIONS[first][1].format(id=4))
 
     @settings(max_examples=300, deadline=None)
-    @given(rows=st.lists(st.tuples(*[ANY_INT] * 5, st.lists(ANY_INT, max_size=3)),
-                         max_size=8),
-           d_v=st.one_of(st.integers(-1, 4), EXTREME_INTS), size=st.integers(0, 40))
-    def test_masks_find_the_action_the_scalar_checks_reject(self, rows, d_v, size):
-        # the rows as manifest columns and as version-1 actions, each read
-        # into a table the way `load` reads it
-        records = [ActionRecord(action_id=a, video_id="v", domain_id="S0", verb=v, noun=n,
-                                narration=tuple(tokens), temporal_index=0, blob_offset=o,
-                                n_clips=c) for a, v, n, o, c, tokens in rows]
-        columns = record_columns(records)
-        v1 = to_v1({"actions": columns})["actions"]
-        outside = next(((name, index) for name in ("action_id", "verb", "noun", "blob_offset",
-                                                   "n_clips", "narration_tokens")
-                        for index, x in enumerate(columns[name])
-                        if not -2**63 <= x < 2**63), None)
-        if outside is not None:
-            # no column can hold the value, so loading names its column and entry
-            for read in (lambda: _manifest_table(columns),
-                         lambda: _manifest_table(_v1_columns(v1))):
-                with pytest.raises(DataError, match=f"manifest column '{outside[0]}', "
-                                                    f"entry {outside[1]}: .* is outside int64"):
-                    read()
-            return
-        want = first_failing_reference(records, d_v, size, vocab=5)
-        for actions in (_manifest_table(columns), _manifest_table(_v1_columns(v1))):
-            got = _first_failing_action(actions, d_v, size, vocab=5)
-            if d_v < 1:
-                assert got == 0  # the scalar checks then run over every action
+    @given(n=st.integers(0, 8),
+           d_v=st.one_of(st.integers(-1, 4), st.integers(1, 4), EXTREME_INTS),
+           size=st.integers(0, 40), data=st.data())
+    def test_masks_find_the_action_the_scalar_checks_reject(self, n, d_v, size, data):
+        # rows that keep the id, label, clip and token rules, then one to
+        # three fields set to drawn ints inside int64, as one table of int64
+        # columns, so that the first failing row is often not the first row
+        # and breaks one rule only; `d_v` comes from the manifest's JSON, so
+        # it may be any int
+        small = st.integers(0, 3)
+        rows = [[i, data.draw(small), data.draw(small), data.draw(st.integers(0, 4)),
+                 data.draw(st.integers(1, 2)), data.draw(st.lists(st.integers(0, 4), max_size=3))]
+                for i in data.draw(st.permutations(range(n)))]
+        for _ in range(data.draw(st.integers(1, 3)) if n else 0):
+            row = rows[data.draw(st.integers(0, n - 1))]
+            field = data.draw(st.integers(0, 5))
+            if field == 5:
+                row[5] = row[5] + [data.draw(INT64_INTS)]
             else:
-                assert got == want
+                row[field] = data.draw(INT64_INTS)
+        records = [ActionRecord(action_id=a, video_id="v", domain_id="S0", verb=v, noun=u,
+                                narration=tuple(tokens), temporal_index=0, blob_offset=o,
+                                n_clips=c) for a, v, u, o, c, tokens in rows]
+        got = _first_failing_action(table(records), d_v, size, vocab=5)
+        if d_v < 1:
+            assert got == 0  # the scalar checks then run over every action
+        else:
+            assert got == first_failing_reference(records, d_v, size, vocab=5)
 
     @pytest.mark.parametrize("temporal", [(0, 1, 3), (0, 1, 1), (1, 0, 0)])
     def test_each_split_orders_into_videos(self, temporal):
