@@ -1053,6 +1053,18 @@ CORRUPT_V3 = {
                        "manifest 'actions' must be an object"),
 }
 
+# malformed entries at the last action, where a blob column ends next to the
+# one after it (or, for 'narration_lengths', next to the tokens), and the
+# message that names each one's column and entry
+CORRUPT_COLUMNS = {
+    "domain_code_past_its_table": (blob_entries("domain_id", {95: 3}),
+                                   "column 'domain_id', entry 95: code 3 is outside its 3 names"),
+    # the last narration gives its tokens to the one before, so the lengths
+    # still sum to the token count
+    "negative_narration_length": (blob_entries("narration_lengths", {94: 5, 95: -1}),
+                                  "column 'narration_lengths', entry 95: negative length -1"),
+}
+
 
 # values of a version-3 dataset that break a rule of the store's own
 # checks, not of the action header or blob, as edits like `CORRUPT_V3`'s,
@@ -1168,6 +1180,11 @@ class TestManifestInputErrors:
     def test_malformed_version_3_input_is_data_error(self, case, tmp_path, dataset_dir,
                                                      checkpoint_path, capsys):
         self.refused(*CORRUPT_V3[case], tmp_path, dataset_dir, checkpoint_path, capsys)
+
+    @pytest.mark.parametrize("case", sorted(CORRUPT_COLUMNS))
+    def test_malformed_column_names_its_column_and_entry(self, case, tmp_path, dataset_dir,
+                                                         checkpoint_path, capsys):
+        self.refused(*CORRUPT_COLUMNS[case], tmp_path, dataset_dir, checkpoint_path, capsys)
 
     @pytest.mark.parametrize("name, change, message", [
         ("features.f32", 2, "feature blob 'features.f32' holds 12290 bytes"),
