@@ -30,11 +30,6 @@ __all__ = [
 
 MAGIC = b"SEQDGCKP"
 VERSION = 1
-# model settings that no longer exist, with the one value the code keeps
-RETIRED_MODEL_KEYS = {"cross_attention_values": "query_stream",
-                      "decoder_self_attention": True,
-                      "clip_agg": "mean",
-                      "relational_clips": None}
 
 
 class CheckpointError(Exception):
@@ -99,7 +94,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     body = raw[20 + header_len:]
     try:
         header = json.loads(raw[20:20 + header_len].decode("utf-8"))
-        config = _current_keys(path, header["config"])
+        config = header["config"]
         problems = field_problems("config", config, field_defaults(ModelConfig))
         if problems:
             raise CheckpointError(f"{path}: " + "; ".join(problems))
@@ -142,18 +137,6 @@ def _entry_fields(path, entry) -> tuple[str, list[int], int, int]:
         raise CheckpointError(f"{path}: parameter {name!r} has shape {shape} but "
                               f"size {count}")
     return name, shape, start, count
-
-
-def _current_keys(path, config: dict) -> dict:
-    """A header config without the retired model keys, which headers
-    written before their retirement carry; each must hold the value that
-    every such model was built with."""
-    config = dict(config)
-    for key, value in RETIRED_MODEL_KEYS.items():
-        if key in config and config.pop(key) != value:
-            raise CheckpointError(f"{path}: model setting {key!r} is retired; only "
-                                  f"{value!r}, the model that remains, loads")
-    return config
 
 
 def load_model(path) -> SeqDGModel:

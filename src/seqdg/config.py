@@ -77,9 +77,9 @@ def _fits(default, value) -> bool:
 
 def field_problems(section: str, payload, defaults: dict) -> list[str]:
     """The typing rule of every JSON object that sets config fields, a
-    config file's sections and a checkpoint header's model config alike:
-    each key is one of `defaults` and each value fits that field's
-    default."""
+    config file's sections, a checkpoint header's model config and a truth
+    file's generator config alike: each key is one of `defaults` and each
+    value fits that field's default."""
     if type(payload) is not dict:
         return [f"{section} must be a JSON object"]
     return [f"{section}: unknown key {key!r}" if key not in defaults

@@ -306,11 +306,6 @@ class FeatureStore:
         for table in self._splits.values():
             _video_order(table)
 
-    @property
-    def records(self) -> list[ActionRecord]:
-        """Every action as an `ActionRecord` view, built on first access."""
-        return self.actions.views()
-
     def clips(self, record: ActionRecord) -> np.ndarray:
         """Per-clip features for one action, shape (n_clips, D_V)."""
         start = record.blob_offset
@@ -426,9 +421,13 @@ def _read(what: str, read, path, **kwargs):
 
 def _blob(what: str, path: Path, dtype: str) -> np.ndarray:
     """The blob at `path` as `dtype` values: its bytes, viewed as `dtype`
-    once they hold a whole number of values. A trailing part of a value is
-    a DataError naming `what` and the blob, never a value dropped."""
-    raw = _read(what, np.fromfile, path, dtype=np.uint8)
+    once they hold a whole number of values. A trailing part of a value, or
+    a name no file can have, is a DataError naming `what` and the blob,
+    never a value dropped."""
+    try:
+        raw = _read(what, np.fromfile, path, dtype=np.uint8)
+    except ValueError as exc:  # a NUL in the name
+        raise DataError(f"{what} {Path(path).name!r}: {exc}") from exc
     size = np.dtype(dtype).itemsize
     if raw.size % size:
         raise DataError(f"{what} {Path(path).name!r} holds {raw.size} bytes, not a whole "

@@ -317,14 +317,30 @@ def build_truth(config: SynthConfig) -> SynthTruth:
 
 
 def load_truth(path) -> SynthTruth:
-    """Rebuild the truth from a `generator_truth.json`'s config and check
-    each key it writes against the file; other keys are ignored."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    # files written before `context_margin` was retired still carry it
-    payload["config"].pop("context_margin", None)
+    """Rebuild the truth from a `generator_truth.json` as `generate_to`
+    writes it: a JSON object of exactly `config`, `pairs`, `verb_protos`
+    and `noun_protos`, the config passing the config-file typing rule and
+    `SynthConfig.check`, the rest equal to what the config rebuilds. Any
+    other file raises a DataError that names the key at fault."""
+    from seqdg.config import field_defaults, field_problems  # seqdg.config imports this module
+
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # as in `FeatureStore.load`
+        raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    if type(payload) is not dict:
+        raise DataError(f"{path}: generator truth must be a JSON object")
+    keys = {"config", "pairs", "verb_protos", "noun_protos"}
+    for names, what in ((keys - payload.keys(), "no key"),
+                        (payload.keys() - keys, "an unknown key")):
+        if names:
+            raise DataError(f"{path}: generator truth has {what} {sorted(names)[0]!r}")
+    problems = field_problems("config", payload["config"], field_defaults(SynthConfig))
+    if problems:
+        raise DataError(f"{path}: " + "; ".join(problems))
     truth = build_truth(SynthConfig(**payload["config"]))
     for key, value in truth.to_dict().items():
-        if payload.get(key) != value:
+        if payload[key] != value:
             raise DataError(f"{path}: {key!r} differs from the truth its config rebuilds")
     return truth
 

@@ -59,7 +59,7 @@ def test_predict_returns_one_prediction_per_target_action(tiny_store):
     from seqdg.model import ModelConfig, SeqDGModel
 
     model = SeqDGModel.init(ModelConfig(**TINY_MODEL), seed=0)
-    target = [r for r in tiny_store.records if r.domain_id in tiny_store.split.target]
+    target = [r for r in tiny_store.actions if r.domain_id in tiny_store.split.target]
     assert len(sliding_window_predict(tiny_store, model)) == len(target) > 0
 
 

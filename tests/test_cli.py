@@ -933,17 +933,16 @@ class TestCheckpointInputErrors:
         bad.write_bytes(data.draw(fuzzed_checkpoints(checkpoint_path.read_bytes())))
         assert self.eval(tmp_path, bad, dataset_dir) in (0, 3)
 
-    def test_retired_keys_at_their_old_defaults_still_load(self, tmp_path, dataset_dir,
-                                                           checkpoint_path):
-        # checkpoints written before the keys were retired echo all four
+    @pytest.mark.parametrize("key", sorted(RETIRED_DEFAULTS))
+    def test_a_retired_key_in_the_header_is_refused(self, key, tmp_path, dataset_dir,
+                                                    checkpoint_path, capsys):
+        # at the one value every model was built with, a retired key is unknown
         old = tmp_path / "old.ckpt"
         old.write_bytes(with_header(checkpoint_path.read_bytes(),
-                                    lambda h: h["config"].update(RETIRED_DEFAULTS)))
-        assert self.eval(tmp_path, old, dataset_dir) == 0
-        assert main(["eval", "--checkpoint", str(checkpoint_path), "--data",
-                     str(dataset_dir), "--out", str(tmp_path / "ev_current")]) == 0
-        assert ((tmp_path / "ev" / "results.json").read_bytes()
-                == (tmp_path / "ev_current" / "results.json").read_bytes())
+                                    lambda h: h["config"].update({key: RETIRED_DEFAULTS[key]})))
+        assert self.eval(tmp_path, old, dataset_dir) == 3
+        assert f"data error: {old}: config: unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
 
 
 # the columns of a version-3 action blob, in the order it holds them; the
@@ -1010,6 +1009,8 @@ def rename_domain(old, new):
 CORRUPT_V3 = {
     "blob_missing": (lambda m, b: None, "cannot read action blob"),
     "blob_a_directory": (header("blob", "."), "cannot read action blob"),
+    "blob_name_with_nul": (header("blob", "actions\0.i64"),
+                           "action blob 'actions\\x00.i64': embedded null byte"),
     "blob_not_a_string": (header("blob", ["actions.i64"]),
                           "key 'blob' must be str, got ['actions.i64']"),
     "blob_one_entry_short": (lambda m, b: b[:-1].tobytes(),
@@ -1099,6 +1100,11 @@ CORRUPT_MANIFESTS = {
                            "cannot read feature blob"),
     "text_blob_dot": (manifest_edit(lambda m: m.update(text_blob=".")),
                       "cannot read text blob"),
+    # blob names that no file can have
+    "feature_blob_with_nul": (manifest_edit(lambda m: m.update(feature_blob="features\0.f32")),
+                              "feature blob 'features\\x00.f32': embedded null byte"),
+    "text_blob_with_nul": (manifest_edit(lambda m: m.update(text_blob="text\0.f32")),
+                           "text blob 'text\\x00.f32': embedded null byte"),
 }
 
 
@@ -1134,6 +1140,18 @@ def fuzzed_float_blobs(draw, blob: bytes) -> bytes:
     if draw(st.booleans()):
         return blob[:draw(st.integers(0, len(blob) - 1))]
     return blob + draw(st.binary(min_size=1, max_size=3))
+
+
+@st.composite
+def nul_blob_names(draw, manifest: bytes) -> bytes:
+    """A copy of a version-3 manifest with a NUL drawn into one of its blob
+    names: the feature blob's, the text blob's or the action blob's."""
+    manifest = json.loads(manifest)
+    key = draw(st.sampled_from(["feature_blob", "text_blob", "blob"]))
+    owner = manifest["actions"] if key == "blob" else manifest
+    cut = draw(st.integers(0, len(owner[key])))
+    owner[key] = owner[key][:cut] + "\0" + owner[key][cut:]
+    return json.dumps(manifest).encode("utf-8")
 
 
 def with_text_blob(dataset_dir):
@@ -1215,7 +1233,7 @@ class TestManifestInputErrors:
         def edit(manifest, blob):
             if type(version) is int and version in (1, 2):
                 # the layout such a writer left: the actions in the manifest
-                old = to_v2(dict(manifest), FeatureStore.load(dataset_dir).records)
+                old = to_v2(dict(manifest), FeatureStore.load(dataset_dir).actions)
                 manifest.update(old if version == 2 else to_v1(old))
                 return None
             manifest["version"] = version
@@ -1228,18 +1246,21 @@ class TestManifestInputErrors:
     def test_fuzzed_manifest_loads_or_is_data_error(self, data, tmp_path, dataset_dir,
                                                     checkpoint_path):
         # the fixtures are only read; each example copies the dataset, with
-        # a text blob added, and fuzzes one blob of the copy at a time: the
-        # action blob, the feature blob and the text blob
+        # a text blob added, and fuzzes one file of the copy at a time: the
+        # action blob, the feature blob, the text blob and the manifest,
+        # with a NUL drawn into one of its blob names
         fuzzed, out = tmp_path / "fuzzed", tmp_path / "ev"
         if not fuzzed.exists():
             shutil.copytree(dataset_dir, fuzzed)
             with_text_blob(fuzzed)
         blobs = {name: (fuzzed / name).read_bytes()
-                 for name in ("actions.i64", "features.f32", "text_features.f32")}
+                 for name in ("actions.i64", "features.f32", "text_features.f32",
+                              "manifest.json")}
         for name, drawn in (("actions.i64", fuzzed_blobs(blobs["actions.i64"])),
                             ("features.f32", fuzzed_float_blobs(blobs["features.f32"])),
                             ("text_features.f32",
-                             fuzzed_float_blobs(blobs["text_features.f32"]))):
+                             fuzzed_float_blobs(blobs["text_features.f32"])),
+                            ("manifest.json", nul_blob_names(blobs["manifest.json"]))):
             (fuzzed / name).write_bytes(data.draw(drawn))
             shutil.rmtree(out, ignore_errors=True)
             code = main(["eval", "--checkpoint", str(checkpoint_path), "--data", str(fuzzed),

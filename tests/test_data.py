@@ -155,10 +155,10 @@ class TestFeatureStore:
         again = FeatureStore.load(tmp_path / "ds")
         assert again.visual.tobytes() == store.visual.tobytes()
         assert again.text.tobytes() == store.text.tobytes()
-        assert again.records == store.records
+        assert list(again.actions) == list(store.actions)
         assert again.vocab == store.vocab
         assert again.split == store.split
-        for rec in store.records:
+        for rec in store.actions:
             assert np.array_equal(again.clips(rec), store.clips(rec))
 
     @pytest.mark.parametrize("with_text", [False, True])
@@ -177,7 +177,7 @@ class TestFeatureStore:
         # the version-3 value: a header whose action table is an int64 blob
         # of the columns back to back, then the tokens, built from the
         # store's own fields
-        records = store.records
+        records = list(store.actions)
         expected = {
             "format": "seqdg.dataset", "version": 3, "name": "toy", "d_v": 4, "d_t": 3,
             "clips_per_action": 2, "feature_blob": "features.f32", "vocab": store.vocab,
@@ -230,7 +230,7 @@ class TestFeatureStore:
     @pytest.mark.parametrize("ids", [(0, 0, 2, 3, 4, 5), (0, 1, 2, 3, 4, 6), (-1, 1, 2, 3, 4, 5)])
     def test_action_ids_must_be_dense_and_unique(self, ids):
         store = make_store()
-        records = [replace(r, action_id=i) for r, i in zip(store.records, ids)]
+        records = [replace(r, action_id=i) for r, i in zip(store.actions, ids)]
         with pytest.raises(DataError, match="action id"):
             FeatureStore(store.meta, table(records), store.vocab, store.split, store.visual)
 
@@ -238,7 +238,7 @@ class TestFeatureStore:
                              itertools.permutations(sorted(CORRUPT_ACTIONS), 2))
     def test_first_of_two_corrupt_actions_is_named(self, first, second):
         store = make_store(n_actions=12)
-        records = list(store.records)
+        records = list(store.actions)
         records[4] = CORRUPT_ACTIONS[first][0](records[4])
         records[9] = CORRUPT_ACTIONS[second][0](records[9])
         with pytest.raises(DataError) as exc:
@@ -287,7 +287,7 @@ class TestFeatureStore:
 
     def test_clips_shape(self):
         store = make_store()
-        clips = store.clips(store.records[0])
+        clips = store.clips(store.actions[0])
         assert clips.shape == (2, 4)
 
 
@@ -616,7 +616,7 @@ class TestFeatureCache:
         store = make_store(with_text=True)
         windows = build_windows(store.actions, W=1)
         batch = FeatureCache(store, store.actions, with_text=True).batch(windows[:1])
-        center = store.records[windows.rows[0, windows.center]]
+        center = store.actions[windows.rows[0, windows.center]]
         expected = store.text[center.action_id * store.d_t:(center.action_id + 1) * store.d_t]
         np.testing.assert_allclose(batch.visual[0, 0],
                                    store.clips(center).astype(np.float64).mean(axis=0))
@@ -654,10 +654,10 @@ class TestFeatureCache:
 
     def test_serves_only_its_records(self):
         store = make_store()
-        first_video = table([r for r in store.records if r.video_id == "v0"])
+        first_video = table([r for r in store.actions if r.video_id == "v0"])
         cache = FeatureCache(store, first_video)
         assert cache.visual.shape == (len(first_video), store.d_v)
-        other = build_windows(table([r for r in store.records if r.video_id == "v1"]), W=1)
+        other = build_windows(table([r for r in store.actions if r.video_id == "v1"]), W=1)
         with pytest.raises(DataError, match="not among the cached records"):
             cache.batch(other[:1])
         # the cache serves windows over the table it was built on, and no copy of it
@@ -709,11 +709,11 @@ class TestAnnotationCSV:
         store = import_csv_dataset(csv_path, tmp_path / "feat.f32", d_v=4,
                                    clips_per_action=3, d_t=2,
                                    target_domains=())
-        assert len(store.records) == 2
+        assert len(store.actions) == 2
         assert store.vocab == ["open", "fridge", "close"]
-        assert store.records[1].narration == (2, 1)
+        assert store.actions[1].narration == (2, 1)
         assert store.split.source == ("P01",)
-        np.testing.assert_array_equal(store.clips(store.records[1]),
+        np.testing.assert_array_equal(store.clips(store.actions[1]),
                                       blob[12:].reshape(3, 4))
 
     def test_import_checks_blob_size(self, tmp_path):

@@ -1,7 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from seqdg.data import DataError, build_windows
 from seqdg.synth import (
@@ -156,7 +159,7 @@ class TestGenerate:
                            n_ambiguous_pairs=0, n_verbs=8, n_nouns=4,
                            noise_sigma=0.0, domain_shift=0.0, offset_shift=0.0)
         store, truth = generate(cfg)
-        for rec in store.records[:20]:
+        for rec in store.actions[:20]:
             proto = truth.prototype(rec.verb, rec.noun)
             for clip in store.clips(rec).astype(np.float64):
                 np.testing.assert_allclose(clip, proto, atol=1e-6)  # float32 storage
@@ -171,12 +174,12 @@ class TestGenerate:
         assert store.split.source == ("S0", "S1")
         assert store.split.target == ("T0",)
         per_domain = 2 * 20
-        assert len(store.records) == 3 * per_domain
+        assert len(store.actions) == 3 * per_domain
 
     def test_every_ngram_repeats_across_all_domains(self):
         store, _ = generate(SynthConfig(seed=1))
         by_video = {}
-        for r in store.records:
+        for r in store.actions:
             by_video.setdefault(r.video_id, []).append(r)
         ngram_domains = {}
         for recs in by_video.values():
@@ -240,47 +243,88 @@ class TestTruthFile:
         _, truth = generate(cfg)
         assert_truths_bitwise_equal(load_truth(tmp_path / "generator_truth.json"), truth)
 
-    def test_file_with_retired_context_margin_still_loads(self, tmp_path):
-        # every file written while the config had `context_margin` carries it
-        _, truth = generate(small_config())
-        payload = truth.to_dict()
-        payload["config"]["context_margin"] = 30.0
-        path = tmp_path / "truth.json"
-        path.write_text(json.dumps(payload, sort_keys=True))
-        assert_truths_bitwise_equal(load_truth(path), truth)
-
-    def test_file_with_grammar_and_transforms_still_loads(self, tmp_path):
-        # the format that also wrote out the grammar and every transform
-        _, truth = generate(small_config())
-        grammar = truth.grammar
-        payload = {**truth.to_dict(),
-                   "grammar": {"transitions": grammar.transitions.tolist(),
-                               "verbs": grammar.verbs.tolist(),
-                               "nouns": grammar.nouns.tolist(),
-                               "start": grammar.start.tolist()},
-                   "transforms": {d: {"rotation": t.rotation.tolist(),
-                                      "scaling": t.scaling.tolist(),
-                                      "offset": t.offset.tolist()}
-                                  for d, t in truth.transforms.items()}}
-        path = tmp_path / "truth.json"
-        path.write_text(json.dumps(payload, sort_keys=True))
-        assert_truths_bitwise_equal(load_truth(path), truth)
-
-    @pytest.mark.parametrize("edit", [
-        lambda p: p["verb_protos"][2].__setitem__(0, p["verb_protos"][2][0] + 1e-12),
-        lambda p: p["noun_protos"].pop(),
-        lambda p: p["pairs"].reverse(),
-        lambda p: p.pop("noun_protos"),
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p["verb_protos"][2].__setitem__(0, p["verb_protos"][2][0] + 1e-12),
+         "'verb_protos' differs"),
+        (lambda p: p["noun_protos"].pop(), "'noun_protos' differs"),
+        (lambda p: p["pairs"].reverse(), "'pairs' differs"),
+        (lambda p: p.pop("noun_protos"), "generator truth has no key 'noun_protos'"),
+        (lambda p: p.pop("config"), "generator truth has no key 'config'"),
+        # the retired generator setting, and the file layout that also wrote
+        # out the grammar and every transform
+        (lambda p: p["config"].update(context_margin=30.0),
+         "config: unknown key 'context_margin'"),
+        (lambda p: p.update(grammar={}, transforms={}),
+         "generator truth has an unknown key 'grammar'"),
+        (lambda p: p["config"].update(mystery=1), "config: unknown key 'mystery'"),
+        (lambda p: p["config"].update(seed="0"), "config: seed cannot be '0'"),
     ], ids=["verb_proto_nudged", "noun_proto_dropped", "pairs_reordered",
-            "noun_protos_missing"])
-    def test_edited_file_is_data_error(self, edit, tmp_path):
+            "noun_protos_missing", "config_missing", "context_margin_retired",
+            "grammar_and_transforms", "unknown_config_key", "seed_a_string"])
+    def test_edited_file_is_data_error(self, edit, message, tmp_path):
         generate_to(small_config(), tmp_path)
         path = tmp_path / "generator_truth.json"
         payload = json.loads(path.read_text())
         edit(payload)
         path.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match="differs"):
+        with pytest.raises(DataError, match=re.escape(message)):
             load_truth(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"config": {', "not valid JSON"), ("[]", "generator truth must be a JSON object"),
+    ], ids=["invalid_json", "a_list"])
+    def test_file_not_in_the_written_form_is_data_error(self, text, message, tmp_path):
+        path = tmp_path / "generator_truth.json"
+        path.write_text(text)
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_truth(path)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_fuzzed_truth_loads_or_is_data_error(self, data, tmp_path):
+        path = tmp_path / "generator_truth.json"
+        if not path.exists():
+            generate_to(small_config(), tmp_path)
+        text = path.read_text()
+        try:
+            path.write_text(data.draw(fuzzed_truths(text)))
+            load_truth(path)
+        except DataError:
+            pass
+        finally:
+            path.write_text(text)
+
+
+# a JSON value, its ints small enough that no config they set builds a
+# truth past a few MB
+TRUTH_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 64), st.floats(),
+                         st.text(max_size=8), st.lists(st.integers(-3, 64), max_size=4))
+
+
+@st.composite
+def fuzzed_truths(draw, text: str) -> str:
+    """A generated truth file's `text` cut at a drawn character, with drawn
+    characters appended, or with one config value, top-level value or
+    prototype entry set to a drawn JSON value (or deleted)."""
+    kind = draw(st.sampled_from(["cut", "pad", "config", "top", "proto"]))
+    if kind == "cut":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "pad":
+        return text + draw(st.text(min_size=1, max_size=4))
+    payload = json.loads(text)
+    if kind == "proto":
+        rows = payload[draw(st.sampled_from(["verb_protos", "noun_protos"]))]
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[draw(st.integers(0, len(row) - 1))] = draw(TRUTH_VALUES)
+        return json.dumps(payload)
+    owner = payload["config"] if kind == "config" else payload
+    key = draw(st.sampled_from([*sorted(owner), "mystery"]))
+    if draw(st.booleans()):
+        owner.pop(key, None)
+    else:
+        owner[key] = draw(TRUTH_VALUES)
+    return json.dumps(payload)
 
 
 class TestContextOracle:
