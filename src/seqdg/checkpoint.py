@@ -73,8 +73,9 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """Read a checkpoint back into ModelParams plus its header metadata.
     Any truncated, malformed or inconsistent file raises CheckpointError:
     the header's model config must pass the config-file typing rule and
-    validation, its entries must tile the payload in header order, and
-    each array must have the shape the config gives its parameter."""
+    validation, its entries must tile the payload in header order, each
+    array must have the shape the config gives its parameter, and every
+    value must be finite."""
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -91,7 +92,10 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     if 20 + header_len > len(raw):
         raise CheckpointError(f"{path}: header of {header_len} bytes runs past the "
                               f"end of the {len(raw)}-byte file")
-    body = raw[20 + header_len:]
+    size = len(raw) - 20 - header_len
+    # the payload's whole values, a view of the file's bytes: each parameter
+    # is a view of it, and `from_named` copies them into the model
+    payload = np.frombuffer(raw, dtype="<f8", count=size // 8, offset=20 + header_len)
     try:
         header = json.loads(raw[20:20 + header_len].decode("utf-8"))
         config = header["config"]
@@ -107,17 +111,20 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
                 raise CheckpointError(f"{path}: parameter {name!r} starts at payload byte "
                                       f"{start}, not at {end} where the one before ends")
             end = start + 8 * count
-            if end > len(body):
+            if end > size:
                 raise CheckpointError(f"{path}: parameter {name!r} runs past "
                                       f"the end of the payload (truncated file?)")
-            arr = np.frombuffer(body, dtype="<f8", count=count, offset=start)
-            if not np.isfinite(arr).all():
-                raise CheckpointError(f"{path}: parameter {name!r} holds NaN or Inf")
-            # a view of the file's bytes: `from_named` copies it into the model
-            arrays[name] = arr.reshape(shape)
-        if end != len(body):
-            raise CheckpointError(f"{path}: {len(body) - end} payload bytes follow the "
+            arrays[name] = payload[start // 8:end // 8].reshape(shape)
+        if end != size:
+            raise CheckpointError(f"{path}: {size - end} payload bytes follow the "
                                   "last parameter")
+        # the entries tile the payload, so one pass checks every parameter
+        finite = np.isfinite(payload)
+        if not finite.all():
+            first = 8 * int(finite.argmin())
+            name = next(entry["name"] for entry in header["params"]
+                        if first < entry["offset"] + 8 * entry["size"])
+            raise CheckpointError(f"{path}: parameter {name!r} holds NaN or Inf")
         params = ModelParams.from_named(config, arrays)
     except (KeyError, TypeError, ValueError) as exc:
         # ValueError covers undecodable bytes and JSON, configs that

@@ -47,7 +47,7 @@ from seqdg.data import (
 from seqdg.evaluate import accuracy, head_k, sliding_window_predict
 from seqdg.model import ModelConfig, SeqDGModel
 from seqdg.seqstats import count_all_categories, format_table, table_to_dict
-from seqdg.synth import generate_to
+from seqdg.synth import generate, save_generated
 from seqdg.tensor import NonFiniteError, check_step
 from seqdg.train import (
     DivergenceError,
@@ -126,8 +126,9 @@ def _load_hashed(path) -> tuple[FeatureStore, dict]:
 
 def cmd_synth_gen(args) -> int:
     run = load_run_config(args.config, {"seed": args.seed})
+    generated = generate(run.synth)  # a config it refuses leaves no output behind
     out = _out_dir(args)
-    store, data_hashes = _load_hashed(generate_to(run.synth, out))
+    store, data_hashes = _load_hashed(save_generated(*generated, out))
     _write_provenance(out, "synth-gen", run.to_dict(), run.synth.seed, data_hashes)
     print(f"wrote {len(store.actions)} actions across "
           f"{len(store.split.source)} source + {len(store.split.target)} target "
@@ -246,7 +247,7 @@ def cmd_eval(args) -> int:
         actions = store.split_actions(args.split)
         _check_label_space(actions, model.config)
         preds = sliding_window_predict(store, model, split=args.split, k=args.k)
-        labels = actions.labels()
+        labels = np.stack((actions.verbs, actions.nouns), axis=1)
         results = {"split": args.split, "domains": list(getattr(store.split, args.split)),
                    "n_actions": len(actions), "metrics": {},
                    "k": {"verb": head_k(args.k, model.config.n_verbs),
@@ -263,9 +264,9 @@ def cmd_eval(args) -> int:
                           seed=None, data_hashes=data_hashes())
     if args.dump_predictions:
         with open(out / "predictions.jsonl", "w", encoding="utf-8") as fh:
-            for action_id, (verb, noun), topk_verbs, topk_nouns in zip(
-                    preds.action_ids.tolist(), labels, preds.topk_verbs.tolist(),
-                    preds.topk_nouns.tolist()):
+            for action_id, verb, noun, topk_verbs, topk_nouns in zip(
+                    preds.action_ids.tolist(), actions.verbs.tolist(), actions.nouns.tolist(),
+                    preds.topk_verbs.tolist(), preds.topk_nouns.tolist()):
                 fh.write(json.dumps({
                     "action_id": action_id, "verb": verb, "noun": noun,
                     "topk_verbs": topk_verbs, "topk_nouns": topk_nouns}) + "\n")

@@ -211,8 +211,9 @@ def topk_accuracy(verb_logits: np.ndarray, noun_logits: np.ndarray, verbs, nouns
 def accuracy(predictions, labels, k: int = 1) -> tuple[float, float, float]:
     """Top-k verb%, noun%, and action% (both heads correct) of a
     `Predictions`, or of a sequence of `Prediction`s, over aligned (verb,
-    noun) label pairs. A `Predictions` is scored from the top-k ranking it
-    holds when that reaches k, so it is ranked once for every k up to it."""
+    noun) label pairs: a sequence of them, or an (N, 2) int array. A
+    `Predictions` is scored from the top-k ranking it holds when that
+    reaches k, so it is ranked once for every k up to it."""
     if len(predictions) != len(labels):
         raise ValueError(f"{len(predictions)} predictions vs {len(labels)} labels")
     if not len(predictions):

@@ -26,7 +26,7 @@ and a decoder layer 6.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -209,21 +209,23 @@ _SEGMENT = {"encoder": "enc", "dec_visual": "dec_v", "dec_text": "dec_t", "self_
 
 def _slots(owner, attrs, prefix: str = ""):
     """(dotted name, owner, attribute) of every tensor slot under the
-    attributes `attrs` of `owner`, depth first in declaration order."""
+    attributes `attrs` of `owner`, depth first in declaration order. A
+    dataclass's attributes are the keys of its `__dataclass_fields__`:
+    `dataclasses.fields` builds a tuple per call, a cost every load pays."""
     for attr in attrs:
         node = getattr(owner, attr)
         name = prefix + _SEGMENT.get(attr, attr)
         if isinstance(node, list):
             for i, item in enumerate(node):
-                yield from _slots(item, [f.name for f in fields(item)], f"{name}.{i}.")
-        elif is_dataclass(node):
-            yield from _slots(node, [f.name for f in fields(node)], name + ".")
+                yield from _slots(item, item.__dataclass_fields__, f"{name}.{i}.")
+        elif hasattr(node, "__dataclass_fields__"):
+            yield from _slots(node, node.__dataclass_fields__, name + ".")
         elif node is not None:
             yield name, owner, attr
 
 
 def _tensor_count(layer) -> int:
-    return sum(1 for _ in _slots(layer, [f.name for f in fields(layer)]))
+    return sum(1 for _ in _slots(layer, layer.__dataclass_fields__))
 
 
 def _float_count(owner, attrs) -> int:
@@ -247,7 +249,8 @@ class ModelParams:
 
     Every tensor's data is a slice of one float64 buffer, `flat`, and its
     gradient store the same slice of `flat_grad`, in walk order; an
-    optimizer steps all of them with one array expression.
+    optimizer steps all of them with one array expression, and one check
+    of `flat` refuses NaN and Inf in any of them, drawn or loaded.
     """
 
     GROUPS = ("proj", "pos", "cls_verb", "cls_noun", "encoder", "dec_visual", "dec_text",
@@ -285,9 +288,9 @@ class ModelParams:
                           if attr not in stripped or not cfg.n_dec_layers]
         encoder, decoder = _new_encoder_layer(d, d_ff), _new_decoder_layer(d, d_ff)
         size = (_float_count(self, [g for g in self.GROUPS if g not in _LAYER_STACKS])
-                + cfg.n_enc_layers * _float_count(encoder, [f.name for f in fields(encoder)])
+                + cfg.n_enc_layers * _float_count(encoder, encoder.__dataclass_fields__)
                 + len(decoder_stacks) * cfg.n_dec_layers
-                * _float_count(decoder, [f.name for f in fields(decoder)]))
+                * _float_count(decoder, decoder.__dataclass_fields__))
         try:
             self.flat = np.empty(size)
             self.flat_grad = np.zeros(size)
@@ -302,7 +305,8 @@ class ModelParams:
 
     def _fill(self, value):
         """Copy `value(name, slot)` into each slot's part of `flat` and
-        replace the slot by a parameter over that part."""
+        replace the slot by a parameter over that part; then refuse NaN and
+        Inf anywhere in `flat`, in one pass."""
         self._grad_stores = []
         start = 0
         for name, owner, attr in list(_slots(self, self.GROUPS)):
@@ -315,6 +319,8 @@ class ModelParams:
             setattr(owner, attr, tensor)
             self._grad_stores.append((tensor, grad_store))
             start = end
+        if not np.isfinite(self.flat).all():
+            raise T.NonFiniteError("model parameters hold NaN or Inf")
 
     def flat_gradient(self) -> np.ndarray:
         """`flat_grad` with zeros in the slice of every tensor that holds no

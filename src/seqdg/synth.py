@@ -41,6 +41,7 @@ __all__ = [
     "uniform_grammar",
     "generate",
     "generate_to",
+    "save_generated",
     "load_truth",
     "context_oracle",
     "context_oracle_accuracy",
@@ -320,8 +321,10 @@ def load_truth(path) -> SynthTruth:
     """Rebuild the truth from a `generator_truth.json` as `generate_to`
     writes it: a JSON object of exactly `config`, `pairs`, `verb_protos`
     and `noun_protos`, the config passing the config-file typing rule and
-    `SynthConfig.check`, the rest equal to what the config rebuilds. Any
-    other file raises a DataError that names the key at fault."""
+    `SynthConfig.check`, the rest equal to what the config rebuilds. The
+    prototypes' shapes are compared with the config before the rebuild,
+    which allocates what they imply. Any other file raises a DataError
+    that names the key at fault."""
     from seqdg.config import field_defaults, field_problems  # seqdg.config imports this module
 
     try:
@@ -338,7 +341,15 @@ def load_truth(path) -> SynthTruth:
     problems = field_problems("config", payload["config"], field_defaults(SynthConfig))
     if problems:
         raise DataError(f"{path}: " + "; ".join(problems))
-    truth = build_truth(SynthConfig(**payload["config"]))
+    config = SynthConfig(**payload["config"]).check()
+    # the prototypes' shapes bound the truth the config rebuilds
+    for key, rows in (("verb_protos", config.n_verbs), ("noun_protos", config.n_nouns)):
+        protos = payload[key]
+        if type(protos) is not list or len(protos) != rows or any(
+                type(row) is not list or len(row) != config.d_v // 2 for row in protos):
+            raise DataError(f"{path}: {key!r} differs from the truth its config rebuilds: "
+                            f"it is not {rows} rows of d_v / 2 = {config.d_v // 2} values")
+    truth = build_truth(config)
     for key, value in truth.to_dict().items():
         if payload[key] != value:
             raise DataError(f"{path}: {key!r} differs from the truth its config rebuilds")
@@ -364,8 +375,9 @@ def generate(config: SynthConfig) -> tuple[FeatureStore, SynthTruth]:
             rng = np.random.default_rng(np.random.SeedSequence((config.seed, 2, d_index, v_index)))
             walks.append(grammar.walk(length, rng))
             noise = rng.standard_normal((length, config.clips_per_action, config.d_v))
-            blobs.append((means[walks[-1]][:, None] + config.noise_sigma * noise)
-                         .astype("<f4").reshape(-1))
+            with np.errstate(over="ignore"):  # a value past float32 is refused below
+                blobs.append((means[walks[-1]][:, None] + config.noise_sigma * noise)
+                             .astype("<f4").reshape(-1))
             videos += [f"{domain}_v{v_index}"] * length
             domains += [domain] * length
     states = np.concatenate(walks)
@@ -380,15 +392,22 @@ def generate(config: SynthConfig) -> tuple[FeatureStore, SynthTruth]:
             [f"noun{n}" for n in range(config.n_nouns)]
     meta = {"name": f"synth-{config.seed}", "d_v": config.d_v, "d_t": config.d_t,
             "clips_per_action": config.clips_per_action}
-    store = FeatureStore(meta, actions, vocab, split, np.concatenate(blobs))
-    return store, truth
+    features = np.concatenate(blobs)
+    if not np.isfinite(features).all():
+        raise ValueError("invalid synth config: offset_shift, domain_shift and noise_sigma "
+                         "give features that are not finite in float32")
+    return FeatureStore(meta, actions, vocab, split, features), truth
 
 
 def generate_to(config: SynthConfig, directory) -> Path:
-    """Generate and persist the dataset plus the generator-truth file
+    """Generate and persist the dataset (`save_generated`)."""
+    return save_generated(*generate(config), directory)
+
+
+def save_generated(store: FeatureStore, truth: SynthTruth, directory) -> Path:
+    """Persist a generated dataset plus the generator-truth file
     (`SynthTruth.to_dict`)."""
     directory = Path(directory)
-    store, truth = generate(config)
     manifest = store.save(directory)
     (directory / "generator_truth.json").write_text(
         json.dumps(truth.to_dict(), sort_keys=True), encoding="utf-8")

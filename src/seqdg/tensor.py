@@ -37,11 +37,12 @@ reduction, whose association sets the bits: each output and gradient is
 bit for bit that of the plain expressions.
 
 A trainable parameter (`parameter`) is a leaf over storage its owner
-lays out: its data is a view into one parameter buffer and its gradient
-a view into one gradient buffer, so an optimizer updates every
-parameter in one pass. `grad` stays None until a backward pass reaches
-the parameter; the first delta is then written into its slice, by the
-affine maps and the layer norms straight from their GEMM or reduction. Any
+lays out: its data is a view into one parameter buffer, which the owner
+checks for NaN and Inf as a whole, and its gradient a view into one
+gradient buffer, so an optimizer updates every parameter in one pass.
+`grad` stays None until a backward pass reaches the parameter; the first
+delta is then written into its slice, by the affine maps and the layer
+norms straight from their GEMM or reduction. Any
 other tensor's gradient is its own array: the first delta an op has
 just made becomes it, and a delta that is a view of another node's
 gradient is copied. A literal `Tensor` copies its array; `adopt` takes
@@ -214,10 +215,10 @@ def _check_literal(arr: np.ndarray):
 
 
 def parameter(data: np.ndarray, grad_store: np.ndarray) -> Tensor:
-    """A trainable leaf over `data`, taken as is (not copied), whose
-    gradient is accumulated in `grad_store`, an array of the same shape:
-    the owner's slices of its parameter and gradient buffers."""
-    _check_literal(data)
+    """A trainable leaf over `data`, taken as is (neither copied nor
+    checked: its owner checks its whole parameter buffer for NaN and Inf
+    once), whose gradient is accumulated in `grad_store`, an array of the
+    same shape: the owner's slices of its parameter and gradient buffers."""
     if grad_store.shape != data.shape:
         raise ShapeError(f"parameter: gradient store {grad_store.shape} does not "
                          f"match data {data.shape}")

@@ -475,8 +475,9 @@ def train_and_score_cells(cells) -> list[CellScore]:
         model = SeqDGModel.init(config.model, seed=config.seed)
         model.params.flat[...] = flats[i]
         flats[i] = None
+        target = store.split_actions("target")
         top1 = accuracy(sliding_window_predict(store, model),
-                        store.split_actions("target").labels(), k=1)[2]
+                        np.stack((target.verbs, target.nouns), axis=1), k=1)[2]
         scores.append(CellScore(top1, fit_s[i] + time.perf_counter() - start))
     return scores
 

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from seqdg.checkpoint import (
     strip_text_parameters,
 )
 from seqdg.model import ModelConfig, ModelParams, SeqDGModel
+from seqdg.tensor import NonFiniteError
+from test_model import BENCH_CONFIG
 
 
 def tiny_params(seed=0, **kw):
@@ -78,6 +81,28 @@ class TestRoundTrip:
         monkeypatch.setattr(ModelParams, "_lay_out", lay_out)
         with pytest.raises(CheckpointError, match="layers need"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+    def test_non_finite_array_is_rejected(self, value):
+        params = tiny_params()
+        arrays = {name: t.data.copy() for name, t in params.named().items()}
+        arrays["enc.0.ln1.gain"][3] = value
+        with pytest.raises(NonFiniteError):
+            ModelParams.from_named(params.config, arrays)
+
+    def test_load_peaks_under_three_and_a_half_payloads(self, tmp_path):
+        # the file's bytes, the parameter and gradient buffers and one
+        # finiteness mask: no copy of the payload, no temporary per tensor
+        config = ModelConfig(**json.loads(BENCH_CONFIG.read_text())["model"])
+        params = ModelParams(config, seed=0)
+        path = save_checkpoint(tmp_path / "bench.ckpt", params)
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * params.flat.nbytes
 
     def test_array_of_another_shape_is_rejected(self):
         params = tiny_params()

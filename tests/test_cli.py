@@ -917,6 +917,27 @@ class TestCheckpointInputErrors:
         assert self.eval(tmp_path, bad, dataset_dir) == 3
         assert "data error" in capsys.readouterr().err
 
+    # one check over the whole payload finds the parameter that holds the
+    # value, at either end of the parameter and of the payload
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("at", ["start", "end"])
+    def test_a_non_finite_parameter_is_named(self, value, where, at, tmp_path, dataset_dir,
+                                             checkpoint_path, capsys):
+        raw = checkpoint_path.read_bytes()
+        header, payload = split_checkpoint(raw)
+        entries = header["params"]
+        entry = entries[{"first": 0, "middle": len(entries) // 2, "last": -1}[where]]
+        index = entry["offset"] // 8 + (0 if at == "start" else entry["size"] - 1)
+        values = np.frombuffer(payload, "<f8").copy()
+        values[index] = value
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw[:len(raw) - len(payload)] + values.tobytes())
+        assert self.eval(tmp_path, bad, dataset_dir) == 3
+        assert (f"data error: {bad}: parameter {entry['name']!r} holds NaN or Inf"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "ev").exists()
+
     def test_checkpoint_path_that_is_a_directory_is_data_error(self, tmp_path, dataset_dir,
                                                                capsys):
         assert self.eval(tmp_path, tmp_path, dataset_dir) == 3
@@ -1716,6 +1737,14 @@ class TestRunFailsBeforeAnyOutput:
         config = edited_config(tmp_path, **{section: {key: value}})
         assert self.run(command, config, tmp_path, dataset_dir) == 2
         assert "cannot allocate the model" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_synth_features_past_the_float32_range_are_config_error(self, tmp_path, capsys):
+        # an offset of this size is a float64 but no float32
+        config = edited_config(tmp_path, synth={"offset_shift": 1e39})
+        assert self.run("synth-gen", config, tmp_path, None) == 2
+        err = capsys.readouterr().err
+        assert all(knob in err for knob in ("offset_shift", "domain_shift", "noise_sigma"))
         assert not (tmp_path / "out").exists()
 
     # every float field that training reads, as an int past the float range

@@ -258,9 +258,13 @@ class TestTruthFile:
          "generator truth has an unknown key 'grammar'"),
         (lambda p: p["config"].update(mystery=1), "config: unknown key 'mystery'"),
         (lambda p: p["config"].update(seed="0"), "config: seed cannot be '0'"),
+        # refused before the rebuild allocates 8 rows of 2^39 floats
+        (lambda p: p["config"].update(d_v=2**40), "'verb_protos' differs"),
+        (lambda p: p["noun_protos"][1].append(0.0), "'noun_protos' differs"),
     ], ids=["verb_proto_nudged", "noun_proto_dropped", "pairs_reordered",
             "noun_protos_missing", "config_missing", "context_margin_retired",
-            "grammar_and_transforms", "unknown_config_key", "seed_a_string"])
+            "grammar_and_transforms", "unknown_config_key", "seed_a_string",
+            "d_v_past_any_allocation", "noun_proto_row_too_long"])
     def test_edited_file_is_data_error(self, edit, message, tmp_path):
         generate_to(small_config(), tmp_path)
         path = tmp_path / "generator_truth.json"
@@ -300,6 +304,8 @@ class TestTruthFile:
 # truth past a few MB
 TRUTH_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 64), st.floats(),
                          st.text(max_size=8), st.lists(st.integers(-3, 64), max_size=4))
+# config keys the prototypes' shapes bound, so any int may set them
+SHAPE_KEYS = ("n_verbs", "n_nouns", "d_v")
 
 
 @st.composite
@@ -322,6 +328,8 @@ def fuzzed_truths(draw, text: str) -> str:
     key = draw(st.sampled_from([*sorted(owner), "mystery"]))
     if draw(st.booleans()):
         owner.pop(key, None)
+    elif kind == "config" and key in SHAPE_KEYS:
+        owner[key] = draw(st.one_of(TRUTH_VALUES, st.integers(-3, 2**40)))
     else:
         owner[key] = draw(TRUTH_VALUES)
     return json.dumps(payload)
