@@ -13,7 +13,9 @@ pure-Python encoder); `load` reads any layout of the same value. Each
 blob is read as bytes that must hold a whole number of its values
 (`_blob`), and the action blob exactly the columns and tokens the
 header counts; the table then passes one check (codes inside their
-tables, narration lengths against the token count). Versions 1 and 2,
+tables, narration lengths against the token count). Every float of the
+feature and text blobs must be finite, in a loaded store and in a built
+one alike. Versions 1 and 2,
 which kept the actions in the manifest, are no longer read: `seqdg
 synth-gen` and `seqdg import` rewrite a store. In memory the
 columns become a `FeatureStore` over an `Actions` table: one int64
@@ -191,32 +193,26 @@ class Actions(Sequence):
         """The (verb, noun) label of each row."""
         return list(zip(self.verbs.tolist(), self.nouns.tolist()))
 
-    def narrations(self, rows) -> tuple[tuple[int, ...], ...]:
-        """The narration tokens of each of `rows`."""
-        return tuple(tuple(self.tokens[start:end].tolist()) for start, end in
-                     zip(self.token_start[rows].tolist(), self.token_end[rows].tolist()))
-
     def to_arrays(self) -> dict[str, np.ndarray]:
         """The table as int64 columns (`_COLUMNS`), as `from_codes` takes
         them and the action blob holds them: video and domain ids as
         codes, and `narration_tokens` only the rows' own narrations, in row
         order."""
         lengths = self.token_end - self.token_start
-        # each row's tokens moved from its own start to where its output starts
-        gather = np.arange(lengths.sum()) + np.repeat(self.token_start + lengths
-                                                      - np.cumsum(lengths), lengths)
         return dict(zip(_COLUMNS, (self.ids, self.video, self.domain, self.verbs, self.nouns,
                                    self.temporal, self.offsets, self.n_clips, lengths,
-                                   self.tokens[gather])))
+                                   self.tokens[_token_gather(self.token_start, lengths)])))
 
     def views(self) -> list[ActionRecord]:
         """One `ActionRecord` per row, built once."""
         if self._views is None:
+            narrations = (tuple(self.tokens[start:end].tolist()) for start, end in
+                          zip(self.token_start.tolist(), self.token_end.tolist()))
             self._views = list(map(
                 ActionRecord, self.ids.tolist(),
                 map(self.video_names.__getitem__, self.video.tolist()),
                 map(self.domain_names.__getitem__, self.domain.tolist()),
-                self.verbs.tolist(), self.nouns.tolist(), self.narrations(slice(None)),
+                self.verbs.tolist(), self.nouns.tolist(), narrations,
                 self.temporal.tolist(), self.offsets.tolist(), self.n_clips.tolist()))
         return self._views
 
@@ -294,6 +290,11 @@ class FeatureStore:
                                            noun=int(actions.nouns[row])))
         if self.text is not None and self.text.size != len(actions) * self.d_t:
             raise DataError("text feature blob does not match action count")
+        _check_finite("feature blob", self.visual, actions,
+                      actions.offsets, actions.offsets + actions.n_clips * self.d_v)
+        if self.text is not None:
+            _check_finite("text blob", self.text, actions,
+                          actions.ids * self.d_t, (actions.ids + 1) * self.d_t)
         counts = np.bincount(actions.domain, minlength=len(actions.domain_names))
         present = {name for name, count in zip(actions.domain_names, counts) if count}
         stray = present.difference(self.split.source, self.split.target)
@@ -505,6 +506,13 @@ def _checked(actions: Actions) -> Actions:
     return actions
 
 
+def _token_gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Indices into a token array of the runs of `lengths` tokens that
+    begin at `starts`, back to back in run order."""
+    # each run's tokens moved from its own start to where its output starts
+    return np.arange(lengths.sum()) + np.repeat(starts + lengths - np.cumsum(lengths), lengths)
+
+
 def _any_token(actions: Actions, flags: np.ndarray) -> np.ndarray:
     """Per row, whether any of its narration tokens is flagged; `flags`
     has one entry per entry of `actions.tokens`."""
@@ -540,6 +548,20 @@ def _action_rules(actions: Actions, d_v: int, size: int, vocab: int) -> list:
         (_any_token(actions, (tokens < 0) | (tokens >= vocab)),
          "action {id}: narration token out of vocab"),
     ]
+
+
+def _check_finite(what: str, values: np.ndarray, actions: Actions, starts, ends):
+    """Refuse NaN and Inf in the blob `values`, whose floats
+    `values[starts[i]:ends[i]]` belong to row i of `actions`: a DataError
+    names `what` and the first row holding one, or else its first index."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return
+    seen = np.concatenate(([0], np.cumsum(~finite)))
+    rows = np.flatnonzero(seen[ends] > seen[starts])
+    where = (f"the features of action {actions.ids[rows[0]]}" if rows.size
+             else f"float {finite.argmin()}")
+    raise DataError(f"{what} holds NaN or Inf, first in {where}")
 
 
 def _first_failing_action(actions: Actions, d_v: int, size: int, vocab: int) -> int | None:
@@ -639,35 +661,29 @@ class NarrationEmbedder:
         self.vocab_size = vocab_size
         self.dim = dim
 
-    def embed(self, tokens) -> np.ndarray:
-        tokens = [int(t) for t in tokens]
-        if not tokens:
-            raise DataError("cannot embed an empty narration")
-        for t in tokens:
-            if t < 0 or t >= self.vocab_size:
-                raise DataError(f"narration token {t} outside vocab of "
-                                f"{self.vocab_size}")
-        return self.table[tokens].mean(axis=0)
-
-
-def _narration_means(embedder: NarrationEmbedder, actions: Actions) -> np.ndarray:
-    """(len(actions), dim) embedded narrations, bitwise equal to
-    `embedder.embed` of each. Narrations are taken in groups of equal
-    length; a group's token rows are gathered into one (rows, length, dim)
-    array and summed over the length axis, in the order `mean(axis=0)`
-    sums them. The first narration `embed` rejects raises its error."""
-    lengths = actions.token_end - actions.token_start
-    bad = (lengths == 0) | _any_token(actions, (actions.tokens < 0)
-                                      | (actions.tokens >= embedder.vocab_size))
-    if bad.any():
-        row = np.flatnonzero(bad)[0]
-        embedder.embed(actions.tokens[actions.token_start[row]:actions.token_end[row]])
-    means = np.empty((len(actions), embedder.dim))
-    for length in np.unique(lengths):
-        group = np.flatnonzero(lengths == length)
-        tokens = actions.tokens[actions.token_start[group, None] + np.arange(length)]
-        means[group] = embedder.table[tokens].sum(axis=1) / length
-    return means
+    def embed(self, actions: Actions) -> np.ndarray:
+        """(len(actions), dim) narration embeddings, row i the mean of the
+        table rows of row i's tokens, bitwise `table[tokens].mean(axis=0)`.
+        Narrations are taken in groups of equal length; a group's token rows
+        are gathered into one (rows, length, dim) array and summed over the
+        length axis, in the order `mean(axis=0)` sums them. The first row
+        with an empty narration or a token outside the vocab raises."""
+        lengths = actions.token_end - actions.token_start
+        bad = (lengths == 0) | _any_token(actions, (actions.tokens < 0)
+                                          | (actions.tokens >= self.vocab_size))
+        if bad.any():
+            row = np.flatnonzero(bad)[0]
+            tokens = actions.tokens[actions.token_start[row]:actions.token_end[row]]
+            if not tokens.size:
+                raise DataError("cannot embed an empty narration")
+            t = tokens[(tokens < 0) | (tokens >= self.vocab_size)][0]
+            raise DataError(f"narration token {t} outside vocab of {self.vocab_size}")
+        means = np.empty((len(actions), self.dim))
+        for length in np.unique(lengths):
+            group = np.flatnonzero(lengths == length)
+            tokens = actions.tokens[actions.token_start[group, None] + np.arange(length)]
+            means[group] = self.table[tokens].sum(axis=1) / length
+        return means
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +775,8 @@ class Batch:
     text: np.ndarray | None               # (B, W, D_T)
     verbs: np.ndarray                     # (B,) center labels
     nouns: np.ndarray
-    center_tokens: tuple[tuple[int, ...], ...]
+    token_rows: np.ndarray                # (n,) int64, the window of each token
+    tokens: np.ndarray                    # (n,) int64, the center narrations back to back
 
     def __len__(self):
         return self.visual.shape[0]
@@ -792,26 +809,25 @@ class FeatureCache:
     """Dense per-action features of the table `actions` (rows of `store`),
     row i of the cache holding row i's.
 
-    Each action's stored clips are averaged, and its narration embedded,
-    once; a batch of windows over that table is then one fancy index by
-    the windows' rows. The clip means are taken with one gather and one
-    sum per distinct clip count (`_clip_means`), the narration embeddings
-    with one per distinct length (`_narration_means`).
+    Each action's stored clips are averaged once (`_clip_means`: one
+    gather and one sum per distinct clip count); a batch of windows over
+    that table is then one fancy index by the windows' rows. Text
+    features are cached only when `text_seed` is given: the store's text
+    blob when it has one, else the narrations embedded once by the
+    `NarrationEmbedder` of the store's vocab and text width seeded by
+    `text_seed`.
     """
 
-    def __init__(self, store: FeatureStore, actions: Actions, *,
-                 embedder: NarrationEmbedder | None = None, with_text: bool = False):
+    def __init__(self, store: FeatureStore, actions: Actions, *, text_seed: int | None = None):
         self.actions = actions
         self.visual = _clip_means(store, actions)
         self.text = None
-        if with_text:
+        if text_seed is not None:
             if store.text is not None:
                 self.text = store.text.reshape(-1, store.d_t)[actions.ids].astype(np.float64)
-            elif embedder is not None:
-                self.text = _narration_means(embedder, actions)
             else:
-                raise DataError("text requested but the store has no text "
-                                "features and no embedder was given")
+                self.text = NarrationEmbedder(len(store.vocab), store.d_t,
+                                              seed=text_seed).embed(actions)
 
     def rows(self, windows: Windows) -> np.ndarray:
         """The cache rows of `windows`, which must be windows over the table
@@ -825,12 +841,15 @@ class FeatureCache:
             raise DataError("cannot materialize an empty batch")
         actions, rows = self.actions, self.rows(windows)
         center = rows[:, windows.center]
+        starts = actions.token_start[center]
+        lengths = actions.token_end[center] - starts
         return Batch(
             visual=self.visual[rows],
             text=self.text[rows] if self.text is not None else None,
             verbs=actions.verbs[center],
             nouns=actions.nouns[center],
-            center_tokens=actions.narrations(center))
+            token_rows=np.repeat(np.arange(len(center)), lengths),
+            tokens=actions.tokens[_token_gather(starts, lengths)])
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ __all__ = [
     "scoring_threads",
     "predict_windows",
     "sliding_window_predict",
-    "topk_accuracy",
     "accuracy",
 ]
 
@@ -121,9 +120,11 @@ def scoring_threads(n_chunks: int) -> int:
     return max(1, min(cpu_slots(), n_chunks // 2))
 
 
-def predict_windows(cache: FeatureCache, model: SeqDGModel,
-                    windows: Windows) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked verb and noun logits of `windows`, `INFERENCE_BATCH` at a time.
+def predict_windows(cache: FeatureCache, model: SeqDGModel, windows: Windows,
+                    k: int = 5) -> Predictions:
+    """The `Predictions` of the centre actions of `windows`, in window
+    order, each head ranked at `head_k(k)`. The logits are scored
+    `INFERENCE_BATCH` windows at a time.
 
     The calling thread projects every action of the cache once
     (`SeqDGModel.project`); each chunk then reads its windows' rows of
@@ -136,22 +137,22 @@ def predict_windows(cache: FeatureCache, model: SeqDGModel,
     on return.
     """
     cfg = model.config
-    if not len(windows):
-        return np.empty((0, cfg.n_verbs)), np.empty((0, cfg.n_nouns))
     rows = cache.rows(windows)
     table = model.project(cache.visual)
-    starts = range(0, len(windows), INFERENCE_BATCH)
-    parts = [None] * len(starts)
+    verb_logits = np.empty((len(rows), cfg.n_verbs))
+    noun_logits = np.empty((len(rows), cfg.n_nouns))
+    starts = range(0, len(rows), INFERENCE_BATCH)
     claim = threading.Lock()
-    unscored = iter(range(len(starts)))
+    unscored = iter(starts)
 
     def score():
         while True:
             with claim:
-                i = next(unscored, None)
-            if i is None:
+                start = next(unscored, None)
+            if start is None:
                 return
-            parts[i] = model.predict_rows(table, rows[starts[i]:starts[i] + INFERENCE_BATCH])
+            chunk = slice(start, start + INFERENCE_BATCH)
+            verb_logits[chunk], noun_logits[chunk] = model.predict_rows(table, rows[chunk])
 
     n = scoring_threads(len(starts))
     if n == 1:
@@ -162,8 +163,9 @@ def predict_windows(cache: FeatureCache, model: SeqDGModel,
             score()
             for future in others:
                 future.result()
-    return (np.concatenate([verb for verb, _noun in parts]),
-            np.concatenate([noun for _verb, noun in parts]))
+    return Predictions(cache.actions.ids[rows[:, windows.center]], verb_logits, noun_logits,
+                       topk_indices(verb_logits, head_k(k, cfg.n_verbs)),
+                       topk_indices(noun_logits, head_k(k, cfg.n_nouns)))
 
 
 def sliding_window_predict(store: FeatureStore, model: SeqDGModel, *,
@@ -171,14 +173,10 @@ def sliding_window_predict(store: FeatureStore, model: SeqDGModel, *,
     """Predictions of every action of the `split` ("source" or "target"),
     which must hold one, in the store's record order, every video
     processed in isolation."""
-    cfg = model.config
     actions = store.split_actions(split)
-    windows = build_windows(actions, cfg.W)
-    verb_logits, noun_logits = predict_windows(FeatureCache(store, actions), model, windows)
     # window i is centred on action i
-    return Predictions(actions.ids, verb_logits, noun_logits,
-                       topk_indices(verb_logits, head_k(k, cfg.n_verbs)),
-                       topk_indices(noun_logits, head_k(k, cfg.n_nouns)))
+    return predict_windows(FeatureCache(store, actions), model,
+                           build_windows(actions, model.config.W), k)
 
 
 def _in_topk(logits: np.ndarray, labels: np.ndarray, k: int,
@@ -198,14 +196,6 @@ def _percentages(v_ok: np.ndarray, n_ok: np.ndarray) -> tuple[float, float, floa
     n = len(v_ok)
     return (100.0 * int(v_ok.sum()) / n, 100.0 * int(n_ok.sum()) / n,
             100.0 * int((v_ok & n_ok).sum()) / n)
-
-
-def topk_accuracy(verb_logits: np.ndarray, noun_logits: np.ndarray, verbs, nouns,
-                  k: int = 1) -> tuple[float, float, float]:
-    """Top-k verb%, noun%, and action% (both heads correct) of stacked
-    logits, shape (N, classes), against N (verb, noun) labels."""
-    return _percentages(_in_topk(verb_logits, np.asarray(verbs), k),
-                        _in_topk(noun_logits, np.asarray(nouns), k))
 
 
 def accuracy(predictions, labels, k: int = 1) -> tuple[float, float, float]:

@@ -243,9 +243,11 @@ class ModelParams:
     """All learnable state, addressable by dotted names for checkpoints.
 
     One walk over the layout (`_slots`) names every tensor for `named`,
-    `tensors` and `from_named` and orders the initial draws. The decoder
-    stacks and the text output head are optional groups: a checkpoint
-    stripped of them still loads into an inference-capable model.
+    `tensors` and `from_named` and orders the initial draws. The text
+    decoder stack and the text output head are optional groups: a
+    checkpoint stripped of them still loads into an inference-capable
+    model. The visual decoder stack is not: no checkpoint is written
+    without it.
 
     Every tensor's data is a slice of one float64 buffer, `flat`, and its
     gradient store the same slice of `flat_grad`, in walk order; an
@@ -255,7 +257,7 @@ class ModelParams:
 
     GROUPS = ("proj", "pos", "cls_verb", "cls_noun", "encoder", "dec_visual", "dec_text",
               "head_verb", "head_noun", "text_head")
-    OPTIONAL = ("dec_visual", "dec_text", "text_head")
+    OPTIONAL = ("dec_text", "text_head")
 
     def __init__(self, config: ModelConfig, seed: int | None = 0):
         self._lay_out(config)
@@ -284,12 +286,11 @@ class ModelParams:
         self.text_head = (_new_affine(d, cfg.vocab_size)
                           if cfg.vocab_size is not None and "text_head" not in stripped
                           else None)
-        decoder_stacks = [attr for attr in ("dec_visual", "dec_text")
-                          if attr not in stripped or not cfg.n_dec_layers]
+        text_stack = "dec_text" not in stripped or not cfg.n_dec_layers
         encoder, decoder = _new_encoder_layer(d, d_ff), _new_decoder_layer(d, d_ff)
         size = (_float_count(self, [g for g in self.GROUPS if g not in _LAYER_STACKS])
                 + cfg.n_enc_layers * _float_count(encoder, encoder.__dataclass_fields__)
-                + len(decoder_stacks) * cfg.n_dec_layers
+                + (1 + text_stack) * cfg.n_dec_layers
                 * _float_count(decoder, decoder.__dataclass_fields__))
         try:
             self.flat = np.empty(size)
@@ -298,10 +299,11 @@ class ModelParams:
             raise ValueError(f"cannot allocate the model: {exc}") from None
         self.encoder: list[EncoderLayerParams] = [
             _new_encoder_layer(d, d_ff) for _ in range(cfg.n_enc_layers)]
-        self.dec_visual: list[DecoderLayerParams] | None = None
-        self.dec_text: list[DecoderLayerParams] | None = None
-        for attr in decoder_stacks:
-            setattr(self, attr, [_new_decoder_layer(d, d_ff) for _ in range(cfg.n_dec_layers)])
+        self.dec_visual: list[DecoderLayerParams] = [
+            _new_decoder_layer(d, d_ff) for _ in range(cfg.n_dec_layers)]
+        self.dec_text: list[DecoderLayerParams] | None = (
+            [_new_decoder_layer(d, d_ff) for _ in range(cfg.n_dec_layers)]
+            if text_stack else None)
 
     def _fill(self, value):
         """Copy `value(name, slot)` into each slot's part of `flat` and
@@ -346,7 +348,7 @@ class ModelParams:
         `arrays` holds is rejected before it is laid out."""
         stripped = {attr for attr in cls.OPTIONAL if not any(
             name.startswith(_SEGMENT.get(attr, attr) + ".") for name in arrays)}
-        decoder_stacks = 2 - len(stripped & {"dec_visual", "dec_text"})
+        decoder_stacks = 1 + ("dec_text" not in stripped)
         needed = (config.check().n_enc_layers * _ENCODER_LAYER_TENSORS
                   + decoder_stacks * config.n_dec_layers * _DECODER_LAYER_TENSORS)
         if needed > len(arrays):

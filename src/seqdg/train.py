@@ -43,19 +43,12 @@ from seqdg.data import (
     Batch,
     FeatureCache,
     FeatureStore,
-    NarrationEmbedder,
     SeqMixPool,
     SeqMixStats,
     build_windows,
     seqmix,
 )
-from seqdg.evaluate import (
-    accuracy,
-    cpu_slots,
-    predict_windows,
-    sliding_window_predict,
-    topk_accuracy,
-)
+from seqdg.evaluate import accuracy, cpu_slots, predict_windows, sliding_window_predict
 from seqdg.model import ModelConfig, ModelParams, SeqDGModel
 from seqdg.tensor import GradCheckReport, NonFiniteError, Tensor
 
@@ -206,12 +199,8 @@ def composite_loss(model: SeqDGModel, batch: Batch, config: TrainConfig, *,
     l_rt_val = 0.0
     if recon_t:
         if token_text:
-            rows, flat = [], []
-            for i, toks in enumerate(batch.center_tokens):
-                rows.extend([i] * len(toks))
-                flat.extend(toks)
-            logits = T.take_rows(outputs.center_text_logits, rows)
-            l_rt = T.cross_entropy(logits, np.asarray(flat, dtype=np.int64))
+            l_rt = T.cross_entropy(T.take_rows(outputs.center_text_logits, batch.token_rows),
+                                   batch.tokens)
         else:
             l_rt = T.mse(outputs.recon_t, outputs.target_t)
         l_rt_val = l_rt.item()
@@ -298,10 +287,8 @@ def fit(store: FeatureStore, model: SeqDGModel, config: TrainConfig, *,
     pool = SeqMixPool(actions, store.split.source)
     stats = SeqMixStats()
     needs_text = config.lambda_rv > 0 or config.lambda_rt > 0
-    embedder = (NarrationEmbedder(len(store.vocab), store.d_t, seed=config.seed)
-                if needs_text and store.text is None else None)
-
-    cache = FeatureCache(store, actions, embedder=embedder, with_text=needs_text)
+    cache = FeatureCache(store, actions, text_seed=config.seed if needs_text else None)
+    labels = np.stack((actions.verbs, actions.nouns), axis=1)
     optimizer = _SGD(model.params, config.momentum)
     metrics: list[EpochMetrics] = []
     metrics_file = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
@@ -332,9 +319,8 @@ def fit(store: FeatureStore, model: SeqDGModel, config: TrainConfig, *,
             total = None  # nor is the last step's graph held through the scoring
             accs = (None, None, None)
             if metrics_file or epoch == config.epochs - 1:
-                verb_logits, noun_logits = predict_windows(cache, model, windows)
                 # window i is centred on action i
-                accs = topk_accuracy(verb_logits, noun_logits, actions.verbs, actions.nouns)
+                accs = accuracy(predict_windows(cache, model, windows, k=1), labels)
             entry = EpochMetrics(epoch=epoch, lr=lr,
                                  **{k: v / len(windows) for k, v in loss_sums.items()},
                                  source_verb_acc=accs[0], source_noun_acc=accs[1],
@@ -506,8 +492,9 @@ def objective_grad_check(text_loss: str, *, seed: int = 0, data_seed: int = 0,
     text = rng.standard_normal((2, 3, 8))
     verbs = rng.integers(0, 5, size=2)
     nouns = rng.integers(0, 5, size=2)
-    tokens = tuple((int(rng.integers(10)), int(rng.integers(10))) for _ in range(2))
-    batch = Batch(visual=visual, text=text, verbs=verbs, nouns=nouns, center_tokens=tokens)
+    # two tokens per window
+    batch = Batch(visual=visual, text=text, verbs=verbs, nouns=nouns,
+                  token_rows=np.repeat(np.arange(2), 2), tokens=rng.integers(10, size=4))
     with T.no_grad():
         frozen_out = model.forward_train(visual, text, recon_v=True, recon_t=True)
         frozen = (frozen_out.target_v.data.copy(), frozen_out.target_t.data.copy())

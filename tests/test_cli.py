@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import seqdg.data
 import seqdg.train
 from seqdg import cli, evaluate
 from seqdg.checkpoint import load_model, save_checkpoint
@@ -450,16 +451,22 @@ class TestTrainEval:
                                                                 capsys):
         # two scoring threads over 4-window chunks; action 5 of the target
         # split is the centre of window 5, in chunk 1 (a pool thread's NaN
-        # is `test_evaluate`'s case)
+        # is `test_evaluate`'s case). A store refuses a NaN in its blobs
+        # (exit 3), so the NaN is put into the clip mean the cache holds
         monkeypatch.setattr(evaluate, "INFERENCE_BATCH", 4)
         monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         store = FeatureStore.load(dataset_dir)
         target = store.records_for(store.split.target)
         assert evaluate.scoring_threads(-(-len(target) // 4)) == 2
-        features = np.fromfile(dataset_dir / "features.f32", dtype="<f4")
-        features[target[5].blob_offset] = np.nan
-        features.tofile(dataset_dir / "features.f32")
+        clip_means = seqdg.data._clip_means
+
+        def poisoned(store, actions):
+            means = clip_means(store, actions)
+            means[5, 0] = np.nan
+            return means
+
+        monkeypatch.setattr(seqdg.data, "_clip_means", poisoned)
         before = threading.active_count()
         assert main(["eval", "--checkpoint", str(checkpoint_path), "--data",
                      str(dataset_dir), "--out", str(tmp_path / "ev")]) == 4
@@ -874,7 +881,25 @@ CORRUPT_CHECKPOINTS = {
     "n_verbs_beyond_float_range": lambda raw: with_header(
         raw, lambda h: h["config"].update(n_verbs=2 ** 70)),
     "size_beyond_int64": lambda raw: with_entry(raw, 0, lambda e: e.update(size=-2 ** 70)),
+    # only the text side is ever stripped: no checkpoint is written without
+    # the visual decoder while the config has decoder layers
+    "visual_decoder_dropped": lambda raw: without_params(raw, ("dec_v.",)),
+    "both_decoders_dropped": lambda raw: without_params(raw, ("dec_v.", "dec_t.")),
 }
+def without_params(raw: bytes, prefixes: tuple) -> bytes:
+    """The checkpoint bytes `raw` without the parameters whose names start
+    with one of `prefixes`, the others tiling the payload as a save would."""
+    header, payload = split_checkpoint(raw)
+    kept, parts = [], []
+    for entry in header["params"]:
+        if not entry["name"].startswith(prefixes):
+            parts.append(payload[entry["offset"]:entry["offset"] + 8 * entry["size"]])
+            kept.append({**entry, "offset": sum(map(len, parts[:-1]))})
+    header["params"] = kept
+    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+    return raw[:12] + struct.pack("<Q", len(encoded)) + encoded + b"".join(parts)
+
+
 
 # any JSON value: null, bool, int of any size, float including NaN and
 # +-Infinity, a short string, a short int list
@@ -1238,6 +1263,38 @@ class TestManifestInputErrors:
         path.write_bytes(raw + bytes(change) if change > 0 else raw[:change])
         self.refused(lambda m, b: b.tobytes(), message + ", not a whole number of 4-byte values",
                      tmp_path, dataset_dir, checkpoint_path, capsys)
+
+    @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+    @pytest.mark.parametrize("name, what", [("features.f32", "feature blob"),
+                                            ("text_features.f32", "text blob")])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
+    @pytest.mark.parametrize("at", ["first", "last"])
+    def test_a_non_finite_float_is_data_error(self, command, name, what, value, at, tmp_path,
+                                              dataset_dir, config_path, checkpoint_path,
+                                              capsys):
+        with_text_blob(dataset_dir)
+        store = FeatureStore.load(dataset_dir)
+        path = dataset_dir / name
+        values = np.fromfile(path, dtype="<f4")
+        index = 0 if at == "first" else len(values) - 1
+        values[index] = value
+        values.tofile(path)
+        if name == "features.f32":
+            ends = store.actions.offsets + store.actions.n_clips * store.d_v
+            owner = (store.actions.offsets <= index) & (index < ends)
+            action = store.actions.ids[np.flatnonzero(owner)[0]]
+        else:
+            action = index // store.d_t
+        argv = {"train": ["train", "--config", str(config_path)],
+                "eval": ["eval", "--checkpoint", str(checkpoint_path)],
+                "ablate": ["ablate", "--config", str(config_path)]}[command]
+        out = tmp_path / "out"
+        assert main(argv + ["--data", str(dataset_dir), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert (f"data error: {what} holds NaN or Inf, first in the features of action "
+                f"{action}") in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("version, message", [
         (1, "manifest version 1 is no longer read; re-run `seqdg synth-gen` or `seqdg "

@@ -18,6 +18,7 @@ from seqdg.data import (
     NarrationEmbedder,
     SeqMixPool,
     SeqMixStats,
+    Windows,
     build_windows,
     import_csv_dataset,
     read_annotation_csv,
@@ -148,6 +149,30 @@ class TestFeatureStore:
             store = make_store()
             FeatureStore(store.meta, store.actions, store.vocab, store.split,
                          store.visual[:-1])
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_a_built_store_refuses_non_finite_floats(self, value):
+        # actions in reverse blob order: the action named is the one whose
+        # floats hold the value, not the one at its row
+        store = make_store(with_text=True)
+        actions = store.actions.take(np.arange(len(store.actions))[::-1])
+        for what, index, action in (("feature blob", 9, 1), ("text blob", 14, 4)):
+            visual, text = store.visual.copy(), store.text.copy()
+            (visual if what == "feature blob" else text)[index] = value
+            with pytest.raises(DataError, match=f"^{what} holds NaN or Inf, first in the "
+                                                f"features of action {action}$"):
+                FeatureStore(store.meta, actions, store.vocab, store.split, visual, text)
+
+    def test_a_non_finite_float_no_action_reads_is_named_by_index(self):
+        # two actions share their clips, so the blob's last 8 floats are read by none
+        records = [make_record(0), make_record(1, t=1)]
+        records[1] = replace(records[1], blob_offset=0)
+        visual = np.zeros(16, dtype="<f4")
+        visual[12] = np.nan
+        with pytest.raises(DataError, match="^feature blob holds NaN or Inf, first in "
+                                            "float 12$"):
+            FeatureStore({"name": "shared", "d_v": 4, "d_t": 1, "clips_per_action": 2},
+                         table(records), ["a"], DatasetSplit(("S0",), ()), visual)
 
     def test_roundtrip_is_bitwise(self, tmp_path):
         store = make_store(with_text=True, seed=3)
@@ -432,22 +457,33 @@ class TestClipAggregation:
 class TestNarrationEmbedder:
     def test_same_tokens_bitwise_identical(self):
         emb = NarrationEmbedder(vocab_size=10, dim=8, seed=1)
-        a = emb.embed((1, 2, 3))
-        b = emb.embed((1, 2, 3))
-        assert a.tobytes() == b.tobytes()
+        actions = narration_table([(1, 2, 3), (1, 2, 3)])
+        a, b = emb.embed(actions)
+        assert a.tobytes() == b.tobytes() == emb.embed(actions)[0].tobytes()
 
     def test_single_token_is_table_row(self):
         emb = NarrationEmbedder(vocab_size=10, dim=8, seed=1)
-        np.testing.assert_array_equal(emb.embed((4,)), emb.table[4])
+        np.testing.assert_array_equal(emb.embed(narration_table([(4,)])),
+                                      emb.table[[4]])
 
     def test_default_width(self):
         emb = NarrationEmbedder(vocab_size=10, dim=768, seed=0)
-        assert emb.embed((0,)).shape == (768,)
+        assert emb.embed(narration_table([(0,)])).shape == (1, 768)
 
     def test_unknown_token_rejected(self):
         emb = NarrationEmbedder(vocab_size=4, dim=2, seed=0)
-        with pytest.raises(DataError):
-            emb.embed((4,))
+        with pytest.raises(DataError, match="^narration token 4 outside vocab of 4$"):
+            emb.embed(narration_table([(4,)]))
+
+    @pytest.mark.parametrize("narrations, message", [
+        ([(0,), (1, 4), ()], "narration token 4 outside vocab of 4"),
+        ([(1,), (), (2, 4)], "cannot embed an empty narration"),
+        ([(3,), (1, -1, 5)], "narration token -1 outside vocab of 4"),
+    ])
+    def test_first_bad_narration_rejected(self, narrations, message):
+        emb = NarrationEmbedder(vocab_size=4, dim=2, seed=0)
+        with pytest.raises(DataError, match=f"^{message}$"):
+            emb.embed(narration_table(narrations))
 
     def test_seed_controls_table(self):
         a = NarrationEmbedder(5, 4, seed=1).table
@@ -600,27 +636,50 @@ class TestSeqMix:
         assert (stats.draws, stats.replaced, stats.no_candidate) == (3, 0, 3)
 
 
+def narration_table(narrations):
+    """The one-video table of one single-clip action per narration."""
+    return table([ActionRecord(action_id=i, video_id="v0", domain_id="S0", verb=0, noun=0,
+                               narration=tuple(tokens), temporal_index=i, blob_offset=i,
+                               n_clips=1)
+                  for i, tokens in enumerate(narrations)])
+
+
+def narration_store(narrations, vocab=50, d_t=3):
+    """A store over `narration_table(narrations)`."""
+    meta = {"name": "tokens", "d_v": 1, "d_t": d_t, "clips_per_action": 1}
+    return FeatureStore(meta, narration_table(narrations), [f"w{i}" for i in range(vocab)],
+                        DatasetSplit(("S0",), ()), np.zeros(len(narrations), dtype="<f4"))
+
+
 class TestFeatureCache:
     def test_mean_aggregated_batch_shapes(self):
         store = make_store(with_text=False)
         windows = build_windows(store.actions, W=3)
-        emb = NarrationEmbedder(len(store.vocab), store.d_t, seed=0)
-        cache = FeatureCache(store, store.actions, embedder=emb, with_text=True)
+        cache = FeatureCache(store, store.actions, text_seed=0)
         batch = cache.batch(windows[:4])
         assert batch.visual.shape == (4, 3, 4)
         assert batch.text.shape == (4, 3, 3)
         assert batch.verbs.shape == (4,)
-        assert len(batch.center_tokens) == 4
+        assert batch.token_rows.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
+        assert batch.tokens.dtype == batch.token_rows.dtype == np.int64
+
+    def test_no_text_seed_caches_no_text(self):
+        for store in (make_store(), make_store(with_text=True)):
+            cache = FeatureCache(store, store.actions)
+            assert cache.text is None
+            assert cache.batch(build_windows(store.actions, W=3)).text is None
 
     def test_store_text_features_take_precedence(self):
         store = make_store(with_text=True)
         windows = build_windows(store.actions, W=1)
-        batch = FeatureCache(store, store.actions, with_text=True).batch(windows[:1])
+        batch = FeatureCache(store, store.actions, text_seed=0).batch(windows[:1])
         center = store.actions[windows.rows[0, windows.center]]
         expected = store.text[center.action_id * store.d_t:(center.action_id + 1) * store.d_t]
         np.testing.assert_allclose(batch.visual[0, 0],
                                    store.clips(center).astype(np.float64).mean(axis=0))
         np.testing.assert_allclose(batch.text[0, 0], expected.astype(np.float64))
+        other = FeatureCache(store, store.actions, text_seed=1)
+        assert other.text.tobytes() == FeatureCache(store, store.actions, text_seed=0).text.tobytes()
 
     @pytest.mark.parametrize("dim", [1, 5])
     def test_narration_embeddings_match_per_record_embed(self, dim):
@@ -628,18 +687,41 @@ class TestFeatureCache:
         # which a pairwise sum would start to differ
         rng = np.random.default_rng(7)
         lengths = [3, 1, 130, 2, 3, 9, 1]
-        records = [ActionRecord(action_id=i, video_id="v0", domain_id="S0", verb=0,
-                                noun=0, narration=tuple(rng.integers(0, 50, n).tolist()),
-                                temporal_index=i, blob_offset=i, n_clips=1)
-                   for i, n in enumerate(lengths)]
-        meta = {"name": "tokens", "d_v": 1, "d_t": dim, "clips_per_action": 1}
-        store = FeatureStore(meta, table(records), [f"w{i}" for i in range(50)],
-                             DatasetSplit(("S0",), ()), np.zeros(len(records), dtype="<f4"))
+        narrations = [rng.integers(0, 50, n).tolist() for n in lengths]
+        store = narration_store(narrations, d_t=dim)
         emb = NarrationEmbedder(vocab_size=50, dim=dim, seed=3)
+        text = FeatureCache(store, store.actions, text_seed=3).text
+        assert text.tobytes() == emb.embed(store.actions).tobytes()
         emb.table = emb.table * 10.0 ** rng.integers(-3, 4, emb.table.shape)
-        text = FeatureCache(store, store.actions, embedder=emb, with_text=True).text
-        for row, rec in zip(text, records):
-            assert row.tobytes() == emb.embed(rec.narration).tobytes()
+        for row, tokens in zip(emb.embed(store.actions), narrations):
+            assert row.tobytes() == emb.table[tokens].mean(axis=0).tobytes()
+
+    @pytest.mark.parametrize("lengths", [(0, 1, 3), (3, 0, 0, 1), (1, 1, 1)])
+    def test_batch_tokens_are_each_centres_narration(self, lengths):
+        rng = np.random.default_rng(len(lengths))
+        narrations = [rng.integers(0, 50, n).tolist() for n in lengths]
+        store = narration_store(narrations)
+        windows = build_windows(store.actions, W=3)
+        for idx in (np.arange(len(windows)), np.arange(len(windows))[::-1]):
+            batch = FeatureCache(store, store.actions).batch(windows[idx])
+            got = [batch.tokens[batch.token_rows == i].tolist() for i in range(len(idx))]
+            assert got == [narrations[i] for i in idx]
+            assert batch.token_rows.tolist() == sorted(batch.token_rows.tolist())
+
+    def test_batch_tokens_of_a_taken_table_with_scattered_tokens(self):
+        # rows taken out of order and with gaps, so the table's tokens are
+        # not its rows' narrations back to back
+        narrations = [[1], [2, 3, 4], [], [5, 6], [7], [8, 9, 10]]
+        store = narration_store(narrations)
+        taken = np.array([5, 1, 2, 3])
+        actions = store.actions.take(taken)
+        assert actions.token_start[1:].tolist() != actions.token_end[:-1].tolist()
+        windows = Windows(actions, np.array([[0, 1, 2], [2, 0, 1], [3, 2, 3], [0, 0, 0]]),
+                          np.zeros((4, 3), dtype=bool))
+        batch = FeatureCache(store, actions).batch(windows)
+        got = [batch.tokens[batch.token_rows == i].tolist() for i in range(len(windows))]
+        assert got == [narrations[taken[r]] for r in (1, 0, 2, 0)]
+        assert got == [list(actions[r].narration) for r in (1, 0, 2, 0)]
 
     def test_batch_reads_the_cache_row_of_each_table_row(self):
         # a table whose ids are not its row numbers, windowed on itself

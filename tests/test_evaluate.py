@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqdg import evaluate
+from seqdg import data, evaluate
 from seqdg import tensor as T
-from seqdg.data import Actions, DataError, DatasetSplit, FeatureCache, FeatureStore, build_windows
+from seqdg.data import DataError, DatasetSplit, FeatureCache, FeatureStore, build_windows
 from seqdg.evaluate import (
     Prediction,
     Predictions,
     accuracy,
     predict_windows,
     sliding_window_predict,
-    topk_accuracy,
     topk_indices,
 )
 from seqdg.model import ModelConfig, SeqDGModel, classify, encode_sequence
@@ -29,6 +28,19 @@ def pred_from(verb_logits, noun_logits, k=5):
     return Prediction(action_id=0, verb_logits=v, noun_logits=n,
                       topk_verbs=topk_indices(v, min(k, v.size)),
                       topk_nouns=topk_indices(n, min(k, n.size)))
+
+
+def argsort_accuracy(verb_logits, noun_logits, verbs, nouns, k):
+    """Top-k verb%, noun% and action% counted from a stable argsort of
+    each head: the oracle `accuracy` must match."""
+    hits = [(np.argsort(-logits, axis=1, kind="stable")[:, :k]
+             == np.asarray(labels)[:, None]).any(axis=1)
+            for logits, labels in ((verb_logits, verbs), (noun_logits, nouns))]
+    return tuple(100.0 * int(hit.sum()) / len(hit) for hit in (*hits, hits[0] & hits[1]))
+
+
+def logits_of(preds):
+    return preds.verb_logits, preds.noun_logits
 
 
 class TestTopK:
@@ -95,7 +107,11 @@ class TestAccuracy:
         n_ok = [n in oracle(row) for row, n in zip(noun.tolist(), nouns)]
         want = (100.0 * sum(v_ok) / 30, 100.0 * sum(n_ok) / 30,
                 100.0 * sum(a and b for a, b in zip(v_ok, n_ok)) / 30)
-        assert topk_accuracy(verb, noun, verbs, nouns, k) == want
+        assert argsort_accuracy(verb, noun, verbs, nouns, k) == want
+        # ranked at width 1, so every k above it is ranked afresh
+        preds = Predictions(np.arange(30), verb, noun, topk_indices(verb, 1),
+                            topk_indices(noun, 1))
+        assert accuracy(preds, np.stack((verbs, nouns), axis=1), k) == want
 
     def test_predictions_are_scored_from_the_ranking_they_hold(self, monkeypatch):
         # tie-heavy logits, ranked once at width 3: every k up to 3 reads
@@ -113,7 +129,7 @@ class TestAccuracy:
                             lambda logits, k: calls.append(k) or topk_indices(logits, k))
         verbs, nouns = np.array(labels).T
         for k in (1, 2, 3, 4):
-            want = topk_accuracy(verb, noun, verbs, nouns, k)
+            want = argsort_accuracy(verb, noun, verbs, nouns, k)
             calls.clear()
             assert accuracy(preds, labels, k) == want
             assert calls == ([] if k < 4 else [4, 4])
@@ -279,7 +295,7 @@ class TestThreadedScoring:
         assert evaluate.scoring_threads(chunks) == n
         log = model.predict_rows = ThreadLog(model.predict_rows, pool_first=n > 1)
         before = threading.active_count()
-        verb, noun = predict_windows(cache, model, windows)
+        verb, noun = logits_of(predict_windows(cache, model, windows))
         check_threads_ended(before)
         assert verb.tobytes() == want[0].tobytes() and noun.tobytes() == want[1].tobytes()
         # every chunk scored once, by at most n threads, and by a pool
@@ -311,7 +327,7 @@ class TestThreadedScoring:
             before = threading.active_count()
             for _ in range(3):
                 log = model.predict_rows = ThreadLog(predict)
-                verb, noun = predict_windows(cache, model, windows)
+                verb, noun = logits_of(predict_windows(cache, model, windows))
                 assert verb.tobytes() == want[0].tobytes()
                 assert noun.tobytes() == want[1].tobytes()
                 assert sorted(chunk for _t, chunk in log.calls) == self.chunks(windows)
@@ -369,7 +385,7 @@ class TestProjectedScoring:
     def test_bitwise_equal_to_the_per_window_oracle(self, W, cpus, monkeypatch):
         cache, model, windows = self.setup(monkeypatch, W, cpus)
         assert evaluate.scoring_threads(6) == cpus
-        verb, noun = predict_windows(cache, model, windows)
+        verb, noun = logits_of(predict_windows(cache, model, windows))
         with T.no_grad():
             want = [classify(encode_sequence(cache.batch(windows[i:i + 1]).visual,
                                              model.params).cls_slots, model.params)
@@ -382,7 +398,7 @@ class TestProjectedScoring:
         # every slot of the one window is the one action
         cache, model, windows = self.setup(monkeypatch, W, n_videos=1, actions_per_video=1)
         assert len(cache.actions) == 1
-        verb, _noun = predict_windows(cache, model, windows)
+        verb, _noun = logits_of(predict_windows(cache, model, windows))
         with T.no_grad():
             want, _ = classify(encode_sequence(cache.batch(windows).visual,
                                                model.params).cls_slots, model.params)
@@ -407,17 +423,38 @@ class TestProjectedScoring:
         predict_windows(cache, model, windows[:5])
         assert rows == [21]
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_shuffled_windows_give_their_centres_in_that_order(self, cpus, monkeypatch):
+        cache, model, windows = self.setup(monkeypatch, 5, cpus)
+        idx = np.random.default_rng(0).permutation(len(windows))
+        whole = predict_windows(cache, model, windows, k=2)
+        preds = predict_windows(cache, model, windows[idx], k=2)
+        assert whole.action_ids.tolist() == cache.actions.ids.tolist()
+        centres = windows.rows[idx, windows.center]
+        assert preds.action_ids.tolist() == cache.actions.ids[centres].tolist()
+        assert preds.action_ids.tolist() == whole.action_ids[idx].tolist()
+        np.testing.assert_allclose(preds.verb_logits, whole.verb_logits[idx])
+        np.testing.assert_allclose(preds.noun_logits, whole.noun_logits[idx])
+        assert preds.topk_verbs.shape == preds.topk_nouns.shape == (len(idx), 2)
+
+    def test_no_windows_give_empty_predictions(self, monkeypatch):
+        cache, model, windows = self.setup(monkeypatch, 3)
+        preds = predict_windows(cache, model, windows[:0], k=2)
+        assert len(preds) == 0
+        assert preds.verb_logits.shape == (0, 3) and preds.noun_logits.shape == (0, 2)
+        assert preds.topk_verbs.shape == preds.topk_nouns.shape == (0, 2)
+
     def test_scoring_builds_no_batch_and_reads_no_narration(self, monkeypatch):
         cache, model, windows = self.setup(monkeypatch, 5, cpus=2)
         calls = []
-        for cls, name in ((FeatureCache, "batch"), (Actions, "narrations")):
-            original = getattr(cls, name)
-            monkeypatch.setattr(cls, name, lambda *args, _name=name, _original=original:
+        for owner, name in ((FeatureCache, "batch"), (data, "_token_gather")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, _name=name, _original=original:
                                 calls.append(_name) or _original(*args))
         predict_windows(cache, model, windows)
         assert calls == []
         cache.batch(windows[:1])
-        assert calls == ["batch", "narrations"]
+        assert calls == ["batch", "_token_gather"]
 
     def test_windows_over_another_table_are_a_data_error(self, monkeypatch):
         cache, model, windows = self.setup(monkeypatch, 3)

@@ -493,7 +493,8 @@ def test_bench_width_step_graph_size():
     visual = rng.standard_normal((16, config.W, config.D_V))
     text = rng.standard_normal((16, config.W, config.D_T))
     batch = Batch(visual=visual, text=text, verbs=rng.integers(0, config.n_verbs, 16),
-                  nouns=rng.integers(0, config.n_nouns, 16), center_tokens=())
+                  nouns=rng.integers(0, config.n_nouns, 16),
+                  token_rows=np.empty(0, dtype=np.int64), tokens=np.empty(0, dtype=np.int64))
     total, _ = composite_loss(model, batch,
                               TrainConfig(model=config, lambda_rv=1.0, lambda_rt=1.0))
     interior = [node for node in T._toposort(total) if node._parents]
@@ -562,8 +563,7 @@ def bench_width_batch(config, batch=16, seed=0):
                  text=rng.standard_normal((batch, config.W, config.D_T)),
                  verbs=rng.integers(0, config.n_verbs, batch),
                  nouns=rng.integers(0, config.n_nouns, batch),
-                 center_tokens=tuple((int(rng.integers(config.vocab_size)),)
-                                     for _ in range(batch)))
+                 token_rows=np.arange(batch), tokens=rng.integers(config.vocab_size, size=batch))
 
 
 class TestParameterBuffer:

@@ -124,9 +124,10 @@ class TestCompositeLoss:
         text = rng.standard_normal((4, 3, 8))
         verbs = rng.integers(0, 3, size=4)
         nouns = rng.integers(0, 2, size=4)
-        tokens = tuple((int(v), 3 + int(n)) for v, n in zip(verbs, nouns))
+        # each window's narration is (verb, 3 + noun)
+        tokens = np.stack((verbs, 3 + nouns), axis=1).ravel()
         return Batch(visual=visual, text=text, verbs=verbs, nouns=nouns,
-                     center_tokens=tokens)
+                     token_rows=np.repeat(np.arange(4), 2), tokens=tokens)
 
     def test_zero_weights_reduce_to_classification(self):
         config = toy_train_config(lambda_rv=0.0, lambda_rt=0.0)
@@ -183,7 +184,8 @@ class TestCompositeLoss:
         visual = rng.standard_normal((2, 3, 6))
         text = rng.standard_normal((2, 3, 8))
         batch = Batch(visual=visual, text=text, verbs=np.array([0, 1]),
-                      nouns=np.array([1, 0]), center_tokens=((0, 4), (1, 3)))
+                      nouns=np.array([1, 0]), token_rows=np.array([0, 0, 1, 1]),
+                      tokens=np.array([0, 4, 1, 3]))
         with T.no_grad():
             frozen_out = model.forward_train(visual, text, recon_v=True, recon_t=True)
             frozen = (frozen_out.target_v.data.copy(), frozen_out.target_t.data.copy())
@@ -419,7 +421,7 @@ class TestFlatSGD:
             batch = Batch(visual=rng.standard_normal((4, 3, 6)),
                           text=rng.standard_normal((4, 3, 8)),
                           verbs=rng.integers(0, 3, 4), nouns=rng.integers(0, 2, 4),
-                          center_tokens=((1,),) * 4)
+                          token_rows=np.arange(4), tokens=np.ones(4, dtype=np.int64))
             optimizer.zero()
             composite_loss(flat, batch, config)[0].backward()
             optimizer.step(lr)
