@@ -51,6 +51,11 @@ __all__ = [
 ]
 
 CHAIN_LENGTH = 4
+# the largest truth `load_truth` rebuilds: domains, each drawing a transform,
+# and float64 values in the square arrays the config implies (a d_v x d_v
+# transform per domain, the grammar's n_verbs x n_verbs transitions), 256 MiB
+MAX_TRUTH_DOMAINS = 1024
+MAX_TRUTH_FLOATS = 2**25
 
 
 @dataclass
@@ -161,6 +166,12 @@ class Grammar:
         a NaN, a negative entry or a sum off 1 by more than sqrt(eps)
         raises ValueError.
         """
+        return _walk(*self._cdfs(), length, rng)
+
+    def _cdfs(self) -> tuple[list, list]:
+        """The cumulative sums `walk` searches, each divided by its last
+        entry, as Python floats: the start vector's, and one list per
+        transition row. Both first pass `choice`'s checks."""
         n = self.n_states
         start = _checked_probabilities(self.start, (n,), "start vector")
         transitions = _checked_probabilities(self.transitions, (n, n), "transition row")
@@ -168,13 +179,17 @@ class Grammar:
         start_cdf /= start_cdf[-1]
         cdfs = transitions.cumsum(axis=1)
         cdfs /= cdfs[:, -1:]
-        cdfs = cdfs.tolist()
-        uniforms = rng.random(length + 1).tolist()
-        # bisect_right on Python floats is searchsorted(side="right")
-        states = [bisect.bisect_right(start_cdf.tolist(), uniforms[0])]
-        for uniform in uniforms[1:length]:
-            states.append(bisect.bisect_right(cdfs[states[-1]], uniform))
-        return np.asarray(states[:length], dtype=np.int64)
+        return start_cdf.tolist(), cdfs.tolist()
+
+
+def _walk(start_cdf: list, cdfs: list, length: int, rng) -> np.ndarray:
+    """`Grammar.walk` over the cumulative sums that `Grammar._cdfs` gives."""
+    uniforms = rng.random(length + 1).tolist()
+    # bisect_right on Python floats is searchsorted(side="right")
+    states = [bisect.bisect_right(start_cdf, uniforms[0])]
+    for uniform in uniforms[1:length]:
+        states.append(bisect.bisect_right(cdfs[states[-1]], uniform))
+    return np.asarray(states[:length], dtype=np.int64)
 
 
 def _checked_probabilities(p, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -323,8 +338,10 @@ def load_truth(path) -> SynthTruth:
     and `noun_protos`, the config passing the config-file typing rule and
     `SynthConfig.check`, the rest equal to what the config rebuilds. The
     prototypes' shapes are compared with the config before the rebuild,
-    which allocates what they imply. Any other file raises a DataError
-    that names the key at fault."""
+    which allocates what they imply, and so is its size: at most
+    `MAX_TRUTH_DOMAINS` domains and `MAX_TRUTH_FLOATS` values in the
+    domains' transforms and in the transition matrix. Any other file
+    raises a DataError that names the key at fault."""
     from seqdg.config import field_defaults, field_problems  # seqdg.config imports this module
 
     try:
@@ -349,6 +366,16 @@ def load_truth(path) -> SynthTruth:
                 type(row) is not list or len(row) != config.d_v // 2 for row in protos):
             raise DataError(f"{path}: {key!r} differs from the truth its config rebuilds: "
                             f"it is not {rows} rows of d_v / 2 = {config.d_v // 2} values")
+    # the file's size bounds d_v and n_verbs, but the rebuild grows with their squares
+    n_domains = config.n_source_domains + config.n_target_domains
+    for keys, size, limit, what in (
+            ("'n_source_domains' and 'n_target_domains'", n_domains, MAX_TRUTH_DOMAINS,
+             "domains"),
+            ("'d_v'", n_domains * config.d_v ** 2, MAX_TRUTH_FLOATS, "transform floats"),
+            ("'n_verbs'", config.n_verbs ** 2, MAX_TRUTH_FLOATS, "transition floats")):
+        if size > limit:
+            raise DataError(f"{path}: config {keys}: {size} {what}, past the {limit} "
+                            "that load_truth rebuilds")
     truth = build_truth(config)
     for key, value in truth.to_dict().items():
         if payload[key] != value:
@@ -361,42 +388,62 @@ def load_truth(path) -> SynthTruth:
 
 
 def generate(config: SynthConfig) -> tuple[FeatureStore, SynthTruth]:
-    """Sample the full multi-domain dataset. Deterministic per seed."""
+    """Sample the full multi-domain dataset. Deterministic per seed.
+
+    Each video draws, from a seed stream of its own, a walk of the grammar
+    and then one standard normal per clip value; the values are the
+    states' class means in the video's domain plus `noise_sigma` times
+    the normals, summed in float64 and rounded once to float32. The
+    grammar's checks and cumulative sums are made once per call, every
+    video writes into one float32 buffer, and the action table is built
+    from the video and domain codes."""
     truth = build_truth(config)
     config, grammar = truth.config, truth.grammar
     split = _split(config)
-    length = config.actions_per_video
-    videos, domains, walks, blobs = [], [], [], []
-    for d_index, domain in enumerate(split.source + split.target):
-        # each state's class mean in this domain
-        means = np.stack([truth.transforms[domain].apply(truth.prototype(verb, noun))
-                          for verb, noun in grammar.labels()])
-        for v_index in range(config.videos_per_domain):
-            rng = np.random.default_rng(np.random.SeedSequence((config.seed, 2, d_index, v_index)))
-            walks.append(grammar.walk(length, rng))
-            noise = rng.standard_normal((length, config.clips_per_action, config.d_v))
-            with np.errstate(over="ignore"):  # a value past float32 is refused below
-                blobs.append((means[walks[-1]][:, None] + config.noise_sigma * noise)
-                             .astype("<f4").reshape(-1))
-            videos += [f"{domain}_v{v_index}"] * length
-            domains += [domain] * length
-    states = np.concatenate(walks)
-    verbs, nouns, ids = grammar.verbs[states], grammar.nouns[states], np.arange(len(states))
-    actions = Actions.from_columns(
-        action_id=ids, video_id=videos, domain_id=domains, verb=verbs, noun=nouns,
-        temporal_index=ids % length, blob_offset=ids * config.clips_per_action * config.d_v,
-        n_clips=np.full(len(ids), config.clips_per_action),
-        narration_lengths=np.full(len(ids), 2),
-        narration_tokens=np.stack([verbs, config.n_verbs + nouns], 1).reshape(-1))
+    domains = split.source + split.target
+    length, per_domain = config.actions_per_video, config.videos_per_domain
+    video_shape = (length, config.clips_per_action, config.d_v)
+    cdfs = grammar._cdfs()
+    states = np.empty((len(domains) * per_domain, length), dtype=np.int64)
+    features = np.empty((len(states), *video_shape), dtype="<f4")
+    with np.errstate(over="ignore"):  # a value past float32 is refused below
+        for d_index, domain in enumerate(domains):
+            # each state's class mean in this domain, one row per state
+            means = np.stack([truth.transforms[domain].apply(truth.prototype(verb, noun))
+                              for verb, noun in grammar.labels()])[:, None]
+            for v_index in range(per_domain):
+                video = d_index * per_domain + v_index
+                rng = np.random.default_rng(
+                    np.random.SeedSequence((config.seed, 2, d_index, v_index)))
+                states[video] = _walk(*cdfs, length, rng)
+                noise = rng.standard_normal(video_shape)
+                noise *= config.noise_sigma
+                # the float64 sum, rounded into the buffer as `astype` rounds it
+                np.add(means[states[video]], noise, out=features[video])
+    states = states.reshape(-1)
+    verbs, nouns = grammar.verbs[states], grammar.nouns[states]
+    ids = np.arange(len(states), dtype=np.int64)
+    actions = Actions.from_codes(
+        [f"{domain}_v{v_index}" for domain in domains for v_index in range(per_domain)],
+        domains, ids, ids // length, ids // (per_domain * length), verbs, nouns,
+        ids % length, ids * config.clips_per_action * config.d_v,
+        np.full(len(ids), config.clips_per_action, dtype=np.int64),
+        np.full(len(ids), 2, dtype=np.int64),
+        np.stack([verbs, config.n_verbs + nouns], 1).reshape(-1))
     vocab = [f"verb{v}" for v in range(config.n_verbs)] + \
             [f"noun{n}" for n in range(config.n_nouns)]
     meta = {"name": f"synth-{config.seed}", "d_v": config.d_v, "d_t": config.d_t,
             "clips_per_action": config.clips_per_action}
-    features = np.concatenate(blobs)
-    if not np.isfinite(features).all():
+    features = features.reshape(-1)
+    try:
+        return FeatureStore(meta, actions, vocab, split, features), truth
+    except DataError:
+        # the store's check is the one finiteness scan; a value it refuses
+        # is a fault of the config, and any other refusal is not
+        if np.isfinite(features).all():
+            raise
         raise ValueError("invalid synth config: offset_shift, domain_shift and noise_sigma "
-                         "give features that are not finite in float32")
-    return FeatureStore(meta, actions, vocab, split, features), truth
+                         "give features that are not finite in float32") from None
 
 
 def generate_to(config: SynthConfig, directory) -> Path:

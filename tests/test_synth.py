@@ -203,6 +203,76 @@ class TestGenerate:
                                       truth.transforms["S0"].rotation)
 
 
+def reference_generate(config):
+    """The per-video draws in plain numpy: `choice_walk`, then each clip's
+    float64 class mean plus `noise_sigma` times its normals, cast to
+    float32, with video and domain names interned in order of appearance.
+    Returns the features, the int64 columns and the two name tables."""
+    truth = build_truth(config)
+    grammar, length = truth.grammar, config.actions_per_video
+    domains = [f"S{i}" for i in range(config.n_source_domains)] + \
+              [f"T{i}" for i in range(config.n_target_domains)]
+    blobs, walks, videos, domain_ids = [], [], [], []
+    for d_index, domain in enumerate(domains):
+        means = np.stack([truth.transforms[domain].apply(truth.prototype(verb, noun))
+                          for verb, noun in grammar.labels()])
+        for v_index in range(config.videos_per_domain):
+            rng = np.random.default_rng(np.random.SeedSequence((config.seed, 2, d_index, v_index)))
+            walk = choice_walk(grammar, length, rng)
+            noise = rng.standard_normal((length, config.clips_per_action, config.d_v))
+            blobs.append((means[walk][:, None] + config.noise_sigma * noise).astype("<f4"))
+            walks.append(walk)
+            videos += [f"{domain}_v{v_index}"] * length
+            domain_ids += [domain] * length
+    video_names, domain_names = tuple(dict.fromkeys(videos)), tuple(dict.fromkeys(domain_ids))
+    states = np.concatenate(walks)
+    verbs, nouns = grammar.verbs[states], grammar.nouns[states]
+    ids = np.arange(len(states))
+    columns = {
+        "action_id": ids, "video_id": np.array([video_names.index(v) for v in videos]),
+        "domain_id": np.array([domain_names.index(d) for d in domain_ids]),
+        "verb": verbs, "noun": nouns, "temporal_index": ids % length,
+        "blob_offset": ids * config.clips_per_action * config.d_v,
+        "n_clips": np.full(len(ids), config.clips_per_action),
+        "narration_lengths": np.full(len(ids), 2),
+        "narration_tokens": np.stack([verbs, config.n_verbs + nouns], 1).reshape(-1)}
+    return np.concatenate([b.reshape(-1) for b in blobs]), columns, video_names, domain_names
+
+
+class TestGenerateMatchesReference:
+    @pytest.mark.parametrize("overrides", [
+        {}, {"n_ambiguous_pairs": 0, "n_verbs": 24, "n_nouns": 15},
+        {"noise_sigma": 0.3, "seed": 3}, {"n_target_domains": 0}, {"n_target_domains": 8},
+        {"clips_per_action": 1},
+    ], ids=["default", "no_pairs", "sigma_0.3_seed_3", "no_targets", "8_targets", "one_clip"])
+    def test_features_columns_and_names_bitwise(self, overrides):
+        config = SynthConfig(**overrides)
+        store, _ = generate(config)
+        features, columns, video_names, domain_names = reference_generate(config)
+        assert store.visual.dtype == features.dtype
+        assert store.visual.tobytes() == features.tobytes()
+        arrays = store.actions.to_arrays()
+        assert list(arrays) == list(columns)
+        for name, column in columns.items():
+            assert arrays[name].dtype == np.int64, name
+            assert np.array_equal(arrays[name], column), name
+        assert store.actions.video_names == video_names
+        assert store.actions.domain_names == domain_names
+
+    def test_one_finiteness_scan_per_generated_store(self, monkeypatch):
+        config = small_config()
+        size = 3 * 2 * 20 * 2 * 16  # domains, videos, actions, clips, d_v
+        isfinite, scans = np.isfinite, []
+
+        def counting_isfinite(values, *args, **kwargs):
+            scans.extend([1] if np.size(values) == size else [])
+            return isfinite(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting_isfinite)
+        store, _ = generate(config)
+        assert store.visual.size == size and len(scans) == 1
+
+
 def truth_arrays(truth):
     """Every array of a truth, keyed by where it sits."""
     arrays = {"verb_protos": truth.verb_protos, "noun_protos": truth.noun_protos,
@@ -261,10 +331,26 @@ class TestTruthFile:
         # refused before the rebuild allocates 8 rows of 2^39 floats
         (lambda p: p["config"].update(d_v=2**40), "'verb_protos' differs"),
         (lambda p: p["noun_protos"][1].append(0.0), "'noun_protos' differs"),
+        # past the rebuild's bounds, with prototypes of the shape the config
+        # gives: refused before 2^40 transforms, or a 2^16 x 2^16 array
+        (lambda p: p["config"].update(n_source_domains=2**40),
+         "'n_source_domains' and 'n_target_domains': 1099511627777 domains, past the 1024"),
+        (lambda p: p["config"].update(n_target_domains=2**40),
+         "'n_source_domains' and 'n_target_domains': 1099511627778 domains, past the 1024"),
+        (lambda p: p.update(config={**p["config"], "n_ambiguous_pairs": 0, "n_verbs": 4,
+                                    "n_nouns": 1, "d_v": 2**16},
+                            verb_protos=[[0.0] * 2**15] * 4, noun_protos=[[0.0] * 2**15]),
+         f"config 'd_v': {3 * 2**32} transform floats, past the {2**25}"),
+        (lambda p: p.update(config={**p["config"], "n_ambiguous_pairs": 0, "n_verbs": 2**16,
+                                    "n_nouns": 1, "d_v": 2},
+                            verb_protos=[[0.0]] * 2**16, noun_protos=[[0.0]]),
+         f"config 'n_verbs': {2**32} transition floats, past the {2**25}"),
     ], ids=["verb_proto_nudged", "noun_proto_dropped", "pairs_reordered",
             "noun_protos_missing", "config_missing", "context_margin_retired",
             "grammar_and_transforms", "unknown_config_key", "seed_a_string",
-            "d_v_past_any_allocation", "noun_proto_row_too_long"])
+            "d_v_past_any_allocation", "noun_proto_row_too_long",
+            "source_domains_past_the_bound", "target_domains_past_the_bound",
+            "transforms_past_the_bound", "transitions_past_the_bound"])
     def test_edited_file_is_data_error(self, edit, message, tmp_path):
         generate_to(small_config(), tmp_path)
         path = tmp_path / "generator_truth.json"
@@ -304,8 +390,9 @@ class TestTruthFile:
 # truth past a few MB
 TRUTH_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 64), st.floats(),
                          st.text(max_size=8), st.lists(st.integers(-3, 64), max_size=4))
-# config keys the prototypes' shapes bound, so any int may set them
-SHAPE_KEYS = ("n_verbs", "n_nouns", "d_v")
+# config keys that the prototypes' shapes or the rebuild's bounds refuse
+# before a large rebuild, so any int may set them
+BOUNDED_KEYS = ("n_verbs", "n_nouns", "d_v", "n_source_domains", "n_target_domains")
 
 
 @st.composite
@@ -328,7 +415,7 @@ def fuzzed_truths(draw, text: str) -> str:
     key = draw(st.sampled_from([*sorted(owner), "mystery"]))
     if draw(st.booleans()):
         owner.pop(key, None)
-    elif kind == "config" and key in SHAPE_KEYS:
+    elif kind == "config" and key in BOUNDED_KEYS:
         owner[key] = draw(st.one_of(TRUTH_VALUES, st.integers(-3, 2**40)))
     else:
         owner[key] = draw(TRUTH_VALUES)
