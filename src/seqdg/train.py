@@ -18,12 +18,14 @@ Library entry points wrap the loop. `train_and_score_cells` trains and
 scores a list of cells (each a store and a config; train, then
 target-split action top-1), and `score_arms` runs an ablation grid through
 it: every arm (the fields `TrainConfig.with_fields` sets on a base config)
-at every seed. Cells are independent and deterministic, so it fits them on
-every usable CPU, in forked workers beside the calling process; with BLAS
-unpinned, on one usable CPU (`taskset -c 0`) or without the `fork` start
-method the calling process fits every cell itself, and the scores are
-bitwise the same either way. `objective_grad_check` is the
-finite-difference check of the full objective.
+at every seed. Cells are independent and deterministic, so it runs them on
+every usable CPU, in forked workers beside the calling process: each
+process fits and scores the cells it claims, and a worker sends back only
+their scores. With BLAS unpinned, on one usable CPU (`taskset -c 0`) or
+without the `fork` start method the calling process runs every cell
+itself, and the scores are bitwise the same either way.
+`objective_grad_check` is the finite-difference check of the full
+objective.
 """
 
 from __future__ import annotations
@@ -340,7 +342,7 @@ def fit(store: FeatureStore, model: SeqDGModel, config: TrainConfig, *,
 @dataclass
 class CellScore:
     """One ablation cell's target-split action top-1 (%), and the seconds
-    its fit (in whichever process fitted it) and its scoring took."""
+    its initialisation, fit and scoring took in the process that claimed it."""
 
     top1: float
     seconds: float
@@ -354,13 +356,17 @@ def fit_processes(n_cells: int) -> int:
     return max(1, min(n_cells, cpu_slots()))
 
 
-def _fit_cell(store: FeatureStore, config: TrainConfig) -> tuple[np.ndarray, float]:
-    """Initialise one cell's model from its config and fit it; return the
-    trained parameter buffer and the seconds that took."""
+def _score_cell(store: FeatureStore, config: TrainConfig) -> CellScore:
+    """Initialise one cell's model from its config (seeded by its seed),
+    fit it on the store's source split and score its target-split action
+    top-1."""
     start = time.perf_counter()
     model = SeqDGModel.init(config.model, seed=config.seed)
     fit(store, model, config)
-    return model.params.flat, time.perf_counter() - start
+    target = store.split_actions("target")
+    top1 = accuracy(sliding_window_predict(store, model, k=1),
+                    np.stack((target.verbs, target.nouns), axis=1), k=1)[2]
+    return CellScore(top1, time.perf_counter() - start)
 
 
 def _claims(counter, n_cells: int):
@@ -376,13 +382,13 @@ def _claims(counter, n_cells: int):
 
 
 def _fit_worker(cells, counter, sender):
-    """A forked worker: fit claimed cells until none is left, then send
-    their (index, seconds) pairs and, one message each, their parameter
-    buffers. On an error, end every process's claiming, send the error
-    instead (as a RuntimeError of its message if it does not pickle) and
-    exit with code 1."""
+    """A forked worker: fit and score claimed cells until none is left,
+    then send their (index, CellScore) pairs in one message. On an error,
+    end every process's claiming, send the error instead (as a
+    RuntimeError of its message if it does not pickle) and exit with
+    code 1."""
     try:
-        fitted = [(i, *_fit_cell(*cells[i])) for i in _claims(counter, len(cells))]
+        scores = [(i, _score_cell(*cells[i])) for i in _claims(counter, len(cells))]
     except BaseException as exc:  # every error is the caller's to raise
         with counter.get_lock():
             counter.value = len(cells)
@@ -392,15 +398,13 @@ def _fit_worker(cells, counter, sender):
             exc = RuntimeError(f"{type(exc).__name__}: {exc}")
         sender.send(("error", exc))
         sys.exit(1)
-    sender.send(("done", [(i, seconds) for i, _flat, seconds in fitted]))
-    for _i, flat, _seconds in fitted:
-        sender.send_bytes(flat)
+    sender.send(("done", scores))
 
 
-def _receive(worker, receiver, flats, fit_s):
-    """Read one worker's results into `flats` and `fit_s` and wait for it
-    to exit; raise the error it sent, or a RuntimeError if it ended
-    without sending."""
+def _receive(worker, receiver, scores):
+    """Read one worker's cell scores into `scores` and wait for it to
+    exit; raise the error it sent, or a RuntimeError if it ended without
+    sending."""
     try:
         kind, payload = receiver.recv()
     except EOFError:
@@ -409,9 +413,8 @@ def _receive(worker, receiver, flats, fit_s):
                            "before sending its cells") from None
     if kind == "error":
         raise payload
-    for i, seconds in payload:
-        flats[i] = np.frombuffer(receiver.recv_bytes())
-        fit_s[i] = seconds
+    for i, score in payload:
+        scores[i] = score
     worker.join()
 
 
@@ -419,11 +422,11 @@ def train_and_score_cells(cells) -> list[CellScore]:
     """Train and score ablation cells, each a (store, config) pair: each
     cell's model is initialised from its config (seeded by its seed) and
     fitted on its store's source split, and its target-split action top-1
-    (%) is returned, in cell order. The calling process fits cell 0 and
-    then claims the next cell each time, beside `fit_processes - 1`
-    forked workers that do the same; it scores every cell once every
-    worker has exited. An error in any cell is raised here; every worker
-    has been terminated and joined on return, on every exit path."""
+    (%) is returned, in cell order. The calling process fits and scores
+    cell 0 and then claims the next cell each time, beside
+    `fit_processes - 1` forked workers that do the same and send back
+    only their cells' scores. An error in any cell is raised here; every
+    worker has been terminated and joined on return, on every exit path."""
     cells = list(cells)
     for store, _config in cells:
         store.split_actions("target")  # refused before anything trains
@@ -431,11 +434,11 @@ def train_and_score_cells(cells) -> list[CellScore]:
         return []
     n = fit_processes(len(cells))
     # forked, not spawned: a worker reads the caller's stores and cells as
-    # they are, and the caller runs no other thread here (scoring pools
-    # are joined before `predict_windows` returns)
+    # they are, and every worker is forked before the caller's first fit
+    # starts a scoring thread
     context = multiprocessing.get_context("fork" if n > 1 else None)
     counter = context.Value("q", 1)  # cell 0 is the caller's
-    flats, fit_s = [None] * len(cells), [0.0] * len(cells)
+    scores = [None] * len(cells)
     workers = []
     try:
         for _ in range(n - 1):
@@ -446,25 +449,15 @@ def train_and_score_cells(cells) -> list[CellScore]:
             sender.close()
             workers.append((worker, receiver))
         for i in itertools.chain([0], _claims(counter, len(cells))):
-            flats[i], fit_s[i] = _fit_cell(*cells[i])
+            scores[i] = _score_cell(*cells[i])
         for worker, receiver in workers:
-            _receive(worker, receiver, flats, fit_s)
+            _receive(worker, receiver, scores)
     finally:
         for worker, receiver in workers:
             if worker.is_alive():
                 worker.terminate()
             worker.join()
             receiver.close()
-    scores = []
-    for i, (store, config) in enumerate(cells):
-        start = time.perf_counter()
-        model = SeqDGModel.init(config.model, seed=config.seed)
-        model.params.flat[...] = flats[i]
-        flats[i] = None
-        target = store.split_actions("target")
-        top1 = accuracy(sliding_window_predict(store, model),
-                        np.stack((target.verbs, target.nouns), axis=1), k=1)[2]
-        scores.append(CellScore(top1, fit_s[i] + time.perf_counter() - start))
     return scores
 
 

@@ -1,6 +1,8 @@
 import gc
+import hashlib
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import re
 import time
@@ -544,40 +546,85 @@ class TestCellRunner:
         assert not worker.is_alive()
         assert sorted(mine + theirs) == list(range(20000))
 
+    @staticmethod
+    def scorings(fits_log, scores_log):
+        """Each scoring's (W, seed, logits digest), sorted, so in cell
+        order, and the pid that scored each (W, seed): a process's k-th
+        scoring is that of its k-th fit. Both logs are emptied."""
+        fits, digests = {}, {}
+        for pid, seed, w in (line.split() for line in fits_log.read_text().splitlines()):
+            fits.setdefault(pid, []).append((int(w), int(seed)))
+        for pid, digest in (line.split() for line in scores_log.read_text().splitlines()):
+            digests.setdefault(pid, []).append(digest)
+        fits_log.unlink()
+        scores_log.unlink()
+        assert {pid: len(cells) for pid, cells in fits.items()} == {
+            pid: len(d) for pid, d in digests.items()}
+        scored = [(cell, digest, pid) for pid, cells in fits.items()
+                  for cell, digest in zip(cells, digests[pid])]
+        return (sorted((*cell, digest) for cell, digest, _ in scored),
+                {cell: pid for cell, _, pid in scored})
+
     def test_scores_are_bitwise_equal_in_one_and_two_processes(self, store, monkeypatch,
                                                                tmp_path):
-        scored = []
+        # each scoring's pid and logits digest, from whichever process scores
+        scores_log = tmp_path / "scores.log"
         original = seqdg.train.sliding_window_predict
 
         def recording(store, model, **kwargs):
             preds = original(store, model, **kwargs)
-            scored.append(preds.verb_logits.tobytes() + preds.noun_logits.tobytes())
+            digest = hashlib.sha256(preds.verb_logits.tobytes() + preds.noun_logits.tobytes())
+            with open(scores_log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {digest.hexdigest()}\n")
             return preds
 
         monkeypatch.setattr(seqdg.train, "sliding_window_predict", recording)
         runs = {}
         for cpus in (1, 2):
             pin(monkeypatch, cpus)
-            log = patch_fit(monkeypatch, tmp_path, wait=cpus == 2)
-            scored.clear()
+            fits_log = patch_fit(monkeypatch, tmp_path, wait=cpus == 2)
             scores = train_and_score_cells(self.cells(store))
             assert multiprocessing.active_children() == []
             assert all(score.seconds > 0 for score in scores)
-            runs[cpus] = ([score.top1 for score in scores], list(scored),
-                          [line.split() for line in log.read_text().splitlines()])
+            runs[cpus] = ([score.top1 for score in scores], *self.scorings(fits_log, scores_log))
             # the grid path, on the same store for every seed, scores the same bits
-            scored.clear()
             grid = score_arms(toy_train_config(), self.arms, (0, 1, 2),
                               dict.fromkeys((0, 1, 2), store))
-            assert ([score.top1 for arm in grid.values() for score in arm], scored) == runs[1][:2]
+            assert ([score.top1 for arm in grid.values() for score in arm],
+                    self.scorings(fits_log, scores_log)[0]) == runs[1][:2]
         assert runs[1][:2] == runs[2][:2]
         assert len(runs[1][1]) == 6
-        # in one process the caller fitted every cell; in two, it fitted
-        # cell 0 and a worker at least one other, each cell once
-        assert {pid for pid, *_ in runs[1][2]} == {str(os.getpid())}
-        assert [str(os.getpid()), "0", "1"] in runs[2][2]
-        assert len({pid for pid, *_ in runs[2][2]}) == 2
-        assert sorted(fit[1:] for fit in runs[2][2]) == sorted(fit[1:] for fit in runs[1][2])
+        # in one process the caller fitted and scored every cell; in two, it
+        # did cell 0 and a worker at least one other
+        caller = str(os.getpid())
+        assert set(runs[1][2].values()) == {caller}
+        assert runs[2][2][(1, 0)] == caller  # cell 0: W=1, seed 0
+        assert len(set(runs[2][2].values())) == 2
+
+    def test_no_parameter_buffer_crosses_a_pipe_and_no_model_is_drawn_twice(
+            self, store, monkeypatch, tmp_path):
+        pin(monkeypatch, 2)
+        calls = tmp_path / "calls.log"
+
+        def logged(name, fn):
+            def call(*args, **kwargs):
+                with open(calls, "a", encoding="utf-8") as fh:
+                    fh.write(f"{os.getpid()} {name}\n")
+                return fn(*args, **kwargs)
+            return call
+
+        connection = multiprocessing.connection.Connection
+        monkeypatch.setattr(connection, "send_bytes", logged("send_bytes", connection.send_bytes))
+        monkeypatch.setattr(SeqDGModel, "init",
+                            classmethod(logged("init", SeqDGModel.init.__func__)))
+        fits_log = patch_fit(monkeypatch, tmp_path)
+        train_and_score_cells(self.cells(store))
+        fits = [line.split()[0] for line in fits_log.read_text().splitlines()]
+        logged_calls = [line.split() for line in calls.read_text().splitlines()]
+        assert len(set(fits)) == 2  # a worker fitted cells
+        assert [name for _, name in logged_calls].count("send_bytes") == 0
+        # every process, the caller included, draws one model per cell it fits
+        assert sorted(pid for pid, name in logged_calls if name == "init") == sorted(fits)
 
     @pytest.mark.parametrize("exc, raised, message", [
         (DivergenceError(2, 5, "overflow"), DivergenceError,
